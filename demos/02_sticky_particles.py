@@ -15,7 +15,7 @@ from dshock import RiemannData1D, delta_cluster_estimate, sample_riemann
 data = RiemannData1D(rho_l=4.0, rho_r=1.0, u_l=1.0, u_r=-1.0)
 
 # Discretize x in [-2, 2] into N cells of equal width, one particle per
-# cell carrying the local mass, then run the event-driven merger.
+# cell carrying the local mass, then merge them on contact.
 print("       N   u_delta_hat     err        e(1)_hat     err      merges")
 for N in (1000, 10000, 100000):
     ps = sample_riemann(data, L=2.0, N=N, mode="midpoint", seed=0)

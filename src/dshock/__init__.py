@@ -23,7 +23,6 @@ from .errors import (
     AuditInvalidError,
     CausticError,
     DShockError,
-    EventQueueError,
     InvalidBatteryError,
     InvalidDimensionError,
     InvalidParameterError,
@@ -96,7 +95,6 @@ __all__ = [
     "CausticError",
     "StiffnessError",
     "NotConvergedError",
-    "EventQueueError",
     "UndersamplingError",
     "AuditInvalidError",
     "UnsupportedFrontError",

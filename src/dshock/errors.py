@@ -57,10 +57,6 @@ class NotConvergedError(DShockError):
     """No dominant cluster emerged from the particle dynamics."""
 
 
-class EventQueueError(DShockError):
-    """Internal inconsistency in the collision event queue."""
-
-
 class AuditInvalidError(DShockError):
     """Balance audit hypotheses are violated (support touches the box)."""
 

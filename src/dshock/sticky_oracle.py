@@ -6,28 +6,31 @@ continuum limit of this micro-model is zero-pressure gas dynamics, so a
 well-resolved run gives a reference trajectory for the concentrated front
 that the closed-form solvers must reproduce.
 
-The engine is event-driven: a priority queue holds candidate collision
-times for adjacent pairs, entries are invalidated lazily through version
-counters, and positions are stored as (reference point, reference time,
-velocity) so that advancing time is free. Simultaneous collisions cascade
-within one event time.
+The state at time T needs no event simulation. In one dimension the sticky
+positions at T are the mass-weighted L2 projection of the free-flight map
+x0 + T v0 onto nondecreasing maps (Brenier & Grenier, SIAM J. Numer. Anal.
+35, 1998; Natile & Savare, SIAM J. Math. Anal. 41, 2009), which is a
+weighted isotonic regression. Each block of the regression is one cluster:
+its value is the cluster position, its weight the cluster mass, and its
+velocity is the block momentum over the block mass. Clusters never split,
+so the merge count is N minus the number of blocks. The pool-adjacent-
+violators algorithm pools equal adjacent values, so particles in exact
+contact at T count as merged.
 
 Radial variant: in n >= 2 dimensions with radial data, spherical shells
 carry mass rho(r) |S^{n-1}| r^{n-1} dr and undergo the same 1-D dynamics
-in r. Shells are only trusted away from the focusing radius; a shell
-crossing ``r_min`` raises a truncation flag on the system.
+in r. Shells are only trusted away from the focusing radius; a cluster
+below ``r_min`` at a queried time raises a truncation flag on the system.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
-    EventQueueError,
     InvalidDimensionError,
     InvalidParameterError,
     NotConvergedError,
@@ -38,14 +41,12 @@ __all__ = [
     "ParticleSystem",
     "ClusterReport",
     "sample_riemann",
-    "run_until",
     "delta_cluster_estimate",
     "radial_shells",
     "unit_sphere_area",
 ]
 
 _TIE = 1e-13
-_GAP_TOL = 1e-12
 
 
 def unit_sphere_area(n: int) -> float:
@@ -58,128 +59,70 @@ def unit_sphere_area(n: int) -> float:
 class ParticleSystem:
     """Ordered point masses on a line with merge-on-contact dynamics."""
 
-    def __init__(self, positions, velocities, masses, time=0.0, r_min=None):
-        x = np.asarray(positions, dtype=float)
-        v = np.asarray(velocities, dtype=float)
-        m = np.asarray(masses, dtype=float)
+    def __init__(self, positions, velocities, masses, r_min=None):
+        x = np.array(positions, dtype=float)
+        v = np.array(velocities, dtype=float)
+        m = np.array(masses, dtype=float)
         if not (x.shape == v.shape == m.shape) or x.ndim != 1 or x.size == 0:
             raise InvalidParameterError("positions, velocities, masses must be equal-length 1-D")
         if np.any(m <= 0.0):
             raise InvalidParameterError("all particle masses must be positive")
         if np.any(np.diff(x) <= 0.0):
             raise InvalidParameterError("initial positions must be strictly increasing")
-        n = x.size
-        self.time = float(time)
-        self._x = list(x)
-        self._t = [self.time] * n
-        self._v = list(v)
-        self._m = list(m)
-        self._alive = [True] * n
-        self._ver = [0] * n
-        self._left = [i - 1 for i in range(n)]
-        self._right = [i + 1 if i + 1 < n else -1 for i in range(n)]
-        self._head = 0
-        self._heap: list = []
-        self._seq = 0
-        self._scale = max(1.0, float(np.max(np.abs(x))), float(np.max(np.abs(v))))
+        self._x0, self._v0, self._m0 = x, v, m
+        self._x, self._v, self._m = x, v, m
+        self.time = 0.0
         self.merges = 0
         self.ke_dissipated = 0.0
         self.r_min = r_min
         self.truncated = False
-        for i in range(n - 1):
-            self._schedule(i, i + 1)
-
-    # -- queries ---------------------------------------------------------
-
-    def _pos(self, i: int, t: float) -> float:
-        return self._x[i] + self._v[i] * (t - self._t[i])
-
-    def _indices(self):
-        i = self._head
-        while i != -1:
-            yield i
-            i = self._right[i]
 
     @property
     def positions(self) -> np.ndarray:
-        return np.array([self._pos(i, self.time) for i in self._indices()])
+        return self._x
 
     @property
     def velocities(self) -> np.ndarray:
-        return np.array([self._v[i] for i in self._indices()])
+        return self._v
 
     @property
     def masses(self) -> np.ndarray:
-        return np.array([self._m[i] for i in self._indices()])
+        return self._m
 
     @property
     def count(self) -> int:
-        return sum(1 for _ in self._indices())
+        return self._x.size
 
     def total_mass(self) -> float:
-        return float(sum(self._m[i] for i in self._indices()))
+        return float(np.sum(self._m))
 
     def total_momentum(self) -> float:
-        return float(sum(self._m[i] * self._v[i] for i in self._indices()))
+        return float(np.sum(self._m * self._v))
 
     def kinetic_energy(self) -> float:
-        return float(sum(0.5 * self._m[i] * self._v[i] ** 2 for i in self._indices()))
-
-    # -- event machinery --------------------------------------------------
-
-    def _schedule(self, i: int, j: int):
-        if i == -1 or j == -1:
-            return
-        gap = self._pos(j, self.time) - self._pos(i, self.time)
-        if gap < -_GAP_TOL * self._scale:
-            raise EventQueueError(f"particles {i} and {j} interpenetrate by {-gap}")
-        dv = self._v[i] - self._v[j]
-        if dv <= 0.0:
-            return
-        t_hit = self.time + max(gap, 0.0) / dv
-        self._seq += 1
-        heapq.heappush(self._heap, (t_hit, self._seq, i, j, self._ver[i], self._ver[j]))
-
-    def _merge(self, i: int, j: int, t_hit: float):
-        mi, mj = self._m[i], self._m[j]
-        vi, vj = self._v[i], self._v[j]
-        m = mi + mj
-        self._x[i] = self._pos(i, t_hit)
-        self._t[i] = t_hit
-        self._v[i] = (mi * vi + mj * vj) / m
-        self._m[i] = m
-        self._ver[i] += 1
-        self.ke_dissipated += 0.5 * mi * mj * (vi - vj) ** 2 / m
-        self._alive[j] = False
-        r = self._right[j]
-        self._right[i] = r
-        if r != -1:
-            self._left[r] = i
-        self.merges += 1
+        return float(np.sum(0.5 * self._m * self._v**2))
 
     def run_until(self, T: float) -> "ParticleSystem":
+        """Set the clusters to their state at time T, computed from the initial data."""
+        from scipy.optimize import isotonic_regression
+
         T = float(T)
         if T < self.time - _TIE:
             raise InvalidParameterError("cannot run backwards in time")
-        heap = self._heap
-        while heap and heap[0][0] <= T:
-            t_hit, _, i, j, vi, vj = heapq.heappop(heap)
-            if not (self._alive[i] and self._alive[j]):
-                continue
-            if self._ver[i] != vi or self._ver[j] != vj:
-                continue
-            if t_hit < self.time - _TIE:
-                raise EventQueueError(f"event at t={t_hit} precedes current time {self.time}")
-            self.time = max(self.time, t_hit)
-            self._merge(i, j, self.time)
-            self._schedule(self._left[i], i)
-            self._schedule(i, self._right[i])
+        x0, v0, m0 = self._x0, self._v0, self._m0
+        fit = isotonic_regression(x0 + T * v0, weights=m0)
+        starts = fit.blocks[:-1]
+        self._x = fit.x[starts]
+        self._m = fit.weights
+        self._v = np.add.reduceat(m0 * v0, starts) / self._m
+        # Each merge destroys the kinetic energy of motion relative to the
+        # cluster's centre of mass, so the total loss is that relative energy.
+        rel_v = v0 - np.repeat(self._v, np.diff(fit.blocks))
+        self.ke_dissipated = float(0.5 * np.sum(m0 * rel_v**2))
+        self.merges = x0.size - self._x.size
         self.time = T
-        if self.r_min is not None and not self.truncated:
-            for i in self._indices():
-                if self._pos(i, T) < self.r_min:
-                    self.truncated = True
-                    break
+        if self.r_min is not None and self._x[0] < self.r_min:
+            self.truncated = True
         return self
 
 
@@ -238,10 +181,6 @@ def sample_riemann(
     return ParticleSystem(
         x[order], np.concatenate(vs)[order], np.concatenate(ms)[order]
     )
-
-
-def run_until(ps: ParticleSystem, T: float) -> ParticleSystem:
-    return ps.run_until(T)
 
 
 def delta_cluster_estimate(ps: ParticleSystem, T: float, times=None) -> ClusterReport:
@@ -318,26 +257,26 @@ def radial_shells(
     dr = (r_hi - r_lo) / N
     r = r_lo + (np.arange(N) + 0.5) * dr
     xs, vs, ms = [], [], []
-    for ri in r:
-        fld = inner if ri < boundary else outer
+    for fld, side in ((inner, r < boundary), (outer, r >= boundary)):
         if fld is None:
             continue
-        rho = float(fld.rho(ri, 0.0))
-        if rho <= 0.0:
-            continue
-        xs.append(ri)
-        vs.append(float(fld.u(ri, 0.0)))
-        ms.append(rho * area * ri ** (n - 1) * dr)
+        rs = r[side]
+        rho = fld.rho(rs, 0.0)
+        keep = rho > 0.0
+        rs, rho = rs[keep], rho[keep]
+        xs.append(rs)
+        vs.append(fld.u(rs, 0.0))
+        ms.append(rho * area * rs ** (n - 1) * dr)
     if front_seed is not None:
         phi0, e0, ud0 = map(float, front_seed)
         if e0 > 0.0:
-            xs.append(phi0)
-            vs.append(ud0)
-            ms.append(e0 * area * phi0 ** (n - 1))
-    if not xs:
+            xs.append(np.array([phi0]))
+            vs.append(np.array([ud0]))
+            ms.append(np.array([e0 * area * phi0 ** (n - 1)]))
+    x = np.concatenate(xs) if xs else np.empty(0)
+    if x.size == 0:
         raise InvalidParameterError("no mass anywhere in the annulus")
-    x = np.array(xs)
     order = np.argsort(x, kind="stable")
     return ParticleSystem(
-        x[order], np.array(vs)[order], np.array(ms)[order], r_min=r_min
+        x[order], np.concatenate(vs)[order], np.concatenate(ms)[order], r_min=r_min
     )

@@ -1,7 +1,11 @@
-"""Tests for the event-driven merging-particle oracle."""
+"""Tests for the sticky-particle oracle."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dshock import (
     InvalidParameterError,
@@ -43,6 +47,8 @@ def test_merge_happens_at_contact_time():
     ps.run_until(3.1)
     assert ps.count == 1
     assert ps.positions[0] == pytest.approx(3.0 + 0.5 * 0.1)
+    # Particles in exact contact at the queried time count as merged.
+    assert ParticleSystem([-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]).run_until(1.0).count == 1
 
 
 def test_unequal_mass_merge_momentum():
@@ -70,6 +76,88 @@ def test_chain_merge_conserves_invariants():
     assert ps.kinetic_energy() + ps.ke_dissipated == pytest.approx(ke0, rel=1e-12)
     # After long enough, the ordering is still strict.
     assert np.all(np.diff(ps.positions) > 0.0)
+
+
+def _brute_force(x, v, m, T):
+    """Pairwise sticky simulation in exact arithmetic, independent of the oracle.
+
+    Advances to the earliest contact of adjacent clusters, merges that pair
+    and books the energy m_i m_j (v_i - v_j)^2 / 2 (m_i + m_j) it destroys.
+    Returns the clusters at T as [position, velocity, mass, member indices],
+    the number of merges and the dissipated energy.
+    """
+    cl = [[xi, vi, mi, [i]] for i, (xi, vi, mi) in enumerate(zip(x, v, m))]
+    t, merges, lost = Fraction(0), 0, Fraction(0)
+    while True:
+        hits = [((b[0] - a[0]) / (a[1] - b[1]), i)
+                for i, (a, b) in enumerate(zip(cl, cl[1:])) if a[1] > b[1]]
+        dt, i = min(hits, default=(T - t + 1, None))
+        if dt > T - t:
+            for c in cl:
+                c[0] += (T - t) * c[1]
+            return cl, merges, lost
+        for c in cl:
+            c[0] += dt * c[1]
+        t += dt
+        a, b = cl[i], cl[i + 1]
+        mass = a[2] + b[2]
+        lost += a[2] * b[2] * (a[1] - b[1]) ** 2 / (2 * mass)
+        cl[i:i + 2] = [[a[0], (a[2] * a[1] + b[2] * b[1]) / mass, mass, a[3] + b[3]]]
+        merges += 1
+
+
+def _tie_slack(x, v, m, clusters, T):
+    """Smallest exact slack of the projection's block conditions at T.
+
+    Adjacent clusters sit strictly apart, and inside a cluster every left part
+    sits at or right of the rest in free flight. At zero slack (an exact
+    contact at T) floating-point rounding decides whether the regression pools.
+    """
+    y = [xi + T * vi for xi, vi in zip(x, v)]
+
+    def centre(idx):
+        return sum(m[i] * y[i] for i in idx) / sum(m[i] for i in idx)
+
+    slack = [centre(b[3]) - centre(a[3]) for a, b in zip(clusters, clusters[1:])]
+    for c in clusters:
+        slack += [centre(c[3][:k]) - centre(c[3][k:]) for k in range(1, len(c[3]))]
+    return min(slack, default=1)
+
+
+@st.composite
+def _sticky_systems(draw):
+    n = draw(st.integers(1, 12))
+    real = dict(allow_nan=False, allow_infinity=False, allow_subnormal=False)
+    x = sorted(draw(st.lists(st.floats(-10, 10, **real), min_size=n, max_size=n, unique=True)))
+    v = draw(st.lists(st.floats(-5, 5, **real), min_size=n, max_size=n))
+    m = draw(st.lists(st.floats(1e-3, 10, **real), min_size=n, max_size=n))
+    times = draw(st.lists(st.floats(0, 20, **real), min_size=1, max_size=4, unique=True))
+    return x, v, m, sorted(times)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sticky_systems())
+def test_matches_brute_force_sticky_simulation(system):
+    x, v, m, times = system
+    assume(all(a < b for a, b in zip(x, x[1:])))
+    ps = ParticleSystem(x, v, m)
+    exact = [[Fraction(q) for q in col] for col in (x, v, m)]
+    x_scale = max(map(abs, x)) + times[-1] * max(map(abs, v))
+    v_scale = max(map(abs, v))
+    for T in times:
+        clusters, merges, lost = _brute_force(*exact, Fraction(T))
+        # Systems within rounding of an exact contact at T are skipped.
+        assume(_tie_slack(*exact, clusters, Fraction(T)) > 1e-9 * x_scale)
+        ps.run_until(T)
+        assert ps.count == len(clusters)
+        assert ps.merges == merges
+        pos, vel, mass = (np.array([float(c[k]) for c in clusters]) for k in range(3))
+        np.testing.assert_allclose(ps.positions, pos, rtol=1e-12, atol=1e-12 * x_scale)
+        np.testing.assert_allclose(ps.velocities, vel, rtol=1e-12, atol=1e-12 * v_scale)
+        np.testing.assert_allclose(ps.masses, mass, rtol=1e-12)
+        assert ps.ke_dissipated == pytest.approx(
+            float(lost), rel=1e-12, abs=1e-12 * sum(m) * v_scale**2
+        )
 
 
 def test_particle_system_validation():
