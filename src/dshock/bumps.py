@@ -87,9 +87,12 @@ class BumpFactor:
 class TensorBump:
     """Tensor product of space factors and one time factor.
 
-    ``value``, ``dt`` and ``grad`` take points of shape (m, dim) and a scalar
-    time; scalar points of shape (dim,) are promoted. All derivatives are
-    analytic.
+    phi(x, t) = amplitude * T(t) * X_1(x_1) * ... * X_dim(x_dim), with T the
+    ``time_factor`` and X_j the ``space_factors``. ``value``, ``dt`` and
+    ``grad`` take points of shape (m, dim) and a scalar time; scalar points
+    of shape (dim,) are promoted. All derivatives are analytic. Array code
+    that needs phi on many times at once, such as the weak-identity engine,
+    evaluates the factors directly.
     """
 
     def __init__(self, space_factors, time_factor: BumpFactor, amplitude: float = 1.0):
@@ -152,21 +155,3 @@ class TensorBump:
                     col = col * v
             out[:, j] = col
         return out
-
-    # 1-D conveniences used by the weak-identity engine; scalars in,
-    # scalars out.
-
-    def value_x(self, x, t: float):
-        x = np.asarray(x, dtype=float)
-        out = self.value(np.atleast_1d(x)[:, None], t)
-        return float(out[0]) if x.ndim == 0 else out
-
-    def dx_x(self, x, t: float):
-        x = np.asarray(x, dtype=float)
-        out = self.grad(np.atleast_1d(x)[:, None], t)[:, 0]
-        return float(out[0]) if x.ndim == 0 else out
-
-    def dt_x(self, x, t: float):
-        x = np.asarray(x, dtype=float)
-        out = self.dt(np.atleast_1d(x)[:, None], t)
-        return float(out[0]) if x.ndim == 0 else out

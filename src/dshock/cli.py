@@ -15,8 +15,7 @@ weakcheck  evaluate the weak identities of a solution config; write a
 Exit codes: 0 success, 2 config/schema problem, 3 numerical failure,
 4 theorem-check failure (including data that admits no overcompressive
 front). Outputs are deterministic for a fixed (scenario, seed); CSVs use
-17-significant-digit scientific notation. ``DSHOCK_THREADS`` caps the
-worker threads used for independent sub-evaluations.
+17-significant-digit scientific notation.
 """
 
 from __future__ import annotations
@@ -416,6 +415,7 @@ def _weakcheck_payload(obj: dict, seed: int, strict: bool = True):
         "orders": res.orders,
         "max_residual": res.max_residual,
         "per_member": res.per_member,
+        "quadrature_nodes": list(res.quadrature_nodes),
         "battery_members": len(battery.functions),
         "tolerance": tol,
     }

@@ -16,6 +16,7 @@ closed-form sphere areas.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -47,13 +48,22 @@ class SurfacePatchQuadrature:
         return float(np.sum(self.weights))
 
 
+@lru_cache(maxsize=None)
+def _legendre_rule(nodes: int):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], built once per size."""
+    xi, wi = np.polynomial.legendre.leggauss(nodes)
+    xi.setflags(write=False)
+    wi.setflags(write=False)
+    return xi, wi
+
+
 def gauss_panels(a: float, b: float, panels: int, nodes: int = 6):
     """Composite Gauss-Legendre rule on [a, b]; returns (points, weights)."""
     if b < a:
         raise InvalidParameterError("interval is reversed")
     if panels < 1 or nodes < 1:
         raise InvalidParameterError("panels and nodes must be positive")
-    xi, wi = np.polynomial.legendre.leggauss(nodes)
+    xi, wi = _legendre_rule(nodes)
     edges = np.linspace(a, b, panels + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])

@@ -12,11 +12,29 @@ front weight e u_delta). This module evaluates those functionals on
 batteries of tensor-product bump test functions with analytic derivatives
 and reports the residuals over a ladder of quadrature levels.
 
-Quadrature is aligned to the solution structure: the time axis is split
-where a discontinuity trajectory crosses the test-function box, and each
-spatial integral is split at the front and support edges, so every panel
-integrates a smooth function and the residual of a true solution converges
-at the quadrature order instead of stalling at O(h).
+For a 1-D candidate and a bump phi = A T(t) X(x) on [xlo, xhi] x [t_lo, t_hi]
+the evaluation is laid out as arrays:
+
+* Time cuts, once per member. The time support is split where the front or
+  a support edge crosses x = xlo or x = xhi, so the piece geometry is smooth
+  inside each segment. The cuts serve every level and every identity.
+* One geometry pass per (member, level). The composite Gauss nodes of all
+  segments form one array tk with weights wk, plus a node at t = 0 for the
+  initial terms; phi, the support edges, e and u_delta are evaluated on it
+  once.
+* Clipped pieces per node. The left state fills [edge_l, phi] and the right
+  state [phi, edge_r], each clipped to [xlo, xhi]; a clipped-away piece has
+  zero width. The integral of X over each piece maps one reference panel
+  rule onto a (t-nodes x x-nodes) grid, built in blocks of time nodes so
+  its memory does not grow with the level. Every panel integrates a smooth
+  function, so a true solution's residual converges at the quadrature order
+  instead of stalling at O(h).
+* Identities as contractions. The pass contracts A T'(t) int X and
+  A T(t) [X] over each piece with wk into one number per piece (the line
+  t = 0 adds A T(0) int X), and keeps the weighted front term
+  A (T' X + u_delta T X')(phi) per node. An identity with densities d,
+  fluxes q and front weight e u_delta^p is then
+  d . bulk + q . flux + front . (e u_delta^p).
 
 Supported candidates: 1-D solutions and planar n-D solutions (where the
 identities factorize exactly through the front frame because tangential
@@ -26,8 +44,6 @@ fronts are not supported here.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +51,7 @@ from scipy.optimize import brentq
 
 from .bumps import BumpFactor, TensorBump
 from .errors import InvalidBatteryError, InvalidParameterError, UnsupportedFrontError
+from .geometry.quadrature import gauss_panels
 from .solutions import DeltaShockSolution1D, PlanarSolution
 
 __all__ = [
@@ -46,6 +63,11 @@ __all__ = [
 ]
 
 _GAUSS_NODES = 8
+# Pieces and time segments this narrow are dropped.
+_MIN_WIDTH = 1e-14
+# x-nodes per piece in one block of the (t, x) grid; small blocks keep the
+# grid's memory flat at any level and its temporaries in cache.
+_BLOCK = 2**13
 
 
 @dataclass(frozen=True)
@@ -122,17 +144,7 @@ def _random_poly(rng) -> tuple:
     return tuple(float(c) for c in coeffs)
 
 
-# -- quadrature machinery --------------------------------------------------
-
-
-def _gauss(panels: int, nodes: int, a: float, b: float):
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    edges = np.linspace(a, b, panels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halfs = 0.5 * np.diff(edges)
-    pts = (mids[:, None] + halfs[:, None] * x[None, :]).ravel()
-    wts = (halfs[:, None] * w[None, :]).ravel()
-    return pts, wts
+# -- the geometry pass -----------------------------------------------------
 
 
 def _crossing_times(traj, c: float, t_lo: float, t_hi: float) -> list[float]:
@@ -150,141 +162,133 @@ def _crossing_times(traj, c: float, t_lo: float, t_hi: float) -> list[float]:
     return out
 
 
-def _pieces(sol: DeltaShockSolution1D, t: float, xlo: float, xhi: float):
-    pos = float(sol.phi(t))
-    lo_e, hi_e = float(sol.edge_l(t)), float(sol.edge_r(t))
-    brk = sorted(b for b in (pos, lo_e, hi_e) if np.isfinite(b) and xlo < b < xhi)
-    edges = [xlo] + brk + [xhi]
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b - a <= 1e-14:
-            continue
-        xm = 0.5 * (a + b)
-        if not (lo_e <= xm <= hi_e):
-            yield a, b, None
-        else:
-            yield a, b, ("l" if xm < pos else "r")
-
-
-def _bulk_x(sol, bump, t, dl, dr, ql, qr, panels, nodes):
-    total = 0.0
-    xlo, xhi = bump.space_box[0]
-    for a, b, side in _pieces(sol, t, xlo, xhi):
-        if side is None:
-            continue
-        d, q = (dl, ql) if side == "l" else (dr, qr)
-        if d != 0.0:
-            xs, ws = _gauss(panels, nodes, a, b)
-            total += d * float(ws @ np.asarray(bump.dt_x(xs, t)))
-        if q != 0.0:
-            total += q * (float(bump.value_x(b, t)) - float(bump.value_x(a, t)))
-    return total
-
-
-def _initial_x(sol, bump, dl, dr, panels, nodes):
-    total = 0.0
-    xlo, xhi = bump.space_box[0]
-    for a, b, side in _pieces(sol, 0.0, xlo, xhi):
-        if side is None:
-            continue
-        d = dl if side == "l" else dr
-        if d != 0.0:
-            xs, ws = _gauss(panels, nodes, a, b)
-            total += d * float(ws @ np.asarray(bump.value_x(xs, 0.0)))
-    return total
-
-
-def _identity_value_1d(sol, dl, dr, ql, qr, aw, a0, bump, level, nodes):
+def _time_segments(sol: DeltaShockSolution1D, bump: TensorBump):
+    """Segment ends (s0, s1) of the bump's time support, cut at box crossings."""
+    if bump.dim != 1:
+        raise InvalidParameterError("1-D weak identities need a bump with one space factor")
     (xlo, xhi) = bump.space_box[0]
     t_lo, t_hi = bump.t_support
     if t_lo < -1e-15:
         raise InvalidBatteryError("test function support intersects t < 0")
     if t_hi > sol.t_end + 1e-12:
         raise InvalidBatteryError("test function lives past the solution window")
-    panels = 2 ** (level + 1)
-    value = 0.0
-    if t_hi > t_lo + 1e-15:
-        cuts = {t_lo, t_hi}
-        trajs = [sol.phi]
-        if sol.support0 is not None:
-            trajs += [sol.edge_l, sol.edge_r]
-        for traj in trajs:
-            for c in (xlo, xhi):
-                cuts.update(_crossing_times(traj, c, t_lo, t_hi))
-        segs = sorted(cuts)
-        for s0, s1 in zip(segs[:-1], segs[1:]):
-            if s1 - s0 <= 1e-14:
-                continue
-            tk, wk = _gauss(panels, nodes, s0, s1)
-            for t, wt in zip(tk, wk):
-                contrib = _bulk_x(sol, bump, t, dl, dr, ql, qr, panels, nodes)
-                pos = float(sol.phi(t))
-                if xlo < pos < xhi:
-                    a_t = aw(t)
-                    if a_t != 0.0:
-                        contrib += a_t * (
-                            float(bump.dt_x(pos, t))
-                            + float(sol.u_delta(t)) * float(bump.dx_x(pos, t))
-                        )
-                value += wt * contrib
-    if t_lo <= 1e-15:
-        value += _initial_x(sol, bump, dl, dr, panels, nodes)
-        value += a0 * float(bump.value_x(float(sol.phi(0.0)), 0.0))
-    return value
+    cuts = {t_lo, t_hi}
+    trajs = [sol.phi]
+    if sol.support0 is not None:
+        trajs += [sol.edge_l, sol.edge_r]
+    for traj in trajs:
+        for c in (xlo, xhi):
+            cuts.update(_crossing_times(traj, c, t_lo, t_hi))
+    segs = np.array(sorted(cuts))
+    keep = np.diff(segs) > _MIN_WIDTH
+    return segs[:-1][keep], segs[1:][keep]
+
+
+def _pieces(sol: DeltaShockSolution1D, t: np.ndarray, pos: np.ndarray, xlo: float, xhi: float):
+    """Ends (a, b), each of shape (2, nodes), of the left and right state pieces."""
+    lo = np.broadcast_to(sol.edge_l(t), t.shape)
+    hi = np.broadcast_to(sol.edge_r(t), t.shape)
+    mid = np.clip(pos, lo, hi)
+    a = np.clip(np.stack([lo, mid]), xlo, xhi)
+    b = np.clip(np.stack([mid, hi]), xlo, xhi)
+    return a, np.where(b - a > _MIN_WIDTH, b, a)
+
+
+def _piece_integrals(factor: BumpFactor, a: np.ndarray, b: np.ndarray, ref_x, ref_w):
+    """Integral of X over every piece [a, b], one block of time nodes at a time."""
+    width = b - a
+    out = np.empty_like(width)
+    step = max(1, _BLOCK // ref_x.size)
+    for k in range(0, width.shape[1], step):
+        cols = slice(k, k + step)
+        xs = a[:, cols, None] + width[:, cols, None] * ref_x
+        out[:, cols] = factor.value(xs) @ ref_w
+    return width * out
+
+
+def _level_values(sol: DeltaShockSolution1D, bump: TensorBump, segments, level, nodes, identities):
+    """Values of ``identities``, (d, q, power) triples, and the (t, x) node count."""
+    ref_x, ref_w = gauss_panels(0.0, 1.0, 2 ** (level + 1), nodes)
+    s0, s1 = segments
+    h = (s1 - s0)[:, None]
+    # Time nodes of every segment, then t = 0 for the initial terms.
+    t = np.append((s0[:, None] + h * ref_x).ravel(), 0.0)
+    wk = (h * ref_w).ravel()
+    factor, tf, amp = bump.space_factors[0], bump.time_factor, bump.amplitude
+    xlo, xhi = factor.lo, factor.hi
+    pos = np.asarray(sol.phi(t), dtype=float)
+    a, b = _pieces(sol, t, pos, xlo, xhi)
+    tv, td = amp * tf.value(t), amp * tf.deriv(t)
+    bulk = _piece_integrals(factor, a, b, ref_x, ref_w) @ np.append(wk * td[:-1], tv[-1])
+    flux = (factor.value(b) - factor.value(a)) @ np.append(wk * tv[:-1], 0.0)
+    ud = np.asarray(sol.u_delta(t), dtype=float)
+    e = np.asarray(sol.e(t), dtype=float)
+    inside = (xlo < pos) & (pos < xhi)
+    front = np.where(inside, td * factor.value(pos) + ud * (tv * factor.deriv(pos)), 0.0)
+    front[-1] = tv[-1] * factor.value(pos[-1])
+    front *= np.append(wk, 1.0)
+    values = []
+    for d, q, power in identities:
+        total = d @ bulk + q @ flux
+        if power is not None:
+            total += front @ (e * ud**power)
+        values.append(float(total))
+    return values, a.size * ref_x.size
+
+
+def _ladder(sol: DeltaShockSolution1D, bump: TensorBump, levels, identities, nodes=_GAUSS_NODES):
+    """Identity values (levels x identities) and quadrature node counts of one member."""
+    segments = _time_segments(sol, bump)
+    values, counts = zip(
+        *(_level_values(sol, bump, segments, level, nodes, identities) for level in levels)
+    )
+    return np.array(values), list(counts)
 
 
 def _pairs_1d(sol: DeltaShockSolution1D, kind: str):
+    """(density, flux, front power) coefficients of one identity, left then right."""
     fx = sol.flux
     rl, rr, ul, ur = sol.rho_l, sol.rho_r, sol.u_l, sol.u_r
-    e0 = float(sol.e(0.0))
-    ud0 = float(sol.u_delta(0.0))
     if kind == "mass":
-        return (
-            rl,
-            rr,
-            rl * fx.f1(ul) if rl else 0.0,
-            rr * fx.f1(ur) if rr else 0.0,
-            lambda t: float(sol.e(t)),
-            e0,
-        )
-    if kind == "momentum":
-        return (
-            rl * ul,
-            rr * ur,
-            rl * fx.n1(ul) if rl else 0.0,
-            rr * fx.n1(ur) if rr else 0.0,
-            lambda t: float(sol.e(t)) * float(sol.u_delta(t)),
-            e0 * ud0,
-        )
-    if kind == "energy":
+        d = (rl, rr)
+        q = (rl * fx.f1(ul) if rl else 0.0, rr * fx.f1(ur) if rr else 0.0)
+        power = 0
+    elif kind == "momentum":
+        d = (rl * ul, rr * ur)
+        q = (rl * fx.n1(ul) if rl else 0.0, rr * fx.n1(ur) if rr else 0.0)
+        power = 1
+    elif kind == "energy":
         if fx.name != "standard":
             raise InvalidParameterError("the energy identity is specific to the standard flux")
-        return (
-            rl * ul ** 2,
-            rr * ur ** 2,
-            rl * ul ** 3,
-            rr * ur ** 3,
-            lambda t: float(sol.e(t)) * float(sol.u_delta(t)) ** 2,
-            e0 * ud0 ** 2,
-        )
-    raise InvalidParameterError(f"unknown identity kind {kind!r}")
+        d = (rl * ul**2, rr * ur**2)
+        q = (rl * ul**3, rr * ur**3)
+        power = 2
+    else:
+        raise InvalidParameterError(f"unknown identity kind {kind!r}")
+    return np.array(d, dtype=float), np.array(q, dtype=float), power
 
 
 def identity_value(
     sol: DeltaShockSolution1D, bump: TensorBump, kind: str, level: int = 3, nodes: int = _GAUSS_NODES
 ) -> float:
     """Value of one weak functional for a 1-D candidate (0 for solutions)."""
-    dl, dr, ql, qr, aw, a0 = _pairs_1d(sol, kind)
-    return _identity_value_1d(sol, dl, dr, ql, qr, aw, a0, bump, level, nodes)
+    values, _ = _ladder(sol, bump, (level,), [_pairs_1d(sol, kind)], nodes)
+    return float(values[0, 0])
 
 
 @dataclass(frozen=True)
 class WeakResidual:
-    """Residual table over quadrature levels for 1 + n weak identities."""
+    """Residual table over quadrature levels for 1 + n weak identities.
+
+    ``quadrature_nodes`` counts, per level, the (t, x) nodes of the piece
+    integrals over all battery members; it depends only on the inputs.
+    """
 
     identity_names: tuple
     levels: tuple
     table: np.ndarray
     per_member: np.ndarray
+    quadrature_nodes: tuple
 
     @property
     def residuals(self) -> np.ndarray:
@@ -314,7 +318,7 @@ class WeakResidual:
 
 
 def _factor_integral(factor: BumpFactor) -> float:
-    xs, ws = _gauss(8, 10, factor.lo, factor.hi)
+    xs, ws = gauss_panels(factor.lo, factor.hi, 8, 10)
     return float(ws @ np.asarray(factor.value(xs)))
 
 
@@ -322,8 +326,8 @@ def _reduced_bump(member: TensorBump) -> TensorBump:
     return TensorBump([member.space_factors[0]], member.time_factor, amplitude=member.amplitude)
 
 
-def _planar_values(cand: PlanarSolution, member: TensorBump, level: int, nodes: int) -> np.ndarray:
-    """(mass, momentum_1..n) values; member axes live in the front frame."""
+def _planar_values(cand: PlanarSolution, member: TensorBump, levels):
+    """(mass, momentum_1..n) values per level; member axes live in the front frame."""
     n = cand.dim
     if len(member.space_factors) != n:
         raise InvalidBatteryError(
@@ -333,30 +337,14 @@ def _planar_values(cand: PlanarSolution, member: TensorBump, level: int, nodes: 
     tan_scale = 1.0
     for f in member.space_factors[1:]:
         tan_scale *= _factor_integral(f)
-    rb = _reduced_bump(member)
-    v_mass = identity_value(base, rb, "mass", level, nodes) * tan_scale
-    v_norm = identity_value(base, rb, "momentum", level, nodes) * tan_scale
-    v_tan = np.empty(n - 1)
+    identities = [_pairs_1d(base, "mass"), _pairs_1d(base, "momentum")]
     for j in range(n - 1):
-        dl = base.rho_l * cand.u_tan_l[j]
-        dr = base.rho_r * cand.u_tan_r[j]
-        v_tan[j] = (
-            _identity_value_1d(
-                base,
-                dl,
-                dr,
-                dl * base.u_l,
-                dr * base.u_r,
-                lambda t: 0.0,
-                0.0,
-                rb,
-                level,
-                nodes,
-            )
-            * tan_scale
-        )
-    momentum = cand.frame[0] * v_norm + v_tan @ cand.frame[1:]
-    return np.concatenate(([v_mass], momentum))
+        d = np.array([base.rho_l * cand.u_tan_l[j], base.rho_r * cand.u_tan_r[j]])
+        identities.append((d, d * (base.u_l, base.u_r), None))
+    values, counts = _ladder(base, _reduced_bump(member), levels, identities)
+    values *= tan_scale
+    momentum = values[:, 1:2] * cand.frame[0] + values[:, 2:] @ cand.frame[1:]
+    return np.hstack([values[:, :1], momentum]), counts
 
 
 def evaluate_identities(candidate, battery: TestFunctionBattery, levels=(0, 1, 2, 3)) -> WeakResidual:
@@ -370,40 +358,31 @@ def evaluate_identities(candidate, battery: TestFunctionBattery, levels=(0, 1, 2
     levels = tuple(int(l) for l in levels)
     if not levels or any(l < 0 for l in levels) or list(levels) != sorted(set(levels)):
         raise InvalidParameterError("levels must be strictly increasing and nonnegative")
+    if not battery.functions:
+        raise InvalidBatteryError("battery has no members")
     if isinstance(candidate, DeltaShockSolution1D):
         names = ("mass", "momentum_1")
+        identities = [_pairs_1d(candidate, "mass"), _pairs_1d(candidate, "momentum")]
 
-        def member_values(member, level):
-            return np.array(
-                [
-                    identity_value(candidate, member, "mass", level),
-                    identity_value(candidate, member, "momentum", level),
-                ]
-            )
+        def member_values(member):
+            return _ladder(candidate, member, levels, identities)
 
     elif isinstance(candidate, PlanarSolution):
         names = ("mass",) + tuple(f"momentum_{k + 1}" for k in range(candidate.dim))
 
-        def member_values(member, level):
-            return _planar_values(candidate, member, level, _GAUSS_NODES)
+        def member_values(member):
+            return _planar_values(candidate, member, levels)
 
     else:
         raise UnsupportedFrontError(
             "weak-identity evaluation supports 1-D and planar candidates only"
         )
-    table = np.zeros((len(levels), len(names)))
-    per_member = np.zeros((len(battery.functions), len(names)))
-    workers = max(1, int(os.environ.get("DSHOCK_THREADS", "1")))
-    for li, level in enumerate(levels):
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                rows = list(
-                    pool.map(lambda m: np.abs(member_values(m, level)), battery.functions)
-                )
-        else:
-            rows = [np.abs(member_values(m, level)) for m in battery.functions]
-        for mi, vals in enumerate(rows):
-            table[li] = np.maximum(table[li], vals)
-            if li == len(levels) - 1:
-                per_member[mi] = vals
-    return WeakResidual(identity_names=names, levels=levels, table=table, per_member=per_member)
+    values, counts = zip(*(member_values(m) for m in battery.functions))
+    values = np.abs(np.array(values))  # (members, levels, identities)
+    return WeakResidual(
+        identity_names=names,
+        levels=levels,
+        table=values.max(axis=0),
+        per_member=values[:, -1],
+        quadrature_nodes=tuple(int(c) for c in np.sum(counts, axis=0)),
+    )

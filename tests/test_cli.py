@@ -203,6 +203,9 @@ def test_weakcheck_subcommand(tmp_path):
     assert report["identities"] == ["mass", "momentum_1"]
     assert report["max_residual"] < 1e-6
     assert min(report["orders"]) >= 4.0
+    nodes = report["quadrature_nodes"]
+    assert len(nodes) == 5 and nodes[0] > 0
+    assert all(a < b for a, b in zip(nodes[:-1], nodes[1:]))
 
 
 def test_run_planar_scenario(tmp_path):

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dshock import (
+    DShockError,
     InvalidBatteryError,
     InvalidParameterError,
     PlanarSolution,
@@ -12,11 +15,15 @@ from dshock import (
     from_riemann,
     identity_value,
     make_battery,
+    relativistic_flux,
     solve_constant_states,
     time_reversed,
     with_front_speed_offset,
 )
 from dshock.bumps import BumpFactor, TensorBump
+from dshock.geometry.quadrature import gauss_panels
+from dshock.weakcheck import TestFunctionBattery as Battery
+from dshock.weakcheck import _time_segments
 
 
 def _solution(rho_l=4.0, rho_r=1.0, u_l=1.0, u_r=-1.0, support=(-5.0, 5.0), t_end=1.0, **kw):
@@ -148,6 +155,12 @@ def test_levels_validation():
         evaluate_identities(sol, battery, levels=())
 
 
+def test_empty_battery_is_rejected():
+    empty = Battery(functions=(), seed=0, box=((-6.5, 6.5), (0.0, 0.9)))
+    with pytest.raises(InvalidBatteryError):
+        evaluate_identities(_solution(), empty, levels=(1,))
+
+
 def test_planar_identities_small_and_rotation_covariant():
     d = RiemannData1D(3.0, 1.0, 1.0, -0.8)
     base = from_riemann(solve_constant_states(d, 1.0), 1.0, support0=(-5.0, 5.0))
@@ -182,3 +195,91 @@ def test_battery_dimension_mismatch():
     battery = make_battery([(-6.5, 6.5), (0.0, 0.9)], count=2, seed=1)
     with pytest.raises(InvalidBatteryError):
         evaluate_identities(sol, battery, levels=(1,))
+
+
+# Scalar reference ----------------------------------------------------------
+# The per-time-node loop the array engine replaced: at every Gauss node in
+# time the pieces come from the sorted breakpoints and every term is a
+# scalar TensorBump call. It shares only the time cuts (the composite rule).
+
+
+def _ref_pieces(sol, t, xlo, xhi):
+    pos = float(sol.phi(t))
+    lo_e, hi_e = float(sol.edge_l(t)), float(sol.edge_r(t))
+    brk = sorted(b for b in (pos, lo_e, hi_e) if np.isfinite(b) and xlo < b < xhi)
+    edges = [xlo] + brk + [xhi]
+    for a, b in zip(edges[:-1], edges[1:]):
+        xm = 0.5 * (a + b)
+        if b - a > 1e-14 and lo_e <= xm <= hi_e:
+            yield a, b, 0 if xm < pos else 1
+
+
+def _reference_value(sol, bump, kind, level, nodes=8):
+    """(value, sum of |terms|) of one identity by the scalar per-node loop."""
+    p = {"mass": 0, "momentum": 1, "energy": 2}[kind]
+    g = {"mass": sol.flux.f1, "momentum": sol.flux.n1, "energy": lambda u: u**3}[kind]
+    sides = ((sol.rho_l, sol.u_l), (sol.rho_r, sol.u_r))
+    d = [rho * u**p for rho, u in sides]
+    q = [rho * g(u) for rho, u in sides]
+    panels = 2 ** (level + 1)
+    (xlo, xhi), (t_lo, _) = bump.space_box[0], bump.t_support
+    terms = []
+    for s0, s1 in zip(*_time_segments(sol, bump)):
+        for t, wt in zip(*gauss_panels(s0, s1, panels, nodes)):
+            for a, b, side in _ref_pieces(sol, t, xlo, xhi):
+                xs, ws = gauss_panels(a, b, panels, nodes)
+                terms.append(wt * d[side] * float(ws @ bump.dt(xs[:, None], t)))
+                terms.append(wt * q[side] * float(bump.value([b], t)[0] - bump.value([a], t)[0]))
+            pos, ud = float(sol.phi(t)), float(sol.u_delta(t))
+            if xlo < pos < xhi:
+                front = bump.dt([pos], t)[0] + ud * bump.grad([pos], t)[0, 0]
+                terms.append(wt * float(sol.e(t)) * ud**p * front)
+    if t_lo <= 1e-15:
+        for a, b, side in _ref_pieces(sol, 0.0, xlo, xhi):
+            xs, ws = gauss_panels(a, b, panels, nodes)
+            terms.append(d[side] * float(ws @ bump.value(xs[:, None], 0.0)))
+        atom0 = float(sol.e(0.0)) * float(sol.u_delta(0.0)) ** p
+        terms.append(atom0 * bump.value([float(sol.phi(0.0))], 0.0)[0])
+    return sum(terms), sum(abs(x) for x in terms)
+
+
+@st.composite
+def _candidates(draw):
+    relativistic = draw(st.booleans())
+    kw = {}
+    if relativistic:
+        kw["flux"] = relativistic_flux(1, draw(st.floats(0.8, 2.0)))
+    elif draw(st.booleans()):
+        kw["e0"] = draw(st.floats(0.1, 1.0))
+    rho_l, rho_r = draw(st.floats(0.2, 5.0)), draw(st.floats(0.2, 5.0))
+    u_l, u_r = draw(st.floats(0.1, 1.5)), draw(st.floats(-1.5, -0.1))
+    if "e0" in kw:
+        kw["u_delta0"] = u_r + (u_l - u_r) * draw(st.floats(0.05, 0.95))
+    support = draw(st.sampled_from([None, (-5.0, 5.0)]))
+    variant = draw(st.sampled_from(["plain", "offset", "reversed"]))
+    try:
+        sol = _solution(rho_l, rho_r, u_l, u_r, support=support, **kw)
+        if variant == "offset":
+            sol = with_front_speed_offset(sol, draw(st.floats(-0.3, 0.3)))
+        elif variant == "reversed":
+            sol = time_reversed(sol)
+    except DShockError:
+        assume(False)
+    return sol
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sol=_candidates(),
+    seed=st.integers(0, 2**16),
+    member=st.integers(0, 5),
+    level=st.integers(0, 1),
+)
+def test_identity_value_matches_scalar_reference(sol, seed, member, level):
+    lo, hi = sol.spatial_bounds(0.1)
+    battery = make_battery([(lo, hi), (0.0, sol.t_end * (1.0 - 1e-9))], count=6, seed=seed)
+    bump = battery.functions[member]
+    kinds = ("mass", "momentum", "energy") if sol.flux.name == "standard" else ("mass", "momentum")
+    for kind in kinds:
+        ref, scale = _reference_value(sol, bump, kind, level)
+        assert abs(identity_value(sol, bump, kind, level) - ref) <= 1e-13 * (1.0 + scale), kind
