@@ -15,7 +15,7 @@ import numpy as np
 from dshock import (
     RiemannData1D,
     classical_shock_feasible,
-    evaluate_solution,
+    from_riemann,
     solve_constant_states,
 )
 
@@ -32,11 +32,11 @@ print(f"mass growth   e(t) = {path.e(0.5):.3f}, {path.e(1.0):.3f}, {path.e(2.0):
       "  (exact: 2, 4, 8)")
 print(f"front path   x(t) = t/3: x(1.5) = {path.phi(1.5):.6f}")
 
-# evaluate_solution returns the piecewise fields away from the front.
+# The solution object gives the piecewise fields away from the front.
+sol = from_riemann(path, 2.0)
 print("\n  x      rho    u   (at t = 1.5, front at x = 0.5)")
 for x in np.linspace(-2.0, 2.0, 9):
-    r, v, _atom = evaluate_solution(path, data, x, t=1.5)
-    print(f"{x:5.1f}  {r:5.1f}  {v:4.1f}")
+    print(f"{x:5.1f}  {sol.rho(x, 1.5):5.1f}  {sol.u(x, 1.5):4.1f}")
 
 # The same machinery accepts an initial point mass riding between the
 # states; the front then relaxes toward the constant-speed root.

@@ -13,8 +13,8 @@ import numpy as np
 
 from dshock import (
     SphericalFrontState,
+    audit,
     integrate_front,
-    mass_audit_spherical,
     steady_converging_field,
     unit_sphere_area,
 )
@@ -38,5 +38,5 @@ print("\nfront stays overcompressive:", not traj.entropy_violated)
 # A mass audit over an annulus confirms that whatever the bulk loses,
 # the shell gains, up to the integrator tolerance.
 times = np.linspace(0.0, traj.t_stop, 13)
-rep = mass_audit_spherical(traj, None, outer, n, (0.0, 3.6), times)
-print(f"max |(M+m)(t) - (M+m)(0)| over the run: {rep.drift:.2e}")
+rep = audit(traj, times, outer=outer, annulus=(0.0, 3.6))
+print(f"max |(M+m)(t) - (M+m)(0)| over the run: {rep.mass_drift:.2e}")

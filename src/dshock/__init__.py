@@ -42,7 +42,6 @@ from .riemann1d import (
     RiemannData1D,
     admissible_front_speed,
     classical_shock_feasible,
-    evaluate_solution,
     solve_constant_states,
 )
 from .solutions import (
@@ -60,7 +59,6 @@ from .spherical import (
     expression_field,
     free_flow_field,
     integrate_front,
-    mass_audit_spherical,
     radial_moment_integral,
     steady_converging_field,
     validate_field,
@@ -121,7 +119,6 @@ __all__ = [
     "classical_shock_feasible",
     "admissible_front_speed",
     "solve_constant_states",
-    "evaluate_solution",
     "DeltaShockSolution1D",
     "PlanarSolution",
     "from_riemann",
@@ -138,7 +135,6 @@ __all__ = [
     "validate_field",
     "integrate_front",
     "radial_moment_integral",
-    "mass_audit_spherical",
     # particle oracle
     "ParticleSystem",
     "ClusterReport",

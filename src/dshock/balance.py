@@ -15,7 +15,11 @@ compact support strictly inside.
 
 The audits here are closed-form for piecewise-constant 1-D solutions and
 quadrature-based for spherical trajectories (where P and p vanish by
-symmetry and the radial weight is |S^{n-1}| r^{n-1}).
+symmetry and the radial weight is |S^{n-1}| r^{n-1}). A spherical field
+whose support reaches an annulus edge carries mass across it; the report's
+``boundary`` column accumulates that net inflow, so M + m - boundary is
+the conserved total for any annulus. The 1-D audit requires the support
+strictly inside its box, so its boundary column is zero.
 """
 
 from __future__ import annotations
@@ -25,11 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AuditInvalidError, InvalidParameterError
+from .geometry.quadrature import gauss_panels
 from .rh import FrontState, SideStates
 from .solutions import DeltaShockSolution1D
 from .spherical import (
     RadialField,
     SphericalTrajectory,
+    _side,
     radial_moment_integral,
     unit_sphere_area,
 )
@@ -50,12 +56,14 @@ class BalanceReport:
 
     ``closed_form`` tags whether the sampling is exact (piecewise-constant
     1-D) or quadrature/ODE based, which selects the documented tolerance
-    class (1e-8 vs 1e-6 relative).
+    class (1e-8 vs 1e-6 relative). ``boundary`` is the cumulative net mass
+    that has entered through the audit edges since the first sample.
     """
 
     t: np.ndarray
     M: np.ndarray
     m: np.ndarray
+    boundary: np.ndarray
     P: np.ndarray
     p: np.ndarray
     W: np.ndarray
@@ -227,6 +235,7 @@ def _audit_1d(sol: DeltaShockSolution1D, times, box) -> BalanceReport:
         t=times,
         M=M,
         m=m,
+        boundary=np.zeros(times.size),
         P=P,
         p=p,
         W=W,
@@ -241,22 +250,28 @@ def _audit_1d(sol: DeltaShockSolution1D, times, box) -> BalanceReport:
 def _audit_spherical(traj, inner, outer, annulus, times, panels, nodes) -> BalanceReport:
     a, b = map(float, annulus)
     n = traj.n
+    if n >= 2 and a < 0.0:
+        raise AuditInvalidError("annulus must not include negative radii for n >= 2")
     if times is None:
         times = np.linspace(0.0, traj.t_stop, 25)
     times = np.asarray(times, dtype=float)
-    if n >= 2:
-        area = unit_sphere_area(n)
+    area = unit_sphere_area(n) if n >= 2 else 1.0
 
-        def weight(r):
-            return area * np.asarray(r, dtype=float) ** (n - 1)
+    def weight(r):
+        return area * np.asarray(r, dtype=float) ** (n - 1)
 
-    else:
-
-        def weight(r):
-            return np.ones_like(np.asarray(r, dtype=float))
+    def inflow(t):
+        # Net mass rate through the edges; the origin has no area for n >= 2.
+        rho_o, u_o = _side(outer, b, t)
+        rate = -rho_o * u_o * weight(b)
+        if n == 1 or a > 0.0:
+            rho_i, u_i = _side(inner, a, t)
+            rate += rho_i * u_i * weight(a)
+        return float(rate)
 
     M = np.empty(times.size)
     m = np.empty(times.size)
+    boundary = np.zeros(times.size)
     W = np.empty(times.size)
     w = np.empty(times.size)
     strict = np.empty(times.size, dtype=bool)
@@ -282,14 +297,18 @@ def _audit_spherical(traj, inner, outer, annulus, times, panels, nodes) -> Balan
         W[k] += 0.5 * radial_moment_integral(outer, phi, b, t, weight, panels, nodes, moment=2)
         m[k] = float(traj.m_at(t))
         w[k] = 0.5 * m[k] * ud ** 2
-        rho_i, u_i = _side_values(inner, phi, t)
-        rho_o, u_o = _side_values(outer, phi, t)
+        if k:
+            ts, ws = gauss_panels(times[k - 1], t, 1, 6)
+            boundary[k] = boundary[k - 1] + float(ws @ [inflow(tq) for tq in ts])
+        rho_i, u_i = _side(inner, phi, t)
+        rho_o, u_o = _side(outer, phi, t)
         strict[k] = u_o < ud < u_i
         mdef[k] = -(rho_o * u_o - rho_i * u_i) + (rho_o - rho_i) * ud
     return BalanceReport(
         t=times,
         M=M,
         m=m,
+        boundary=boundary,
         P=np.zeros((times.size, n)),
         p=np.zeros((times.size, n)),
         W=W,
@@ -299,13 +318,6 @@ def _audit_spherical(traj, inner, outer, annulus, times, panels, nodes) -> Balan
         momentum_deficit=qdef,
         closed_form=False,
     )
-
-
-def _side_values(fld, r, t):
-    if fld is None:
-        return 0.0, 0.0
-    rho = float(fld.rho(r, t))
-    return (rho, float(fld.u(r, t))) if rho > 0.0 else (0.0, 0.0)
 
 
 def energy_dissipation_rate(s: SideStates, f: FrontState) -> float:

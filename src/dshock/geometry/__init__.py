@@ -21,7 +21,6 @@ from .quadrature import (
     SurfacePatchQuadrature,
     circle_chart,
     gauss_panels,
-    graph_chart,
     plane_chart,
     sphere_chart,
     surface_integral,
@@ -54,7 +53,6 @@ __all__ = [
     "circle_chart",
     "sphere_chart",
     "plane_chart",
-    "graph_chart",
     "surface_integral",
     "TransportReport",
     "MovingBall",

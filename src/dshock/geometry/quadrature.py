@@ -6,8 +6,8 @@ Charts and their accuracy:
   periodic integrands;
 * spheres (n=3): product of Gauss-Legendre in cos(theta) and trapezoid in
   azimuth, exact for polynomials well past degree 6 at the default level;
-* planes and graphs: composite Gauss-Legendre panels per tangential
-  direction (order 2m for m nodes per panel).
+* planes: composite Gauss-Legendre panels per tangential direction
+  (order 2m for m nodes per panel).
 
 Node weights always sum to the patch measure, which tests validate against
 closed-form sphere areas.
@@ -29,7 +29,6 @@ __all__ = [
     "circle_chart",
     "sphere_chart",
     "plane_chart",
-    "graph_chart",
     "surface_integral",
 ]
 
@@ -102,7 +101,7 @@ def sphere_chart(center, radius: float, t: float = 0.0, level: int = 2) -> Surfa
         raise InvalidDimensionError("sphere charts support dim 1, 2 and 3")
     n_polar = 6 * (2**level)
     n_az = 2 * n_polar
-    z, wz = np.polynomial.legendre.leggauss(n_polar)
+    z, wz = _legendre_rule(n_polar)
     phi = 2.0 * np.pi * np.arange(n_az) / n_az
     sin_theta = np.sqrt(1.0 - z**2)
     xs = np.outer(sin_theta, np.cos(phi)).ravel()
@@ -146,49 +145,6 @@ def plane_chart(
     weights = np.prod(np.stack([w.ravel() for w in wmesh], axis=1), axis=1)
     nodes_xyz = point[None, :] + coords @ basis.T
     return SurfacePatchQuadrature(nodes_xyz, weights, float(t), "plane", {"normal": normal})
-
-
-def graph_chart(
-    height: Callable[[np.ndarray], float],
-    window,
-    t: float = 0.0,
-    level: int = 2,
-    nodes: int = 6,
-    grad_height: Callable[[np.ndarray], np.ndarray] | None = None,
-    h_fd: float = 1e-6,
-) -> SurfacePatchQuadrature:
-    """Graph patch x_n = height(x_tan) over a tangential box ``window``.
-
-    ``window`` is a list of (lo, hi) pairs, one per tangential coordinate.
-    The area element sqrt(1 + |grad h|^2) uses the analytic gradient when
-    given, otherwise central differences.
-    """
-    window = [(float(lo), float(hi)) for lo, hi in window]
-    k = len(window)
-    panels = 4 * (2**level)
-    grids = [gauss_panels(lo, hi, panels, nodes) for lo, hi in window]
-    mesh = np.meshgrid(*[g[0] for g in grids], indexing="ij")
-    wmesh = np.meshgrid(*[g[1] for g in grids], indexing="ij")
-    coords = np.stack([m.ravel() for m in mesh], axis=1)  # (m, k)
-    base_w = np.prod(np.stack([w.ravel() for w in wmesh], axis=1), axis=1)
-
-    m = coords.shape[0]
-    nodes_xyz = np.empty((m, k + 1))
-    weights = np.empty(m)
-    for i in range(m):
-        xi = coords[i]
-        nodes_xyz[i, :k] = xi
-        nodes_xyz[i, k] = height(xi)
-        if grad_height is not None:
-            gh = np.asarray(grad_height(xi), dtype=float)
-        else:
-            gh = np.empty(k)
-            for j in range(k):
-                step = np.zeros(k)
-                step[j] = h_fd
-                gh[j] = (height(xi + step) - height(xi - step)) / (2.0 * h_fd)
-        weights[i] = base_w[i] * np.sqrt(1.0 + float(gh @ gh))
-    return SurfacePatchQuadrature(nodes_xyz, weights, float(t), "graph", {})
 
 
 def surface_integral(f: Callable[[np.ndarray, float], np.ndarray], quad: SurfacePatchQuadrature) -> float:

@@ -29,6 +29,7 @@ For constant side states the front balance reduces to
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -48,7 +49,6 @@ __all__ = [
     "classical_shock_feasible",
     "admissible_front_speed",
     "solve_constant_states",
-    "evaluate_solution",
 ]
 
 
@@ -70,6 +70,11 @@ class RiemannData1D:
             object.__setattr__(self, "flux", standard_flux(1))
         if self.flux.dim != 1:
             raise InvalidParameterError("riemann1d requires a 1-D flux model")
+        values = (self.rho_l, self.rho_r, self.u_l, self.u_r, self.e0, self.x0)
+        if self.u_delta0 is not None:
+            values += (self.u_delta0,)
+        if not all(map(math.isfinite, values)):
+            raise InvalidParameterError("Riemann data must be finite")
         if self.rho_l < 0.0 or self.rho_r < 0.0:
             raise InvalidParameterError("densities must be nonnegative")
         if self.e0 < 0.0:
@@ -292,16 +297,3 @@ def solve_constant_states(d: RiemannData1D, t_end: float | None = None) -> Delta
         raise InvalidParameterError("generic fluxes with an initial atom need t_end")
     return _path_generic_atom(d, t_end)
 
-
-def evaluate_solution(path: DeltaShockPath1D, d: RiemannData1D, x: float, t: float):
-    """Pointwise value of the solution: (rho, u, (atom position, atom mass)).
-
-    The regular part is the left state for x < phi(t) and the right state
-    for x >= phi(t); the atom travels with the front.
-    """
-    pos = float(path.phi(t))
-    if x < pos:
-        rho, u = d.rho_l, d.u_l
-    else:
-        rho, u = d.rho_r, d.u_r
-    return float(rho), float(u), (pos, float(path.e(t)))

@@ -37,7 +37,6 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .errors import (
-    AuditInvalidError,
     CausticError,
     InvalidDimensionError,
     InvalidParameterError,
@@ -45,6 +44,8 @@ from .errors import (
     StiffnessError,
 )
 from .expressions import parse_expression
+from .geometry.quadrature import gauss_panels
+from .riemann1d import RiemannData1D, admissible_front_speed
 from .sticky_oracle import unit_sphere_area
 
 __all__ = [
@@ -57,8 +58,6 @@ __all__ = [
     "SphericalFrontState",
     "SphericalTrajectory",
     "integrate_front",
-    "SphericalAuditReport",
-    "mass_audit_spherical",
     "radial_moment_integral",
 ]
 
@@ -258,6 +257,8 @@ class SphericalFrontState:
     u_delta: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.t, self.phi, self.e, self.u_delta))):
+            raise InvalidParameterError("front state must be finite")
         if self.phi <= 0.0:
             raise InvalidParameterError("front radius must be positive")
         if self.e < 0.0:
@@ -342,15 +343,13 @@ class SphericalTrajectory:
 def _local_front_speed(inner, outer, phi: float, t: float) -> tuple[float, float]:
     """Entropy-selected speed and mass growth rate for a massless front.
 
-    Solves the balance quadratic [rho] s^2 - 2 [rho u] s + [rho u^2] = 0
-    with [g] = g_inner - g_outer, requiring u_outer < s < u_inner;
-    returns (s, growth rate alpha = [rho u] - [rho] s).
+    Locally this is the 1-D Riemann problem with the inner state on the
+    left, so the speed is ``admissible_front_speed`` of the side states;
+    returns (s, growth rate alpha = [rho u] - [rho] s) with
+    [g] = g_inner - g_outer.
     """
     rho_i, u_i = _side(inner, phi, t)
     rho_o, u_o = _side(outer, phi, t)
-    b = rho_i - rho_o
-    a = rho_i * u_i - rho_o * u_o
-    c = rho_i * u_i ** 2 - rho_o * u_o ** 2
     if rho_i == 0.0 and rho_o == 0.0:
         return 0.0, 0.0
     if abs(u_i - u_o) <= 1e-14 * (1.0 + abs(u_i)):
@@ -359,19 +358,8 @@ def _local_front_speed(inner, outer, phi: float, t: float) -> tuple[float, float
         raise NoDeltaShockError(
             f"data at the front are not overcompressive (u_inner={u_i} < u_outer={u_o})"
         )
-    scale = rho_i + rho_o
-    if abs(b) <= 1e-13 * scale:
-        s = c / (2.0 * a)
-    else:
-        disc = 4.0 * a * a - 4.0 * b * c
-        sq = math.sqrt(max(disc, 0.0))
-        root1 = (2.0 * a + sq) / (2.0 * b)
-        root2 = (2.0 * a - sq) / (2.0 * b)
-        cands = [r for r in (root1, root2) if u_o < r < u_i]
-        if not cands:
-            raise NoDeltaShockError("no admissible front speed at bootstrap")
-        s = cands[0]
-    return s, a - b * s
+    s = admissible_front_speed(RiemannData1D(rho_i, rho_o, u_i, u_o))
+    return s, (rho_i * u_i - rho_o * u_o) - (rho_i - rho_o) * s
 
 
 def integrate_front(
@@ -392,8 +380,8 @@ def integrate_front(
     """
     if n < 1:
         raise InvalidDimensionError("dimension must be >= 1")
-    if t_end <= init.t:
-        raise InvalidParameterError("t_end must exceed the initial time")
+    if not (math.isfinite(t_end) and t_end > init.t):
+        raise InvalidParameterError("t_end must be finite and exceed the initial time")
     if r_min is None:
         r_min = 1e-3 * init.phi
     if init.phi <= r_min:
@@ -536,22 +524,6 @@ def _integrate_passive(inner, outer, init, n, t_end, r_min, rtol, atol):
     )
 
 
-@dataclass(frozen=True)
-class SphericalAuditReport:
-    """Annulus mass audit: bulk mass, front mass, boundary correction, total."""
-
-    t: np.ndarray
-    M: np.ndarray
-    m: np.ndarray
-    boundary: np.ndarray
-    total: np.ndarray
-
-    @property
-    def drift(self) -> float:
-        scale = abs(self.total[0]) + 1e-300
-        return float(np.max(np.abs(self.total - self.total[0])) / scale)
-
-
 def radial_moment_integral(fieldobj, a, b, t, weight, panels, nodes, moment: int = 0):
     """Integral of rho * u^moment * weight(r) over [a, b] clipped to support."""
     if fieldobj is None or b <= a:
@@ -560,79 +532,8 @@ def radial_moment_integral(fieldobj, a, b, t, weight, panels, nodes, moment: int
     a_eff, b_eff = max(a, lo), min(b, hi)
     if b_eff <= a_eff:
         return 0.0
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    edges = np.linspace(a_eff, b_eff, panels + 1)
-    total = 0.0
-    for k in range(panels):
-        mid, half = 0.5 * (edges[k] + edges[k + 1]), 0.5 * (edges[k + 1] - edges[k])
-        r = mid + half * x
-        vals = fieldobj.rho(r, t) * weight(r)
-        if moment:
-            vals = vals * fieldobj.u(r, t) ** moment
-        total += half * float(np.sum(w * vals))
-    return total
-
-
-def mass_audit_spherical(
-    traj: SphericalTrajectory,
-    inner: RadialField | None,
-    outer: RadialField | None,
-    n: int,
-    annulus: tuple[float, float],
-    times=None,
-    panels: int = 24,
-    nodes: int = 10,
-) -> SphericalAuditReport:
-    """Time series of bulk mass M, front mass m, and the conserved total.
-
-    The total is M + m minus the accumulated mass flux through the annulus
-    boundary, so it is constant for any audited window; with compactly
-    supported fields the boundary term vanishes identically. In 1-D the
-    radial weight is 1 and the annulus is just an interval containing the
-    front (negative coordinates allowed).
-    """
-    a, b = map(float, annulus)
-    if not a < b:
-        raise AuditInvalidError("annulus must be a nonempty interval")
-    if times is None:
-        times = np.linspace(0.0, traj.t_stop, 25)
-    times = np.asarray(times, dtype=float)
-    if n >= 2:
-        area = unit_sphere_area(n)
-
-        def weight(r):
-            return area * np.asarray(r) ** (n - 1)
-
-        if a < 0.0:
-            raise AuditInvalidError("annulus must not include negative radii for n >= 2")
-    else:
-
-        def weight(r):
-            return np.ones_like(np.asarray(r, dtype=float))
-
-    M = np.empty(times.size)
-    m = np.empty(times.size)
-    for k, t in enumerate(times):
-        phi = float(traj.phi_at(t))
-        if not (a < phi < b):
-            raise AuditInvalidError(f"front radius {phi} leaves the audited annulus at t={t}")
-        M[k] = radial_moment_integral(inner, a, phi, t, weight, panels, nodes)
-        M[k] += radial_moment_integral(outer, phi, b, t, weight, panels, nodes)
-        m[k] = float(traj.m_at(t))
-
-    def boundary_rate(t):
-        flux = 0.0
-        if inner is not None:
-            flux += float(inner.rho(a, t)) * float(inner.u(a, t)) * float(weight(a))
-        if outer is not None:
-            flux -= float(outer.rho(b, t)) * float(outer.u(b, t)) * float(weight(b))
-        return flux
-
-    x, w = np.polynomial.legendre.leggauss(6)
-    boundary = np.zeros(times.size)
-    for k in range(1, times.size):
-        t0, t1 = times[k - 1], times[k]
-        mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
-        seg = half * float(np.sum(w * np.array([boundary_rate(mid + half * xi) for xi in x])))
-        boundary[k] = boundary[k - 1] + seg
-    return SphericalAuditReport(t=times, M=M, m=m, boundary=boundary, total=M + m - boundary)
+    r, w = gauss_panels(a_eff, b_eff, panels, nodes)
+    vals = fieldobj.rho(r, t) * weight(r)
+    if moment:
+        vals = vals * fieldobj.u(r, t) ** moment
+    return float(w @ vals)

@@ -11,6 +11,7 @@ from dshock import (
     SphericalFrontState,
     audit,
     check_energy_inequality_1d,
+    constant_field,
     energy_dissipation_rate,
     from_riemann,
     integrate_front,
@@ -38,6 +39,7 @@ def test_audit_1d_closed_form_conservation():
     assert np.all(rep.mdot > 0.0)
     # The front eats mass from both sides: m = 4t here.
     np.testing.assert_allclose(rep.m, 4.0 * rep.t, atol=1e-12)
+    np.testing.assert_array_equal(rep.boundary, 0.0)
 
 
 def test_audit_symmetric_dissipation_rate():
@@ -97,6 +99,7 @@ def test_audit_spherical_trajectory():
     assert rep.dim == n
     np.testing.assert_allclose(rep.P, 0.0)
     np.testing.assert_allclose(rep.p, 0.0)
+    np.testing.assert_array_equal(rep.boundary, 0.0)
 
 
 def test_audit_spherical_unbounded_support_leaks():
@@ -108,6 +111,20 @@ def test_audit_spherical_unbounded_support_leaks():
     traj = integrate_front(None, outer, init, n=3, t_end=0.3, r_min=1e-3)
     rep = audit(traj, outer=outer, annulus=(0.0, 3.6))
     assert not rep.mass_conserved()  # inflow at r = 3.6 is real mass
+
+
+def test_audit_boundary_inflow_both_edges():
+    # n = 1 with unbounded constant sides: rho u = 4 enters at the inner edge
+    # and 1 * 1 at the outer one, so the boundary column is 5 t and
+    # M + m - boundary stays put.
+    inner, outer = constant_field(4.0, 1.0), constant_field(1.0, -1.0)
+    init = SphericalFrontState(0.0, 10.0, 0.0, 0.0)
+    traj = integrate_front(inner, outer, init, n=1, t_end=0.5)
+    rep = audit(traj, inner=inner, outer=outer, annulus=(5.0, 15.0))
+    np.testing.assert_allclose(rep.boundary, 5.0 * rep.t, rtol=1e-12, atol=1e-14)
+    total = rep.sum_mass - rep.boundary
+    np.testing.assert_allclose(total, total[0], rtol=1e-9)
+    assert not rep.mass_conserved()
 
 
 def test_audit_spherical_needs_annulus():

@@ -142,6 +142,15 @@ def test_riemann_subcommand_relativistic_needs_c0(tmp_path):
     assert main(args + ["--c0", "10.0"]) == 0
 
 
+def test_riemann_subcommand_rejects_nan_as_config_error(tmp_path, capsys):
+    args = [
+        "riemann", "--rho-l", "nan", "--rho-r", "1", "--u-l", "1", "--u-r", "-1",
+        "--t-end", "1.0", "--out", str(tmp_path / "r.csv"),
+    ]
+    assert main(args) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_oracle_subcommand(tmp_path):
     out = tmp_path / "oracle.csv"
     rc = main(
@@ -175,6 +184,15 @@ def test_spherical_subcommand(tmp_path):
     names, data = _read_csv(tmp_path / "spherical.csv")
     assert names[:4] == ["t", "phi", "u_delta", "e"]
     assert np.all(np.diff(data[:, 1]) < 0.0)  # front converges inward
+
+
+def test_spherical_subcommand_rejects_nan_radius(tmp_path, capsys):
+    obj = json.loads((SCENARIOS / "spherical_converging_n3.json").read_text())
+    obj["phi0"] = float("nan")
+    cfg = tmp_path / "nan.json"
+    cfg.write_text(json.dumps(obj))  # Python's json writes and reads the NaN token
+    assert main(["spherical", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "finite" in capsys.readouterr().err
 
 
 def test_spherical_subcommand_rejects_other_kinds(tmp_path):

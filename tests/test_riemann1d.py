@@ -10,7 +10,6 @@ from dshock import (
     RiemannData1D,
     admissible_front_speed,
     classical_shock_feasible,
-    evaluate_solution,
     relativistic_flux,
     solve_constant_states,
     standard_flux,
@@ -189,20 +188,25 @@ def test_relativistic_atom_path():
     assert path.u_delta(2.0) == pytest.approx(RELATIVISTIC_SPEED_411, abs=5e-2)
 
 
-def test_evaluate_solution_piecewise_values():
-    d = RiemannData1D(4.0, 1.0, 1.0, -1.0)
-    path = solve_constant_states(d, t_end=1.0)
-    rho, u, (pos, mass) = evaluate_solution(path, d, x=-1.0, t=0.9)
-    assert (rho, u) == (4.0, 1.0)
-    rho, u, _ = evaluate_solution(path, d, x=1.0, t=0.9)
-    assert (rho, u) == (1.0, -1.0)
-    assert pos == pytest.approx(0.3)
-    assert mass == pytest.approx(3.6)
-
-
 def test_vacuum_side_degenerate_root():
     # Vacuum on the right: the quadratic has the double root u_l, which
     # fails strict overcompression; the solver must refuse rather than
     # return a spurious front.
     with pytest.raises((NoDeltaShockError, AmbiguousRootError)):
         admissible_front_speed(RiemannData1D(1.0, 0.0, 1.0, -1.0))
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {"rho_l": float("nan")},
+        {"u_r": float("-inf")},
+        {"e0": float("inf"), "u_delta0": 0.0},
+        {"e0": 0.5, "u_delta0": float("nan")},
+        {"x0": float("nan")},
+    ],
+)
+def test_non_finite_data_rejected(kw):
+    args = {"rho_l": 4.0, "rho_r": 1.0, "u_l": 1.0, "u_r": -1.0} | kw
+    with pytest.raises(InvalidParameterError):
+        RiemannData1D(**args)

@@ -32,6 +32,10 @@ def test_from_riemann_fields():
     assert sol.rho(1.0, 0.5) == pytest.approx(1.0)
     assert sol.u(-1.0, 0.5) == pytest.approx(1.0)
     assert sol.u(1.0, 0.5) == pytest.approx(-1.0)
+    # Without a support window the side states extend to infinity.
+    free = from_riemann(solve_constant_states(RiemannData1D(4.0, 1.0, 1.0, -1.0)), 1.0)
+    assert (free.rho(-1.0, 0.9), free.u(-1.0, 0.9)) == (4.0, 1.0)
+    assert (free.rho(1.0, 0.9), free.u(1.0, 0.9)) == (1.0, -1.0)
 
 
 def test_support_edges_move_at_flux_speed():

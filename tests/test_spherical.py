@@ -2,17 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dshock import (
     AuditInvalidError,
     InvalidParameterError,
     RiemannData1D,
     SphericalFrontState,
+    audit,
     constant_field,
     expression_field,
     free_flow_field,
     integrate_front,
-    mass_audit_spherical,
     radial_moment_integral,
     solve_constant_states,
     steady_converging_field,
@@ -75,6 +77,10 @@ def test_front_state_validation():
         SphericalFrontState(0.0, -1.0, 0.1, 0.0)
     with pytest.raises(InvalidParameterError):
         SphericalFrontState(0.0, 1.0, -0.1, 0.0)
+    for bad in ((np.nan, 1.0, 0.1, 0.0), (0.0, np.nan, 0.1, 0.0),
+                (0.0, 1.0, np.inf, 0.0), (0.0, 1.0, 0.1, -np.inf)):
+        with pytest.raises(InvalidParameterError):
+            SphericalFrontState(*bad)
 
 
 # Front integration --------------------------------------------------------
@@ -93,6 +99,30 @@ def test_one_dimensional_front_matches_riemann():
         assert traj.phi_at(t) == pytest.approx(10.0 + float(path.phi(t)), abs=1e-10)
         assert traj.e_at(t) == pytest.approx(float(path.e(t)), abs=1e-10)
         assert traj.u_delta_at(t) == pytest.approx(1.0 / 3.0, abs=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rho_l=st.floats(0.05, 20.0),
+    rho_r=st.floats(0.05, 20.0),
+    u_r=st.floats(-3.0, 3.0),
+    gap=st.floats(0.01, 4.0),
+)
+def test_massless_front_matches_riemann_speed(rho_l, rho_r, u_r, gap):
+    # From e = 0 the bootstrap takes its speed from the 1-D root solver, and
+    # for constant sides the n = 1 ODE keeps the constant-speed path.
+    u_l = u_r + gap
+    path = solve_constant_states(RiemannData1D(rho_l, rho_r, u_l, u_r), t_end=0.5)
+    init = SphericalFrontState(0.0, 10.0, 0.0, 0.0)
+    traj = integrate_front(
+        constant_field(rho_l, u_l), constant_field(rho_r, u_r), init, n=1, t_end=0.5
+    )
+    assert traj.t_stop == 0.5
+    # The bootstrap speed is the Riemann root itself; the ODE then keeps it.
+    assert traj.u_delta_at(0.0) == pytest.approx(float(path.u_delta(0.0)), rel=1e-12, abs=1e-12)
+    for t in (0.1, 0.3, 0.5):
+        assert traj.phi_at(t) == pytest.approx(10.0 + float(path.phi(t)), rel=1e-9, abs=1e-9)
+        assert traj.e_at(t) == pytest.approx(float(path.e(t)), rel=1e-9, abs=1e-9)
 
 
 def test_steady_converging_front_n3():
@@ -165,6 +195,9 @@ def test_integrate_front_validation():
     init = SphericalFrontState(0.0, 1.0, 0.01, -0.5)
     with pytest.raises(InvalidParameterError):
         integrate_front(None, outer, init, n=3, t_end=0.0)
+    for t_end in (np.nan, np.inf):  # solve_ivp never ends on a NaN horizon
+        with pytest.raises(InvalidParameterError):
+            integrate_front(None, outer, init, n=3, t_end=t_end)
     with pytest.raises(InvalidParameterError):
         integrate_front(None, outer, init, n=3, t_end=1.0, r_min=2.0)
 
@@ -191,10 +224,13 @@ def test_mass_audit_conserves_total():
     outer = steady_converging_field(n)
     init = SphericalFrontState(0.0, 1.0, 0.01, -0.5)
     traj = integrate_front(None, outer, init, n=n, t_end=0.5, r_min=1e-3)
-    rep = mass_audit_spherical(traj, None, outer, n=n, annulus=(0.0, 3.6))
+    rep = audit(traj, outer=outer, annulus=(0.0, 3.6))
     # The boundary term accounts for inflow at the outer edge; the
     # corrected total stays put at ODE accuracy.
-    assert rep.drift < 1e-8
+    total = rep.sum_mass - rep.boundary
+    assert np.max(np.abs(total - total[0])) / abs(total[0]) < 1e-8
+    # rho u r^{n-1} = -1 everywhere, so the inflow is |S^{n-1}| per unit time.
+    np.testing.assert_allclose(rep.boundary, unit_sphere_area(n) * rep.t, rtol=1e-12)
     assert np.all(np.diff(rep.m) > 0.0)  # front mass grows
 
 
@@ -203,6 +239,6 @@ def test_mass_audit_rejects_escaping_front():
     init = SphericalFrontState(0.0, 1.0, 0.01, -0.5)
     traj = integrate_front(None, outer, init, n=3, t_end=0.5, r_min=1e-3)
     with pytest.raises(AuditInvalidError):
-        mass_audit_spherical(traj, None, outer, n=3, annulus=(0.9, 3.6))
+        audit(traj, outer=outer, annulus=(0.9, 3.6))
     with pytest.raises(AuditInvalidError):
-        mass_audit_spherical(traj, None, outer, n=3, annulus=(-1.0, 3.6))
+        audit(traj, outer=outer, annulus=(-1.0, 3.6))
