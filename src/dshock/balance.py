@@ -249,6 +249,8 @@ def _audit_1d(sol: DeltaShockSolution1D, times, box) -> BalanceReport:
 
 def _audit_spherical(traj, inner, outer, annulus, times, panels, nodes) -> BalanceReport:
     a, b = map(float, annulus)
+    if not (np.isfinite(a) and np.isfinite(b)):
+        raise InvalidParameterError(f"annulus edges must be finite, got ({a}, {b})")
     n = traj.n
     if n >= 2 and a < 0.0:
         raise AuditInvalidError("annulus must not include negative radii for n >= 2")

@@ -433,9 +433,7 @@ def _run_geom_suite(obj: dict, outdir: Path, seed: int, strict: bool = True):
             front = MovingSphereFront(np.zeros(n), r0)
             quad = front.patch_quadrature(0.0, level=1)
             target = -(n - 1) / (2.0 * r0)
-            worst = max(
-                abs(mean_curvature(front, x, 0.0) - target) for x in quad.nodes[:8]
-            )
+            worst = float(np.max(np.abs(mean_curvature(front, quad.nodes[:8], 0.0) - target)))
             curvature_rows.append({"n": n, "R": r0, "max_error": worst})
             curv_err = max(curv_err, worst)
 

@@ -38,55 +38,79 @@ _STENCIL_OFFSETS = np.array([-2.0, -1.0, 1.0, 2.0])
 _STENCIL_WEIGHTS = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
 
 
+def _norm(v: np.ndarray):
+    # Rounds like np.linalg.norm of one vector, for a vector or row by row.
+    return np.sqrt(np.vecdot(v, v))
+
+
+def _check_gradient(x: np.ndarray, bad) -> None:
+    bad = np.atleast_1d(bad)
+    if np.any(bad):
+        where = np.atleast_2d(x)[np.argmax(bad)]
+        raise DegenerateGradientError(f"level-set gradient vanishes near {where}")
+
+
+def _scalar_if_point(values, x: np.ndarray):
+    return float(values) if x.ndim < 2 else values
+
+
 def _raw_normal(front: LevelSetFront, x: np.ndarray, t: float) -> np.ndarray:
     g = front.grad(x, t)
-    norm = float(np.linalg.norm(g))
-    if norm < 1e-12:
-        raise DegenerateGradientError(f"level-set gradient vanishes near {x}")
-    return g / norm
+    norm = _norm(g)
+    _check_gradient(x, norm < 1e-12)
+    return g / norm[..., None]
 
 
 def project_to_front(front: LevelSetFront, x, t: float) -> np.ndarray:
-    """Return x, projected once along grad S if it is only nearly on the front.
+    """Return x, projected once along grad S where it is only nearly on the front.
 
-    Points farther than one Newton step can recover are rejected.
+    x is one point (dim,) or rows of points (m, dim), and the result has
+    the same shape. Points farther than one Newton step can recover are
+    rejected.
     """
     x = np.asarray(x, dtype=float)
-    s = front.value(x, t)
+    rows = np.atleast_2d(x)
+    s = front.value(rows, t)
     tol = front.tol_on_surface
-    if abs(s) <= tol:
-        return x
-    g = front.grad(x, t)
-    gg = float(g @ g)
-    if gg < 1e-24:
-        raise DegenerateGradientError(f"level-set gradient vanishes near {x}")
-    x_proj = x - (s / gg) * g
-    s_proj = front.value(x_proj, t)
-    if abs(s_proj) > tol:
-        raise OffSurfaceError(
-            f"point {x} is off the front at t={t}: |S|={abs(s_proj):.3e} after projection"
-        )
-    return x_proj
+    off = np.abs(s) > tol
+    if np.any(off):
+        near = rows[off]
+        g = front.grad(near, t)
+        gg = np.vecdot(g, g)
+        _check_gradient(near, gg < 1e-24)
+        x_proj = near - (s[off] / gg)[:, None] * g
+        s_proj = front.value(x_proj, t)
+        far = np.abs(s_proj) > tol
+        if np.any(far):
+            k = np.argmax(far)
+            raise OffSurfaceError(
+                f"point {near[k]} is off the front at t={t}: "
+                f"|S|={abs(s_proj[k]):.3e} after projection"
+            )
+        rows = rows.copy()
+        rows[off] = x_proj
+    return rows[0] if x.ndim < 2 else rows
 
 
 def normal(front: LevelSetFront, x, t: float) -> np.ndarray:
-    """Unit normal nu = grad S / |grad S|, pointing from Omega^- to Omega^+."""
+    """Unit normal nu = grad S / |grad S|, pointing from Omega^- to Omega^+.
+
+    One point (dim,) gives one normal; rows (m, dim) give (m, dim) normals.
+    """
     x = project_to_front(front, x, t)
     return _raw_normal(front, x, t)
 
 
-def normal_speed(front: LevelSetFront, x, t: float) -> float:
-    """Normal speed G = -S_t / |grad S| along nu."""
+def normal_speed(front: LevelSetFront, x, t: float):
+    """Normal speed G = -S_t / |grad S| along nu: a float, or (m,) at rows."""
     x = project_to_front(front, x, t)
-    g = front.grad(x, t)
-    norm = float(np.linalg.norm(g))
-    if norm < 1e-12:
-        raise DegenerateGradientError(f"level-set gradient vanishes near {x}")
-    return -front.time_deriv(x, t) / norm
+    norm = _norm(front.grad(x, t))
+    _check_gradient(x, norm < 1e-12)
+    return _scalar_if_point(-np.asarray(front.time_deriv(x, t)) / norm, x)
 
 
 def delta_shock_velocity(front: LevelSetFront, x, t: float) -> np.ndarray:
-    """Front velocity U_delta = G nu = -S_t grad S / |grad S|^2.
+    """Front velocity U_delta = G nu = -S_t grad S / |grad S|^2 at one point.
 
     Both formulas are evaluated; with analytic gradients they must agree to
     1e-12, which guards the sign conventions.
@@ -106,8 +130,11 @@ def delta_shock_velocity(front: LevelSetFront, x, t: float) -> np.ndarray:
     return u_direct
 
 
-def mean_curvature(front: LevelSetFront, x, t: float) -> float:
-    """Mean curvature K = -(1/2) div nu via 4th-order central differences."""
+def mean_curvature(front: LevelSetFront, x, t: float):
+    """Mean curvature K = -(1/2) div nu via 4th-order central differences.
+
+    A float at one point (dim,), an (m,) array at rows (m, dim).
+    """
     x = project_to_front(front, x, t)
     h = 1e-4 * front.char_length
     div = 0.0
@@ -116,9 +143,9 @@ def mean_curvature(front: LevelSetFront, x, t: float) -> float:
         step[j] = h
         acc = 0.0
         for off, w in zip(_STENCIL_OFFSETS, _STENCIL_WEIGHTS):
-            acc += w * _raw_normal(front, x + off * step, t)[j]
+            acc += w * _raw_normal(front, x + off * step, t)[..., j]
         div += acc / h
-    return -0.5 * div
+    return _scalar_if_point(-0.5 * div, x)
 
 
 def _scalar_grad(f, x: np.ndarray, t: float, h: float) -> np.ndarray:
@@ -140,11 +167,13 @@ def delta_derivative_time(
     t: float,
     h_x: float | None = None,
     h_t: float = 1e-6,
-) -> float:
+):
     """Front-riding time derivative delta f / delta t = f_t + G df/dnu.
 
     f is any smooth extension of the surface quantity; the result is
-    extension independent up to the stencil truncation order.
+    extension independent up to the stencil truncation order. f is called
+    on points shaped like x: at one point (dim,) it returns a number, at
+    rows (m, dim) it returns m values, and so does this function.
     """
     x = project_to_front(front, x, t)
     h_x = h_x if h_x is not None else 1e-6 * front.char_length

@@ -34,13 +34,29 @@ __all__ = [
 ]
 
 
+def _point_or_rows(rows_fn, x, t):
+    """Evaluate ``rows_fn`` on (m, dim) rows; a (dim,) point is one row."""
+    x = np.asarray(x, dtype=float)
+    out = rows_fn(np.atleast_2d(x), float(t))
+    if x.ndim > 1:
+        return out
+    return out[0] if out.ndim > 1 else float(out[0])
+
+
 class LevelSetFront:
     """Front given by a scalar level-set function S(x, t).
 
+    ``value``, ``grad`` and ``time_deriv`` take one point of shape (dim,)
+    or rows of points of shape (m, dim); a point is the one-row case. This
+    class maps its pointwise callables over the rows. Subclasses with
+    closed forms override ``_value_rows``, ``_grad_rows`` and
+    ``_time_deriv_rows`` instead of passing callables.
+
     Parameters
     ----------
-    s : callable
-        S(x, t) with x a shape (dim,) array.
+    s : callable or None
+        S(x, t) with x a shape (dim,) array; None in subclasses that
+        override the row methods.
     dim : int
         Ambient dimension n >= 1.
     s_grad, s_t : callable, optional
@@ -54,7 +70,7 @@ class LevelSetFront:
 
     def __init__(
         self,
-        s: Callable[[np.ndarray, float], float],
+        s: Callable[[np.ndarray, float], float] | None,
         dim: int,
         s_grad: Callable[[np.ndarray, float], np.ndarray] | None = None,
         s_t: Callable[[np.ndarray, float], float] | None = None,
@@ -75,29 +91,43 @@ class LevelSetFront:
 
     # Basic evaluations -----------------------------------------------------
 
-    def value(self, x: np.ndarray, t: float) -> float:
-        try:
-            return float(self._s(np.asarray(x, dtype=float), float(t)))
-        except Exception as exc:  # noqa: BLE001
-            raise StencilError(f"level-set evaluation failed at {x}, t={t}") from exc
+    def value(self, x, t: float):
+        """S at a point (float) or at (m, dim) rows ((m,) array)."""
+        return _point_or_rows(self._value_rows, x, t)
 
-    def grad(self, x: np.ndarray, t: float) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+    def grad(self, x, t: float) -> np.ndarray:
+        """grad S at a point ((dim,) array) or at (m, dim) rows."""
+        return _point_or_rows(self._grad_rows, x, t)
+
+    def time_deriv(self, x, t: float):
+        """S_t at a point (float) or at (m, dim) rows ((m,) array)."""
+        return _point_or_rows(self._time_deriv_rows, x, t)
+
+    def _value_rows(self, x: np.ndarray, t: float) -> np.ndarray:
+        out = np.empty(x.shape[0])
+        for k, row in enumerate(x):
+            try:
+                out[k] = self._s(row, t)
+            except Exception as exc:  # noqa: BLE001
+                raise StencilError(f"level-set evaluation failed at {row}, t={t}") from exc
+        return out
+
+    def _grad_rows(self, x: np.ndarray, t: float) -> np.ndarray:
         if self._s_grad is not None:
-            return np.asarray(self._s_grad(x, float(t)), dtype=float)
+            return np.array([np.asarray(self._s_grad(row, t), dtype=float) for row in x])
         h = self.fd_step * self.char_length
-        g = np.empty(self.dim)
+        g = np.empty(x.shape)
         for j in range(self.dim):
             step = np.zeros(self.dim)
             step[j] = h
-            g[j] = (self.value(x + step, t) - self.value(x - step, t)) / (2.0 * h)
+            g[:, j] = (self._value_rows(x + step, t) - self._value_rows(x - step, t)) / (2.0 * h)
         return g
 
-    def time_deriv(self, x: np.ndarray, t: float) -> float:
+    def _time_deriv_rows(self, x: np.ndarray, t: float) -> np.ndarray:
         if self._s_t is not None:
-            return float(self._s_t(np.asarray(x, dtype=float), float(t)))
+            return np.array([float(self._s_t(row, t)) for row in x])
         h = self.fd_step
-        return (self.value(x, t + h) - self.value(x, t - h)) / (2.0 * h)
+        return (self._value_rows(x, t + h) - self._value_rows(x, t - h)) / (2.0 * h)
 
     @property
     def tol_on_surface(self) -> float:
@@ -147,13 +177,8 @@ class MovingPlaneFront(LevelSetFront):
             self._offset = lambda t: off0 + speed * t
             self._offset_rate = lambda t: speed
 
-        super().__init__(
-            s=lambda x, t: float(self.normal_vector @ x) - self._offset(t),
-            dim=dim,
-            s_grad=lambda x, t: self.normal_vector.copy(),
-            s_t=lambda x, t: -self.offset_rate(t),
-            char_length=char_length,
-        )
+        super().__init__(s=None, dim=dim, char_length=char_length)
+        self.grad_mode = "analytic"
         self.window_center = (
             np.zeros(dim) if window_center is None else np.asarray(window_center, float)
         )
@@ -161,6 +186,15 @@ class MovingPlaneFront(LevelSetFront):
         # Orthonormal tangential basis, columns of shape (dim, dim-1).
         basis = np.linalg.svd(self.normal_vector[None, :])[2][1:]
         self.tangent_basis = basis.T
+
+    def _value_rows(self, x: np.ndarray, t: float) -> np.ndarray:
+        return np.vecdot(x, self.normal_vector) - self._offset(t)
+
+    def _grad_rows(self, x: np.ndarray, t: float) -> np.ndarray:
+        return np.tile(self.normal_vector, (x.shape[0], 1))
+
+    def _time_deriv_rows(self, x: np.ndarray, t: float) -> np.ndarray:
+        return np.full(x.shape[0], -self.offset_rate(t))
 
     def offset(self, t: float) -> float:
         return float(self._offset(float(t)))
@@ -217,22 +251,23 @@ class MovingSphereFront(LevelSetFront):
             r0 = float(radius)
             self._radius = lambda t: r0
             self._radius_rate = lambda t: 0.0
-        sign = 1.0 if orientation == "outward" else -1.0
+        self._sign = 1.0 if orientation == "outward" else -1.0
+        super().__init__(s=None, dim=dim, char_length=max(self.radius(0.0), 1e-6))
+        self.grad_mode = "analytic"
 
-        def s(x, t):
-            return sign * (float(np.linalg.norm(x - center)) - self._radius(t))
+    def _value_rows(self, x: np.ndarray, t: float) -> np.ndarray:
+        d = x - self.center
+        return self._sign * (np.sqrt(np.vecdot(d, d)) - self._radius(t))
 
-        def s_grad(x, t):
-            d = x - center
-            r = float(np.linalg.norm(d))
-            if r == 0.0:
-                raise DegenerateGradientError("sphere level set is singular at the center")
-            return sign * d / r
+    def _grad_rows(self, x: np.ndarray, t: float) -> np.ndarray:
+        d = x - self.center
+        r = np.sqrt(np.vecdot(d, d))
+        if np.any(r == 0.0):
+            raise DegenerateGradientError("sphere level set is singular at the center")
+        return self._sign * d / r[:, None]
 
-        def s_t(x, t):
-            return -sign * self.radius_rate(t)
-
-        super().__init__(s, dim, s_grad=s_grad, s_t=s_t, char_length=max(self.radius(0.0), 1e-6))
+    def _time_deriv_rows(self, x: np.ndarray, t: float) -> np.ndarray:
+        return np.full(x.shape[0], -self._sign * self.radius_rate(t))
 
     def radius(self, t: float) -> float:
         r = float(self._radius(float(t)))

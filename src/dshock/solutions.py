@@ -61,8 +61,8 @@ class DeltaShockSolution1D:
     momentum_rate: Callable | None = None
 
     def __post_init__(self):
-        if self.t_end <= 0.0:
-            raise InvalidParameterError("t_end must be positive")
+        if not 0.0 < self.t_end < np.inf:
+            raise InvalidParameterError(f"t_end must be positive and finite, got {self.t_end}")
         if min(self.rho_l, self.rho_r) < 0.0:
             raise InvalidParameterError("densities must be nonnegative")
         if self.support0 is not None:

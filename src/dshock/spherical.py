@@ -213,8 +213,28 @@ def expression_field(rho_src: str, u_src: str, support_src=None) -> RadialField:
 
 
 def steady_converging_field(n: int, support0=None) -> RadialField:
-    """rho = r^{1-n}, u = -1: exact steady converging flow for any n >= 1."""
-    return free_flow_field(lambda r0: r0 ** (1.0 - n), lambda r0: -1.0, n, support0=support0)
+    """rho = r^{1-n}, u = -1: exact steady converging flow for any n >= 1.
+
+    This is the free flow of the same initial data in closed form: along
+    r = r0 - t, rho0(r0) (r0/r)^{n-1} = r^{1-n}, and each support edge
+    moves at -1.
+    """
+    if n < 1:
+        raise InvalidDimensionError("dimension must be >= 1")
+    lo0, hi0 = (None, None) if support0 is None else support0
+    lo0 = -np.inf if lo0 is None else float(lo0)
+    hi0 = np.inf if hi0 is None else float(hi0)
+
+    def support(t):
+        return lo0 - t, hi0 - t
+
+    return RadialField(
+        kind="free-flow",
+        raw_rho=lambda r, t: np.asarray(r, dtype=float) ** (1.0 - n),
+        raw_u=lambda r, t: np.full(np.shape(r), -1.0),
+        support=support,
+        n=n,
+    )
 
 
 def validate_field(f: RadialField, n: int, box, h: float = 1e-4, samples=(12, 8)) -> float:

@@ -151,6 +151,16 @@ def test_riemann_subcommand_rejects_nan_as_config_error(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("t_end", ["nan", "inf"])
+def test_riemann_subcommand_rejects_non_finite_t_end(tmp_path, capsys, t_end):
+    args = [
+        "riemann", "--rho-l", "4", "--rho-r", "1", "--u-l", "1", "--u-r", "-1",
+        "--t-end", t_end, "--out", str(tmp_path / "r.csv"),
+    ]
+    assert main(args) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_oracle_subcommand(tmp_path):
     out = tmp_path / "oracle.csv"
     rc = main(
@@ -192,6 +202,18 @@ def test_spherical_subcommand_rejects_nan_radius(tmp_path, capsys):
     cfg = tmp_path / "nan.json"
     cfg.write_text(json.dumps(obj))  # Python's json writes and reads the NaN token
     assert main(["spherical", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edge", [float("nan"), float("inf")])
+def test_run_rejects_non_finite_annulus(tmp_path, capsys, edge):
+    # A NaN edge used to fail the audit as a numerical error (exit 3); an
+    # infinite one passed with 0 * inf in the boundary inflow (exit 0).
+    obj = json.loads((SCENARIOS / "spherical_converging_n3.json").read_text())
+    obj["annulus"] = [0.0, edge]
+    cfg = tmp_path / "annulus.json"
+    cfg.write_text(json.dumps(obj))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert "finite" in capsys.readouterr().err
 
 

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dshock import InvalidParameterError, SupportViolationError
+from dshock.errors import DegenerateGradientError, OffSurfaceError
 from dshock.bumps import BumpFactor, TensorBump
 from dshock.geometry import (
     Box,
+    ExpressionFront,
     LevelSetFront,
     MovingBall,
     MovingPlaneFront,
@@ -121,6 +125,17 @@ def test_project_to_front():
     front = MovingSphereFront(np.zeros(2), 2.0)
     y = project_to_front(front, np.array([0.3, 0.1]), 0.0)
     assert np.linalg.norm(y) == pytest.approx(2.0, abs=1e-10)
+    # Rows: on-front rows come back unchanged, the others are projected.
+    x = np.array([[2.0, 0.0], [0.3, 0.1], [0.0, -2.0]])
+    rows = project_to_front(front, x, 0.0)
+    np.testing.assert_array_equal(rows[[0, 2]], x[[0, 2]])
+    np.testing.assert_array_equal(rows[1], y)
+    with pytest.raises(DegenerateGradientError):
+        normal(front, np.array([[2.0, 0.0], [0.0, 0.0]]), 0.0)
+    # One Newton step cannot bring a far point onto an ellipse.
+    ellipse = LevelSetFront(lambda x, t: x[0] ** 2 / 4.0 + x[1] ** 2 - 1.0, dim=2)
+    with pytest.raises(OffSurfaceError):
+        project_to_front(ellipse, np.array([[2.0, 0.0], [0.1, 0.1]]), 0.0)
 
 
 def test_delta_derivative_rides_the_front():
@@ -145,6 +160,24 @@ def test_tangential_operators_on_sphere():
     )
     assert div == pytest.approx(2.0 / 2.0, abs=1e-6)
     assert div == pytest.approx(-2.0 * mean_curvature(front, x, 0.0), abs=1e-6)
+
+
+def test_expression_front_rows_match_points():
+    # S = |x| - 1 - t: a circle of radius 1.5 at t = 0.5 moving outward at
+    # unit speed, with every derivative taken by central differences.
+    front = ExpressionFront("r - 1 - t", 2)
+    theta = 0.3 + np.pi * np.arange(6) / 3.0
+    x = 1.5 * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    np.testing.assert_allclose(normal(front, x, 0.5), x / 1.5, atol=1e-9)
+    np.testing.assert_allclose(normal_speed(front, x, 0.5), 1.0, atol=1e-9)
+    kappa = mean_curvature(front, x, 0.5)
+    np.testing.assert_allclose(kappa, -1.0 / (2.0 * 1.5), atol=1e-6)
+    # The base class maps its pointwise level set over the rows, so one
+    # (m, 2) call is exactly m single-point calls.
+    for k, xk in enumerate(x):
+        assert mean_curvature(front, xk, 0.5) == kappa[k]
+        assert normal_speed(front, xk, 0.5) == normal_speed(front, x, 0.5)[k]
+        np.testing.assert_array_equal(normal(front, xk, 0.5), normal(front, x, 0.5)[k])
 
 
 def test_front_from_spec():
@@ -209,3 +242,191 @@ def test_integration_by_parts_rejects_open_support():
     phi = TensorBump([BumpFactor(-1.0, 1.0), BumpFactor(-1.0, 1.0)], BumpFactor(0.1, 1.2))
     with pytest.raises(SupportViolationError):
         check_integration_by_parts(lambda x, t: 1.0, phi, front, t_end=1.0)
+
+
+# Scalar reference ----------------------------------------------------------
+# The per-node path the array operators replaced: one node at a time, from
+# the plane's and sphere's own pointwise formulas for S, grad S and S_t, with
+# the same stencils and steps. It shares only the charts and the time rule.
+
+
+def _ref_level_set(front, x, t):
+    """(S, grad S, S_t) at one point."""
+    if isinstance(front, MovingPlaneFront):
+        nu = front.normal_vector
+        return float(nu @ x) - front.offset(t), nu.copy(), -front.offset_rate(t)
+    sign = 1.0 if front.orientation == "outward" else -1.0
+    d = x - front.center
+    r = float(np.linalg.norm(d))
+    return sign * (r - front.radius(t)), sign * d / r, -sign * front.radius_rate(t)
+
+
+def _ref_project(front, x, t):
+    s, g, _ = _ref_level_set(front, x, t)
+    if abs(s) <= front.tol_on_surface:
+        return x
+    x = x - (s / float(g @ g)) * g
+    assert abs(_ref_level_set(front, x, t)[0]) <= front.tol_on_surface
+    return x
+
+
+def _ref_unit_normal(front, x, t):
+    g = _ref_level_set(front, x, t)[1]
+    return g / float(np.linalg.norm(g))
+
+
+def _ref_normal_speed(front, x, t):
+    _, g, s_t = _ref_level_set(front, _ref_project(front, x, t), t)
+    return -s_t / float(np.linalg.norm(g))
+
+
+def _ref_mean_curvature(front, x, t):
+    x = _ref_project(front, x, t)
+    h = 1e-4 * front.char_length
+    div = 0.0
+    for j in range(front.dim):
+        step = np.zeros(front.dim)
+        step[j] = h
+        acc = 0.0
+        for off, w in zip((-2.0, -1.0, 1.0, 2.0), np.array([1.0, -8.0, 8.0, -1.0]) / 12.0):
+            acc += w * _ref_unit_normal(front, x + off * step, t)[j]
+        div += acc / h
+    return -0.5 * div
+
+
+def _at(e, x, t):
+    return float(np.atleast_1d(e(x[None, :], t))[0])
+
+
+def _ref_delta_derivative_time(e, front, x, t, h_t=1e-6):
+    x = _ref_project(front, x, t)
+    h_x = 1e-6 * front.char_length
+    nu = _ref_unit_normal(front, x, t)
+    e_t = (_at(e, x, t + h_t) - _at(e, x, t - h_t)) / (2.0 * h_t)
+    de_dnu = (_at(e, x + h_x * nu, t) - _at(e, x - h_x * nu, t)) / (2.0 * h_x)
+    return e_t + _ref_normal_speed(front, x, t) * de_dnu
+
+
+def _ref_transport_rhs(e, front, x, t, h_t=1e-6):
+    de_dt = _ref_delta_derivative_time(e, front, x, t, h_t)
+    big_g = _ref_normal_speed(front, x, t)
+    return de_dt - 2.0 * _ref_mean_curvature(front, x, t) * big_g * _at(e, x, t)
+
+
+def _ref_surface_transport(e, front, t, dt, level):
+    m_plus = surface_integral(e, front.patch_quadrature(t + dt, level))
+    m_minus = surface_integral(e, front.patch_quadrature(t - dt, level))
+    quad = front.patch_quadrature(t, level)
+    rhs = sum(w * _ref_transport_rhs(e, front, x, t) for x, w in zip(quad.nodes, quad.weights))
+    return (m_plus - m_minus) / (2.0 * dt), rhs
+
+
+def _ref_integration_by_parts(e, phi, front, t_end, level, dt_fd=1e-5):
+    box = np.array(phi.space_box)
+    t_lo, t_hi = phi.t_support
+    lhs = rhs_volume = 0.0
+    for tau, wt in zip(*gauss_panels(t_lo, t_hi, 8 * (2**level), nodes=6)):
+        quad = front.patch_quadrature(tau, level)
+        # phi and its derivatives vanish outside the open box of its support.
+        inside = np.all((quad.nodes > box[:, 0]) & (quad.nodes < box[:, 1]), axis=1)
+        lhs_chart = rhs_chart = 0.0
+        for x, w in zip(quad.nodes[inside], quad.weights[inside]):
+            nu = _ref_unit_normal(front, _ref_project(front, x, tau), tau)
+            dphi = phi.dt(x, tau)[0] + _ref_normal_speed(front, x, tau) * float(
+                phi.grad(x, tau)[0] @ nu
+            )
+            lhs_chart += w * _at(e, x, tau) * dphi
+            phi_x = phi.value(x, tau)[0]
+            if phi_x != 0.0:
+                rhs_chart += w * _ref_transport_rhs(e, front, x, tau, dt_fd) * phi_x
+        lhs += wt * lhs_chart
+        rhs_volume += wt * rhs_chart
+    quad0 = front.patch_quadrature(0.0, level)
+    gamma0 = float(quad0.weights @ (e(quad0.nodes, 0.0) * phi.value(quad0.nodes, 0.0)))
+    return lhs, -rhs_volume - gamma0
+
+
+def _gaussian_field(a, b):
+    def e(x, t):
+        x = np.atleast_2d(x)
+        return np.exp(-0.5 * np.sum((x - a) ** 2, axis=1)) * (1.0 + 0.3 * np.sin(2.0 * t + b))
+
+    return e
+
+
+_rates = st.tuples(st.floats(0.05, 0.4), st.sampled_from([-1.0, 1.0])).map(lambda p: p[0] * p[1])
+
+
+@st.composite
+def _fronts(draw):
+    dim = draw(st.integers(2, 3))
+    center = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)))
+    rate = draw(_rates)
+    if draw(st.booleans()):
+        direction = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)))
+        direction[0] += 2.0  # keeps the normal away from zero
+        offset = (draw(st.floats(-1.0, 1.0)), rate)
+        return MovingPlaneFront(
+            direction, offset, window_center=center, window_half_width=draw(st.floats(2.0, 3.0))
+        )
+    r0 = draw(st.floats(0.5, 2.0))
+    orientation = draw(st.sampled_from(["outward", "inward"]))
+    return MovingSphereFront(center, lambda t: r0 + rate * t, lambda t: rate, orientation)
+
+
+def _close(got, ref, tol):
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert np.all(np.abs(got - ref) <= tol * (1.0 + np.abs(ref))), np.max(np.abs(got - ref))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    front=_fronts(),
+    t=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**16),
+    shift=st.sampled_from([0.0, 1e-11, 1e-8]),
+)
+def test_array_operators_match_scalar_reference(front, t, seed, shift):
+    # Chart nodes, some moved off the front: by less than the projection
+    # tolerance (1e-9 char_length, kept as is) or by more (projected once).
+    rng = np.random.default_rng(seed)
+    nodes = front.patch_quadrature(t, level=0).nodes[:40]
+    x = nodes + shift * front.char_length * rng.uniform(-1.0, 1.0, nodes.shape)
+    e = _gaussian_field(rng.uniform(-1.0, 1.0, front.dim), rng.uniform(0.0, 3.0))
+    _close(mean_curvature(front, x, t), [_ref_mean_curvature(front, p, t) for p in x], 1e-12)
+    _close(normal_speed(front, x, t), [_ref_normal_speed(front, p, t) for p in x], 1e-12)
+    _close(
+        delta_derivative_time(e, front, x, t),
+        [_ref_delta_derivative_time(e, front, p, t) for p in x],
+        1e-12,
+    )
+    ref_nu = [_ref_unit_normal(front, _ref_project(front, p, t), t) for p in x]
+    _close(normal(front, x, t), ref_nu, 1e-12)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    front=_fronts(),
+    level=st.integers(0, 1),
+    seed=st.integers(0, 2**16),
+    t_lo=st.floats(0.0, 0.3),
+    t_hi=st.floats(0.5, 0.9),
+    width=st.floats(0.15, 0.4),
+)
+def test_transport_checks_match_scalar_reference(front, level, seed, t_lo, t_hi, width):
+    # Level 1 only in 2-D: a 3-D chart there has up to 2304 nodes, seconds
+    # of work for the scalar loop.
+    level = level if front.dim == 2 else 0
+    rng = np.random.default_rng(seed)
+    e = _gaussian_field(rng.uniform(-1.0, 1.0, front.dim), rng.uniform(0.0, 3.0))
+    rep = check_surface_transport(e, front, 0.4, dt=1e-3, level=level)
+    lhs, rhs = _ref_surface_transport(e, front, 0.4, 1e-3, level)
+    _close([rep.lhs, rep.rhs], [lhs, rhs], 1e-13)
+
+    # A bump centred on the front at t = 0, so its support meets every chart.
+    nodes = front.patch_quadrature(0.0, level).nodes
+    c = nodes[rng.integers(nodes.shape[0])]
+    phi = TensorBump([BumpFactor(cj - width, cj + width) for cj in c], BumpFactor(t_lo, t_hi))
+    rep = check_integration_by_parts(e, phi, front, t_end=1.0, level=level)
+    lhs, rhs = _ref_integration_by_parts(e, phi, front, 1.0, level)
+    _close([rep.lhs, rep.rhs], [lhs, rhs], 1e-13)

@@ -52,6 +52,27 @@ def test_steady_converging_field_solves_radial_system():
         assert res < 1e-7
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 3]),
+    lo0=st.floats(1.05, 2.0),
+    width=st.floats(0.5, 3.0),
+    bounded=st.booleans(),
+    t=st.floats(0.0, 1.0),
+    frac=st.floats(0.0, 1.0, exclude_max=True),
+)
+def test_steady_converging_field_is_its_free_flow(n, lo0, width, bounded, t, frac):
+    # The closed form against the characteristic inversion of the same data.
+    support = (lo0, lo0 + width) if bounded else None
+    steady = steady_converging_field(n, support)
+    flow = free_flow_field(lambda r0: r0 ** (1.0 - n), lambda r0: -1.0, n, support)
+    assert steady.support(t) == flow.support(t)
+    lo, hi = (lo0 - t, lo0 + width - t)
+    r = np.array([lo + frac * (hi - lo), lo, hi])
+    np.testing.assert_allclose(steady.rho(r, t), flow.rho(r, t), rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(steady.u(r, t), flow.u(r, t), rtol=1e-13, atol=0.0)
+
+
 def test_free_flow_field_linear_profile():
     # u0(r) = r spreads mass out; along characteristics r = r0 (1 + t) the
     # exact density is rho0(r0) (1 + t)^{-n} in the 1-D-geometry case n=1.
