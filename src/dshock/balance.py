@@ -69,8 +69,6 @@ class BalanceReport:
     W: np.ndarray
     w: np.ndarray
     entropy_strict: np.ndarray
-    mass_deficit: np.ndarray
-    momentum_deficit: np.ndarray
     closed_form: bool
 
     def __post_init__(self):
@@ -195,59 +193,38 @@ def _audit_1d(sol: DeltaShockSolution1D, times, box) -> BalanceReport:
     if box is None:
         box = sol.spatial_bounds(0.2)
     a, b = map(float, box)
-    M = np.empty(times.size)
-    m = np.empty(times.size)
-    P = np.empty((times.size, 1))
-    p = np.empty((times.size, 1))
-    W = np.empty(times.size)
-    w = np.empty(times.size)
-    strict = np.empty(times.size, dtype=bool)
-    mdef = np.empty(times.size)
-    qdef = np.empty((times.size, 1))
-    fx = sol.flux
-    for k, t in enumerate(times):
-        lo, pos, hi = float(sol.edge_l(t)), float(sol.phi(t)), float(sol.edge_r(t))
-        if not (a < lo and hi < b):
-            raise AuditInvalidError(
-                f"support [{lo}, {hi}] touches the audit box [{a}, {b}] at t={t}"
-            )
-        ll, lr = pos - lo, hi - pos
-        ud = float(sol.u_delta(t))
-        ek = float(sol.e(t))
-        M[k] = sol.rho_l * ll + sol.rho_r * lr
-        m[k] = ek
-        P[k, 0] = sol.rho_l * sol.u_l * ll + sol.rho_r * sol.u_r * lr
-        p[k, 0] = ek * ud
-        W[k] = 0.5 * (sol.rho_l * sol.u_l ** 2 * ll + sol.rho_r * sol.u_r ** 2 * lr)
-        w[k] = 0.5 * ek * ud ** 2
-        strict[k] = sol.u_r < ud < sol.u_l
-        mdef[k] = (
-            sol.rho_l * fx.f1(sol.u_l)
-            - sol.rho_r * fx.f1(sol.u_r)
-            - (sol.rho_l - sol.rho_r) * ud
+    lo, pos, hi = sol.edge_l(times), sol.phi(times), sol.edge_r(times)
+    bad = np.flatnonzero(~((a < lo) & (hi < b)))
+    if bad.size:
+        k = bad[0]
+        raise AuditInvalidError(
+            f"support [{float(lo[k])}, {float(hi[k])}] touches the audit box [{a}, {b}] "
+            f"at t={times[k]}"
         )
-        qdef[k, 0] = (
-            sol.rho_l * fx.n1(sol.u_l)
-            - sol.rho_r * fx.n1(sol.u_r)
-            - (sol.rho_l * sol.u_l - sol.rho_r * sol.u_r) * ud
-        )
+    ll, lr = pos - lo, hi - pos
+    ud, e = sol.u_delta(times), sol.e(times)
     return BalanceReport(
         t=times,
-        M=M,
-        m=m,
+        M=sol.rho_l * ll + sol.rho_r * lr,
+        m=e,
         boundary=np.zeros(times.size),
-        P=P,
-        p=p,
-        W=W,
-        w=w,
-        entropy_strict=strict,
-        mass_deficit=mdef,
-        momentum_deficit=qdef,
+        P=(sol.rho_l * sol.u_l * ll + sol.rho_r * sol.u_r * lr)[:, None],
+        p=(e * ud)[:, None],
+        W=0.5 * (sol.rho_l * sol.u_l ** 2 * ll + sol.rho_r * sol.u_r ** 2 * lr),
+        w=0.5 * e * ud ** 2,
+        entropy_strict=(sol.u_r < ud) & (ud < sol.u_l),
         closed_form=True,
     )
 
 
 def _audit_spherical(traj, inner, outer, annulus, times, panels, nodes) -> BalanceReport:
+    """Spherical audit sampled at the array ``times``.
+
+    The trajectory evaluators take arrays, so (phi, e, u_delta, m) come from
+    one evaluation on all of ``times``. The loop over the samples keeps only
+    the work that takes a scalar t: the field supports, the radial
+    quadratures and the boundary inflow.
+    """
     a, b = map(float, annulus)
     if not (np.isfinite(a) and np.isfinite(b)):
         raise InvalidParameterError(f"annulus edges must be finite, got ({a}, {b})")
@@ -271,18 +248,13 @@ def _audit_spherical(traj, inner, outer, annulus, times, panels, nodes) -> Balan
             rate += rho_i * u_i * weight(a)
         return float(rate)
 
+    phis, _, uds, m = traj._eval(times)
     M = np.empty(times.size)
-    m = np.empty(times.size)
     boundary = np.zeros(times.size)
     W = np.empty(times.size)
-    w = np.empty(times.size)
     strict = np.empty(times.size, dtype=bool)
-    mdef = np.empty(times.size)
-    qdef = np.zeros((times.size, n))
     for k, t in enumerate(times):
-        phi = float(traj.phi_at(t))
-        ud = float(traj.u_delta_at(t))
-        ek = float(traj.e_at(t))
+        phi, ud = float(phis[k]), float(uds[k])
         if not (a < phi < b):
             raise AuditInvalidError(f"front radius {phi} leaves the annulus at t={t}")
         for fld, name in ((inner, "inner"), (outer, "outer")):
@@ -297,15 +269,12 @@ def _audit_spherical(traj, inner, outer, annulus, times, panels, nodes) -> Balan
         M[k] += radial_moment_integral(outer, phi, b, t, weight, panels, nodes)
         W[k] = 0.5 * radial_moment_integral(inner, a, phi, t, weight, panels, nodes, moment=2)
         W[k] += 0.5 * radial_moment_integral(outer, phi, b, t, weight, panels, nodes, moment=2)
-        m[k] = float(traj.m_at(t))
-        w[k] = 0.5 * m[k] * ud ** 2
         if k:
             ts, ws = gauss_panels(times[k - 1], t, 1, 6)
             boundary[k] = boundary[k - 1] + float(ws @ [inflow(tq) for tq in ts])
         rho_i, u_i = _side(inner, phi, t)
         rho_o, u_o = _side(outer, phi, t)
         strict[k] = u_o < ud < u_i
-        mdef[k] = -(rho_o * u_o - rho_i * u_i) + (rho_o - rho_i) * ud
     return BalanceReport(
         t=times,
         M=M,
@@ -314,10 +283,8 @@ def _audit_spherical(traj, inner, outer, annulus, times, panels, nodes) -> Balan
         P=np.zeros((times.size, n)),
         p=np.zeros((times.size, n)),
         W=W,
-        w=w,
+        w=0.5 * m * uds ** 2,
         entropy_strict=strict,
-        mass_deficit=mdef,
-        momentum_deficit=qdef,
         closed_form=False,
     )
 

@@ -112,6 +112,20 @@ def write_manifest(outdir: Path, scenario_obj, seed: int) -> None:
     _write_json(outdir / "manifest.json", {"files": files, "scenario": scenario_obj, "seed": seed})
 
 
+def _out_file(path) -> Path:
+    """``path`` as a Path, with its parent directory created."""
+    out = Path(path)
+    if out.parent != Path(""):
+        out.parent.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _verdict(checks: dict) -> dict:
+    """Report fields for ``checks``; a check that is None was not applicable."""
+    failed = sorted(name for name, ok in checks.items() if ok is False)
+    return {"checks": checks, "failed": failed, "passed": not failed}
+
+
 def _tol(obj: dict, key: str, default: float) -> float:
     return float(obj.get("tolerances", {}).get(key, default))
 
@@ -178,11 +192,8 @@ def _riemann_table(sol: DeltaShockSolution1D, times: np.ndarray) -> np.ndarray:
     jr = sol.rho_l - sol.rho_r
     jn = sol.rho_l * fx.n1(sol.u_l) - sol.rho_r * fx.n1(sol.u_r)
     jru = sol.rho_l * sol.u_l - sol.rho_r * sol.u_r
-    rows = np.empty((times.size, 6))
-    for k, t in enumerate(times):
-        ud = float(sol.u_delta(t))
-        rows[k] = [t, float(sol.phi(t)), ud, float(sol.e(t)), jf - jr * ud, jn - jru * ud]
-    return rows
+    ud = sol.u_delta(times)
+    return np.column_stack([times, sol.phi(times), ud, sol.e(times), jf - jr * ud, jn - jru * ud])
 
 
 def _run_riemann1d(obj: dict, outdir: Path, seed: int, strict: bool = True):
@@ -223,9 +234,9 @@ def _run_spherical(obj: dict, outdir: Path, seed: int, strict: bool = True):
     rows = np.column_stack(
         [
             times,
-            [traj.phi_at(t) for t in times],
-            [traj.u_delta_at(t) for t in times],
-            [traj.e_at(t) for t in times],
+            traj.phi_at(times),
+            traj.u_delta_at(times),
+            traj.e_at(times),
             rep.m,
             rep.M,
             rep.sum_mass,
@@ -271,17 +282,17 @@ def _run_planar(obj: dict, outdir: Path, seed: int, strict: bool = True):
     base = cand.base
     times = np.linspace(0.0, base.t_end, int(obj.get("samples", 41)))
     dim = cand.dim
-    rows = np.empty((times.size, 5 + (dim - 1)))
-    for k, t in enumerate(times):
-        tan = np.atleast_1d(cand.tangential_deficit(t))
-        rows[k] = [
-            t,
-            float(base.phi(t)),
-            float(base.u_delta(t)),
-            float(base.e(t)),
-            float(np.linalg.norm(tan)),
-            *tan,
+    tan = cand.tangential_deficit(times)
+    rows = np.column_stack(
+        [
+            times,
+            base.phi(times),
+            base.u_delta(times),
+            base.e(times),
+            np.linalg.norm(tan, axis=1),
+            tan,
         ]
+    )
     names = ["t", "phi", "u_delta", "e", "tan_deficit"] + [
         f"tan_deficit_{j + 1}" for j in range(dim - 1)
     ]
@@ -290,7 +301,7 @@ def _run_planar(obj: dict, outdir: Path, seed: int, strict: bool = True):
     payload = {
         "dim": dim,
         "frame": cand.frame,
-        "tangential_deficit_final": np.atleast_1d(cand.tangential_deficit(base.t_end)),
+        "tangential_deficit_final": cand.tangential_deficit(base.t_end),
     }
     if base.support0 is not None:
         rep = audit(base, times)
@@ -312,8 +323,8 @@ def _run_planar(obj: dict, outdir: Path, seed: int, strict: bool = True):
             f2 = cand2.front_state(t)
             err = max(err, float(np.max(np.abs(rot @ f1.U_delta - f2.U_delta))))
             err = max(err, abs(f1.e - f2.e))
-            d1 = np.linalg.norm(np.atleast_1d(cand.tangential_deficit(t)))
-            d2 = np.linalg.norm(np.atleast_1d(cand2.tangential_deficit(t)))
+            d1 = np.linalg.norm(cand.tangential_deficit(t))
+            d2 = np.linalg.norm(cand2.tangential_deficit(t))
             err = max(err, abs(d1 - d2))
         checks["rotation_covariance"] = err <= _tol(obj, "rotation", 1e-12)
         payload["rotation_error"] = err
@@ -382,10 +393,9 @@ def _battery_box(sol) -> list:
 def _spatial_window(sol: DeltaShockSolution1D) -> tuple[float, float]:
     if sol.support0 is not None:
         return sol.spatial_bounds(0.1)
-    ts = np.linspace(0.0, sol.t_end, 9)
-    ph = [float(sol.phi(t)) for t in ts]
+    ph = sol.phi(np.linspace(0.0, sol.t_end, 9))
     spread = (abs(sol.u_l) + abs(sol.u_r) + 1.0) * sol.t_end + 1.0
-    return min(ph) - spread, max(ph) + spread
+    return float(np.min(ph)) - spread, float(np.max(ph)) + spread
 
 
 def _run_weakcheck(obj: dict, outdir: Path, seed: int, strict: bool = True):
@@ -525,22 +535,11 @@ def _execute_scenario(obj: dict, args) -> int:
         write_manifest(outdir, obj, seed)
         print(f"theorem check failed: {exc}", file=sys.stderr)
         return 4
-    failed = sorted(name for name, ok in checks.items() if ok is False)
-    report = dict(payload)
-    report.update(
-        {
-            "kind": kind,
-            "name": obj.get("name", ""),
-            "seed": seed,
-            "checks": checks,
-            "failed": failed,
-            "passed": not failed,
-        }
-    )
+    report = dict(payload, kind=kind, name=obj.get("name", ""), seed=seed, **_verdict(checks))
     _write_json(outdir / "report.json", report)
     write_manifest(outdir, obj, seed)
-    if failed:
-        print("theorem checks failed: " + ", ".join(failed), file=sys.stderr)
+    if report["failed"]:
+        print("theorem checks failed: " + ", ".join(report["failed"]), file=sys.stderr)
         return 4
     return 0
 
@@ -576,11 +575,8 @@ def cmd_riemann(args) -> int:
     path = solve_constant_states(data, t_end=args.t_end)
     sol = from_riemann(path, args.t_end)
     times = np.linspace(0.0, args.t_end, args.samples)
-    out = Path(args.out)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
     write_csv(
-        out,
+        _out_file(args.out),
         ["t", "phi", "u_delta", "e", "mass_deficit", "momentum_deficit"],
         _riemann_table(sol, times),
     )
@@ -589,10 +585,7 @@ def cmd_riemann(args) -> int:
 
 def cmd_oracle(args) -> int:
     ps, est, names, rows = _oracle_estimate(args.preset, args.N, args.T, args.mode, args.seed)
-    out = Path(args.out)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
-    write_csv(out, names, rows)
+    write_csv(_out_file(args.out), names, rows)
     return 0
 
 
@@ -605,14 +598,9 @@ def cmd_weakcheck(args) -> int:
     }
     validate_scenario(obj, strict=True)
     checks, payload = _weakcheck_payload(obj, args.seed)
-    failed = sorted(name for name, ok in checks.items() if ok is False)
-    report = dict(payload)
-    report.update({"checks": checks, "failed": failed, "passed": not failed})
-    out = Path(args.out)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
-    _write_json(out, report)
-    if failed:
+    report = dict(payload, **_verdict(checks))
+    _write_json(_out_file(args.out), report)
+    if report["failed"]:
         print("weak identities exceed tolerance", file=sys.stderr)
         return 4
     return 0

@@ -33,6 +33,9 @@ __all__ = [
     "front_from_spec",
 ]
 
+# Relative central-difference step for fronts without analytic derivatives.
+_FD_STEP = 1e-6
+
 
 def _point_or_rows(rows_fn, x, t):
     """Evaluate ``rows_fn`` on (m, dim) rows; a (dim,) point is one row."""
@@ -61,7 +64,7 @@ class LevelSetFront:
         Ambient dimension n >= 1.
     s_grad, s_t : callable, optional
         Analytic spatial gradient and time derivative. When omitted the
-        front falls back to central differences with step ``fd_step *
+        front falls back to central differences with step ``1e-6 *
         char_length`` (grad_mode "central-difference"), which costs two
         orders of accuracy in curvature queries.
     char_length : float
@@ -74,7 +77,6 @@ class LevelSetFront:
         dim: int,
         s_grad: Callable[[np.ndarray, float], np.ndarray] | None = None,
         s_t: Callable[[np.ndarray, float], float] | None = None,
-        fd_step: float = 1e-6,
         char_length: float = 1.0,
     ):
         if dim < 1:
@@ -85,7 +87,6 @@ class LevelSetFront:
         self.dim = int(dim)
         self._s_grad = s_grad
         self._s_t = s_t
-        self.fd_step = float(fd_step)
         self.char_length = float(char_length)
         self.grad_mode = "analytic" if s_grad is not None else "central-difference"
 
@@ -115,7 +116,7 @@ class LevelSetFront:
     def _grad_rows(self, x: np.ndarray, t: float) -> np.ndarray:
         if self._s_grad is not None:
             return np.array([np.asarray(self._s_grad(row, t), dtype=float) for row in x])
-        h = self.fd_step * self.char_length
+        h = _FD_STEP * self.char_length
         g = np.empty(x.shape)
         for j in range(self.dim):
             step = np.zeros(self.dim)
@@ -126,7 +127,7 @@ class LevelSetFront:
     def _time_deriv_rows(self, x: np.ndarray, t: float) -> np.ndarray:
         if self._s_t is not None:
             return np.array([float(self._s_t(row, t)) for row in x])
-        h = self.fd_step
+        h = _FD_STEP
         return (self._value_rows(x, t + h) - self._value_rows(x, t - h)) / (2.0 * h)
 
     @property

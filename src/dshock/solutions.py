@@ -262,15 +262,16 @@ class PlanarSolution:
             e=float(self.base.e(t)), nu=self.frame[0], G=float(self.base.u_delta(t)), K=0.0
         )
 
-    def tangential_deficit(self, t: float) -> np.ndarray:
+    def tangential_deficit(self, t) -> np.ndarray:
         """[rho U_tan (U . nu)] - [rho U_tan] G per tangential direction.
 
+        A scalar t gives shape (n-1,), an array of m times (m, n-1).
         Nonzero values mean the data pump tangential momentum into a front
         that cannot carry it; the weak momentum identities then fail by
         exactly this amount.
         """
         b = self.base
-        g = float(b.u_delta(t))
+        g = np.asarray(b.u_delta(t), dtype=float)[..., None]
         jm = b.rho_l * self.u_tan_l * b.u_l - b.rho_r * self.u_tan_r * b.u_r
         jd = b.rho_l * self.u_tan_l - b.rho_r * self.u_tan_r
         return jm - jd * g

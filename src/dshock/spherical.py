@@ -107,6 +107,8 @@ def _static_support(lo, hi):
 
 def constant_field(rho0: float, u0: float, support0=None) -> RadialField:
     """Uniform state; support edges ride along at the particle speed u0."""
+    if not (math.isfinite(rho0) and math.isfinite(u0)):
+        raise InvalidParameterError(f"constant field needs finite rho and u, got ({rho0}, {u0})")
     if rho0 < 0.0:
         raise InvalidParameterError("density must be nonnegative")
     if support0 is None:
@@ -296,7 +298,12 @@ def _side(fieldobj: RadialField | None, r: float, t: float) -> tuple[float, floa
 
 @dataclass
 class SphericalTrajectory:
-    """Accepted-step history of the front plus dense evaluators and flags."""
+    """Accepted-step history of the front plus dense evaluators and flags.
+
+    ``phi_at``, ``e_at``, ``u_delta_at`` and ``m_at`` take a scalar time
+    (returning a float) or an array of times (returning an array of the same
+    length); one call evaluates the whole array in one pass.
+    """
 
     n: int
     r_min: float
@@ -311,53 +318,53 @@ class SphericalTrajectory:
     _dense: Callable | None = field(default=None, repr=False)
     _boot: tuple | None = field(default=None, repr=False)
 
-    @property
-    def states(self) -> list[SphericalFrontState]:
-        return [
-            SphericalFrontState(float(tk), float(pk), max(float(ek), 0.0), float(uk))
-            for tk, pk, ek, uk in zip(self.t, self.phi, self.e, self.u_delta)
-        ]
-
     def _eval(self, t):
+        """Rows (phi, e, u_delta, m) at the times ``t``: shape (4,) or (4, k).
+
+        Times up to the bootstrap end take its closed form; the others go to
+        the dense output in one call.
+        """
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
         if np.any(t < -1e-12) or np.any(t > self.t_stop + 1e-12):
             raise InvalidParameterError("query time outside the integrated window")
         t = np.clip(t, 0.0, self.t_stop)
-        out = np.empty((3, t.size))
-        for k, tk in enumerate(t):
-            if self._boot is not None and tk <= self._boot[0]:
-                t_eps, phi0, s, alpha = self._boot
-                out[:, k] = (phi0 + s * tk, alpha * tk, s)
-            else:
-                y = self._dense(tk)
-                e = y[1]
-                out[:, k] = (y[0], e, y[2] / e if e > 0.0 else y[2])
-        return (out[:, 0] if scalar else out)
+        out = np.empty((4, t.size))
+        boot = np.zeros(t.size, dtype=bool)
+        if self._boot is not None:
+            t_eps, phi0, s, alpha = self._boot
+            boot = t <= t_eps
+            out[0, boot] = phi0 + s * t[boot]
+            out[1, boot] = alpha * t[boot]
+            out[2, boot] = s
+        if not np.all(boot):
+            phi, e, q = self._dense(t[~boot])
+            out[0, ~boot] = phi
+            out[1, ~boot] = e
+            out[2, ~boot] = np.divide(q, e, out=q.copy(), where=e > 0.0)
+        if self.n == 1:
+            out[3] = out[1]
+        else:
+            out[3] = out[1] * unit_sphere_area(self.n) * out[0] ** (self.n - 1)
+        return out[:, 0] if scalar else out
+
+    def _row(self, t, k: int):
+        v = self._eval(t)
+        return float(v[k]) if v.ndim == 1 else v[k]
 
     def phi_at(self, t):
-        v = self._eval(t)
-        return float(v[0]) if np.ndim(v) == 1 else v[0]
+        return self._row(t, 0)
 
     def e_at(self, t):
-        v = self._eval(t)
-        return float(v[1]) if np.ndim(v) == 1 else v[1]
+        return self._row(t, 1)
 
     def u_delta_at(self, t):
-        v = self._eval(t)
-        return float(v[2]) if np.ndim(v) == 1 else v[2]
+        return self._row(t, 2)
 
     def m_at(self, t):
         """Total front mass: e |S^{n-1}| phi^{n-1} for n >= 2, plain e in 1-D."""
-        if self.n == 1:
-            return self.e_at(t)
-        area = unit_sphere_area(self.n)
-        return self.e_at(t) * area * np.asarray(self.phi_at(t)) ** (self.n - 1)
-
-    def state_at(self, t: float) -> SphericalFrontState:
-        v = self._eval(float(t))
-        return SphericalFrontState(float(t), float(v[0]), max(float(v[1]), 0.0), float(v[2]))
+        return self._row(t, 3)
 
 
 def _local_front_speed(inner, outer, phi: float, t: float) -> tuple[float, float]:
@@ -527,8 +534,9 @@ def _integrate_passive(inner, outer, init, n, t_end, r_min, rtol, atol):
     ts = sol.t
     base = sol.sol
 
-    def dense(tk):
-        return np.array([float(base(tk)[0]), 0.0, 0.0])
+    def dense(t):
+        phi = base(t)[0]
+        return np.stack([phi, np.zeros_like(phi), np.zeros_like(phi)])
 
     return SphericalTrajectory(
         n=n,

@@ -152,14 +152,11 @@ def _crossing_times(traj, c: float, t_lo: float, t_hi: float) -> list[float]:
     vals = np.asarray(traj(ts), dtype=float) - c
     if not np.all(np.isfinite(vals)):
         return []
-    out = []
-    for k in range(ts.size - 1):
-        va, vb = vals[k], vals[k + 1]
-        if va == 0.0:
-            out.append(float(ts[k]))
-        elif va * vb < 0.0:
-            out.append(float(brentq(lambda s: float(traj(s)) - c, ts[k], ts[k + 1], xtol=1e-13)))
-    return out
+    va, vb = vals[:-1], vals[1:]
+    return ts[:-1][va == 0.0].tolist() + [
+        float(brentq(lambda s: float(traj(s)) - c, ts[k], ts[k + 1], xtol=1e-13))
+        for k in np.flatnonzero(va * vb < 0.0)
+    ]
 
 
 def _time_segments(sol: DeltaShockSolution1D, bump: TensorBump):

@@ -39,14 +39,18 @@ def test_golden_symmetric_riemann_byte_exact(tmp_path):
 
 
 def test_rerun_is_deterministic(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    for out in (a, b):
-        assert (
-            main(["run", "--config", str(SCENARIOS / "seeded_atom_riemann.json"), "--out", str(out)])
-            == 0
-        )
-    for ref in a.iterdir():
-        assert (b / ref.name).read_bytes() == ref.read_bytes(), ref.name
+    # Every bundled scenario, run twice, writes byte-identical trees.
+    expected_rc = {"time_reversed_sanity": 4}
+    for cfg in sorted(SCENARIOS.glob("*.json")):
+        trees = []
+        for run in ("a", "b"):
+            out = tmp_path / cfg.stem / run
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == expected_rc.get(
+                cfg.stem, 0
+            ), cfg.name
+            trees.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert "manifest.json" in trees[0], cfg.name
+        assert trees[0] == trees[1], cfg.name
 
 
 def test_manifest_lists_valid_checksums(tmp_path):
@@ -212,6 +216,19 @@ def test_run_rejects_non_finite_annulus(tmp_path, capsys, edge):
     obj = json.loads((SCENARIOS / "spherical_converging_n3.json").read_text())
     obj["annulus"] = [0.0, edge]
     cfg = tmp_path / "annulus.json"
+    cfg.write_text(json.dumps(obj))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("rho", float("nan")), ("u", float("inf"))])
+def test_run_rejects_non_finite_constant_field(tmp_path, capsys, key, value):
+    # A NaN density used to pass the sign check and stall the front ODE for
+    # good; an infinite velocity failed as a theorem check (exit 4).
+    obj = json.loads((SCENARIOS / "spherical_converging_n3.json").read_text())
+    obj["outer"] = {"kind": "constant", "rho": 1.0, "u": -1.0, "support": [1.0, 3.5]}
+    obj["outer"][key] = value
+    cfg = tmp_path / "field.json"
     cfg.write_text(json.dumps(obj))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert "finite" in capsys.readouterr().err
