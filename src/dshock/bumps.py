@@ -89,10 +89,9 @@ class TensorBump:
 
     phi(x, t) = amplitude * T(t) * X_1(x_1) * ... * X_dim(x_dim), with T the
     ``time_factor`` and X_j the ``space_factors``. ``value``, ``dt`` and
-    ``grad`` take points of shape (m, dim) and a scalar time; scalar points
-    of shape (dim,) are promoted. All derivatives are analytic. Array code
-    that needs phi on many times at once, such as the weak-identity engine,
-    evaluates the factors directly.
+    ``grad`` take points of shape (m, dim) and a time that is a scalar or an
+    (m,) array aligned with the points, one time per point; scalar points of
+    shape (dim,) are promoted. All derivatives are analytic.
     """
 
     def __init__(self, space_factors, time_factor: BumpFactor, amplitude: float = 1.0):
@@ -129,25 +128,34 @@ class TensorBump:
             raise InvalidParameterError(f"points must have {self.dim} columns")
         return pts
 
-    def value(self, points, t: float) -> np.ndarray:
+    def _time_part(self, fn, t, m: int) -> np.ndarray:
+        """amplitude * fn(t) for each of m points, at one time or at one time per point."""
+        if np.ndim(t) == 0:
+            return np.full(m, self.amplitude * float(fn(t)))
+        t = np.asarray(t, dtype=float)
+        if t.shape != (m,):
+            raise InvalidParameterError(f"need one time per point: got {t.shape} for {m} points")
+        return self.amplitude * fn(t)
+
+    def value(self, points, t) -> np.ndarray:
         pts = self._points(points)
-        out = np.full(pts.shape[0], self.amplitude * float(self.time_factor.value(t)))
+        out = self._time_part(self.time_factor.value, t, pts.shape[0])
         for j, f in enumerate(self.space_factors):
             out *= f.value(pts[:, j])
         return out
 
-    def dt(self, points, t: float) -> np.ndarray:
+    def dt(self, points, t) -> np.ndarray:
         pts = self._points(points)
-        out = np.full(pts.shape[0], self.amplitude * float(self.time_factor.deriv(t)))
+        out = self._time_part(self.time_factor.deriv, t, pts.shape[0])
         for j, f in enumerate(self.space_factors):
             out *= f.value(pts[:, j])
         return out
 
-    def grad(self, points, t: float) -> np.ndarray:
+    def grad(self, points, t) -> np.ndarray:
         pts = self._points(points)
         vals = [f.value(pts[:, j]) for j, f in enumerate(self.space_factors)]
         out = np.empty_like(pts)
-        tf = self.amplitude * float(self.time_factor.value(t))
+        tf = self._time_part(self.time_factor.value, t, pts.shape[0])
         for j, f in enumerate(self.space_factors):
             col = tf * f.deriv(pts[:, j])
             for k, v in enumerate(vals):

@@ -33,7 +33,6 @@ from .bumps import BumpFactor, TensorBump
 from .errors import (
     DShockError,
     InvalidBatteryError,
-    InvalidDimensionError,
     InvalidParameterError,
     NoDeltaShockError,
     ScenarioError,
@@ -518,23 +517,20 @@ def _execute_scenario(obj: dict, args) -> int:
     kind = obj["kind"]
     try:
         checks, payload = _RUNNERS[kind](obj, outdir, seed, strict)
-    except NoDeltaShockError as exc:
-        _write_json(
-            outdir / "report.json",
-            {
-                "kind": kind,
-                "name": obj.get("name", ""),
-                "failed": ["overcompression"],
-                "failed_condition": (
-                    "overcompression requires u_plus < u_delta < u_minus across the front"
-                ),
-                "error": str(exc),
-                "passed": False,
-            },
-        )
+    except DShockError as exc:
+        code, label = _exit_status(exc)
+        report = {"kind": kind, "name": obj.get("name", ""), "error": str(exc), "passed": False}
+        if isinstance(exc, NoDeltaShockError):
+            report["failed"] = ["overcompression"]
+            report["failed_condition"] = (
+                "overcompression requires u_plus < u_delta < u_minus across the front"
+            )
+        else:
+            report.update(failed=["run"], error_class=type(exc).__name__, exit_code=code)
+        _write_json(outdir / "report.json", report)
         write_manifest(outdir, obj, seed)
-        print(f"theorem check failed: {exc}", file=sys.stderr)
-        return 4
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
     report = dict(payload, kind=kind, name=obj.get("name", ""), seed=seed, **_verdict(checks))
     _write_json(outdir / "report.json", report)
     write_manifest(outdir, obj, seed)
@@ -665,22 +661,25 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _exit_status(exc: DShockError) -> tuple[int, str]:
+    """Exit code and stderr label of a package error (see the module docstring)."""
+    if isinstance(exc, ScenarioError):
+        return 2, "scenario error"
+    if isinstance(exc, (InvalidParameterError, InvalidBatteryError)):
+        return 2, "invalid configuration"
+    if isinstance(exc, NoDeltaShockError):
+        return 4, "theorem check failed"
+    return 3, "numerical failure"
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return int(args.func(args))
-    except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return 2
-    except (InvalidParameterError, InvalidDimensionError, InvalidBatteryError) as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return 2
-    except NoDeltaShockError as exc:
-        print(f"theorem check failed: {exc}", file=sys.stderr)
-        return 4
     except DShockError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+        code, label = _exit_status(exc)
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

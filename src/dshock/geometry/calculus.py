@@ -11,6 +11,12 @@ depend on f restricted to the space-time front, not on the extension; the
 finite-difference versions below agree across extensions to truncation
 order. The mean curvature convention is K = -(1/2) div nu, which makes
 K = -(n-1)/(2R) on a sphere with outward normal.
+
+``project_to_front``, ``normal``, ``normal_speed``, ``mean_curvature`` and
+``delta_derivative_time`` take a scalar time, or at rows (m, dim) an (m,)
+array of times aligned with the rows, so that one call covers many
+(time, node) pairs. The field ``f`` of ``delta_derivative_time`` then
+receives that array as its time.
 """
 
 from __future__ import annotations
@@ -54,19 +60,24 @@ def _scalar_if_point(values, x: np.ndarray):
     return float(values) if x.ndim < 2 else values
 
 
-def _raw_normal(front: LevelSetFront, x: np.ndarray, t: float) -> np.ndarray:
+def _times_of(t, rows):
+    """Times of the rows picked by a mask or an index; a scalar time serves all."""
+    return t if np.ndim(t) == 0 else np.asarray(t)[rows]
+
+
+def _raw_normal(front: LevelSetFront, x: np.ndarray, t) -> np.ndarray:
     g = front.grad(x, t)
     norm = _norm(g)
     _check_gradient(x, norm < 1e-12)
     return g / norm[..., None]
 
 
-def project_to_front(front: LevelSetFront, x, t: float) -> np.ndarray:
+def project_to_front(front: LevelSetFront, x, t) -> np.ndarray:
     """Return x, projected once along grad S where it is only nearly on the front.
 
     x is one point (dim,) or rows of points (m, dim), and the result has
-    the same shape. Points farther than one Newton step can recover are
-    rejected.
+    the same shape; t is a scalar or, at rows, an (m,) array of row times.
+    Points farther than one Newton step can recover are rejected.
     """
     x = np.asarray(x, dtype=float)
     rows = np.atleast_2d(x)
@@ -74,17 +85,17 @@ def project_to_front(front: LevelSetFront, x, t: float) -> np.ndarray:
     tol = front.tol_on_surface
     off = np.abs(s) > tol
     if np.any(off):
-        near = rows[off]
-        g = front.grad(near, t)
+        near, t_near = rows[off], _times_of(t, off)
+        g = front.grad(near, t_near)
         gg = np.vecdot(g, g)
         _check_gradient(near, gg < 1e-24)
         x_proj = near - (s[off] / gg)[:, None] * g
-        s_proj = front.value(x_proj, t)
+        s_proj = front.value(x_proj, t_near)
         far = np.abs(s_proj) > tol
         if np.any(far):
             k = np.argmax(far)
             raise OffSurfaceError(
-                f"point {near[k]} is off the front at t={t}: "
+                f"point {near[k]} is off the front at t={_times_of(t_near, k)}: "
                 f"|S|={abs(s_proj[k]):.3e} after projection"
             )
         rows = rows.copy()
@@ -92,7 +103,7 @@ def project_to_front(front: LevelSetFront, x, t: float) -> np.ndarray:
     return rows[0] if x.ndim < 2 else rows
 
 
-def normal(front: LevelSetFront, x, t: float) -> np.ndarray:
+def normal(front: LevelSetFront, x, t) -> np.ndarray:
     """Unit normal nu = grad S / |grad S|, pointing from Omega^- to Omega^+.
 
     One point (dim,) gives one normal; rows (m, dim) give (m, dim) normals.
@@ -101,7 +112,7 @@ def normal(front: LevelSetFront, x, t: float) -> np.ndarray:
     return _raw_normal(front, x, t)
 
 
-def normal_speed(front: LevelSetFront, x, t: float):
+def normal_speed(front: LevelSetFront, x, t):
     """Normal speed G = -S_t / |grad S| along nu: a float, or (m,) at rows."""
     x = project_to_front(front, x, t)
     norm = _norm(front.grad(x, t))
@@ -130,7 +141,7 @@ def delta_shock_velocity(front: LevelSetFront, x, t: float) -> np.ndarray:
     return u_direct
 
 
-def mean_curvature(front: LevelSetFront, x, t: float):
+def mean_curvature(front: LevelSetFront, x, t):
     """Mean curvature K = -(1/2) div nu via 4th-order central differences.
 
     A float at one point (dim,), an (m,) array at rows (m, dim).
@@ -164,7 +175,7 @@ def delta_derivative_time(
     f: Callable[[np.ndarray, float], float],
     front: LevelSetFront,
     x,
-    t: float,
+    t,
     h_x: float | None = None,
     h_t: float = 1e-6,
 ):

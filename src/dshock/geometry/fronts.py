@@ -36,11 +36,34 @@ __all__ = [
 # Relative central-difference step for fronts without analytic derivatives.
 _FD_STEP = 1e-6
 
+_NO_CHART = "this front has no chart-based quadrature; use a plane or sphere front"
+
+
+def _row_times(t, rows: np.ndarray):
+    """t as a float, or as an (m,) array aligned with the (m, dim) rows."""
+    if np.ndim(t) == 0:
+        return float(t)
+    t = np.asarray(t, dtype=float)
+    if t.shape != rows.shape[:1]:
+        raise InvalidParameterError(
+            f"need one time per row: got times {t.shape} for rows {rows.shape}"
+        )
+    return t
+
+
+def _of_time(fn, t):
+    """fn at a scalar time (a float) or at an array of times (same shape)."""
+    if np.ndim(t) == 0:
+        return float(fn(float(t)))
+    t = np.asarray(t, dtype=float)
+    return np.broadcast_to(np.asarray(fn(t), dtype=float), t.shape)
+
 
 def _point_or_rows(rows_fn, x, t):
     """Evaluate ``rows_fn`` on (m, dim) rows; a (dim,) point is one row."""
     x = np.asarray(x, dtype=float)
-    out = rows_fn(np.atleast_2d(x), float(t))
+    rows = np.atleast_2d(x)
+    out = rows_fn(rows, _row_times(t, rows))
     if x.ndim > 1:
         return out
     return out[0] if out.ndim > 1 else float(out[0])
@@ -50,10 +73,12 @@ class LevelSetFront:
     """Front given by a scalar level-set function S(x, t).
 
     ``value``, ``grad`` and ``time_deriv`` take one point of shape (dim,)
-    or rows of points of shape (m, dim); a point is the one-row case. This
-    class maps its pointwise callables over the rows. Subclasses with
-    closed forms override ``_value_rows``, ``_grad_rows`` and
-    ``_time_deriv_rows`` instead of passing callables.
+    or rows of points of shape (m, dim); a point is the one-row case. The
+    time ``t`` is a scalar, or at rows an (m,) array that gives each row its
+    own time. This class maps its pointwise callables over the rows, with
+    each row's time. Subclasses with closed forms override ``_value_rows``,
+    ``_grad_rows`` and ``_time_deriv_rows`` instead of passing callables;
+    their offset and radius callables then receive the (m,) time array.
 
     Parameters
     ----------
@@ -92,30 +117,37 @@ class LevelSetFront:
 
     # Basic evaluations -----------------------------------------------------
 
-    def value(self, x, t: float):
+    def value(self, x, t):
         """S at a point (float) or at (m, dim) rows ((m,) array)."""
         return _point_or_rows(self._value_rows, x, t)
 
-    def grad(self, x, t: float) -> np.ndarray:
+    def grad(self, x, t) -> np.ndarray:
         """grad S at a point ((dim,) array) or at (m, dim) rows."""
         return _point_or_rows(self._grad_rows, x, t)
 
-    def time_deriv(self, x, t: float):
+    def time_deriv(self, x, t):
         """S_t at a point (float) or at (m, dim) rows ((m,) array)."""
         return _point_or_rows(self._time_deriv_rows, x, t)
 
-    def _value_rows(self, x: np.ndarray, t: float) -> np.ndarray:
+    @staticmethod
+    def _each_row(x: np.ndarray, t):
+        """(row, time) pairs, with each time a float."""
+        return zip(x, map(float, np.broadcast_to(t, x.shape[:1])))
+
+    def _value_rows(self, x: np.ndarray, t) -> np.ndarray:
         out = np.empty(x.shape[0])
-        for k, row in enumerate(x):
+        for k, (row, tk) in enumerate(self._each_row(x, t)):
             try:
-                out[k] = self._s(row, t)
+                out[k] = self._s(row, tk)
             except Exception as exc:  # noqa: BLE001
-                raise StencilError(f"level-set evaluation failed at {row}, t={t}") from exc
+                raise StencilError(f"level-set evaluation failed at {row}, t={tk}") from exc
         return out
 
-    def _grad_rows(self, x: np.ndarray, t: float) -> np.ndarray:
+    def _grad_rows(self, x: np.ndarray, t) -> np.ndarray:
         if self._s_grad is not None:
-            return np.array([np.asarray(self._s_grad(row, t), dtype=float) for row in x])
+            return np.array(
+                [np.asarray(self._s_grad(row, tk), dtype=float) for row, tk in self._each_row(x, t)]
+            )
         h = _FD_STEP * self.char_length
         g = np.empty(x.shape)
         for j in range(self.dim):
@@ -124,9 +156,9 @@ class LevelSetFront:
             g[:, j] = (self._value_rows(x + step, t) - self._value_rows(x - step, t)) / (2.0 * h)
         return g
 
-    def _time_deriv_rows(self, x: np.ndarray, t: float) -> np.ndarray:
+    def _time_deriv_rows(self, x: np.ndarray, t) -> np.ndarray:
         if self._s_t is not None:
-            return np.array([float(self._s_t(row, t)) for row in x])
+            return np.array([float(self._s_t(row, tk)) for row, tk in self._each_row(x, t)])
         h = _FD_STEP
         return (self._value_rows(x, t + h) - self._value_rows(x, t - h)) / (2.0 * h)
 
@@ -137,9 +169,16 @@ class LevelSetFront:
     # Optional chart support -------------------------------------------------
 
     def patch_quadrature(self, t: float, level: int = 2):
-        raise InvalidParameterError(
-            "this front has no chart-based quadrature; use a plane or sphere front"
-        )
+        raise InvalidParameterError(_NO_CHART)
+
+    def moving_chart(self, level: int = 2):
+        """(m, at): the chart's node count m and its nodes at arrays of times.
+
+        ``at(times)`` gives (k, m, dim) nodes and (k, m) weights at k times.
+        The chart is built once; row i of ``at(times)`` is the chart of
+        ``patch_quadrature(times[i], level)``, moved with the front.
+        """
+        raise InvalidParameterError(_NO_CHART)
 
 
 class MovingPlaneFront(LevelSetFront):
@@ -188,27 +227,30 @@ class MovingPlaneFront(LevelSetFront):
         basis = np.linalg.svd(self.normal_vector[None, :])[2][1:]
         self.tangent_basis = basis.T
 
-    def _value_rows(self, x: np.ndarray, t: float) -> np.ndarray:
+    def _value_rows(self, x: np.ndarray, t) -> np.ndarray:
         return np.vecdot(x, self.normal_vector) - self._offset(t)
 
-    def _grad_rows(self, x: np.ndarray, t: float) -> np.ndarray:
+    def _grad_rows(self, x: np.ndarray, t) -> np.ndarray:
         return np.tile(self.normal_vector, (x.shape[0], 1))
 
-    def _time_deriv_rows(self, x: np.ndarray, t: float) -> np.ndarray:
-        return np.full(x.shape[0], -self.offset_rate(t))
+    def _time_deriv_rows(self, x: np.ndarray, t) -> np.ndarray:
+        return -np.broadcast_to(self.offset_rate(t), x.shape[:1])
 
-    def offset(self, t: float) -> float:
-        return float(self._offset(float(t)))
+    def offset(self, t):
+        """Offset at a time (float) or at an array of times (array)."""
+        return _of_time(self._offset, t)
 
-    def offset_rate(self, t: float) -> float:
+    def offset_rate(self, t):
         if self._offset_rate is not None:
-            return float(self._offset_rate(float(t)))
+            return _of_time(self._offset_rate, t)
         h = 1e-6
-        return (self._offset(t + h) - self._offset(t - h)) / (2.0 * h)
+        return _of_time(lambda tau: (self._offset(tau + h) - self._offset(tau - h)) / (2.0 * h), t)
 
-    def point_on(self, t: float) -> np.ndarray:
+    def point_on(self, t) -> np.ndarray:
+        """Front point nearest the window center: (dim,), or (k, dim) at k times."""
         c = self.window_center
-        return c + (self.offset(t) - float(self.normal_vector @ c)) * self.normal_vector
+        shift = np.asarray(self.offset(t)) - float(self.normal_vector @ c)
+        return c + shift[..., None] * self.normal_vector
 
     def patch_quadrature(self, t: float, level: int = 2):
         from .quadrature import plane_chart
@@ -221,6 +263,25 @@ class MovingPlaneFront(LevelSetFront):
             level=level,
             tangent_basis=self.tangent_basis,
         )
+
+    def moving_chart(self, level: int = 2):
+        """One tangential grid, translated to ``point_on`` at each time."""
+        from .quadrature import plane_chart
+
+        grid = plane_chart(
+            point=np.zeros(self.dim),
+            normal=self.normal_vector,
+            half_widths=np.full(self.dim - 1, self.window_half_width),
+            level=level,
+            tangent_basis=self.tangent_basis,
+        )
+
+        def at(times):
+            times = np.asarray(times, dtype=float)
+            nodes = self.point_on(times)[:, None, :] + grid.nodes
+            return nodes, np.broadcast_to(grid.weights, nodes.shape[:2])
+
+        return grid.weights.size, at
 
 
 class MovingSphereFront(LevelSetFront):
@@ -256,36 +317,52 @@ class MovingSphereFront(LevelSetFront):
         super().__init__(s=None, dim=dim, char_length=max(self.radius(0.0), 1e-6))
         self.grad_mode = "analytic"
 
-    def _value_rows(self, x: np.ndarray, t: float) -> np.ndarray:
+    def _value_rows(self, x: np.ndarray, t) -> np.ndarray:
         d = x - self.center
         return self._sign * (np.sqrt(np.vecdot(d, d)) - self._radius(t))
 
-    def _grad_rows(self, x: np.ndarray, t: float) -> np.ndarray:
+    def _grad_rows(self, x: np.ndarray, t) -> np.ndarray:
         d = x - self.center
         r = np.sqrt(np.vecdot(d, d))
         if np.any(r == 0.0):
             raise DegenerateGradientError("sphere level set is singular at the center")
         return self._sign * d / r[:, None]
 
-    def _time_deriv_rows(self, x: np.ndarray, t: float) -> np.ndarray:
-        return np.full(x.shape[0], -self._sign * self.radius_rate(t))
+    def _time_deriv_rows(self, x: np.ndarray, t) -> np.ndarray:
+        return -self._sign * np.broadcast_to(self.radius_rate(t), x.shape[:1])
 
-    def radius(self, t: float) -> float:
-        r = float(self._radius(float(t)))
-        if r <= 0.0:
-            raise InvalidParameterError(f"sphere radius must stay positive, got {r} at t={t}")
+    def radius(self, t):
+        """R at a time (float) or at an array of times (array); R must be positive."""
+        r = _of_time(self._radius, t)
+        if np.any(r <= 0.0):
+            k = np.argmin(r)
+            raise InvalidParameterError(
+                f"sphere radius must stay positive, got {np.ravel(r)[k]} at t={np.ravel(t)[k]}"
+            )
         return r
 
-    def radius_rate(self, t: float) -> float:
+    def radius_rate(self, t):
         if self._radius_rate is not None:
-            return float(self._radius_rate(float(t)))
+            return _of_time(self._radius_rate, t)
         h = 1e-6
-        return (self._radius(t + h) - self._radius(t - h)) / (2.0 * h)
+        return _of_time(lambda tau: (self._radius(tau + h) - self._radius(tau - h)) / (2.0 * h), t)
 
     def patch_quadrature(self, t: float, level: int = 2):
         from .quadrature import sphere_chart
 
         return sphere_chart(self.center, self.radius(t), t=t, level=level)
+
+    def moving_chart(self, level: int = 2):
+        """The unit-sphere chart, scaled by R(t) about the center at each time."""
+        from .quadrature import sphere_chart
+
+        unit = sphere_chart(np.zeros(self.dim), 1.0, level=level)
+
+        def at(times):
+            r = self.radius(np.asarray(times, dtype=float))[:, None]
+            return self.center + r[..., None] * unit.nodes, unit.weights * r ** (self.dim - 1)
+
+        return unit.weights.size, at
 
 
 class ExpressionFront(LevelSetFront):
@@ -302,20 +379,24 @@ class ExpressionFront(LevelSetFront):
         )
 
 
+def _of_t(source: str):
+    """An expression in t as a callable of a time or, elementwise, of time arrays."""
+    expr = parse_expression(source, allowed={"t"})
+    return np.vectorize(lambda t: expr(t=t), otypes=[float])
+
+
 def front_from_spec(spec: dict) -> LevelSetFront:
     """Build a front from its scenario-file description."""
     kind = spec.get("kind")
     if kind == "plane":
         offset = spec.get("offset", 0.0)
         if isinstance(offset, str):
-            expr = parse_expression(offset, allowed={"t"})
-            return MovingPlaneFront(spec["normal"], lambda t: expr(t=t))
+            return MovingPlaneFront(spec["normal"], _of_t(offset))
         return MovingPlaneFront(spec["normal"], offset)
     if kind == "sphere":
         radius = spec["radius"]
         if isinstance(radius, str):
-            expr = parse_expression(radius, allowed={"t"})
-            radius = lambda t: expr(t=t)  # noqa: E731
+            radius = _of_t(radius)
         return MovingSphereFront(
             spec["center"], radius, orientation=spec.get("orientation", "outward")
         )

@@ -14,9 +14,12 @@ residual:
     - int_Gamma0 e phi(., 0) dmu,
   for test functions phi vanishing before t = T.
 
-The front-riding terms (de/dt, K, G, nu) are evaluated on each chart as one
-array of nodes: one call per operator per chart, with the same stencils as
-the pointwise operators in ``calculus``.
+The front-riding terms (de/dt, K, G, nu) are evaluated as arrays of nodes
+with the same stencils as the pointwise operators in ``calculus``. The
+transport checks take one call per operator per chart. The
+integration-by-parts check evaluates its whole space-time grid, every
+(time node, chart node) pair with its own time, in blocks of whole time
+rows: one call per operator per block, from one chart build.
 """
 
 from __future__ import annotations
@@ -30,6 +33,10 @@ from ..errors import InvalidDimensionError, InvalidParameterError, SupportViolat
 from .calculus import delta_derivative_time, mean_curvature, normal, normal_speed
 from .fronts import LevelSetFront
 from .quadrature import gauss_panels, sphere_chart, surface_integral
+
+# Most (time node, chart node) pairs evaluated in one block of the
+# integration-by-parts grid; a block holds at least one time row.
+_BLOCK = 2**13
 
 __all__ = [
     "TransportReport",
@@ -51,8 +58,11 @@ class TransportReport:
         return abs(self.lhs - self.rhs)
 
 
-def _values(f: Callable, nodes: np.ndarray, t: float) -> np.ndarray:
-    """f at (m, dim) nodes as m values; a constant is broadcast."""
+def _values(f: Callable, nodes: np.ndarray, t) -> np.ndarray:
+    """f at (m, dim) nodes as m values; a constant is broadcast.
+
+    t is a scalar or an (m,) array of node times.
+    """
     return np.broadcast_to(np.asarray(f(nodes, t), dtype=float), nodes.shape[:1])
 
 
@@ -166,8 +176,6 @@ def check_volume_transport(
     rate = region.rate(t)
     if rate:
         rhs += rate * region.boundary_integral(f, t, level)
-    elif not isinstance(region, Box):
-        rhs += region.rate(t) * region.boundary_integral(f, t, level)
     return TransportReport(lhs, rhs)
 
 
@@ -183,7 +191,8 @@ def check_integration_by_parts(
 
     ``phi`` must expose value/dt/grad with analytic derivatives and a
     t_support that closes strictly before t_end (otherwise the boundary term
-    at t_end would be missing from the identity).
+    at t_end would be missing from the identity). ``e`` and ``phi`` are
+    called on rows of chart nodes with an array of row times.
     """
     t_lo, t_hi = phi.t_support
     if t_lo < 0.0:
@@ -192,29 +201,36 @@ def check_integration_by_parts(
         raise SupportViolationError("test function must vanish before t_end")
     t_nodes, t_weights = gauss_panels(max(t_lo, 0.0), t_hi, 8 * (2**level), nodes=6)
 
-    lhs = 0.0
-    rhs_volume = 0.0
-    for tau, wt in zip(t_nodes, t_weights):
-        quad = front.patch_quadrature(tau, level)
-        nu = normal(front, quad.nodes, tau)
-        big_g = normal_speed(front, quad.nodes, tau)
-        dphi = phi.dt(quad.nodes, tau) + big_g * np.sum(phi.grad(quad.nodes, tau) * nu, axis=1)
-        e_vals = _values(e, quad.nodes, tau)
-        lhs += wt * float(quad.weights @ (e_vals * dphi))
+    size, chart = front.moving_chart(level)
+    rows = max(1, _BLOCK // size)
+    # One chart integral per time node, summed below in time order.
+    lhs_t = np.empty(t_nodes.size)
+    rhs_t = np.zeros(t_nodes.size)
+    for start in range(0, t_nodes.size, rows):
+        block = slice(start, start + rows)
+        nodes, weights = chart(t_nodes[block])
+        x = nodes.reshape(-1, front.dim)
+        tau = np.repeat(t_nodes[block], size)
+        nu = normal(front, x, tau)
+        big_g = normal_speed(front, x, tau)
+        dphi = phi.dt(x, tau) + big_g * np.sum(phi.grad(x, tau) * nu, axis=1)
+        e_vals = _values(e, x, tau)
+        lhs_t[block] = np.vecdot(weights, (e_vals * dphi).reshape(weights.shape))
 
-        phi_vals = phi.value(quad.nodes, tau)
+        phi_vals = phi.value(x, tau)
         live = phi_vals != 0.0
         if np.any(live):
             # Only nodes inside supp phi contribute; the others are never evaluated.
-            x = quad.nodes[live]
-            de_dt = delta_derivative_time(e, front, x, tau, h_t=dt_fd)
-            kappa = mean_curvature(front, x, tau)
-            integrand = np.zeros(quad.weights.size)
+            de_dt = delta_derivative_time(e, front, x[live], tau[live], h_t=dt_fd)
+            kappa = mean_curvature(front, x[live], tau[live])
+            integrand = np.zeros(x.shape[0])
             integrand[live] = (de_dt - 2.0 * kappa * big_g[live] * e_vals[live]) * phi_vals[live]
-            rhs_volume += wt * float(quad.weights @ integrand)
+            rhs_t[block] = np.vecdot(weights, integrand.reshape(weights.shape))
 
     quad0 = front.patch_quadrature(0.0, level)
     e0 = _values(e, quad0.nodes, 0.0)
     gamma0_term = float(quad0.weights @ (e0 * phi.value(quad0.nodes, 0.0)))
-    rhs = -rhs_volume - gamma0_term
+    # Running sums in time order, as a loop over the time nodes would add.
+    lhs = float(np.cumsum(t_weights * lhs_t)[-1])
+    rhs = -float(np.cumsum(t_weights * rhs_t)[-1]) - gamma0_term
     return TransportReport(lhs, rhs)

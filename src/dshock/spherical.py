@@ -322,21 +322,23 @@ class SphericalTrajectory:
         """Rows (phi, e, u_delta, m) at the times ``t``: shape (4,) or (4, k).
 
         Times up to the bootstrap end take its closed form; the others go to
-        the dense output in one call.
+        the dense output in one call. Times before the start time are
+        rejected.
         """
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
-        if np.any(t < -1e-12) or np.any(t > self.t_stop + 1e-12):
+        t0 = self.t[0] if self._boot is None else self._boot[0]
+        if np.any(t < t0 - 1e-12) or np.any(t > self.t_stop + 1e-12):
             raise InvalidParameterError("query time outside the integrated window")
-        t = np.clip(t, 0.0, self.t_stop)
+        t = np.clip(t, t0, self.t_stop)
         out = np.empty((4, t.size))
         boot = np.zeros(t.size, dtype=bool)
         if self._boot is not None:
-            t_eps, phi0, s, alpha = self._boot
+            _, t_eps, phi0, s, alpha = self._boot
             boot = t <= t_eps
-            out[0, boot] = phi0 + s * t[boot]
-            out[1, boot] = alpha * t[boot]
+            out[0, boot] = phi0 + s * (t[boot] - t0)
+            out[1, boot] = alpha * (t[boot] - t0)
             out[2, boot] = s
         if not np.all(boot):
             phi, e, q = self._dense(t[~boot])
@@ -441,7 +443,7 @@ def integrate_front(
             return _integrate_passive(inner, outer, init, n, t_end, r_min, rtol, atol)
         t_eps = t0 + 1e-8 * (t_end - t0)
         y0 = [init.phi + s * (t_eps - t0), alpha * (t_eps - t0), alpha * (t_eps - t0) * s]
-        boot = (t_eps, init.phi, s, alpha)
+        boot = (t0, t_eps, init.phi, s, alpha)
         t_start = t_eps
     else:
         margin = entropy_margin(init.phi, t0, init.u_delta)

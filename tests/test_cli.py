@@ -102,6 +102,27 @@ def test_rarefaction_data_exits_4_with_named_condition(tmp_path):
     assert report["passed"] is False
     assert report["failed"] == ["overcompression"]
     assert "u_plus < u_delta < u_minus" in report["failed_condition"]
+    assert set(report) == {"kind", "name", "failed", "failed_condition", "error", "passed"}
+    assert set(json.loads((out / "manifest.json").read_text())["files"]) == {"report.json"}
+
+
+def test_numerical_failure_in_a_runner_leaves_a_report(tmp_path, capsys):
+    # An outer density of 1e308 stalls the front ODE (StiffnessError): the
+    # run exits 3 and still writes its report and manifest.
+    obj = json.loads((SCENARIOS / "spherical_converging_n3.json").read_text())
+    obj["outer"] = {"kind": "constant", "rho": 1e308, "u": -1}
+    cfg = tmp_path / "dense.json"
+    cfg.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert report["passed"] is False
+    assert report["failed"] == ["run"]
+    assert report["exit_code"] == 3
+    assert report["error_class"] == "StiffnessError"
+    assert err == f"numerical failure: {report['error']}\n"
+    assert set(json.loads((out / "manifest.json").read_text())["files"]) == {"report.json"}
 
 
 def test_time_reversed_sanity_fails_energy_check(tmp_path):

@@ -187,6 +187,11 @@ def test_front_from_spec():
     sphere = front_from_spec({"kind": "sphere", "center": [0.0, 0.0, 0.0], "radius": "2 - t"})
     assert isinstance(sphere, MovingSphereFront)
     assert sphere.radius(0.5) == pytest.approx(1.5)
+    # Expressions in t are evaluated elementwise on arrays of row times.
+    np.testing.assert_array_equal(sphere.radius(np.array([0.5, 1.0])), [1.5, 1.0])
+    line = front_from_spec({"kind": "plane", "normal": [1.0, 0.0], "offset": "0.5*t"})
+    np.testing.assert_array_equal(line.offset(np.array([0.0, 1.0])), [0.0, 0.5])
+    assert line.value(np.ones((2, 2)), np.array([0.0, 1.0])).tolist() == [1.0, 0.5]
     expr = front_from_spec({"kind": "level_set_expr", "expr": "r - 1 - t", "dim": 2})
     assert expr.value(np.array([1.0, 0.0]), 0.0) == pytest.approx(0.0)
     with pytest.raises(InvalidParameterError):
@@ -430,3 +435,116 @@ def test_transport_checks_match_scalar_reference(front, level, seed, t_lo, t_hi,
     rep = check_integration_by_parts(e, phi, front, t_end=1.0, level=level)
     lhs, rhs = _ref_integration_by_parts(e, phi, front, 1.0, level)
     _close([rep.lhs, rep.rhs], [lhs, rhs], 1e-13)
+
+
+# Space-time rows: one time per row ------------------------------------------
+
+
+def _row_time_fronts():
+    # Offsets and radii linear in t, so an array of times rounds like each time.
+    return [
+        MovingPlaneFront(np.array([1.0, 0.5]), (0.2, 0.3)),
+        MovingSphereFront(np.zeros(3), lambda t: 1.0 + 0.5 * t, lambda t: 0.5),
+        MovingSphereFront(np.array([0.1, -0.2]), lambda t: 1.5 - 0.4 * t, orientation="inward"),
+        ExpressionFront("r - 1 - t", 2),
+    ]
+
+
+def _rows_on_front(front, times):
+    """Per time, a few points near the front: some on it, some 1e-8 off it."""
+    dim = front.dim
+    theta = 0.3 + 2.0 * np.pi * np.arange(7) / 7.0
+    blocks = []
+    for t in times:
+        if isinstance(front, ExpressionFront):
+            pts = (1.0 + t) * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        else:
+            pts = front.patch_quadrature(t, level=0).nodes[::5][:7]
+        pts = pts + 1e-8 * np.resize([0.0, 1.0, -1.0], pts.shape[0])[:, None] * np.ones(dim)
+        blocks.append(pts)
+    return blocks
+
+
+@pytest.mark.parametrize("front", _row_time_fronts(), ids=["plane", "sphere", "inward", "expr"])
+def test_row_times_match_per_time_calls_bit_for_bit(front):
+    times = np.array([0.05, 0.3, 0.55, 0.8])
+    blocks = _rows_on_front(front, times)
+    x = np.concatenate(blocks)
+    tau = np.repeat(times, [b.shape[0] for b in blocks])
+    a = np.linspace(-0.5, 0.5, front.dim)
+
+    def e(pts, t):
+        return np.exp(-0.5 * np.sum((np.atleast_2d(pts) - a) ** 2, axis=1)) * (1.0 + 0.3 * t)
+
+    ops = {
+        "project_to_front": project_to_front,
+        "normal": normal,
+        "normal_speed": normal_speed,
+        "mean_curvature": mean_curvature,
+        "delta_derivative_time": lambda f, p, t: delta_derivative_time(e, f, p, t),
+    }
+    for name, op in ops.items():
+        per_time = np.concatenate([op(front, b, t) for b, t in zip(blocks, times)])
+        np.testing.assert_array_equal(op(front, x, tau), per_time, err_msg=name)
+
+    c = x[0]
+    phi = TensorBump(
+        [BumpFactor(cj - 1.5, cj + 1.5, poly=(1.0, 0.2)) for cj in c],
+        BumpFactor(0.0, 1.0, poly=(0.5, -0.3)),
+        amplitude=1.7,
+    )
+    for name in ("value", "dt", "grad"):
+        per_time = np.concatenate([getattr(phi, name)(b, t) for b, t in zip(blocks, times)])
+        np.testing.assert_array_equal(getattr(phi, name)(x, tau), per_time, err_msg=name)
+
+
+def test_row_times_must_align_with_rows():
+    front = MovingPlaneFront(np.array([1.0, 0.0]), (0.0, 0.3))
+    x = np.zeros((3, 2))
+    with pytest.raises(InvalidParameterError):
+        normal_speed(front, x, np.zeros(2))
+    phi = TensorBump([BumpFactor(-1.0, 1.0), BumpFactor(-1.0, 1.0)], BumpFactor(0.0, 1.0))
+    with pytest.raises(InvalidParameterError):
+        phi.value(x, np.zeros(2))
+
+
+def test_integration_by_parts_over_several_blocks_matches_scalar_reference():
+    from dshock.geometry import transport
+
+    front = MovingPlaneFront(np.array([1.0, 0.4]), (0.1, 0.3), window_half_width=3.0)
+    e = _gaussian_field(np.array([0.2, -0.1]), 0.7)
+    phi = TensorBump([BumpFactor(-0.3, 0.7), BumpFactor(-0.5, 0.4)], BumpFactor(0.1, 0.9))
+    size, _ = front.moving_chart(2)
+    time_nodes = 8 * 2**2 * 6
+    assert size * time_nodes > 2 * transport._BLOCK  # at least three blocks
+    rep = check_integration_by_parts(e, phi, front, t_end=1.0, level=2)
+    lhs, rhs = _ref_integration_by_parts(e, phi, front, 1.0, 2)
+    _close([rep.lhs, rep.rhs], [lhs, rhs], 1e-13)
+
+
+def test_integration_by_parts_builds_its_charts_once(monkeypatch):
+    from dshock.geometry import quadrature
+
+    builds = []
+    for name in ("plane_chart", "sphere_chart"):
+        chart = getattr(quadrature, name)
+
+        def counted(*args, _chart=chart, **kwargs):
+            builds.append(1)
+            return _chart(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, name, counted)
+    e = _gaussian_field(np.array([0.1, 0.2]), 0.3)
+    phi = TensorBump([BumpFactor(-1.0, 1.0), BumpFactor(-1.0, 1.0)], BumpFactor(0.05, 0.8))
+    fronts = [
+        MovingPlaneFront(np.array([1.0, 0.0]), (0.0, 0.3)),
+        MovingSphereFront(np.zeros(2), lambda t: 1.0 - 0.2 * t, lambda t: -0.2),
+    ]
+    for front in fronts:
+        counts = []
+        for level in (0, 1, 2):
+            builds.clear()
+            check_integration_by_parts(e, phi, front, t_end=1.0, level=level)
+            counts.append(len(builds))
+        # One moving chart for the space-time grid and one chart at t = 0.
+        assert counts == [2, 2, 2]

@@ -55,9 +55,9 @@ def _ref_front_rows(traj, times):
     rows, boot = [], []
     for t in times:
         t = min(max(float(t), 0.0), traj.t_stop)
-        if traj._boot is not None and t <= traj._boot[0]:
-            t_eps, phi0, s, alpha = traj._boot
-            phi, e, ud = phi0 + s * t, alpha * t, s
+        if traj._boot is not None and t <= traj._boot[1]:
+            t0, t_eps, phi0, s, alpha = traj._boot
+            phi, e, ud = phi0 + s * (t - t0), alpha * (t - t0), s
             boot.append(True)
         else:
             y = traj._dense(t)
@@ -113,7 +113,7 @@ def test_front_evaluators_match_per_time_loop(traj, fracs):
     times = np.array(fracs) * traj.t_stop
     if traj._boot is not None:
         # Both sides of the bootstrap end, and the end itself.
-        t_eps = traj._boot[0]
+        t_eps = traj._boot[1]
         times = np.concatenate([times, [0.0, 0.5 * t_eps, t_eps, 2.0 * t_eps]])
     ref, boot = _ref_front_rows(traj, times)
     got = np.array(

@@ -146,6 +146,20 @@ def test_massless_front_matches_riemann_speed(rho_l, rho_r, u_r, gap):
         assert traj.e_at(t) == pytest.approx(float(path.e(t)), rel=1e-9, abs=1e-9)
 
 
+def test_massless_front_started_late_bootstraps_from_its_start_time():
+    # The bootstrap closed form runs from the start time t0 = 0.5, not from 0.
+    init = SphericalFrontState(0.5, 1.0, 0.0, 0.0)
+    traj = integrate_front(
+        constant_field(2.0, 1.0), constant_field(1.0, -1.0), init, n=2, t_end=1.0
+    )
+    assert traj.phi_at(0.5) == 1.0
+    assert traj.e_at(0.5) == 0.0
+    t_eps = traj._boot[1]
+    assert abs(traj.phi_at(np.nextafter(t_eps, 1.0)) - traj.phi_at(t_eps)) <= 1e-8
+    with pytest.raises(InvalidParameterError):
+        traj.phi_at(0.2)
+
+
 def test_steady_converging_front_n3():
     n = 3
     outer = steady_converging_field(n)
