@@ -424,6 +424,7 @@ def integrate_front(
         return min(u_d - u_o, u_i - u_d)
 
     geom = float(n - 1)
+    big = np.finfo(float).max
 
     def rhs(t, y):
         phi, e, q = y
@@ -433,7 +434,18 @@ def integrate_front(
         jru = rho_o * u_o - rho_i * u_i
         jruu = rho_o * u_o ** 2 - rho_i * u_i ** 2
         curv = geom / phi * u_d
-        return [u_d, -curv * e - jru + jr * u_d, -curv * q - jruu + jru * u_d]
+        f = [u_d, -curv * e - jru + jr * u_d, -curv * q - jruu + jru * u_d]
+        # The step control measures each derivative in units of
+        # atol + rtol |y|; one that is not finite in those units leaves no
+        # step size to choose, so stop here rather than inside the solver.
+        for name, fk, yk in zip(("dphi/dt", "de/dt", "dq/dt"), f, y):
+            if not abs(fk) <= big * (atol + rtol * abs(yk)):
+                raise StiffnessError(
+                    f"front ODE right-hand side out of range at t = {t:.6g}: "
+                    f"{name} = {fk:.6g} is not finite in units of the tolerance "
+                    f"(rtol {rtol:g}, atol {atol:g})"
+                )
+        return f
 
     boot = None
     t0 = float(init.t)

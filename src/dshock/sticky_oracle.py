@@ -15,7 +15,19 @@ its value is the cluster position, its weight the cluster mass, and its
 velocity is the block momentum over the block mass. Clusters never split,
 so the merge count is N minus the number of blocks. The pool-adjacent-
 violators algorithm pools equal adjacent values, so particles in exact
-contact at T count as merged.
+contact at T count as merged. Whether the rounded free-flight positions tie
+then decides the pooling, so a contact that is exact only in exact
+arithmetic can leave one cluster unmerged. Symmetric data
+(rho, u) = (1, 1 | 1, -1) with N = 4000 midpoint particles at t = 1/16 give
+3876 clusters where the exact count is 3875; one cluster is the documented
+tolerance at such contacts.
+
+``ParticleSystem.run_until`` does one regression per query time and keeps
+what it yields directly: the block boundaries, the cluster positions and
+masses, and the merge count. Cluster velocities and the dissipated energy
+are built from the stored blocks on first access after a solve, and
+``delta_cluster_estimate`` reads only the heaviest cluster's velocity at
+each snapshot.
 
 Radial variant: in n >= 2 dimensions with radial data, spherical shells
 carry mass rho(r) |S^{n-1}| r^{n-1} dr and undergo the same 1-D dynamics
@@ -57,7 +69,13 @@ def unit_sphere_area(n: int) -> float:
 
 
 class ParticleSystem:
-    """Ordered point masses on a line with merge-on-contact dynamics."""
+    """Ordered point masses on a line with merge-on-contact dynamics.
+
+    ``run_until(T)`` sets ``positions``, ``masses``, ``merges``, ``time``
+    and ``truncated`` at once. ``velocities`` (block momentum over block
+    mass) and ``ke_dissipated`` are computed on first access after each
+    solve and cached until the next one.
+    """
 
     def __init__(self, positions, velocities, masses, r_min=None):
         x = np.array(positions, dtype=float)
@@ -70,10 +88,12 @@ class ParticleSystem:
         if np.any(np.diff(x) <= 0.0):
             raise InvalidParameterError("initial positions must be strictly increasing")
         self._x0, self._v0, self._m0 = x, v, m
+        self._p0 = m * v
+        self._blocks = None
         self._x, self._v, self._m = x, v, m
+        self._ke = 0.0
         self.time = 0.0
         self.merges = 0
-        self.ke_dissipated = 0.0
         self.r_min = r_min
         self.truncated = False
 
@@ -83,11 +103,22 @@ class ParticleSystem:
 
     @property
     def velocities(self) -> np.ndarray:
-        return self._v
+        return self._cluster_velocities()
 
     @property
     def masses(self) -> np.ndarray:
         return self._m
+
+    @property
+    def ke_dissipated(self) -> float:
+        """Kinetic energy destroyed by the merges up to the current time."""
+        if self._ke is None:
+            # Each merge destroys the kinetic energy of motion relative to the
+            # cluster's centre of mass, so the total loss is that relative energy.
+            sizes = np.diff(self._blocks)
+            rel_v = self._v0 - np.repeat(self._cluster_velocities(), sizes)
+            self._ke = float(0.5 * np.sum(self._m0 * rel_v**2))
+        return self._ke
 
     @property
     def count(self) -> int:
@@ -97,33 +128,47 @@ class ParticleSystem:
         return float(np.sum(self._m))
 
     def total_momentum(self) -> float:
-        return float(np.sum(self._m * self._v))
+        return float(np.sum(self._m * self._cluster_velocities()))
 
     def kinetic_energy(self) -> float:
-        return float(np.sum(0.5 * self._m * self._v**2))
+        return float(np.sum(0.5 * self._m * self._cluster_velocities() ** 2))
 
     def run_until(self, T: float) -> "ParticleSystem":
-        """Set the clusters to their state at time T, computed from the initial data."""
+        """Set the clusters to their state at time T, computed from the initial data.
+
+        One weighted isotonic regression gives the blocks, the cluster
+        positions and masses, and the merge count. Velocities and the
+        dissipated energy are built from the blocks on first access.
+        """
         from scipy.optimize import isotonic_regression
 
         T = float(T)
+        if not math.isfinite(T):
+            raise InvalidParameterError(f"query time must be finite, got {T}")
         if T < self.time - _TIE:
             raise InvalidParameterError("cannot run backwards in time")
-        x0, v0, m0 = self._x0, self._v0, self._m0
-        fit = isotonic_regression(x0 + T * v0, weights=m0)
-        starts = fit.blocks[:-1]
-        self._x = fit.x[starts]
+        fit = isotonic_regression(self._x0 + T * self._v0, weights=self._m0)
+        self._blocks = fit.blocks
+        self._x = fit.x[fit.blocks[:-1]]
         self._m = fit.weights
-        self._v = np.add.reduceat(m0 * v0, starts) / self._m
-        # Each merge destroys the kinetic energy of motion relative to the
-        # cluster's centre of mass, so the total loss is that relative energy.
-        rel_v = v0 - np.repeat(self._v, np.diff(fit.blocks))
-        self.ke_dissipated = float(0.5 * np.sum(m0 * rel_v**2))
-        self.merges = x0.size - self._x.size
+        self._v = self._ke = None
+        self.merges = self._x0.size - self._x.size
         self.time = T
         if self.r_min is not None and self._x[0] < self.r_min:
             self.truncated = True
         return self
+
+    def _cluster_velocities(self) -> np.ndarray:
+        if self._v is None:
+            self._v = np.add.reduceat(self._p0, self._blocks[:-1]) / self._m
+        return self._v
+
+    def _cluster_velocity(self, k: int) -> float:
+        """Velocity of cluster k alone, bit-equal to ``velocities[k]``."""
+        if self._v is not None:
+            return self._v[k]
+        lo, hi = self._blocks[k], self._blocks[k + 1]
+        return np.add.reduceat(self._p0[lo:hi], [0])[0] / self._m[k]
 
 
 @dataclass(frozen=True)
@@ -190,11 +235,21 @@ def delta_cluster_estimate(ps: ParticleSystem, T: float, times=None) -> ClusterR
     mass, otherwise no concentration took place (for instance when the
     data are a rarefaction and nothing ever collides).
     """
+    T = float(T)
+    if not math.isfinite(T):
+        raise InvalidParameterError(f"final time must be finite, got {T}")
     if times is None:
         times = np.linspace(0.0, T, 17)[1:]
     times = np.asarray(times, dtype=float)
-    if times.size == 0 or np.any(np.diff(times) <= 0.0) or times[-1] > T + _TIE:
-        raise InvalidParameterError("query times must be increasing and end at or before T")
+    if (
+        times.size == 0
+        or not np.all(np.isfinite(times))
+        or np.any(np.diff(times) <= 0.0)
+        or times[-1] > T + _TIE
+    ):
+        raise InvalidParameterError(
+            "query times must be finite, increasing and end at or before T"
+        )
     pos_h, mass_h, vel_h = [], [], []
     for t in times:
         ps.run_until(t)
@@ -202,8 +257,9 @@ def delta_cluster_estimate(ps: ParticleSystem, T: float, times=None) -> ClusterR
         k = int(np.argmax(masses))
         pos_h.append(ps.positions[k])
         mass_h.append(masses[k])
-        vel_h.append(ps.velocities[k])
-    ps.run_until(T)
+        vel_h.append(ps._cluster_velocity(k))
+    if ps.time != T:
+        ps.run_until(T)
     masses = ps.masses
     k = int(np.argmax(masses))
     if masses[k] < 10.0 * np.median(masses):

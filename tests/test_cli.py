@@ -7,6 +7,7 @@ tests/golden/ pin the byte-exact output of a reference scenario.
 
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -107,14 +108,16 @@ def test_rarefaction_data_exits_4_with_named_condition(tmp_path):
 
 
 def test_numerical_failure_in_a_runner_leaves_a_report(tmp_path, capsys):
-    # An outer density of 1e308 stalls the front ODE (StiffnessError): the
-    # run exits 3 and still writes its report and manifest.
+    # An outer density of 1e308 overflows the front ODE (StiffnessError):
+    # the run exits 3 and still writes its report and manifest.
     obj = json.loads((SCENARIOS / "spherical_converging_n3.json").read_text())
     obj["outer"] = {"kind": "constant", "rho": 1e308, "u": -1}
     cfg = tmp_path / "dense.json"
     cfg.write_text(json.dumps(obj))
     out = tmp_path / "out"
-    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
     err = capsys.readouterr().err
     report = json.loads((out / "report.json").read_text())
     assert report["passed"] is False
@@ -122,6 +125,12 @@ def test_numerical_failure_in_a_runner_leaves_a_report(tmp_path, capsys):
     assert report["exit_code"] == 3
     assert report["error_class"] == "StiffnessError"
     assert err == f"numerical failure: {report['error']}\n"
+    # The right-hand side names the overflowing term before scipy's step
+    # control overflows and warns.
+    assert report["error"].startswith("front ODE right-hand side out of range at t = 0:")
+    assert "de/dt = 5e+307" in report["error"]
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert set(json.loads((out / "manifest.json").read_text())["files"]) == {"report.json"}
 
 
@@ -196,6 +205,34 @@ def test_oracle_subcommand(tmp_path):
     assert names == ["t", "position_hat", "u_delta_hat", "mass_hat"]
     assert abs(data[-1, 2] - 1.0 / 3.0) < 5e-3
     assert abs(data[-1, 3] - 4.0) < 0.1
+
+
+@pytest.mark.parametrize("T", ["nan", "inf"])
+def test_oracle_subcommand_rejects_non_finite_T(tmp_path, capsys, T):
+    # A non-finite final time is a configuration error, caught before any
+    # particle moves: exit 2, no output and no numpy warnings.
+    out = tmp_path / "o.csv"
+    args = ["oracle", "--preset", "riemann", "--N", "1000", "--T", T, "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("T", ["Infinity", "NaN", "1e400"])
+def test_run_oracle_rejects_non_finite_T(tmp_path, capsys, T):
+    cfg = tmp_path / "oracle.json"
+    cfg.write_text(f'{{"kind": "oracle", "preset": "riemann", "N": 1000, "T": {T}}}')
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert report["error_class"] == "InvalidParameterError"
+    assert report["exit_code"] == 2
+    assert report["failed"] == ["run"]
 
 
 def test_oracle_undersampled_exits_3(tmp_path):

@@ -1,5 +1,6 @@
 """Tests for the sticky-particle oracle."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dshock import (
+    ClusterReport,
     InvalidParameterError,
     NotConvergedError,
     ParticleSystem,
@@ -247,3 +249,189 @@ def test_radial_shells_validation():
         radial_shells(None, outer, n=3, N=200, annulus=(2.0, 1.0))
     with pytest.raises(InvalidParameterError):
         radial_shells(None, None, n=3, N=200, annulus=(1.0, 2.0))
+
+
+# -- reference for the deferred fields ---------------------------------------
+
+
+class _RefSystem:
+    """The eager oracle state: every field is built at every query time."""
+
+    def __init__(self, ps):
+        self.x0, self.v0, self.m0 = ps.positions, ps.velocities, ps.masses
+        self.positions, self.velocities, self.masses = self.x0, self.v0, self.m0
+        self.r_min = ps.r_min
+        self.time = 0.0
+        self.merges = 0
+        self.ke_dissipated = 0.0
+        self.truncated = False
+
+
+def _ref_run_until(ref, T):
+    from scipy.optimize import isotonic_regression
+
+    T = float(T)
+    x0, v0, m0 = ref.x0, ref.v0, ref.m0
+    fit = isotonic_regression(x0 + T * v0, weights=m0)
+    starts = fit.blocks[:-1]
+    ref.positions = fit.x[starts]
+    ref.masses = fit.weights
+    ref.velocities = np.add.reduceat(m0 * v0, starts) / ref.masses
+    rel_v = v0 - np.repeat(ref.velocities, np.diff(fit.blocks))
+    ref.ke_dissipated = float(0.5 * np.sum(m0 * rel_v**2))
+    ref.merges = x0.size - ref.positions.size
+    ref.time = T
+    if ref.r_min is not None and ref.positions[0] < ref.r_min:
+        ref.truncated = True
+    return ref
+
+
+def _ref_delta_cluster_estimate(ref, T, times=None):
+    if times is None:
+        times = np.linspace(0.0, T, 17)[1:]
+    times = np.asarray(times, dtype=float)
+    pos_h, mass_h, vel_h = [], [], []
+    for t in times:
+        _ref_run_until(ref, t)
+        k = int(np.argmax(ref.masses))
+        pos_h.append(ref.positions[k])
+        mass_h.append(ref.masses[k])
+        vel_h.append(ref.velocities[k])
+    _ref_run_until(ref, T)
+    k = int(np.argmax(ref.masses))
+    return ClusterReport(
+        time=ref.time,
+        positions=ref.positions,
+        masses=ref.masses,
+        velocities=ref.velocities,
+        times=times,
+        position_history=np.array(pos_h),
+        mass_history=np.array(mass_h),
+        velocity_history=np.array(vel_h),
+        u_delta_hat=float(ref.velocities[k]),
+        mass_hat=float(ref.masses[k]),
+        position_hat=float(ref.positions[k]),
+    )
+
+
+def _assert_state_equal(ps, ref):
+    for name in ("positions", "masses", "velocities"):
+        assert np.array_equal(getattr(ps, name), getattr(ref, name)), name
+    for name in ("time", "merges", "ke_dissipated", "truncated"):
+        assert getattr(ps, name) == getattr(ref, name), name
+
+
+def _oracle_cases():
+    riemann = RiemannData1D(4.0, 1.0, 1.0, -1.0)
+    atom = RiemannData1D(4.0, 1.0, 1.0, -1.0, e0=0.5, u_delta0=0.2)
+    outer = steady_converging_field(3, (1.0, 3.5))
+
+    def shells():
+        return radial_shells(
+            None, outer, n=3, N=2000, annulus=(1.0, 3.5),
+            front_seed=(1.0, 0.01, -0.5), r_min=0.9,
+        )
+
+    return {
+        "riemann_midpoint": (lambda: sample_riemann(riemann, L=2.0, N=20000), 1.0, None),
+        "riemann_random": (
+            lambda: sample_riemann(riemann, L=2.0, N=20000, mode="random", seed=5), 1.0, None
+        ),
+        "initial_atom": (lambda: sample_riemann(atom, L=2.0, N=20000), 1.0, None),
+        "shells_truncated": (shells, 1.0, None),
+        "times_before_T": (
+            lambda: sample_riemann(riemann, L=2.0, N=20000), 1.0, [0.1, 0.25, 0.6, 0.9]
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_oracle_cases()))
+def test_cluster_estimate_equals_eager_reference_bitwise(case):
+    build, T, times = _oracle_cases()[case]
+    ps = build()
+    ref = _RefSystem(ps)
+    rep = delta_cluster_estimate(ps, T, times=times)
+    want = _ref_delta_cluster_estimate(ref, T, times=times)
+    for f in dataclasses.fields(ClusterReport):
+        got, exp = getattr(rep, f.name), getattr(want, f.name)
+        if isinstance(exp, np.ndarray):
+            assert np.array_equal(got, exp), f.name
+        else:
+            assert got == exp, f.name
+    _assert_state_equal(ps, ref)
+    if case == "shells_truncated":
+        assert ps.truncated
+    # After later solves, read ke_dissipated before velocities, so that it
+    # builds the velocities itself.
+    for t in (T + 0.5, T + 1.0):
+        ps.run_until(t)
+        _ref_run_until(ref, t)
+        assert ps.ke_dissipated == ref.ke_dissipated
+        _assert_state_equal(ps, ref)
+
+
+@pytest.mark.parametrize("times", [None, [0.2, 0.5, 1.0], [0.2, 0.5, 0.8]])
+def test_cluster_estimate_solves_once_per_query_time(monkeypatch, times):
+    import scipy.optimize
+
+    calls = []
+    solve = scipy.optimize.isotonic_regression
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "isotonic_regression", counted)
+    ps = sample_riemann(RiemannData1D(4.0, 1.0, 1.0, -1.0), L=2.0, N=1000)
+    rep = delta_cluster_estimate(ps, 1.0, times=times)
+    expected = len(rep.times) + (0 if rep.times[-1] == 1.0 else 1)
+    assert len(calls) == expected
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_times_are_rejected(bad):
+    d = RiemannData1D(4.0, 1.0, 1.0, -1.0)
+    ps = sample_riemann(d, L=2.0, N=500)
+    with pytest.raises(InvalidParameterError, match="finite"):
+        ps.run_until(bad)
+    with pytest.raises(InvalidParameterError, match="finite"):
+        delta_cluster_estimate(ps, bad)
+    with pytest.raises(InvalidParameterError, match="finite"):
+        delta_cluster_estimate(ps, 1.0, times=[0.5, bad])
+    assert ps.time == 0.0
+
+
+# -- convergence to the front ------------------------------------------------
+
+# Random sampling of the 4:1 data on [-2, 2]: by the Dvoretzky-Kiefer-Wolfowitz
+# inequality each side's empirical CDF is off by at most
+# eps = sqrt(ln(2 / delta) / (2 n)), n = N / 2 particles per side, except with
+# probability delta, whatever the seed. The cluster at t = 1 holds the left
+# mass rho_l (u_l - s) = 8/3 and the right mass rho_r (s - u_r) = 4/3, so the
+# swept masses are off by at most rho_l L eps = 8 eps and rho_r L eps = 2 eps.
+# Linearising u = (m_l u_l + m_r u_r) / (m_l + m_r) around M = 4 gives
+# |du| <= (2/3)/4 * 8 eps + (4/3)/4 * 2 eps = 2 eps and |dM| <= 10 eps; a
+# further factor 1.5 covers the linearisation.
+_DKW_DELTA = 1e-9
+
+
+@settings(max_examples=24, deadline=None)
+@given(st.sampled_from([2000, 8000, 32000]), st.integers(0, 2**32 - 1))
+def test_random_oracle_converges_at_dkw_rate(N, seed):
+    eps = np.sqrt(np.log(2.0 / _DKW_DELTA) / (2.0 * (N // 2)))
+    d = RiemannData1D(4.0, 1.0, 1.0, -1.0)
+    rep = delta_cluster_estimate(sample_riemann(d, L=2.0, N=N, mode="random", seed=seed), 1.0)
+    assert abs(rep.u_delta_hat - 1.0 / 3.0) <= 3.0 * eps
+    assert abs(rep.mass_hat - 4.0) <= 15.0 * eps
+
+
+def test_exact_contact_is_within_one_cluster():
+    # Symmetric data: the particles at +-(j + 1/2) dx, dx = 1e-3, meet at
+    # t = (j + 1/2) dx, so by t = 1/16 the pairs j = 0..62 have merged and the
+    # pair j = 62 touches the cluster exactly at t. Exact arithmetic pools
+    # all 126 into one cluster: 4000 - 126 + 1 = 3875. The rounded free-flight
+    # positions leave one of them apart (3876 clusters), which is the
+    # documented tolerance.
+    d = RiemannData1D(1.0, 1.0, 1.0, -1.0)
+    ps = sample_riemann(d, L=2.0, N=4000).run_until(1.0 / 16.0)
+    assert abs(ps.count - 3875) <= 1
