@@ -172,7 +172,13 @@ def _eval(node, env: dict):
     if tag == "div":
         return a / b
     if tag == "pow":
-        return float(a**b)
+        try:
+            value = a**b
+        except OverflowError:
+            raise ArithmeticError(f"{a!r}^{b!r} overflows") from None
+        if isinstance(value, complex):
+            raise ArithmeticError(f"{a!r}^{b!r} is not a real number")
+        return value
     raise InvalidParameterError(f"unknown expression node {tag!r}")
 
 
@@ -186,8 +192,17 @@ class Expression:
         _names(self._ast, names)
         self.variables = frozenset(names)
 
+    def _value(self, env: dict) -> float:
+        """The expression's value in ``env``; arithmetic faults name the expression."""
+        try:
+            return float(_eval(self._ast, env))
+        except ArithmeticError as exc:
+            raise InvalidParameterError(
+                f"expression {self.source!r} cannot be evaluated: {exc}"
+            ) from exc
+
     def __call__(self, **env) -> float:
-        return float(_eval(self._ast, env))
+        return self._value(env)
 
     def eval_point(self, x: np.ndarray, t: float) -> float:
         """Evaluate in a spatial context: x vector, components x1.., r, t."""
@@ -197,7 +212,7 @@ class Expression:
             env[f"x{k + 1}"] = float(x[k])
         if x.size == 1:
             env["x"] = float(x[0])
-        return float(_eval(self._ast, env))
+        return self._value(env)
 
     def eval_radial(self, r, t) -> np.ndarray:
         """Evaluate on radius arrays in a radial context (names r and t)."""
@@ -206,7 +221,7 @@ class Expression:
         flat = r.reshape(-1)
         res = out.reshape(-1)
         for i, ri in enumerate(flat):
-            res[i] = _eval(self._ast, {"r": float(ri), "t": float(t)})
+            res[i] = self._value({"r": float(ri), "t": float(t)})
         return out if out.shape else float(res[0])
 
     def __repr__(self) -> str:

@@ -9,6 +9,10 @@ Orientation conventions used everywhere in this package:
   normal is U_delta = G nu.
 
 A positive G moves the front toward Omega^+.
+
+Each front with a chart builds it once, in ``moving_chart(level)``, and
+moves it with the front; ``patch_quadrature(t, level)`` is that chart at
+one time. Offsets and radii follow one time law (see ``_time_law``).
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from ..errors import (
     StencilError,
 )
 from ..expressions import Expression, parse_expression
+from .quadrature import _tangent_basis
 
 __all__ = [
     "LevelSetFront",
@@ -37,6 +42,23 @@ __all__ = [
 _FD_STEP = 1e-6
 
 _NO_CHART = "this front has no chart-based quadrature; use a plane or sphere front"
+
+
+def _time_law(law, rate=None):
+    """(f, f') for a time law: a number, an (f0, speed) pair, or a callable of t.
+
+    A callable without ``rate`` gets the central difference of step 1e-6
+    as its rate.
+    """
+    if callable(law):
+        if rate is None:
+
+            def rate(t, h=_FD_STEP):
+                return (law(t + h) - law(t - h)) / (2.0 * h)
+
+        return law, rate
+    f0, speed = (float(law), 0.0) if np.ndim(law) == 0 else (float(law[0]), float(law[1]))
+    return (lambda t: f0 + speed * t), (lambda t: speed)
 
 
 def _row_times(t, rows: np.ndarray):
@@ -168,17 +190,22 @@ class LevelSetFront:
 
     # Optional chart support -------------------------------------------------
 
-    def patch_quadrature(self, t: float, level: int = 2):
-        raise InvalidParameterError(_NO_CHART)
-
     def moving_chart(self, level: int = 2):
-        """(m, at): the chart's node count m and its nodes at arrays of times.
+        """(m, at): the chart's node count m and its nodes at any time.
 
-        ``at(times)`` gives (k, m, dim) nodes and (k, m) weights at k times.
-        The chart is built once; row i of ``at(times)`` is the chart of
-        ``patch_quadrature(times[i], level)``, moved with the front.
+        The chart is built once and moved with the front. ``at(t)`` gives
+        (m, dim) nodes and (m,) weights at a scalar time, and (k, m, dim)
+        nodes and (k, m) weights at an array of k times.
         """
         raise InvalidParameterError(_NO_CHART)
+
+    def patch_quadrature(self, t: float, level: int = 2):
+        """The moving chart at one time, as a surface patch quadrature."""
+        from .quadrature import SurfacePatchQuadrature
+
+        t = float(t)
+        _, at = self.moving_chart(level)
+        return SurfacePatchQuadrature(*at(t), t)
 
 
 class MovingPlaneFront(LevelSetFront):
@@ -206,17 +233,7 @@ class MovingPlaneFront(LevelSetFront):
             raise InvalidParameterError("plane normal must be nonzero")
         self.normal_vector = normal / nrm
 
-        if callable(offset):
-            self._offset = offset
-            self._offset_rate = offset_rate
-        else:
-            if np.ndim(offset) == 0:
-                off0, speed = float(offset), 0.0
-            else:
-                off0, speed = (float(offset[0]), float(offset[1]))
-            self._offset = lambda t: off0 + speed * t
-            self._offset_rate = lambda t: speed
-
+        self._offset, self._offset_rate = _time_law(offset, offset_rate)
         super().__init__(s=None, dim=dim, char_length=char_length)
         self.grad_mode = "analytic"
         self.window_center = (
@@ -224,8 +241,7 @@ class MovingPlaneFront(LevelSetFront):
         )
         self.window_half_width = float(window_half_width)
         # Orthonormal tangential basis, columns of shape (dim, dim-1).
-        basis = np.linalg.svd(self.normal_vector[None, :])[2][1:]
-        self.tangent_basis = basis.T
+        self.tangent_basis = _tangent_basis(self.normal_vector)
 
     def _value_rows(self, x: np.ndarray, t) -> np.ndarray:
         return np.vecdot(x, self.normal_vector) - self._offset(t)
@@ -241,28 +257,13 @@ class MovingPlaneFront(LevelSetFront):
         return _of_time(self._offset, t)
 
     def offset_rate(self, t):
-        if self._offset_rate is not None:
-            return _of_time(self._offset_rate, t)
-        h = 1e-6
-        return _of_time(lambda tau: (self._offset(tau + h) - self._offset(tau - h)) / (2.0 * h), t)
+        return _of_time(self._offset_rate, t)
 
     def point_on(self, t) -> np.ndarray:
         """Front point nearest the window center: (dim,), or (k, dim) at k times."""
         c = self.window_center
         shift = np.asarray(self.offset(t)) - float(self.normal_vector @ c)
         return c + shift[..., None] * self.normal_vector
-
-    def patch_quadrature(self, t: float, level: int = 2):
-        from .quadrature import plane_chart
-
-        return plane_chart(
-            point=self.point_on(t),
-            normal=self.normal_vector,
-            half_widths=np.full(self.dim - 1, self.window_half_width),
-            t=t,
-            level=level,
-            tangent_basis=self.tangent_basis,
-        )
 
     def moving_chart(self, level: int = 2):
         """One tangential grid, translated to ``point_on`` at each time."""
@@ -276,16 +277,19 @@ class MovingPlaneFront(LevelSetFront):
             tangent_basis=self.tangent_basis,
         )
 
-        def at(times):
-            times = np.asarray(times, dtype=float)
-            nodes = self.point_on(times)[:, None, :] + grid.nodes
-            return nodes, np.broadcast_to(grid.weights, nodes.shape[:2])
+        def at(t):
+            nodes = np.expand_dims(self.point_on(t), -2) + grid.nodes
+            return nodes, np.broadcast_to(grid.weights, nodes.shape[:-1])
 
         return grid.weights.size, at
 
 
 class MovingSphereFront(LevelSetFront):
     """Sphere |x - center| = R(t).
+
+    ``radius`` may be a float (static), an (R0, speed) pair, or a callable
+    of t (then ``radius_rate`` supplies its derivative, or a central
+    difference is used).
 
     orientation "outward": S = |x - c| - R(t), nu points away from the
     center, G = Rdot(t). orientation "inward": S = R(t) - |x - c|, nu points
@@ -306,13 +310,7 @@ class MovingSphereFront(LevelSetFront):
             raise InvalidParameterError("orientation must be 'outward' or 'inward'")
         self.center = center
         self.orientation = orientation
-        if callable(radius):
-            self._radius = radius
-            self._radius_rate = radius_rate
-        else:
-            r0 = float(radius)
-            self._radius = lambda t: r0
-            self._radius_rate = lambda t: 0.0
+        self._radius, self._radius_rate = _time_law(radius, radius_rate)
         self._sign = 1.0 if orientation == "outward" else -1.0
         super().__init__(s=None, dim=dim, char_length=max(self.radius(0.0), 1e-6))
         self.grad_mode = "analytic"
@@ -342,15 +340,7 @@ class MovingSphereFront(LevelSetFront):
         return r
 
     def radius_rate(self, t):
-        if self._radius_rate is not None:
-            return _of_time(self._radius_rate, t)
-        h = 1e-6
-        return _of_time(lambda tau: (self._radius(tau + h) - self._radius(tau - h)) / (2.0 * h), t)
-
-    def patch_quadrature(self, t: float, level: int = 2):
-        from .quadrature import sphere_chart
-
-        return sphere_chart(self.center, self.radius(t), t=t, level=level)
+        return _of_time(self._radius_rate, t)
 
     def moving_chart(self, level: int = 2):
         """The unit-sphere chart, scaled by R(t) about the center at each time."""
@@ -358,9 +348,10 @@ class MovingSphereFront(LevelSetFront):
 
         unit = sphere_chart(np.zeros(self.dim), 1.0, level=level)
 
-        def at(times):
-            r = self.radius(np.asarray(times, dtype=float))[:, None]
-            return self.center + r[..., None] * unit.nodes, unit.weights * r ** (self.dim - 1)
+        def at(t):
+            r = self.radius(t)
+            weights = unit.weights * np.expand_dims(r ** (self.dim - 1), -1)
+            return self.center + np.expand_dims(r, (-1, -2)) * unit.nodes, weights
 
         return unit.weights.size, at
 

@@ -15,7 +15,7 @@ closed-form sphere areas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -40,8 +40,6 @@ class SurfacePatchQuadrature:
     nodes: np.ndarray  # (m, dim)
     weights: np.ndarray  # (m,)
     t: float
-    chart: str
-    meta: dict = field(default_factory=dict)
 
     def measure(self) -> float:
         return float(np.sum(self.weights))
@@ -80,7 +78,7 @@ def circle_chart(center, radius: float, t: float = 0.0, level: int = 2) -> Surfa
     theta = 2.0 * np.pi * np.arange(m) / m
     nodes = center[None, :] + radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
     weights = np.full(m, 2.0 * np.pi * radius / m)
-    return SurfacePatchQuadrature(nodes, weights, float(t), "circle", {"radius": radius})
+    return SurfacePatchQuadrature(nodes, weights, float(t))
 
 
 def sphere_chart(center, radius: float, t: float = 0.0, level: int = 2) -> SurfacePatchQuadrature:
@@ -94,7 +92,7 @@ def sphere_chart(center, radius: float, t: float = 0.0, level: int = 2) -> Surfa
         raise InvalidParameterError("radius must be positive")
     if center.size == 1:
         nodes = np.array([[center[0] - radius], [center[0] + radius]])
-        return SurfacePatchQuadrature(nodes, np.ones(2), float(t), "pair", {"radius": radius})
+        return SurfacePatchQuadrature(nodes, np.ones(2), float(t))
     if center.size == 2:
         return circle_chart(center, radius, t, level)
     if center.size != 3:
@@ -109,7 +107,7 @@ def sphere_chart(center, radius: float, t: float = 0.0, level: int = 2) -> Surfa
     zs = np.repeat(z, n_az)
     nodes = center[None, :] + radius * np.stack([xs, ys, zs], axis=1)
     weights = np.repeat(wz, n_az) * (2.0 * np.pi / n_az) * radius**2
-    return SurfacePatchQuadrature(nodes, weights, float(t), "sphere", {"radius": radius})
+    return SurfacePatchQuadrature(nodes, weights, float(t))
 
 
 def _tangent_basis(normal: np.ndarray) -> np.ndarray:
@@ -135,7 +133,7 @@ def plane_chart(
     if half_widths.size != dim - 1:
         raise InvalidParameterError("need one half width per tangential direction")
     if dim == 1:
-        return SurfacePatchQuadrature(point[None, :], np.ones(1), float(t), "plane", {})
+        return SurfacePatchQuadrature(point[None, :], np.ones(1), float(t))
     basis = _tangent_basis(normal) if tangent_basis is None else tangent_basis
     panels = 4 * (2**level)
     grids = [gauss_panels(-hw, hw, panels, nodes) for hw in half_widths]
@@ -144,7 +142,7 @@ def plane_chart(
     coords = np.stack([m.ravel() for m in mesh], axis=1)  # (m, dim-1)
     weights = np.prod(np.stack([w.ravel() for w in wmesh], axis=1), axis=1)
     nodes_xyz = point[None, :] + coords @ basis.T
-    return SurfacePatchQuadrature(nodes_xyz, weights, float(t), "plane", {"normal": normal})
+    return SurfacePatchQuadrature(nodes_xyz, weights, float(t))
 
 
 def surface_integral(f: Callable[[np.ndarray, float], np.ndarray], quad: SurfacePatchQuadrature) -> float:

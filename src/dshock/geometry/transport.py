@@ -15,11 +15,13 @@ residual:
   for test functions phi vanishing before t = T.
 
 The front-riding terms (de/dt, K, G, nu) are evaluated as arrays of nodes
-with the same stencils as the pointwise operators in ``calculus``. The
-transport checks take one call per operator per chart. The
-integration-by-parts check evaluates its whole space-time grid, every
-(time node, chart node) pair with its own time, in blocks of whole time
-rows: one call per operator per block, from one chart build.
+with the same stencils as the pointwise operators in ``calculus``. Each
+front check builds its chart once (``front.moving_chart``) and moves it to
+every time it needs. Surface transport evaluates that chart at t - dt, t
+and t + dt, with one call per operator at t. Integration by parts
+evaluates its whole space-time grid, every (time node, chart node) pair
+with its own time, in blocks of whole time rows (one call per operator per
+block), and takes its t = 0 term from the same chart.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import InvalidDimensionError, InvalidParameterError, SupportViolationError
+from ..errors import InvalidDimensionError, SupportViolationError
 from .calculus import delta_derivative_time, mean_curvature, normal, normal_speed
-from .fronts import LevelSetFront
+from .fronts import LevelSetFront, MovingSphereFront
 from .quadrature import gauss_panels, sphere_chart, surface_integral
 
 # Most (time node, chart node) pairs evaluated in one block of the
@@ -67,27 +69,19 @@ def _values(f: Callable, nodes: np.ndarray, t) -> np.ndarray:
 
 
 class MovingBall:
-    """Ball |x - c| <= R(t); boundary moves radially at Rdot(t)."""
+    """Ball |x - c| <= R(t): the interior of an outward ``MovingSphereFront``.
+
+    ``radius`` and ``radius_rate`` follow the sphere's time law; the boundary
+    moves radially at Rdot(t).
+    """
 
     def __init__(self, center, radius, radius_rate=None):
-        self.center = np.asarray(center, dtype=float)
-        if self.center.size not in (2, 3):
+        if np.size(center) not in (2, 3):
             raise InvalidDimensionError("MovingBall supports dim 2 and 3")
-        if callable(radius):
-            self._radius = radius
-            self._rate = radius_rate
-        else:
-            self._radius = lambda t: float(radius)
-            self._rate = lambda t: 0.0
-
-    def radius(self, t: float) -> float:
-        return float(self._radius(t))
-
-    def rate(self, t: float) -> float:
-        if self._rate is not None:
-            return float(self._rate(t))
-        h = 1e-6
-        return (self._radius(t + h) - self._radius(t - h)) / (2.0 * h)
+        self.boundary = MovingSphereFront(center, radius, radius_rate)
+        self.center = self.boundary.center
+        self.radius = self.boundary.radius
+        self.rate = self.boundary.radius_rate
 
     def volume_integral(self, f, t: float, level: int = 2) -> float:
         big_r = self.radius(t)
@@ -102,8 +96,7 @@ class MovingBall:
         return float(np.cumsum(shells)[-1])
 
     def boundary_integral(self, f, t: float, level: int = 2) -> float:
-        quad = sphere_chart(self.center, self.radius(t), t=t, level=level)
-        return surface_integral(f, quad)
+        return surface_integral(f, self.boundary.patch_quadrature(t, level))
 
 
 class Box:
@@ -111,9 +104,6 @@ class Box:
 
     def __init__(self, bounds):
         self.bounds = [(float(lo), float(hi)) for lo, hi in bounds]
-
-    def radius(self, t):  # uniform interface
-        return None
 
     def rate(self, t):
         return 0.0
@@ -144,16 +134,20 @@ def check_surface_transport(
     time (O(dt^2)); the right side integrates the front-riding derivative
     minus the curvature term at time t.
     """
-    m_plus = surface_integral(e, front.patch_quadrature(t + dt, level))
-    m_minus = surface_integral(e, front.patch_quadrature(t - dt, level))
-    lhs = (m_plus - m_minus) / (2.0 * dt)
+    _, chart = front.moving_chart(level)
 
-    quad = front.patch_quadrature(t, level)
-    de_dt = delta_derivative_time(e, front, quad.nodes, t)
-    kappa = mean_curvature(front, quad.nodes, t)
-    big_g = normal_speed(front, quad.nodes, t)
-    integrand = de_dt - 2.0 * kappa * big_g * _values(e, quad.nodes, t)
-    rhs = float(quad.weights @ integrand)
+    def integral(tau):
+        nodes, weights = chart(tau)
+        return float(np.dot(weights, _values(e, nodes, tau)))
+
+    lhs = (integral(float(t + dt)) - integral(float(t - dt))) / (2.0 * dt)
+
+    nodes, weights = chart(float(t))
+    de_dt = delta_derivative_time(e, front, nodes, t)
+    kappa = mean_curvature(front, nodes, t)
+    big_g = normal_speed(front, nodes, t)
+    integrand = de_dt - 2.0 * kappa * big_g * _values(e, nodes, t)
+    rhs = float(weights @ integrand)
     return TransportReport(lhs, rhs)
 
 
@@ -227,9 +221,9 @@ def check_integration_by_parts(
             integrand[live] = (de_dt - 2.0 * kappa * big_g[live] * e_vals[live]) * phi_vals[live]
             rhs_t[block] = np.vecdot(weights, integrand.reshape(weights.shape))
 
-    quad0 = front.patch_quadrature(0.0, level)
-    e0 = _values(e, quad0.nodes, 0.0)
-    gamma0_term = float(quad0.weights @ (e0 * phi.value(quad0.nodes, 0.0)))
+    nodes0, weights0 = chart(0.0)
+    e0 = _values(e, nodes0, 0.0)
+    gamma0_term = float(weights0 @ (e0 * phi.value(nodes0, 0.0)))
     # Running sums in time order, as a loop over the time nodes would add.
     lhs = float(np.cumsum(t_weights * lhs_t)[-1])
     rhs = -float(np.cumsum(t_weights * rhs_t)[-1]) - gamma0_term

@@ -16,7 +16,7 @@ functional changes sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -179,10 +179,8 @@ def time_reversed(sol: DeltaShockSolution1D, horizon: float | None = None) -> De
         )
     er = sol.e_rate
     qr = sol.momentum_rate
-    return DeltaShockSolution1D(
-        flux=sol.flux,
-        rho_l=sol.rho_l,
-        rho_r=sol.rho_r,
+    return replace(
+        sol,
         u_l=-ul,
         u_r=-ur,
         phi=lambda t: sol.phi(T - np.asarray(t, dtype=float)),
@@ -291,17 +289,8 @@ def with_front_speed_offset(sol: DeltaShockSolution1D, du: float) -> DeltaShockS
     The result is not a weak solution; it exists so that residual checks
     can demonstrate sensitivity to a wrong front trajectory.
     """
-    return DeltaShockSolution1D(
-        flux=sol.flux,
-        rho_l=sol.rho_l,
-        rho_r=sol.rho_r,
-        u_l=sol.u_l,
-        u_r=sol.u_r,
+    return replace(
+        sol,
         phi=lambda t: np.asarray(sol.phi(t)) + du * np.asarray(t, dtype=float),
         u_delta=lambda t: np.asarray(sol.u_delta(t)) + du,
-        e=sol.e,
-        t_end=sol.t_end,
-        support0=sol.support0,
-        e_rate=sol.e_rate,
-        momentum_rate=sol.momentum_rate,
     )

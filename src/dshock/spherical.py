@@ -70,11 +70,9 @@ class RadialField:
     vacuum (rho = 0, u = 0). The raw evaluators are only called inside.
     """
 
-    kind: str
     raw_rho: Callable
     raw_u: Callable
     support: Callable
-    n: int | None = None
 
     def _eval(self, fn, r, t):
         r = np.asarray(r, dtype=float)
@@ -121,7 +119,6 @@ def constant_field(rho0: float, u0: float, support0=None) -> RadialField:
             return lo0 + u0 * t, hi0 + u0 * t
 
     return RadialField(
-        kind="constant",
         raw_rho=lambda r, t: np.full(np.shape(r), float(rho0)),
         raw_u=lambda r, t: np.full(np.shape(r), float(u0)),
         support=support,
@@ -188,7 +185,7 @@ def free_flow_field(rho0: Callable, u0: Callable, n: int, support0=None) -> Radi
             hi = np.inf if hi0 is None else hi0 + t * u0(hi0)
             return lo, hi
 
-    return RadialField(kind="free-flow", raw_rho=raw_rho, raw_u=raw_u, support=support, n=n)
+    return RadialField(raw_rho=raw_rho, raw_u=raw_u, support=support)
 
 
 def expression_field(rho_src: str, u_src: str, support_src=None) -> RadialField:
@@ -207,7 +204,6 @@ def expression_field(rho_src: str, u_src: str, support_src=None) -> RadialField:
             return lo, hi
 
     return RadialField(
-        kind="expression",
         raw_rho=lambda r, t: rho_e.eval_radial(r, t),
         raw_u=lambda r, t: u_e.eval_radial(r, t),
         support=support,
@@ -231,11 +227,9 @@ def steady_converging_field(n: int, support0=None) -> RadialField:
         return lo0 - t, hi0 - t
 
     return RadialField(
-        kind="free-flow",
         raw_rho=lambda r, t: np.asarray(r, dtype=float) ** (1.0 - n),
         raw_u=lambda r, t: np.full(np.shape(r), -1.0),
         support=support,
-        n=n,
     )
 
 

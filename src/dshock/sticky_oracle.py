@@ -188,6 +188,18 @@ class ClusterReport:
     position_hat: float = field(default=0.0)
 
 
+def _insert_seed(x, v, m, seed):
+    """(x, v, m) with the seed particle (x0, v0, m0), if any, placed in order.
+
+    ``x`` is increasing. The seed goes after every particle at or left of
+    x0, where a stable sort of x followed by x0 puts it.
+    """
+    if seed is None:
+        return x, v, m
+    k = int(np.searchsorted(x, seed[0], side="right"))
+    return tuple(np.insert(a, k, s) for a, s in zip((x, v, m), seed))
+
+
 def sample_riemann(
     d, L: float, N: int, mode: str = "midpoint", seed: int | None = None
 ) -> ParticleSystem:
@@ -206,26 +218,23 @@ def sample_riemann(
         raise InvalidParameterError(f"unknown sampling mode {mode!r}")
     rng = np.random.default_rng(seed) if mode == "random" else None
     half = N // 2
-    xs, vs, ms = [], [], []
-    for lo, hi, rho, u in ((-L, 0.0, d.rho_l, d.u_l), (0.0, L, d.rho_r, d.u_r)):
-        if rho <= 0.0:
-            continue
+
+    def points(lo, hi):
         if rng is None:
-            pts = lo + (np.arange(half) + 0.5) * (hi - lo) / half
-        else:
-            pts = np.sort(rng.uniform(lo, hi, size=half))
-        xs.append(pts)
-        vs.append(np.full(half, u))
-        ms.append(np.full(half, rho * (hi - lo) / half))
-    if d.e0 > 0.0:
-        xs.append(np.array([d.x0]))
-        vs.append(np.array([float(d.u_delta0)]))
-        ms.append(np.array([d.e0]))
-    x = np.concatenate(xs)
-    order = np.argsort(x, kind="stable")
-    return ParticleSystem(
-        x[order], np.concatenate(vs)[order], np.concatenate(ms)[order]
-    )
+            return lo + (np.arange(half) + 0.5) * (hi - lo) / half
+        return np.sort(rng.uniform(lo, hi, size=half))
+
+    sides = [
+        (lo, hi, rho, u)
+        for lo, hi, rho, u in ((-L, 0.0, d.rho_l, d.u_l), (0.0, L, d.rho_r, d.u_r))
+        if rho > 0.0
+    ]
+    # Each side's block is in order and lies left of the next one.
+    x = np.concatenate([points(lo, hi) for lo, hi, _, _ in sides] or [np.empty(0)])
+    v = np.repeat([float(u) for *_, u in sides], half)
+    m = np.repeat([rho * (hi - lo) / half for lo, hi, rho, _ in sides], half)
+    atom = (d.x0, float(d.u_delta0), d.e0) if d.e0 > 0.0 else None
+    return ParticleSystem(*_insert_seed(x, v, m, atom))
 
 
 def delta_cluster_estimate(ps: ParticleSystem, T: float, times=None) -> ClusterReport:
@@ -323,16 +332,14 @@ def radial_shells(
         xs.append(rs)
         vs.append(fld.u(rs, 0.0))
         ms.append(rho * area * rs ** (n - 1) * dr)
+    shell = None
     if front_seed is not None:
         phi0, e0, ud0 = map(float, front_seed)
         if e0 > 0.0:
-            xs.append(np.array([phi0]))
-            vs.append(np.array([ud0]))
-            ms.append(np.array([e0 * area * phi0 ** (n - 1)]))
-    x = np.concatenate(xs) if xs else np.empty(0)
+            shell = (phi0, ud0, e0 * area * phi0 ** (n - 1))
+    # The inner block lies left of the outer one, each in order.
+    x, v, m = (np.concatenate(a) if a else np.empty(0) for a in (xs, vs, ms))
+    x, v, m = _insert_seed(x, v, m, shell)
     if x.size == 0:
         raise InvalidParameterError("no mass anywhere in the annulus")
-    order = np.argsort(x, kind="stable")
-    return ParticleSystem(
-        x[order], np.concatenate(vs)[order], np.concatenate(ms)[order], r_min=r_min
-    )
+    return ParticleSystem(x, v, m, r_min=r_min)

@@ -292,6 +292,26 @@ def test_run_rejects_non_finite_constant_field(tmp_path, capsys, key, value):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "rho, fault",
+    [("1/(r-r)", "division by zero"), ("2^2000", "overflows"), ("(-1)^0.5", "not a real number")],
+)
+def test_run_rejects_expression_that_cannot_be_evaluated(tmp_path, capsys, rho, fault):
+    # These raised ZeroDivisionError, OverflowError and TypeError: a traceback,
+    # exit 1 and an empty output directory.
+    obj = json.loads((SCENARIOS / "spherical_converging_n3.json").read_text())
+    obj["outer"] = {"kind": "expression", "rho": rho, "u": "-1"}
+    cfg = tmp_path / "expr.json"
+    cfg.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert repr(rho) in err and fault in err
+    report = json.loads((out / "report.json").read_text())
+    assert report["error_class"] == "InvalidParameterError"
+    assert report["exit_code"] == 2
+
+
 def test_spherical_subcommand_rejects_other_kinds(tmp_path):
     rc = main(
         [

@@ -522,7 +522,8 @@ def test_integration_by_parts_over_several_blocks_matches_scalar_reference():
     _close([rep.lhs, rep.rhs], [lhs, rhs], 1e-13)
 
 
-def test_integration_by_parts_builds_its_charts_once(monkeypatch):
+def _count_chart_builds(monkeypatch):
+    """A list that gains one entry per plane_chart or sphere_chart call."""
     from dshock.geometry import quadrature
 
     builds = []
@@ -534,17 +535,141 @@ def test_integration_by_parts_builds_its_charts_once(monkeypatch):
             return _chart(*args, **kwargs)
 
         monkeypatch.setattr(quadrature, name, counted)
-    e = _gaussian_field(np.array([0.1, 0.2]), 0.3)
-    phi = TensorBump([BumpFactor(-1.0, 1.0), BumpFactor(-1.0, 1.0)], BumpFactor(0.05, 0.8))
-    fronts = [
+    return builds
+
+
+def _counted_fronts():
+    return [
         MovingPlaneFront(np.array([1.0, 0.0]), (0.0, 0.3)),
         MovingSphereFront(np.zeros(2), lambda t: 1.0 - 0.2 * t, lambda t: -0.2),
     ]
-    for front in fronts:
+
+
+def test_integration_by_parts_builds_its_charts_once(monkeypatch):
+    builds = _count_chart_builds(monkeypatch)
+    e = _gaussian_field(np.array([0.1, 0.2]), 0.3)
+    phi = TensorBump([BumpFactor(-1.0, 1.0), BumpFactor(-1.0, 1.0)], BumpFactor(0.05, 0.8))
+    for front in _counted_fronts():
         counts = []
         for level in (0, 1, 2):
             builds.clear()
             check_integration_by_parts(e, phi, front, t_end=1.0, level=level)
             counts.append(len(builds))
-        # One moving chart for the space-time grid and one chart at t = 0.
-        assert counts == [2, 2, 2]
+        # One moving chart serves the space-time grid and the t = 0 term.
+        assert counts == [1, 1, 1]
+
+
+def test_surface_transport_builds_its_chart_once(monkeypatch):
+    builds = _count_chart_builds(monkeypatch)
+    e = _gaussian_field(np.array([0.1, 0.2]), 0.3)
+    for front in _counted_fronts():
+        counts = []
+        for level in (0, 1, 2):
+            builds.clear()
+            check_surface_transport(e, front, 0.4, dt=1e-3, level=level)
+            counts.append(len(builds))
+        # t - dt, t and t + dt on one moving chart.
+        assert counts == [1, 1, 1]
+
+
+# One time law and one chart path ---------------------------------------------
+
+
+def _laws():
+    """(name, law, rate) triples: constant, (f0, speed), callable with and without a rate."""
+
+    def scalar_only(fn):
+        # The scalar chart path must keep calling the law with plain floats.
+        def law(t):
+            assert isinstance(t, float), type(t)
+            return fn(t)
+
+        return law
+
+    return [
+        ("constant", 1.3, None),
+        ("pair", (1.2, -0.3), None),
+        ("callable", scalar_only(lambda t: 1.0 + 0.25 * np.sin(t)), lambda t: 0.25 * np.cos(t)),
+        ("callable-fd", scalar_only(lambda t: 1.1 + 0.2 * t * t), None),
+    ]
+
+
+def _law_reference(law, rate, t):
+    """(f(t), f'(t)) as the per-class copies of the time law computed them."""
+    if callable(law):
+        h = 1e-6
+        return float(law(t)), float(rate(t) if rate else (law(t + h) - law(t - h)) / (2.0 * h))
+    f0, speed = (float(law), 0.0) if np.ndim(law) == 0 else map(float, law)
+    return f0 + speed * t, speed
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("name, law, rate", _laws(), ids=[n for n, _, _ in _laws()])
+def test_plane_patch_quadrature_is_the_public_chart_bit_for_bit(dim, name, law, rate):
+    normal = np.array([-2.0]) if dim == 1 else np.linspace(1.0, 0.3, dim)
+    front = MovingPlaneFront(
+        normal, law, rate, window_center=np.linspace(-0.3, 0.4, dim), window_half_width=2.5
+    )
+    for t in (0.0, 0.37, 0.9):
+        f, df = _law_reference(law, rate, t)
+        assert _same_bits(front.offset(t), f) and _same_bits(front.offset_rate(t), df)
+        for level in (0, 1, 2):
+            quad = front.patch_quadrature(t, level)
+            ref = plane_chart(
+                front.point_on(t),
+                front.normal_vector,
+                np.full(dim - 1, 2.5),
+                t=t,
+                level=level,
+                tangent_basis=front.tangent_basis,
+            )
+            assert _same_bits(quad.nodes, ref.nodes) and _same_bits(quad.weights, ref.weights)
+            assert quad.t == ref.t == t
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("orientation", ["outward", "inward"])
+@pytest.mark.parametrize("name, law, rate", _laws(), ids=[n for n, _, _ in _laws()])
+def test_sphere_patch_quadrature_is_the_public_chart_bit_for_bit(dim, orientation, name, law, rate):
+    front = MovingSphereFront(np.linspace(-0.3, 0.4, dim), law, rate, orientation)
+    for t in (0.0, 0.37, 0.9):
+        f, df = _law_reference(law, rate, t)
+        assert _same_bits(front.radius(t), f) and _same_bits(front.radius_rate(t), df)
+        for level in (0, 1, 2):
+            quad = front.patch_quadrature(t, level)
+            ref = sphere_chart(front.center, front.radius(t), t, level)
+            assert _same_bits(quad.nodes, ref.nodes) and _same_bits(quad.weights, ref.weights)
+            assert quad.t == ref.t == t
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("name, law, rate", _laws(), ids=[n for n, _, _ in _laws()])
+def test_ball_is_the_interior_of_its_sphere(dim, name, law, rate):
+    center = np.linspace(-0.3, 0.4, dim)
+    ball = MovingBall(center, law, rate)
+    sphere = MovingSphereFront(center, law, rate)
+    f = lambda pts, t: np.exp(-np.sum(np.atleast_2d(pts) ** 2, axis=1)) * (1.0 + t)
+    for t in (0.0, 0.37, 0.9):
+        assert _same_bits(ball.radius(t), sphere.radius(t))
+        assert _same_bits(ball.rate(t), sphere.radius_rate(t))
+        assert _same_bits(ball.rate(t), _law_reference(law, rate, t)[1])
+        ref = surface_integral(f, sphere_chart(center, sphere.radius(t), t=t, level=1))
+        assert _same_bits(ball.boundary_integral(f, t, level=1), ref)
+
+
+def test_moving_chart_at_times_matches_each_time():
+    for front in _row_time_fronts()[:3]:
+        _, at = front.moving_chart(1)
+        times = np.array([0.1, 0.45, 0.8])
+        nodes, weights = at(times)
+        for k, t in enumerate(times):
+            quad = front.patch_quadrature(t, 1)
+            np.testing.assert_array_equal(nodes[k], quad.nodes)
+            np.testing.assert_array_equal(weights[k], quad.weights)
+    with pytest.raises(InvalidParameterError):
+        _row_time_fronts()[3].patch_quadrature(0.0)

@@ -251,6 +251,132 @@ def test_radial_shells_validation():
         radial_shells(None, None, n=3, N=200, annulus=(1.0, 2.0))
 
 
+# -- reference for the samplers' ordering ------------------------------------
+# The samplers used to append the seed particle last and reorder everything
+# with a stable argsort; they now build the blocks in order and insert it.
+
+
+def _argsort_riemann(d, L, N, mode="midpoint", seed=None):
+    rng = np.random.default_rng(seed) if mode == "random" else None
+    half = N // 2
+    xs, vs, ms = [], [], []
+    for lo, hi, rho, u in ((-L, 0.0, d.rho_l, d.u_l), (0.0, L, d.rho_r, d.u_r)):
+        if rho <= 0.0:
+            continue
+        if rng is None:
+            pts = lo + (np.arange(half) + 0.5) * (hi - lo) / half
+        else:
+            pts = np.sort(rng.uniform(lo, hi, size=half))
+        xs.append(pts)
+        vs.append(np.full(half, u))
+        ms.append(np.full(half, rho * (hi - lo) / half))
+    if d.e0 > 0.0:
+        xs.append(np.array([d.x0]))
+        vs.append(np.array([float(d.u_delta0)]))
+        ms.append(np.array([d.e0]))
+    x = np.concatenate(xs)
+    order = np.argsort(x, kind="stable")
+    return x[order], np.concatenate(vs)[order], np.concatenate(ms)[order]
+
+
+def _argsort_shells(inner, outer, n, N, annulus, boundary, front_seed):
+    r_lo, r_hi = annulus
+    area = unit_sphere_area(n)
+    dr = (r_hi - r_lo) / N
+    r = r_lo + (np.arange(N) + 0.5) * dr
+    xs, vs, ms = [], [], []
+    for fld, side in ((inner, r < boundary), (outer, r >= boundary)):
+        if fld is None:
+            continue
+        rs = r[side]
+        rho = fld.rho(rs, 0.0)
+        keep = rho > 0.0
+        rs, rho = rs[keep], rho[keep]
+        xs.append(rs)
+        vs.append(fld.u(rs, 0.0))
+        ms.append(rho * area * rs ** (n - 1) * dr)
+    phi0, e0, ud0 = map(float, front_seed)
+    if e0 > 0.0:
+        xs.append(np.array([phi0]))
+        vs.append(np.array([ud0]))
+        ms.append(np.array([e0 * area * phi0 ** (n - 1)]))
+    x = np.concatenate(xs)
+    order = np.argsort(x, kind="stable")
+    return x[order], np.concatenate(vs)[order], np.concatenate(ms)[order]
+
+
+def _assert_same_bits_or_rejected(build, ref):
+    """``build()`` equals the reference arrays bit for bit, or both are invalid.
+
+    A seed exactly on a sampled position is a tie; the system rejects it.
+    """
+    if np.any(np.diff(ref[0]) <= 0.0):
+        with pytest.raises(InvalidParameterError):
+            build()
+        return
+    ps = build()
+    for got, want in zip((ps._x0, ps._v0, ps._m0), ref):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rho=st.sampled_from([(1.0, 0.5), (4.0, 0.0), (0.0, 1.0), (0.0, 0.0)]),
+    N=st.integers(100, 401),
+    mode=st.sampled_from(["midpoint", "random"]),
+    seed=st.integers(0, 2**16),
+    atom=st.sampled_from([None, "origin", "anywhere", "on_a_particle"]),
+    where=st.floats(-3.0, 3.0),
+    k=st.integers(0, 10**6),
+)
+def test_sample_riemann_equals_argsort_construction(rho, N, mode, seed, atom, where, k):
+    assume(sum(rho) > 0.0 or atom is not None)
+    L = 2.0
+    x0 = 0.0 if atom in (None, "origin") else where
+    if atom == "on_a_particle" and sum(rho) > 0.0:
+        pts = _argsort_riemann(RiemannData1D(*rho, 1.0, -1.0), L, N, mode, seed)[0]
+        x0 = float(pts[k % pts.size])
+    e0, ud0 = (0.0, None) if atom is None else (0.3, 0.1)
+    d = RiemannData1D(*rho, 1.0, -1.0, e0=e0, u_delta0=ud0, x0=x0)
+    _assert_same_bits_or_rejected(
+        lambda: sample_riemann(d, L, N, mode, seed), _argsort_riemann(d, L, N, mode, seed)
+    )
+
+
+@pytest.mark.parametrize("phi0", [0.5, 1.0, 1.5, 1.7125, 2.0, 3.5])
+@pytest.mark.parametrize("e0", [0.0, 0.01])
+def test_radial_shells_equal_argsort_construction(phi0, e0):
+    from dshock.spherical import constant_field
+
+    inner = constant_field(0.5, 0.2, (1.0, 1.6))
+    outer = steady_converging_field(3, (1.0, 3.5))
+    args = dict(n=3, N=400, annulus=(1.0, 3.0), boundary=1.5, front_seed=(phi0, e0, -0.5))
+    # 1.7125 is a shell radius; (None, None) leaves only the front shell.
+    for fields in ((inner, outer), (None, outer), (inner, None), (None, None)):
+        if fields == (None, None) and e0 == 0.0:
+            continue
+        _assert_same_bits_or_rejected(
+            lambda: radial_shells(*fields, **args), _argsort_shells(*fields, **args)
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    x=st.lists(st.integers(-5, 5), min_size=0, max_size=12).map(sorted),
+    x0=st.integers(-6, 6),
+)
+def test_insert_seed_places_ties_like_a_stable_sort(x, x0):
+    from dshock.sticky_oracle import _insert_seed
+
+    x = np.array(x, dtype=float)
+    ids = np.arange(x.size, dtype=float)
+    got_x, got_id, _ = _insert_seed(x, ids, ids, (float(x0), -1.0, -1.0))
+    order = np.argsort(np.append(x, x0), kind="stable")
+    np.testing.assert_array_equal(got_x, np.append(x, x0)[order])
+    np.testing.assert_array_equal(got_id, np.append(ids, -1.0)[order])
+
+
 # -- reference for the deferred fields ---------------------------------------
 
 
