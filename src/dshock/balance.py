@@ -15,11 +15,13 @@ compact support strictly inside.
 
 The audits here are closed-form for piecewise-constant 1-D solutions and
 quadrature-based for spherical trajectories (where P and p vanish by
-symmetry and the radial weight is |S^{n-1}| r^{n-1}). A spherical field
-whose support reaches an annulus edge carries mass across it; the report's
-``boundary`` column accumulates that net inflow, so M + m - boundary is
-the conserved total for any annulus. The 1-D audit requires the support
-strictly inside its box, so its boundary column is zero.
+symmetry and the radial weight is |S^{n-1}| r^{n-1}). Both evaluate all
+sample times as arrays; the spherical audit hands the side fields (r, t)
+arrays, with one Gauss rule per sample. A spherical field whose support
+reaches an annulus edge carries mass across it; the report's ``boundary``
+column accumulates that net inflow, so M + m - boundary is the conserved
+total for any annulus. The 1-D audit requires the support strictly inside
+its box, so its boundary column is zero.
 """
 
 from __future__ import annotations
@@ -218,12 +220,13 @@ def _audit_1d(sol: DeltaShockSolution1D, times, box) -> BalanceReport:
 
 
 def _audit_spherical(traj, inner, outer, annulus, times, panels, nodes) -> BalanceReport:
-    """Spherical audit sampled at the array ``times``.
+    """Spherical audit sampled at the array ``times``, all samples at once.
 
-    The trajectory evaluators take arrays, so (phi, e, u_delta, m) come from
-    one evaluation on all of ``times``. The loop over the samples keeps only
-    the work that takes a scalar t: the field supports, the radial
-    quadratures and the boundary inflow.
+    The hypotheses are masks over the samples: the first failing sample
+    raises, with its front checked before the inner and then the outer
+    support. The bulk integrals take one quadrature call per side and
+    moment, and the boundary inflow is evaluated on every Gauss node of
+    every sample interval at once.
     """
     a, b = map(float, annulus)
     if not (np.isfinite(a) and np.isfinite(b)):
@@ -239,52 +242,44 @@ def _audit_spherical(traj, inner, outer, annulus, times, panels, nodes) -> Balan
     def weight(r):
         return area * np.asarray(r, dtype=float) ** (n - 1)
 
-    def inflow(t):
-        # Net mass rate through the edges; the origin has no area for n >= 2.
-        rho_o, u_o = _side(outer, b, t)
-        rate = -rho_o * u_o * weight(b)
-        if n == 1 or a > 0.0:
-            rho_i, u_i = _side(inner, a, t)
-            rate += rho_i * u_i * weight(a)
-        return float(rate)
-
     phis, _, uds, m = traj._eval(times)
-    M = np.empty(times.size)
-    boundary = np.zeros(times.size)
-    W = np.empty(times.size)
-    strict = np.empty(times.size, dtype=bool)
-    for k, t in enumerate(times):
-        phi, ud = float(phis[k]), float(uds[k])
-        if not (a < phi < b):
-            raise AuditInvalidError(f"front radius {phi} leaves the annulus at t={t}")
-        for fld, name in ((inner, "inner"), (outer, "outer")):
-            if fld is None:
-                continue
-            lo, hi = fld.support(float(t))
-            if np.isfinite(lo) and name == "inner" and lo < a - 1e-12:
-                raise AuditInvalidError("inner support extends past the annulus")
-            if np.isfinite(hi) and name == "outer" and hi > b + 1e-12:
-                raise AuditInvalidError("outer support extends past the annulus")
-        M[k] = radial_moment_integral(inner, a, phi, t, weight, panels, nodes)
-        M[k] += radial_moment_integral(outer, phi, b, t, weight, panels, nodes)
-        W[k] = 0.5 * radial_moment_integral(inner, a, phi, t, weight, panels, nodes, moment=2)
-        W[k] += 0.5 * radial_moment_integral(outer, phi, b, t, weight, panels, nodes, moment=2)
-        if k:
-            ts, ws = gauss_panels(times[k - 1], t, 1, 6)
-            boundary[k] = boundary[k - 1] + float(ws @ [inflow(tq) for tq in ts])
-        rho_i, u_i = _side(inner, phi, t)
-        rho_o, u_o = _side(outer, phi, t)
-        strict[k] = u_o < ud < u_i
+    fails = [(~((a < phis) & (phis < b)), "front radius {phi} leaves the annulus at t={t}")]
+    if inner is not None:
+        lo = inner.support(times)[0]
+        fails.append((np.isfinite(lo) & (lo < a - 1e-12), "inner support extends past the annulus"))
+    if outer is not None:
+        hi = outer.support(times)[1]
+        fails.append((np.isfinite(hi) & (hi > b + 1e-12), "outer support extends past the annulus"))
+    bad = np.any([mask for mask, _ in fails], axis=0)
+    if np.any(bad):
+        k = np.argmax(bad)
+        msg = next(msg for mask, msg in fails if mask[k])
+        raise AuditInvalidError(msg.format(phi=float(phis[k]), t=times[k]))
+
+    def bulk(moment):
+        return radial_moment_integral(
+            inner, a, phis, times, weight, panels, nodes, moment
+        ) + radial_moment_integral(outer, phis, b, times, weight, panels, nodes, moment)
+
+    # Net mass rate through the edges; the origin has no area for n >= 2.
+    ts, ws = gauss_panels(times[:-1], times[1:], 1, 6)
+    rho_o, u_o = _side(outer, b, ts)
+    rate = -rho_o * u_o * weight(b)
+    if n == 1 or a > 0.0:
+        rho_i, u_i = _side(inner, a, ts)
+        rate += rho_i * u_i * weight(a)
+    _, u_i = _side(inner, phis, times)
+    _, u_o = _side(outer, phis, times)
     return BalanceReport(
         t=times,
-        M=M,
+        M=bulk(0),
         m=m,
-        boundary=boundary,
+        boundary=np.cumsum(np.concatenate([[0.0], np.vecdot(ws, rate)])),
         P=np.zeros((times.size, n)),
         p=np.zeros((times.size, n)),
-        W=W,
+        W=0.5 * bulk(2),
         w=0.5 * m * uds ** 2,
-        entropy_strict=strict,
+        entropy_strict=(u_o < uds) & (uds < u_i),
         closed_form=False,
     )
 

@@ -12,10 +12,19 @@ Names resolve against the evaluation environment. Spatial contexts provide
 x1..xn, the vector x, the radius r = |x| and time t; radial contexts provide
 r and t. Bars take the absolute value of scalars and the Euclidean norm of
 the vector x, so "|x| - 1 - 0.5*t" is a moving sphere.
+
+Values may be numpy arrays that broadcast together: a radial field takes
+arrays of (r, t) and a level set takes (m, dim) rows of points, each
+evaluated elementwise in one pass. Arithmetic runs in float64 with division
+by zero, overflow and results that are not real numbers raised as
+``InvalidParameterError`` naming the expression; underflow to zero is
+allowed. Numeric literals must be finite.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import re
 from typing import Iterable
 
@@ -41,7 +50,12 @@ def _tokenize(src: str) -> list[tuple[str, str]]:
             raise InvalidParameterError(f"bad character in expression at: {src[pos:]!r}")
         pos = m.end()
         if m.lastgroup == "num":
-            tokens.append(("num", m.group("num")))
+            value = float(m.group("num"))
+            if not math.isfinite(value):
+                raise InvalidParameterError(
+                    f"expression {src!r} has a literal that is not finite: {m.group('num')}"
+                )
+            tokens.append(("num", np.float64(value)))
         elif m.lastgroup == "name":
             tokens.append(("name", m.group("name")))
         else:
@@ -104,7 +118,7 @@ class _Parser:
         kind, value = self.peek()
         if kind == "num":
             self.take()
-            return ("const", float(value))
+            return ("const", value)
         if kind == "name":
             self.take()
             if value == "sqrt":
@@ -137,10 +151,36 @@ def _names(node, out: set):
             _names(child, out)
 
 
-def _scalar(value, what: str) -> float:
-    if isinstance(value, np.ndarray) and value.ndim > 0:
+class _Vector:
+    """The point x in more than one dimension: only |x| applies to it."""
+
+    def __init__(self, norm):
+        self.norm = norm
+
+
+def _scalar(value, what: str):
+    if isinstance(value, _Vector):
         raise InvalidParameterError(f"{what} requires a scalar, got a vector")
-    return float(value)
+    return value
+
+
+def _number(value):
+    """A binding as a numpy float or a float array; the vector x stays as it is."""
+    if isinstance(value, _Vector):
+        return value
+    value = np.asarray(value, dtype=float)
+    return value if value.ndim else value[()]
+
+
+# Python operators on numpy floats and arrays, so that np.errstate governs them.
+_BINARY = {
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
+    "div": operator.truediv,
+    "pow": operator.pow,
+}
+_FAULTS = (("divide", "division by zero"), ("overflow", "a value overflows"))
 
 
 def _eval(node, env: dict):
@@ -152,38 +192,26 @@ def _eval(node, env: dict):
         if name not in env:
             raise InvalidParameterError(f"unknown name {name!r} in expression")
         return env[name]
-    if tag == "neg":
-        return -_scalar(_eval(node[1], env), "negation")
     if tag == "abs":
         value = _eval(node[1], env)
-        if isinstance(value, np.ndarray) and value.ndim > 0:
-            return float(np.linalg.norm(value))
-        return abs(float(value))
+        return value.norm if isinstance(value, _Vector) else abs(value)
+    if tag == "neg":
+        return -_scalar(_eval(node[1], env), "negation")
     if tag == "sqrt":
-        return float(np.sqrt(_scalar(_eval(node[1], env), "sqrt")))
-    a = _scalar(_eval(node[1], env), "arithmetic")
-    b = _scalar(_eval(node[2], env), "arithmetic")
-    if tag == "add":
-        return a + b
-    if tag == "sub":
-        return a - b
-    if tag == "mul":
-        return a * b
-    if tag == "div":
-        return a / b
-    if tag == "pow":
-        try:
-            value = a**b
-        except OverflowError:
-            raise ArithmeticError(f"{a!r}^{b!r} overflows") from None
-        if isinstance(value, complex):
-            raise ArithmeticError(f"{a!r}^{b!r} is not a real number")
-        return value
+        return np.sqrt(_scalar(_eval(node[1], env), "sqrt"))
+    if tag in _BINARY:
+        a = _scalar(_eval(node[1], env), "arithmetic")
+        b = _scalar(_eval(node[2], env), "arithmetic")
+        return _BINARY[tag](a, b)
     raise InvalidParameterError(f"unknown expression node {tag!r}")
 
 
 class Expression:
-    """Parsed expression; call with keyword bindings for its free names."""
+    """Parsed expression; call with keyword bindings for its free names.
+
+    Bindings are numbers or arrays that broadcast together; a call returns a
+    float when every binding is a number and an array otherwise.
+    """
 
     def __init__(self, source: str):
         self.source = source
@@ -192,37 +220,40 @@ class Expression:
         _names(self._ast, names)
         self.variables = frozenset(names)
 
-    def _value(self, env: dict) -> float:
-        """The expression's value in ``env``; arithmetic faults name the expression."""
+    def __call__(self, **env):
+        """The expression's value; arithmetic faults name the expression."""
+        env = {k: _number(v) for k, v in env.items()}
         try:
-            return float(_eval(self._ast, env))
-        except ArithmeticError as exc:
+            with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
+                value = _eval(self._ast, env)
+        except FloatingPointError as exc:
+            # numpy's message names the fault: divide by zero, overflow or invalid value.
+            fault = next((f for k, f in _FAULTS if k in str(exc)), "a value is not a real number")
             raise InvalidParameterError(
-                f"expression {self.source!r} cannot be evaluated: {exc}"
+                f"expression {self.source!r} cannot be evaluated: {fault}"
             ) from exc
+        return value if isinstance(value, np.ndarray) else float(value)
 
-    def __call__(self, **env) -> float:
-        return self._value(env)
+    def eval_point(self, x, t):
+        """Evaluate in a spatial context: x1.., the vector x, r = |x| and t.
 
-    def eval_point(self, x: np.ndarray, t: float) -> float:
-        """Evaluate in a spatial context: x vector, components x1.., r, t."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        env = {"t": float(t), "x": x, "r": float(np.linalg.norm(x))}
-        for k in range(x.size):
-            env[f"x{k + 1}"] = float(x[k])
-        if x.size == 1:
-            env["x"] = float(x[0])
-        return self._value(env)
+        ``x`` is one point of shape (dim,), giving a float, or (m, dim) rows,
+        giving an (m,) array; ``t`` is a number or an (m,) array of row times.
+        """
+        x = np.asarray(x, dtype=float)
+        rows = np.atleast_2d(x)
+        r = np.sqrt(np.vecdot(rows, rows))
+        env = {f"x{k + 1}": col for k, col in enumerate(rows.T)}
+        env.update(t=t, r=r, x=env["x1"] if rows.shape[1] == 1 else _Vector(r))
+        value = np.broadcast_to(self(**env), r.shape)
+        return value if x.ndim > 1 else float(value[0])
 
-    def eval_radial(self, r, t) -> np.ndarray:
-        """Evaluate on radius arrays in a radial context (names r and t)."""
-        r = np.asarray(r, dtype=float)
-        out = np.empty(r.shape)
-        flat = r.reshape(-1)
-        res = out.reshape(-1)
-        for i, ri in enumerate(flat):
-            res[i] = self._value({"r": float(ri), "t": float(t)})
-        return out if out.shape else float(res[0])
+    def eval_radial(self, r, t):
+        """Evaluate in a radial context on radii and times that broadcast together."""
+        value = self(r=r, t=t)
+        if np.ndim(r) == 0 and np.ndim(t) == 0:
+            return value
+        return np.broadcast_to(value, np.broadcast_shapes(np.shape(r), np.shape(t)))
 
     def __repr__(self) -> str:
         return f"Expression({self.source!r})"

@@ -97,10 +97,14 @@ class LevelSetFront:
     ``value``, ``grad`` and ``time_deriv`` take one point of shape (dim,)
     or rows of points of shape (m, dim); a point is the one-row case. The
     time ``t`` is a scalar, or at rows an (m,) array that gives each row its
-    own time. This class maps its pointwise callables over the rows, with
-    each row's time. Subclasses with closed forms override ``_value_rows``,
-    ``_grad_rows`` and ``_time_deriv_rows`` instead of passing callables;
-    their offset and radius callables then receive the (m,) time array.
+    own time. This class maps its pointwise callable over the rows, with
+    each row's time, and takes the gradient and time derivative by central
+    differences with step ``1e-6 * char_length`` (grad_mode
+    "central-difference"), which costs two orders of accuracy in curvature
+    queries. Subclasses that evaluate whole rows override ``_value_rows``,
+    and those with closed forms also ``_grad_rows`` and
+    ``_time_deriv_rows``; their offset and radius callables then receive
+    the (m,) time array.
 
     Parameters
     ----------
@@ -109,11 +113,6 @@ class LevelSetFront:
         override the row methods.
     dim : int
         Ambient dimension n >= 1.
-    s_grad, s_t : callable, optional
-        Analytic spatial gradient and time derivative. When omitted the
-        front falls back to central differences with step ``1e-6 *
-        char_length`` (grad_mode "central-difference"), which costs two
-        orders of accuracy in curvature queries.
     char_length : float
         Characteristic length used to scale tolerances and steps.
     """
@@ -122,8 +121,6 @@ class LevelSetFront:
         self,
         s: Callable[[np.ndarray, float], float] | None,
         dim: int,
-        s_grad: Callable[[np.ndarray, float], np.ndarray] | None = None,
-        s_t: Callable[[np.ndarray, float], float] | None = None,
         char_length: float = 1.0,
     ):
         if dim < 1:
@@ -132,10 +129,8 @@ class LevelSetFront:
             raise InvalidParameterError("char_length must be positive")
         self._s = s
         self.dim = int(dim)
-        self._s_grad = s_grad
-        self._s_t = s_t
         self.char_length = float(char_length)
-        self.grad_mode = "analytic" if s_grad is not None else "central-difference"
+        self.grad_mode = "central-difference"
 
     # Basic evaluations -----------------------------------------------------
 
@@ -151,14 +146,9 @@ class LevelSetFront:
         """S_t at a point (float) or at (m, dim) rows ((m,) array)."""
         return _point_or_rows(self._time_deriv_rows, x, t)
 
-    @staticmethod
-    def _each_row(x: np.ndarray, t):
-        """(row, time) pairs, with each time a float."""
-        return zip(x, map(float, np.broadcast_to(t, x.shape[:1])))
-
     def _value_rows(self, x: np.ndarray, t) -> np.ndarray:
         out = np.empty(x.shape[0])
-        for k, (row, tk) in enumerate(self._each_row(x, t)):
+        for k, (row, tk) in enumerate(zip(x, map(float, np.broadcast_to(t, x.shape[:1])))):
             try:
                 out[k] = self._s(row, tk)
             except Exception as exc:  # noqa: BLE001
@@ -166,10 +156,6 @@ class LevelSetFront:
         return out
 
     def _grad_rows(self, x: np.ndarray, t) -> np.ndarray:
-        if self._s_grad is not None:
-            return np.array(
-                [np.asarray(self._s_grad(row, tk), dtype=float) for row, tk in self._each_row(x, t)]
-            )
         h = _FD_STEP * self.char_length
         g = np.empty(x.shape)
         for j in range(self.dim):
@@ -179,8 +165,6 @@ class LevelSetFront:
         return g
 
     def _time_deriv_rows(self, x: np.ndarray, t) -> np.ndarray:
-        if self._s_t is not None:
-            return np.array([float(self._s_t(row, tk)) for row, tk in self._each_row(x, t)])
         h = _FD_STEP
         return (self._value_rows(x, t + h) - self._value_rows(x, t - h)) / (2.0 * h)
 
@@ -361,19 +345,17 @@ class ExpressionFront(LevelSetFront):
 
     def __init__(self, source: str, dim: int, char_length: float = 1.0):
         allowed = {"t", "x", "r"} | {f"x{k + 1}" for k in range(dim)}
-        expr = parse_expression(source, allowed=allowed)
-        self.expression: Expression = expr
-        super().__init__(
-            s=lambda x, t: expr.eval_point(x, t),
-            dim=dim,
-            char_length=char_length,
-        )
+        self.expression: Expression = parse_expression(source, allowed=allowed)
+        super().__init__(s=None, dim=dim, char_length=char_length)
+
+    def _value_rows(self, x: np.ndarray, t) -> np.ndarray:
+        return self.expression.eval_point(x, t)
 
 
 def _of_t(source: str):
-    """An expression in t as a callable of a time or, elementwise, of time arrays."""
+    """An expression in t as a callable of a time or of an array of times."""
     expr = parse_expression(source, allowed={"t"})
-    return np.vectorize(lambda t: expr(t=t), otypes=[float])
+    return lambda t: expr(t=t)
 
 
 def front_from_spec(spec: dict) -> LevelSetFront:

@@ -54,19 +54,26 @@ def _legendre_rule(nodes: int):
     return xi, wi
 
 
-def gauss_panels(a: float, b: float, panels: int, nodes: int = 6):
-    """Composite Gauss-Legendre rule on [a, b]; returns (points, weights)."""
-    if b < a:
+def gauss_panels(a, b, panels: int, nodes: int = 6):
+    """Composite Gauss-Legendre rule on [a, b]; returns (points, weights).
+
+    Numbers ``a`` and ``b`` give (panels * nodes,) arrays. Arrays of interval
+    ends that broadcast together give one rule per interval, with shape
+    (..., panels * nodes); each row equals the rule of its own interval.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if (b < a).any():
         raise InvalidParameterError("interval is reversed")
     if panels < 1 or nodes < 1:
         raise InvalidParameterError("panels and nodes must be positive")
     xi, wi = _legendre_rule(nodes)
-    edges = np.linspace(a, b, panels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    pts = (mids[:, None] + half[:, None] * xi[None, :]).ravel()
-    wts = (half[:, None] * wi[None, :]).ravel()
-    return pts, wts
+    # np.linspace(a, b, panels + 1) per interval: a + k * step, ending on b.
+    edges = np.arange(panels + 1) * ((b - a) / panels)[..., None] + a[..., None]
+    edges[..., -1] = b
+    mids = 0.5 * (edges[..., :-1] + edges[..., 1:])
+    half = 0.5 * (edges[..., 1:] - edges[..., :-1])
+    shape = (*edges.shape[:-1], panels * nodes)
+    return (mids[..., None] + half[..., None] * xi).reshape(shape), (half[..., None] * wi).reshape(shape)
 
 
 def circle_chart(center, radius: float, t: float = 0.0, level: int = 2) -> SurfacePatchQuadrature:

@@ -57,8 +57,6 @@ class DeltaShockSolution1D:
     e: Callable
     t_end: float
     support0: tuple[float, float] | None = None
-    e_rate: Callable | None = None
-    momentum_rate: Callable | None = None
 
     def __post_init__(self):
         if not 0.0 < self.t_end < np.inf:
@@ -150,22 +148,18 @@ def from_riemann(
         e=path.e,
         t_end=t_end,
         support0=support0,
-        e_rate=path.e_rate,
-        momentum_rate=path.momentum_rate,
     )
 
 
-def time_reversed(sol: DeltaShockSolution1D, horizon: float | None = None) -> DeltaShockSolution1D:
-    """Run ``sol`` backwards from t = horizon.
+def time_reversed(sol: DeltaShockSolution1D) -> DeltaShockSolution1D:
+    """Run ``sol`` backwards from its end time T = t_end.
 
     The reversal map (x, t, u) -> (x, T - t, -u) preserves weak solutions
     whenever F(-u) = -F(u) and N(-u) = N(u), which holds for the standard
     flux. The result starts with the accumulated atom mass e(T) and sheds
     it, so it deliberately violates the overcompression condition.
     """
-    T = sol.t_end if horizon is None else float(horizon)
-    if not (0.0 < T <= sol.t_end):
-        raise InvalidParameterError("reversal horizon must lie inside the solution window")
+    T = sol.t_end
     ul, ur = sol.u_l, sol.u_r
     if abs(sol.flux.f1(-1.234) + sol.flux.f1(1.234)) > 1e-12 or abs(
         sol.flux.n1(-1.234) - sol.flux.n1(1.234)
@@ -177,8 +171,6 @@ def time_reversed(sol: DeltaShockSolution1D, horizon: float | None = None) -> De
             sol.support0[0] + sol.edge_speed_l * T,
             sol.support0[1] + sol.edge_speed_r * T,
         )
-    er = sol.e_rate
-    qr = sol.momentum_rate
     return replace(
         sol,
         u_l=-ul,
@@ -186,12 +178,7 @@ def time_reversed(sol: DeltaShockSolution1D, horizon: float | None = None) -> De
         phi=lambda t: sol.phi(T - np.asarray(t, dtype=float)),
         u_delta=lambda t: -np.asarray(sol.u_delta(T - np.asarray(t, dtype=float))),
         e=lambda t: sol.e(T - np.asarray(t, dtype=float)),
-        t_end=T,
         support0=support0,
-        e_rate=None if er is None else (lambda t: -np.asarray(er(T - np.asarray(t, dtype=float)))),
-        momentum_rate=None
-        if qr is None
-        else (lambda t: np.asarray(qr(T - np.asarray(t, dtype=float)))),
     )
 
 

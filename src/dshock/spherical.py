@@ -24,6 +24,12 @@ away from the front. ``free_flow_field`` builds such solutions from data
 (rho0, u0) by characteristics r = r0 + t u0(r0) with
 rho = rho0(r0) (r0/r)^{n-1} / (1 + t u0'(r0)); a vanishing denominator
 means characteristics cross and the field is invalid (caustic).
+
+A ``RadialField`` takes radii and times that broadcast together, so an
+audit or a validation grid evaluates each side in one call; its raw
+callables must broadcast over paired 1-D arrays of r and t. Every support
+window follows one edge law: an edge is unbounded, an (x0, speed) pair or a
+callable of t (``geometry.fronts._time_law``).
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from .errors import (
     StiffnessError,
 )
 from .expressions import parse_expression
+from .geometry.fronts import _of_t, _of_time, _time_law
 from .geometry.quadrature import gauss_panels
 from .riemann1d import RiemannData1D, admissible_front_speed
 from .sticky_oracle import unit_sphere_area
@@ -66,8 +73,12 @@ __all__ = [
 class RadialField:
     """Radial density/velocity pair with a moving support window.
 
-    ``support`` maps t to (lo, hi); outside that window the field is
-    vacuum (rho = 0, u = 0). The raw evaluators are only called inside.
+    ``rho``, ``u`` and ``support`` take radii and times that broadcast
+    together: numbers give floats, arrays give arrays of the broadcast
+    shape. ``support`` maps t to (lo, hi); outside that window the field is
+    vacuum (rho = 0, u = 0). The raw evaluators are only called inside,
+    with two floats or with 1-D arrays of paired radii and times, and must
+    broadcast over them.
     """
 
     raw_rho: Callable
@@ -75,16 +86,17 @@ class RadialField:
     support: Callable
 
     def _eval(self, fn, r, t):
-        r = np.asarray(r, dtype=float)
-        scalar = r.ndim == 0
-        r = np.atleast_1d(r)
-        lo, hi = self.support(float(t))
+        if np.ndim(r) == 0 and np.ndim(t) == 0:
+            r, t = float(r), float(t)
+            lo, hi = self.support(t)
+            return float(fn(r, t)) if lo <= r <= hi else 0.0
+        r, t = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
+        lo, hi = self.support(t)
         inside = (r >= lo) & (r <= hi)
         out = np.zeros(r.shape)
         if np.any(inside):
-            vals = fn(r[inside], float(t))
-            out[inside] = np.asarray(vals, dtype=float)
-        return float(out[0]) if scalar else out
+            out[inside] = fn(r[inside], t[inside])
+        return out
 
     def rho(self, r, t):
         return self._eval(self.raw_rho, r, t)
@@ -93,14 +105,17 @@ class RadialField:
         return self._eval(self.raw_u, r, t)
 
 
-def _static_support(lo, hi):
-    lo = -np.inf if lo is None else float(lo)
-    hi = np.inf if hi is None else float(hi)
+def _window(edges, law: Callable) -> Callable:
+    """support(t) -> (lo, hi) from a pair of edges, or None for (None, None).
 
-    def support(t):
-        return lo, hi
-
-    return support
+    An edge is None (unbounded) or follows ``law(edge)``, one time law of
+    ``_time_law``: an (x0, speed) pair or a callable of t.
+    """
+    lo, hi = (
+        _time_law(far if edge is None else law(edge))[0]
+        for edge, far in zip((None, None) if edges is None else edges, (-np.inf, np.inf))
+    )
+    return lambda t: (_of_time(lo, t), _of_time(hi, t))
 
 
 def constant_field(rho0: float, u0: float, support0=None) -> RadialField:
@@ -109,19 +124,10 @@ def constant_field(rho0: float, u0: float, support0=None) -> RadialField:
         raise InvalidParameterError(f"constant field needs finite rho and u, got ({rho0}, {u0})")
     if rho0 < 0.0:
         raise InvalidParameterError("density must be nonnegative")
-    if support0 is None:
-        support = _static_support(None, None)
-    else:
-        lo0 = -np.inf if support0[0] is None else float(support0[0])
-        hi0 = np.inf if support0[1] is None else float(support0[1])
-
-        def support(t):
-            return lo0 + u0 * t, hi0 + u0 * t
-
     return RadialField(
         raw_rho=lambda r, t: np.full(np.shape(r), float(rho0)),
         raw_u=lambda r, t: np.full(np.shape(r), float(u0)),
-        support=support,
+        support=_window(support0, lambda x0: (x0, u0)),
     )
 
 
@@ -161,52 +167,29 @@ def free_flow_field(rho0: Callable, u0: Callable, n: int, support0=None) -> Radi
             )
         return denom
 
-    def raw_rho(r, t):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.empty(r.shape)
-        for k, rk in enumerate(r):
-            r0 = invert(rk, t)
-            ratio = (r0 / rk) ** (n - 1) if n > 1 else 1.0
-            out[k] = rho0(r0) * ratio / jac(r0, t)
-        return out
+    def rho_at(r, t):
+        r0 = invert(r, t)
+        ratio = (r0 / r) ** (n - 1) if n > 1 else 1.0
+        return rho0(r0) * ratio / jac(r0, t)
 
-    def raw_u(r, t):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        return np.array([u0(invert(rk, t)) for rk in r])
+    def u_at(r, t):
+        return u0(invert(r, t))
 
-    if support0 is None:
-        support = _static_support(None, None)
-    else:
-        lo0 = None if support0[0] is None else float(support0[0])
-        hi0 = None if support0[1] is None else float(support0[1])
-
-        def support(t):
-            lo = -np.inf if lo0 is None else lo0 + t * u0(lo0)
-            hi = np.inf if hi0 is None else hi0 + t * u0(hi0)
-            return lo, hi
-
-    return RadialField(raw_rho=raw_rho, raw_u=raw_u, support=support)
+    return RadialField(
+        raw_rho=np.vectorize(rho_at, otypes=[float]),
+        raw_u=np.vectorize(u_at, otypes=[float]),
+        support=_window(support0, lambda x0: (x0, u0(x0))),
+    )
 
 
 def expression_field(rho_src: str, u_src: str, support_src=None) -> RadialField:
     """Field given by formulas in (r, t); support edges by formulas in t."""
     rho_e = parse_expression(rho_src, allowed={"r", "t"})
     u_e = parse_expression(u_src, allowed={"r", "t"})
-    if support_src is None:
-        support = _static_support(None, None)
-    else:
-        lo_e = None if support_src[0] is None else parse_expression(str(support_src[0]), allowed={"t"})
-        hi_e = None if support_src[1] is None else parse_expression(str(support_src[1]), allowed={"t"})
-
-        def support(t):
-            lo = -np.inf if lo_e is None else float(lo_e(t=t))
-            hi = np.inf if hi_e is None else float(hi_e(t=t))
-            return lo, hi
-
     return RadialField(
-        raw_rho=lambda r, t: rho_e.eval_radial(r, t),
-        raw_u=lambda r, t: u_e.eval_radial(r, t),
-        support=support,
+        raw_rho=rho_e.eval_radial,
+        raw_u=u_e.eval_radial,
+        support=_window(support_src, lambda src: _of_t(str(src))),
     )
 
 
@@ -219,17 +202,10 @@ def steady_converging_field(n: int, support0=None) -> RadialField:
     """
     if n < 1:
         raise InvalidDimensionError("dimension must be >= 1")
-    lo0, hi0 = (None, None) if support0 is None else support0
-    lo0 = -np.inf if lo0 is None else float(lo0)
-    hi0 = np.inf if hi0 is None else float(hi0)
-
-    def support(t):
-        return lo0 - t, hi0 - t
-
     return RadialField(
         raw_rho=lambda r, t: np.asarray(r, dtype=float) ** (1.0 - n),
         raw_u=lambda r, t: np.full(np.shape(r), -1.0),
-        support=support,
+        support=_window(support0, lambda x0: (x0, -1.0)),
     )
 
 
@@ -242,25 +218,20 @@ def validate_field(f: RadialField, n: int, box, h: float = 1e-4, samples=(12, 8)
     r_lo, r_hi, t_lo, t_hi = map(float, box)
     if t_lo - h < 0.0:
         raise InvalidParameterError("time box must leave room for the centered stencil")
-    rs = np.linspace(r_lo, r_hi, samples[0])
-    ts = np.linspace(t_lo, t_hi, samples[1])
-    worst = 0.0
-    for t in ts:
-        rho_c = f.rho(rs, t)
-        u_c = f.u(rs, t)
-        rho_tp, u_tp = f.rho(rs, t + h), f.u(rs, t + h)
-        rho_tm, u_tm = f.rho(rs, t - h), f.u(rs, t - h)
-        rho_rp, u_rp = f.rho(rs + h, t), f.u(rs + h, t)
-        rho_rm, u_rm = f.rho(rs - h, t), f.u(rs - h, t)
-        d_t_rho = (rho_tp - rho_tm) / (2.0 * h)
-        d_t_mom = (rho_tp * u_tp - rho_tm * u_tm) / (2.0 * h)
-        d_r_flux = (rho_rp * u_rp - rho_rm * u_rm) / (2.0 * h)
-        d_r_mom = (rho_rp * u_rp ** 2 - rho_rm * u_rm ** 2) / (2.0 * h)
-        geom = (n - 1) / rs
-        res_mass = d_t_rho + d_r_flux + geom * rho_c * u_c
-        res_mom = d_t_mom + d_r_mom + geom * rho_c * u_c ** 2
-        worst = max(worst, float(np.max(np.abs(res_mass))), float(np.max(np.abs(res_mom))))
-    return worst
+    r, t = np.meshgrid(np.linspace(r_lo, r_hi, samples[0]), np.linspace(t_lo, t_hi, samples[1]))
+    rho_c, u_c = f.rho(r, t), f.u(r, t)
+    rho_tp, u_tp = f.rho(r, t + h), f.u(r, t + h)
+    rho_tm, u_tm = f.rho(r, t - h), f.u(r, t - h)
+    rho_rp, u_rp = f.rho(r + h, t), f.u(r + h, t)
+    rho_rm, u_rm = f.rho(r - h, t), f.u(r - h, t)
+    d_t_rho = (rho_tp - rho_tm) / (2.0 * h)
+    d_t_mom = (rho_tp * u_tp - rho_tm * u_tm) / (2.0 * h)
+    d_r_flux = (rho_rp * u_rp - rho_rm * u_rm) / (2.0 * h)
+    d_r_mom = (rho_rp * u_rp ** 2 - rho_rm * u_rm ** 2) / (2.0 * h)
+    geom = (n - 1) / r
+    res_mass = d_t_rho + d_r_flux + geom * rho_c * u_c
+    res_mom = d_t_mom + d_r_mom + geom * rho_c * u_c ** 2
+    return float(np.max(np.abs([res_mass, res_mom])))
 
 
 @dataclass(frozen=True)
@@ -281,13 +252,26 @@ class SphericalFrontState:
             raise InvalidParameterError("surface density must be nonnegative")
 
 
-def _side(fieldobj: RadialField | None, r: float, t: float) -> tuple[float, float]:
-    if fieldobj is None:
-        return 0.0, 0.0
-    rho = float(fieldobj.rho(r, t))
-    if rho <= 0.0:
-        return 0.0, 0.0
-    return rho, float(fieldobj.u(r, t))
+def _side(fieldobj: RadialField | None, r, t):
+    """(rho, u) at radii and times that broadcast together (numbers give floats).
+
+    Vacuum, and any rho <= 0, gives (0, 0) without evaluating u there.
+    """
+    if np.ndim(r) == 0 and np.ndim(t) == 0:
+        if fieldobj is None:
+            return 0.0, 0.0
+        rho = fieldobj.rho(r, t)
+        if rho <= 0.0:
+            return 0.0, 0.0
+        return rho, fieldobj.u(r, t)
+    r, t = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
+    rho, u = np.zeros(r.shape), np.zeros(r.shape)
+    if fieldobj is not None:
+        rho = fieldobj.rho(r, t)
+        vacuum = rho <= 0.0
+        rho[vacuum] = 0.0
+        u[~vacuum] = fieldobj.u(r[~vacuum], t[~vacuum])
+    return rho, u
 
 
 @dataclass
@@ -516,10 +500,13 @@ def integrate_front(
 
 
 def _integrate_passive(inner, outer, init, n, t_end, r_min, rtol, atol):
+    def speed(phi, t):
+        """The flow speed at the front: the inner side's unless it is vacuum."""
+        (rho_i, u_i), (_, u_o) = _side(inner, phi, t), _side(outer, phi, t)
+        return np.where(rho_i > 0.0, u_i, u_o)
+
     def rhs(t, y):
-        (rho_i, u_i), (rho_o, u_o) = _side(inner, y[0], t), _side(outer, y[0], t)
-        u = u_i if rho_i > 0.0 else u_o
-        return [u]
+        return [speed(y[0], t)]
 
     def ev_focus(t, y):
         return y[0] - r_min
@@ -552,7 +539,7 @@ def _integrate_passive(inner, outer, init, n, t_end, r_min, rtol, atol):
         t=ts,
         phi=sol.y[0],
         e=np.zeros_like(ts),
-        u_delta=np.array([rhs(tk, [pk])[0] for tk, pk in zip(ts, sol.y[0])]),
+        u_delta=speed(sol.y[0], ts),
         t_stop=float(ts[-1]),
         focused=len(sol.t_events[0]) > 0,
         passive=True,
@@ -561,15 +548,22 @@ def _integrate_passive(inner, outer, init, n, t_end, r_min, rtol, atol):
 
 
 def radial_moment_integral(fieldobj, a, b, t, weight, panels, nodes, moment: int = 0):
-    """Integral of rho * u^moment * weight(r) over [a, b] clipped to support."""
-    if fieldobj is None or b <= a:
-        return 0.0
-    lo, hi = fieldobj.support(t)
-    a_eff, b_eff = max(a, lo), min(b, hi)
-    if b_eff <= a_eff:
-        return 0.0
-    r, w = gauss_panels(a_eff, b_eff, panels, nodes)
-    vals = fieldobj.rho(r, t) * weight(r)
-    if moment:
-        vals = vals * fieldobj.u(r, t) ** moment
-    return float(w @ vals)
+    """Integral of rho * u^moment * weight(r) over [a, b] clipped to support.
+
+    ``a``, ``b`` and ``t`` are numbers, giving a float, or arrays that
+    broadcast together, giving one integral per element with one Gauss rule
+    per clipped interval.
+    """
+    a, b, t = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, t)))
+    out = np.zeros(a.shape)
+    if fieldobj is not None:
+        lo, hi = fieldobj.support(t)
+        a, b = np.maximum(a, lo), np.minimum(b, hi)
+        ok = a < b
+        r, w = gauss_panels(a[ok], b[ok], panels, nodes)
+        tq = t[ok][:, None]
+        vals = fieldobj.rho(r, tq) * weight(r)
+        if moment:
+            vals = vals * fieldobj.u(r, tq) ** moment
+        out[ok] = np.vecdot(w, vals)
+    return float(out) if out.ndim == 0 else out

@@ -294,11 +294,18 @@ def test_run_rejects_non_finite_constant_field(tmp_path, capsys, key, value):
 
 @pytest.mark.parametrize(
     "rho, fault",
-    [("1/(r-r)", "division by zero"), ("2^2000", "overflows"), ("(-1)^0.5", "not a real number")],
+    [
+        ("1/(r-r)", "division by zero"),
+        ("2^2000", "overflows"),
+        ("(-1)^0.5", "not a real number"),
+        ("1e200*1e200", "overflows"),
+        ("sqrt(0-1)", "not a real number"),
+    ],
 )
 def test_run_rejects_expression_that_cannot_be_evaluated(tmp_path, capsys, rho, fault):
-    # These raised ZeroDivisionError, OverflowError and TypeError: a traceback,
-    # exit 1 and an empty output directory.
+    # The first three raised ZeroDivisionError, OverflowError and TypeError: a
+    # traceback, exit 1 and an empty output directory. The last two gave inf
+    # and NaN with a RuntimeWarning, and the front ODE failed on them (exit 3).
     obj = json.loads((SCENARIOS / "spherical_converging_n3.json").read_text())
     obj["outer"] = {"kind": "expression", "rho": rho, "u": "-1"}
     cfg = tmp_path / "expr.json"
@@ -310,6 +317,20 @@ def test_run_rejects_expression_that_cannot_be_evaluated(tmp_path, capsys, rho, 
     report = json.loads((out / "report.json").read_text())
     assert report["error_class"] == "InvalidParameterError"
     assert report["exit_code"] == 2
+
+
+def test_run_rejects_a_literal_that_is_not_finite(tmp_path, capsys):
+    # float("1e400") is inf; the field read it as a density and the front ODE
+    # failed on it (exit 3).
+    obj = json.loads((SCENARIOS / "spherical_converging_n3.json").read_text())
+    obj["outer"] = {"kind": "expression", "rho": "1e400", "u": "-1"}
+    cfg = tmp_path / "expr.json"
+    cfg.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "'1e400'" in err and "not finite" in err
+    assert json.loads((out / "report.json").read_text())["exit_code"] == 2
 
 
 def test_spherical_subcommand_rejects_other_kinds(tmp_path):

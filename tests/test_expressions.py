@@ -1,5 +1,7 @@
 """Tests for the small arithmetic expression parser used by scenario files."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -78,3 +80,21 @@ def test_eval_radial_vectorized():
     e = Expression("r^(0 - 2) * t")
     r = np.array([1.0, 2.0, 4.0])
     np.testing.assert_allclose(e.eval_radial(r, 2.0), 2.0 / r**2)
+
+
+@pytest.mark.parametrize("src", ["1e200*1e200", "sqrt(0-1)", "1/(0-0)", "1e400"])
+def test_faults_name_the_expression(src, recwarn):
+    with pytest.raises(InvalidParameterError, match=re.escape(repr(src))):
+        parse_expression(src)()
+    assert not recwarn.list
+
+
+def test_arrays_evaluate_elementwise():
+    # An array binding gives the values of each element on its own; a name
+    # the expression does not use still sets the shape of eval_radial.
+    r = np.array([0.5, 1.0, 3.0])
+    e = Expression("sqrt(r) * t - r^3 / 2")
+    np.testing.assert_array_equal(e(r=r, t=2.0), [e(r=rk, t=2.0) for rk in r])
+    np.testing.assert_array_equal(Expression("t").eval_radial(r, 2.0), [2.0, 2.0, 2.0])
+    with pytest.raises(InvalidParameterError, match="division by zero"):
+        Expression("1/(r-1)")(r=r)

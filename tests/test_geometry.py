@@ -46,6 +46,28 @@ def test_gauss_panels_polynomial_exactness():
         assert float(wts @ pts**k) == pytest.approx(exact, rel=1e-13)
 
 
+def test_gauss_panels_rows_are_each_intervals_rule():
+    # Arrays of interval ends give one rule per row, each equal bit for bit to
+    # the rule built on np.linspace(a, b, panels + 1) for that interval alone,
+    # with empty intervals among them.
+    rng = np.random.default_rng(4)
+    a = rng.uniform(-3.0, 3.0, 60)
+    b = a + rng.uniform(0.0, 5.0, 60)
+    b[::9] = a[::9]
+    xi, wi = np.polynomial.legendre.leggauss(4)
+    pts, wts = gauss_panels(a, b, panels=7, nodes=4)
+    assert pts.shape == wts.shape == (60, 28)
+    for k in range(a.size):
+        edges = np.linspace(a[k], b[k], 8)
+        mids, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+        np.testing.assert_array_equal(pts[k], (mids[:, None] + half[:, None] * xi).ravel())
+        np.testing.assert_array_equal(wts[k], (half[:, None] * wi).ravel())
+        one = gauss_panels(a[k], b[k], panels=7, nodes=4)
+        np.testing.assert_array_equal(np.stack(one), np.stack([pts[k], wts[k]]))
+    with pytest.raises(InvalidParameterError):
+        gauss_panels(a, a - 1.0, panels=1)
+
+
 def test_sphere_chart_measures():
     # Total weight is the sphere area in each supported dimension.
     assert sphere_chart(np.zeros(1), 2.0).measure() == pytest.approx(2.0)
@@ -172,8 +194,8 @@ def test_expression_front_rows_match_points():
     np.testing.assert_allclose(normal_speed(front, x, 0.5), 1.0, atol=1e-9)
     kappa = mean_curvature(front, x, 0.5)
     np.testing.assert_allclose(kappa, -1.0 / (2.0 * 1.5), atol=1e-6)
-    # The base class maps its pointwise level set over the rows, so one
-    # (m, 2) call is exactly m single-point calls.
+    # The expression evaluates the rows elementwise, so one (m, 2) call is
+    # exactly m single-point calls.
     for k, xk in enumerate(x):
         assert mean_curvature(front, xk, 0.5) == kappa[k]
         assert normal_speed(front, xk, 0.5) == normal_speed(front, x, 0.5)[k]

@@ -21,6 +21,7 @@ from dshock import (
     unit_sphere_area,
     validate_field,
 )
+from dshock.spherical import _side
 
 
 # Radial fields -----------------------------------------------------------
@@ -41,6 +42,19 @@ def test_expression_field_eval():
     assert f.rho(2.0, 0.5) == pytest.approx(2.0)
     assert f.u(2.0, 0.5) == pytest.approx(-2.0)
     assert f.rho(1.2, 0.5) == 0.0  # below the moving lower edge
+
+
+def test_side_states_are_vacuum_where_density_is_not_positive():
+    # rho = r - 2 is not positive up to r = 2, where u = 1/(r - 1) is never
+    # evaluated (at r = 1 it would divide by zero). Arrays pair each radius
+    # with its own time and equal the per-point side states.
+    f = expression_field("r - 2", "1/(r - 1)")
+    r, t = np.array([0.5, 1.0, 2.0, 3.0]), np.array([0.0, 0.1, 0.2, 0.3])
+    rho, u = _side(f, r, t)
+    np.testing.assert_array_equal(rho, [0.0, 0.0, 0.0, 1.0])
+    np.testing.assert_array_equal(u, [0.0, 0.0, 0.0, 0.5])
+    assert [_side(f, rk, tk) for rk, tk in zip(r, t)] == list(zip(rho, u))
+    assert _side(None, r, t)[0].shape == r.shape
 
 
 def test_steady_converging_field_solves_radial_system():
