@@ -553,6 +553,8 @@ def cmd_spherical(args) -> int:
 
 
 def cmd_riemann(args) -> int:
+    if args.samples < 2:
+        raise InvalidParameterError(f"--samples must be at least 2, got {args.samples}")
     if args.flux == "relativistic":
         if args.c0 is None:
             raise ScenarioError("--flux relativistic requires --c0")

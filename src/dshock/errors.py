@@ -49,7 +49,7 @@ class StiffnessError(DShockError):
     """The front ODE integrator failed (step-size underflow or divergence)."""
 
 
-class UndersamplingError(DShockError):
+class UndersamplingError(InvalidParameterError):
     """Too few particles requested for a meaningful discretization."""
 
 

@@ -251,9 +251,8 @@ class Expression:
     def eval_radial(self, r, t):
         """Evaluate in a radial context on radii and times that broadcast together."""
         value = self(r=r, t=t)
-        if np.ndim(r) == 0 and np.ndim(t) == 0:
-            return value
-        return np.broadcast_to(value, np.broadcast_shapes(np.shape(r), np.shape(t)))
+        shape = np.broadcast(r, t).shape
+        return value if np.shape(value) == shape else np.full(shape, value)
 
     def __repr__(self) -> str:
         return f"Expression({self.source!r})"

@@ -208,7 +208,6 @@ class MovingPlaneFront(LevelSetFront):
         offset_rate: Callable[[float], float] | None = None,
         window_center=None,
         window_half_width: float = 3.0,
-        char_length: float = 1.0,
     ):
         normal = np.asarray(normal, dtype=float)
         dim = normal.size
@@ -218,7 +217,7 @@ class MovingPlaneFront(LevelSetFront):
         self.normal_vector = normal / nrm
 
         self._offset, self._offset_rate = _time_law(offset, offset_rate)
-        super().__init__(s=None, dim=dim, char_length=char_length)
+        super().__init__(s=None, dim=dim)
         self.grad_mode = "analytic"
         self.window_center = (
             np.zeros(dim) if window_center is None else np.asarray(window_center, float)
@@ -328,9 +327,9 @@ class MovingSphereFront(LevelSetFront):
 
     def moving_chart(self, level: int = 2):
         """The unit-sphere chart, scaled by R(t) about the center at each time."""
-        from .quadrature import sphere_chart
+        from .quadrature import _unit_sphere_chart
 
-        unit = sphere_chart(np.zeros(self.dim), 1.0, level=level)
+        unit = _unit_sphere_chart(self.dim, level)
 
         def at(t):
             r = self.radius(t)
@@ -343,10 +342,10 @@ class MovingSphereFront(LevelSetFront):
 class ExpressionFront(LevelSetFront):
     """Front parsed from a level-set expression in x1..xn, |x| and t."""
 
-    def __init__(self, source: str, dim: int, char_length: float = 1.0):
+    def __init__(self, source: str, dim: int):
         allowed = {"t", "x", "r"} | {f"x{k + 1}" for k in range(dim)}
         self.expression: Expression = parse_expression(source, allowed=allowed)
-        super().__init__(s=None, dim=dim, char_length=char_length)
+        super().__init__(s=None, dim=dim)
 
     def _value_rows(self, x: np.ndarray, t) -> np.ndarray:
         return self.expression.eval_point(x, t)

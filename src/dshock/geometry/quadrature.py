@@ -117,6 +117,15 @@ def sphere_chart(center, radius: float, t: float = 0.0, level: int = 2) -> Surfa
     return SurfacePatchQuadrature(nodes, weights, float(t))
 
 
+@lru_cache(maxsize=None)
+def _unit_sphere_chart(dim: int, level: int) -> SurfacePatchQuadrature:
+    """Read-only ``sphere_chart`` of the unit sphere about 0, built once per (dim, level)."""
+    chart = sphere_chart(np.zeros(dim), 1.0, level=level)
+    chart.nodes.setflags(write=False)
+    chart.weights.setflags(write=False)
+    return chart
+
+
 def _tangent_basis(normal: np.ndarray) -> np.ndarray:
     basis = np.linalg.svd(normal[None, :])[2][1:]
     return basis.T  # (dim, dim-1)

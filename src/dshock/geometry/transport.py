@@ -34,7 +34,7 @@ import numpy as np
 from ..errors import InvalidDimensionError, SupportViolationError
 from .calculus import delta_derivative_time, mean_curvature, normal, normal_speed
 from .fronts import LevelSetFront, MovingSphereFront
-from .quadrature import gauss_panels, sphere_chart, surface_integral
+from .quadrature import _unit_sphere_chart, gauss_panels, surface_integral
 
 # Most (time node, chart node) pairs evaluated in one block of the
 # integration-by-parts grid; a block holds at least one time row.
@@ -86,7 +86,7 @@ class MovingBall:
     def volume_integral(self, f, t: float, level: int = 2) -> float:
         big_r = self.radius(t)
         r_nodes, r_weights = gauss_panels(0.0, big_r, 4 * (2**level), nodes=8)
-        unit = sphere_chart(np.zeros(self.center.size), 1.0, t=t, level=level)
+        unit = _unit_sphere_chart(self.center.size, level)
         # Every (radius, sphere-chart) node at once: rows are radii.
         pts = self.center + r_nodes[:, None, None] * unit.nodes
         vals = _values(f, pts.reshape(-1, self.center.size), t).reshape(r_nodes.size, -1)

@@ -143,20 +143,18 @@ def admissible_front_speed(d: RiemannData1D) -> float:
 
 @dataclass(frozen=True)
 class DeltaShockPath1D:
-    """Front trajectory: position, speed, carried mass, and their rates.
+    """Front trajectory: position, speed, carried mass and momentum.
 
-    All callables accept scalars or numpy arrays of times. ``e_rate`` and
-    ``momentum_rate`` are the exact front-riding derivatives of e and
-    e u_delta, so the front balance residual of the path vanishes.
+    All callables accept scalars or numpy arrays of times. Along the path
+    de/dt and d(e u_delta)/dt equal the mass and momentum deficits of
+    ``deficits_at``, so the front balance residual vanishes.
     """
 
     data: RiemannData1D
     phi: Callable
     u_delta: Callable
     e: Callable
-    e_rate: Callable
     momentum: Callable
-    momentum_rate: Callable
     detail: dict
 
     def front_state(self, t: float) -> FrontState:
@@ -169,7 +167,7 @@ class DeltaShockPath1D:
 
 
 def _path_constant_speed(d: RiemannData1D, s: float) -> DeltaShockPath1D:
-    a_, b_, c_, d_ = _jumps(d)
+    a_, b_, _, _ = _jumps(d)
     alpha = a_ - b_ * s
     if alpha < -1e-12 * (abs(a_) + abs(b_ * s) + 1.0):
         raise NoDeltaShockError("admissible speed would produce negative front mass")
@@ -185,9 +183,7 @@ def _path_constant_speed(d: RiemannData1D, s: float) -> DeltaShockPath1D:
         phi=lambda t: d.x0 + s * np.asarray(t, dtype=float),
         u_delta=lambda t: as_like(t, s),
         e=lambda t: alpha * np.asarray(t, dtype=float),
-        e_rate=lambda t: as_like(t, alpha),
         momentum=lambda t: alpha * s * np.asarray(t, dtype=float),
-        momentum_rate=lambda t: as_like(t, c_ - d_ * s),
         detail={"kind": "constant-speed", "speed": s, "growth": alpha},
     )
 
@@ -222,9 +218,7 @@ def _path_standard_atom(d: RiemannData1D) -> DeltaShockPath1D:
         phi=lambda t: d.x0 + displacement(t),
         u_delta=u_of,
         e=e_of,
-        e_rate=lambda t: a_ - b_ * u_of(t),
         momentum=q_of,
-        momentum_rate=lambda t: c_ - a_ * u_of(t),
         detail={"kind": "atom-exact", "e0": e0, "u_delta0": float(d.u_delta0)},
     )
 
@@ -270,9 +264,7 @@ def _path_generic_atom(d: RiemannData1D, t_end: float) -> DeltaShockPath1D:
         phi=lambda t: d.x0 + np.asarray(x_of(t)),
         u_delta=u_of,
         e=e_of,
-        e_rate=lambda t: a_ - b_ * u_of(t),
         momentum=q_of,
-        momentum_rate=lambda t: c_ - d_ * u_of(t),
         detail={"kind": "atom-ode", "t_end": float(t_end)},
     )
 

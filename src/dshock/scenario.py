@@ -31,6 +31,7 @@ from .spherical import (
     free_flow_field,
     steady_converging_field,
 )
+from .sticky_oracle import MAX_PARTICLES
 
 __all__ = [
     "SCENARIO_KINDS",
@@ -176,7 +177,7 @@ _KIND_SCHEMAS = {
         "properties": {
             "kind": {"const": "oracle"},
             "preset": {"enum": ["riemann", "spherical"]},
-            "N": {"type": "integer", "minimum": 100},
+            "N": {"type": "integer", "minimum": 100, "maximum": MAX_PARTICLES},
             "T": _POS,
             "mode": {"enum": ["midpoint", "random"]},
             **_COMMON,
@@ -289,9 +290,7 @@ def field_from_spec(spec: dict | None, n: int) -> RadialField | None:
         rho_e = parse_expression(str(spec["rho"]), allowed={"r"})
         u_e = parse_expression(str(spec["u"]), allowed={"r"})
         sup = None if support is None else (float(support[0]), float(support[1]))
-        return free_flow_field(
-            lambda r0: float(rho_e(r=r0)), lambda r0: float(u_e(r=r0)), n, sup
-        )
+        return free_flow_field(lambda r0: rho_e(r=r0), lambda r0: u_e(r=r0), n, sup)
     except DShockError as exc:
         raise ScenarioError(f"bad {kind} field spec: {exc}") from exc
 

@@ -25,11 +25,12 @@ away from the front. ``free_flow_field`` builds such solutions from data
 rho = rho0(r0) (r0/r)^{n-1} / (1 + t u0'(r0)); a vanishing denominator
 means characteristics cross and the field is invalid (caustic).
 
-A ``RadialField`` takes radii and times that broadcast together, so an
-audit or a validation grid evaluates each side in one call; its raw
-callables must broadcast over paired 1-D arrays of r and t. Every support
-window follows one edge law: an edge is unbounded, an (x0, speed) pair or a
-callable of t (``geometry.fronts._time_law``).
+A ``RadialField`` is a ``support`` window and one evaluator,
+``state(r, t) -> (rho, u)``, on radii and times that broadcast together:
+one point for the front ODE, a whole grid for an audit. It applies the
+window once and gives (0, 0) outside it and wherever rho <= 0. Every support
+edge is unbounded, an (x0, speed) pair or a callable of t
+(``geometry.fronts._time_law``).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
+from scipy.optimize import brentq  # noqa: F401  (unused; perfbench/tracer.py wraps this name)
 
 from .errors import (
     CausticError,
@@ -68,41 +69,46 @@ __all__ = [
     "radial_moment_integral",
 ]
 
+_EPS = np.finfo(float).eps
+# Newton steps, each at least halving its bracket when it falls back to
+# bisection, before a characteristic inversion gives up.
+_NEWTON_STEPS = 200
+# Centered-difference step and (r, t) sample grid of ``validate_field``.
+_VALIDATE_STEP = 1e-4
+_VALIDATE_GRID = (12, 8)
+
 
 @dataclass(frozen=True)
 class RadialField:
     """Radial density/velocity pair with a moving support window.
 
-    ``rho``, ``u`` and ``support`` take radii and times that broadcast
-    together: numbers give floats, arrays give arrays of the broadcast
-    shape. ``support`` maps t to (lo, hi); outside that window the field is
-    vacuum (rho = 0, u = 0). The raw evaluators are only called inside,
-    with two floats or with 1-D arrays of paired radii and times, and must
-    broadcast over them.
+    ``state(r, t)``: numbers give floats, arrays give arrays. ``support``
+    maps t to (lo, hi). ``raw`` is only called inside that window, on 1-D
+    arrays of paired r and t; it returns the densities there and a callable
+    giving the velocities at a boolean mask of those points.
     """
 
-    raw_rho: Callable
-    raw_u: Callable
+    raw: Callable
     support: Callable
 
-    def _eval(self, fn, r, t):
-        if np.ndim(r) == 0 and np.ndim(t) == 0:
-            r, t = float(r), float(t)
-            lo, hi = self.support(t)
-            return float(fn(r, t)) if lo <= r <= hi else 0.0
-        r, t = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
+    def state(self, r, t):
+        r, t = np.asarray(r, dtype=float), np.asarray(t, dtype=float)
+        if r.shape != t.shape:  # skips about 3 us of broadcasting per front-ODE side
+            r, t = np.broadcast_arrays(r, t)
         lo, hi = self.support(t)
-        inside = (r >= lo) & (r <= hi)
-        out = np.zeros(r.shape)
-        if np.any(inside):
-            out[inside] = fn(r[inside], t[inside])
-        return out
+        inside = np.array((r >= lo) & (r <= hi))
+        rho, u = np.zeros(r.shape), np.zeros(r.shape)
+        if inside.any():
+            rho_in, u_at = self.raw(r[inside], t[inside])
+            mass = rho_in > 0.0
+            inside[inside] = mass
+            rho[inside], u[inside] = rho_in[mass], u_at(mass)
+        return (float(rho), float(u)) if r.ndim == 0 else (rho, u)
 
-    def rho(self, r, t):
-        return self._eval(self.raw_rho, r, t)
 
-    def u(self, r, t):
-        return self._eval(self.raw_u, r, t)
+def _uniform_speed(rho_of: Callable, u0: float) -> Callable:
+    """Raw evaluator of a density law whose gas all moves at one speed u0."""
+    return lambda r, t: (rho_of(r, t), lambda mass: np.full(np.count_nonzero(mass), u0))
 
 
 def _window(edges, law: Callable) -> Callable:
@@ -125,61 +131,91 @@ def constant_field(rho0: float, u0: float, support0=None) -> RadialField:
     if rho0 < 0.0:
         raise InvalidParameterError("density must be nonnegative")
     return RadialField(
-        raw_rho=lambda r, t: np.full(np.shape(r), float(rho0)),
-        raw_u=lambda r, t: np.full(np.shape(r), float(u0)),
+        raw=_uniform_speed(lambda r, t: np.full(r.shape, float(rho0)), float(u0)),
         support=_window(support0, lambda x0: (x0, u0)),
     )
 
 
+def _on_array(fn: Callable) -> Callable:
+    """fn on an array of radii; a number it returns fills their shape."""
+    return lambda r0: np.full(np.shape(r0), fn(r0), dtype=float)
+
+
+def _characteristic_feet(u0: Callable, du0: Callable, r, t):
+    """(r0, 1 + t u0'(r0)) of the characteristics r = r0 + t u0(r0) through paired (r, t).
+
+    While 1 + t u0' > 0 the foot is the one root in a bracket around r. All
+    points take Newton steps at once, bisecting where a step leaves its
+    bracket; each stops on its own tolerance. No bracket, no convergence or a
+    caustic (1 + t u0' <= 1e-10) raises ``CausticError`` naming the point.
+    """
+    r0, jac = r.copy(), np.ones(r.shape)
+    todo = np.flatnonzero(t != 0.0)
+    r, t = r[todo], t[todo]
+
+    def g(x):
+        return x + t * u0(x) - r
+
+    def fail(where, why):
+        if where.any():
+            k = np.argmax(where)
+            raise CausticError(f"{why} at r={r[k]}, t={t[k]}")
+
+    width = np.maximum(1.0, np.abs(t) * (np.abs(u0(r)) + 1.0))
+    for _ in range(60):
+        a, b = r - width, r + width
+        missed = ~((g(a) <= 0.0) & (g(b) >= 0.0))
+        if not missed.any():
+            break
+        width = np.where(missed, 2.0 * width, width)
+    fail(missed, "no characteristic reaches the point")
+    x, active = r.copy(), np.ones(r.shape, dtype=bool)
+    for _ in range(_NEWTON_STEPS):
+        gx = g(x)
+        a, b = np.where(gx < 0.0, x, a), np.where(gx > 0.0, x, b)
+        step = x - gx / (1.0 + t * du0(x))
+        step = np.where((a <= step) & (step <= b), step, 0.5 * (a + b))
+        active &= gx != 0.0
+        moved = np.abs(step - x) > 1e-14 + 4.0 * _EPS * np.abs(step)
+        x, active = np.where(active, step, x), active & moved
+        if not active.any():
+            break
+    fail(active, "characteristic inversion did not converge")
+    r0[todo], jac[todo] = x, 1.0 + t * du0(x)
+    fail(jac[todo] <= 1e-10, "characteristics cross (the field is multivalued)")
+    return r0, jac
+
+
 def free_flow_field(rho0: Callable, u0: Callable, n: int, support0=None) -> RadialField:
-    """Pressureless free flow of initial data (rho0, u0) by characteristics."""
+    """Pressureless free flow of initial data (rho0, u0) by characteristics.
+
+    ``rho0`` and ``u0`` take an array of Lagrangian radii r0; a number they
+    return is broadcast. Each ``state`` call inverts the characteristics of
+    all its points at once and reads rho and u off the same feet; a density
+    or velocity that is not finite raises ``InvalidParameterError``.
+    """
     if n < 1:
         raise InvalidDimensionError("dimension must be >= 1")
+    rho0, u0 = _on_array(rho0), _on_array(u0)
 
     def du0(r0):
-        h = 1e-7 * max(1.0, abs(r0))
+        h = 1e-7 * np.maximum(1.0, np.abs(r0))
         return (u0(r0 + h) - u0(r0 - h)) / (2.0 * h)
 
-    def invert(r, t):
-        if t == 0.0:
-            return float(r)
-
-        def g(r0):
-            return r0 + t * u0(r0) - r
-
-        width = max(1.0, abs(t) * (abs(u0(r)) + 1.0))
-        a, b = r - width, r + width
-        for _ in range(60):
-            if g(a) <= 0.0 <= g(b):
-                break
-            a -= width
-            b += width
-            width *= 2.0
-        else:
-            raise CausticError(f"no characteristic reaches r={r} at t={t}")
-        return brentq(g, a, b, xtol=1e-14)
-
-    def jac(r0, t):
-        denom = 1.0 + t * du0(r0)
-        if denom <= 1e-10:
-            raise CausticError(
-                f"characteristics cross near r0={r0} by t={t}; field is multivalued"
+    def raw(r, t):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            r0, jac = _characteristic_feet(u0, du0, r, t)
+            ratio = (r0 / r) ** (n - 1) if n > 1 else 1.0
+            rho, u = rho0(r0) * ratio / jac, u0(r0)
+        bad = ~(np.isfinite(rho) & np.isfinite(u))
+        if bad.any():
+            k = np.argmax(bad)
+            raise InvalidParameterError(
+                f"free flow is not finite at r={r[k]}, t={t[k]}: rho={rho[k]}, u={u[k]}"
             )
-        return denom
+        return rho, lambda mass: u[mass]
 
-    def rho_at(r, t):
-        r0 = invert(r, t)
-        ratio = (r0 / r) ** (n - 1) if n > 1 else 1.0
-        return rho0(r0) * ratio / jac(r0, t)
-
-    def u_at(r, t):
-        return u0(invert(r, t))
-
-    return RadialField(
-        raw_rho=np.vectorize(rho_at, otypes=[float]),
-        raw_u=np.vectorize(u_at, otypes=[float]),
-        support=_window(support0, lambda x0: (x0, u0(x0))),
-    )
+    return RadialField(raw=raw, support=_window(support0, lambda x0: (x0, u0(x0))))
 
 
 def expression_field(rho_src: str, u_src: str, support_src=None) -> RadialField:
@@ -187,8 +223,10 @@ def expression_field(rho_src: str, u_src: str, support_src=None) -> RadialField:
     rho_e = parse_expression(rho_src, allowed={"r", "t"})
     u_e = parse_expression(u_src, allowed={"r", "t"})
     return RadialField(
-        raw_rho=rho_e.eval_radial,
-        raw_u=u_e.eval_radial,
+        raw=lambda r, t: (
+            rho_e.eval_radial(r, t),
+            lambda mass: u_e.eval_radial(r[mass], t[mass]),
+        ),
         support=_window(support_src, lambda src: _of_t(str(src))),
     )
 
@@ -203,27 +241,29 @@ def steady_converging_field(n: int, support0=None) -> RadialField:
     if n < 1:
         raise InvalidDimensionError("dimension must be >= 1")
     return RadialField(
-        raw_rho=lambda r, t: np.asarray(r, dtype=float) ** (1.0 - n),
-        raw_u=lambda r, t: np.full(np.shape(r), -1.0),
+        raw=_uniform_speed(lambda r, t: r ** (1.0 - n), -1.0),
         support=_window(support0, lambda x0: (x0, -1.0)),
     )
 
 
-def validate_field(f: RadialField, n: int, box, h: float = 1e-4, samples=(12, 8)) -> float:
-    """Max finite-difference residual of the radial system on a sample box.
+def validate_field(f: RadialField, n: int, box) -> float:
+    """Max centered-difference residual of the radial system on a sample box.
 
     ``box`` is (r_lo, r_hi, t_lo, t_hi); the stencil must stay inside the
     field's support, away from r = 0, and at t >= 0.
     """
+    h = _VALIDATE_STEP
     r_lo, r_hi, t_lo, t_hi = map(float, box)
     if t_lo - h < 0.0:
         raise InvalidParameterError("time box must leave room for the centered stencil")
-    r, t = np.meshgrid(np.linspace(r_lo, r_hi, samples[0]), np.linspace(t_lo, t_hi, samples[1]))
-    rho_c, u_c = f.rho(r, t), f.u(r, t)
-    rho_tp, u_tp = f.rho(r, t + h), f.u(r, t + h)
-    rho_tm, u_tm = f.rho(r, t - h), f.u(r, t - h)
-    rho_rp, u_rp = f.rho(r + h, t), f.u(r + h, t)
-    rho_rm, u_rm = f.rho(r - h, t), f.u(r - h, t)
+    r, t = np.meshgrid(
+        np.linspace(r_lo, r_hi, _VALIDATE_GRID[0]), np.linspace(t_lo, t_hi, _VALIDATE_GRID[1])
+    )
+    rho_c, u_c = f.state(r, t)
+    rho_tp, u_tp = f.state(r, t + h)
+    rho_tm, u_tm = f.state(r, t - h)
+    rho_rp, u_rp = f.state(r + h, t)
+    rho_rm, u_rm = f.state(r - h, t)
     d_t_rho = (rho_tp - rho_tm) / (2.0 * h)
     d_t_mom = (rho_tp * u_tp - rho_tm * u_tm) / (2.0 * h)
     d_r_flux = (rho_rp * u_rp - rho_rm * u_rm) / (2.0 * h)
@@ -253,25 +293,11 @@ class SphericalFrontState:
 
 
 def _side(fieldobj: RadialField | None, r, t):
-    """(rho, u) at radii and times that broadcast together (numbers give floats).
-
-    Vacuum, and any rho <= 0, gives (0, 0) without evaluating u there.
-    """
-    if np.ndim(r) == 0 and np.ndim(t) == 0:
-        if fieldobj is None:
-            return 0.0, 0.0
-        rho = fieldobj.rho(r, t)
-        if rho <= 0.0:
-            return 0.0, 0.0
-        return rho, fieldobj.u(r, t)
-    r, t = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
-    rho, u = np.zeros(r.shape), np.zeros(r.shape)
+    """``fieldobj.state(r, t)``, with None as vacuum: (0, 0) in the broadcast shape."""
     if fieldobj is not None:
-        rho = fieldobj.rho(r, t)
-        vacuum = rho <= 0.0
-        rho[vacuum] = 0.0
-        u[~vacuum] = fieldobj.u(r[~vacuum], t[~vacuum])
-    return rho, u
+        return fieldobj.state(r, t)
+    zero = np.zeros(np.broadcast(r, t).shape)
+    return (0.0, 0.0) if zero.ndim == 0 else (zero, zero.copy())
 
 
 @dataclass
@@ -369,6 +395,12 @@ def _local_front_speed(inner, outer, phi: float, t: float) -> tuple[float, float
     return s, (rho_i * u_i - rho_o * u_o) - (rho_i - rho_o) * s
 
 
+def _stop_on_fall(event: Callable) -> Callable:
+    """``event`` as a solve_ivp event that ends the integration when it falls through 0."""
+    event.terminal, event.direction = True, -1.0
+    return event
+
+
 def integrate_front(
     inner: RadialField | None,
     outer: RadialField | None,
@@ -445,24 +477,6 @@ def integrate_front(
         y0 = [init.phi, init.e, init.e * init.u_delta]
         t_start = t0
 
-    def ev_focus(t, y):
-        return y[0] - r_min
-
-    ev_focus.terminal = True
-    ev_focus.direction = -1.0
-
-    def ev_entropy(t, y):
-        return entropy_margin(y[0], t, y[2] / y[1])
-
-    ev_entropy.terminal = True
-    ev_entropy.direction = -1.0
-
-    def ev_mass(t, y):
-        return y[1]
-
-    ev_mass.terminal = True
-    ev_mass.direction = -1.0
-
     sol = solve_ivp(
         rhs,
         (t_start, float(t_end)),
@@ -471,7 +485,11 @@ def integrate_front(
         rtol=rtol,
         atol=atol,
         dense_output=True,
-        events=[ev_focus, ev_entropy, ev_mass],
+        events=[
+            _stop_on_fall(lambda t, y: y[0] - r_min),
+            _stop_on_fall(lambda t, y: entropy_margin(y[0], t, y[2] / y[1])),
+            _stop_on_fall(lambda t, y: y[1]),
+        ],
     )
     if not sol.success:
         if "step size" in sol.message.lower():
@@ -483,7 +501,7 @@ def integrate_front(
     if np.any(es < -atol):
         raise StiffnessError("negative front mass along the trajectory")
     u_ds = np.where(es > 0.0, qs / np.where(es > 0.0, es, 1.0), 0.0)
-    traj = SphericalTrajectory(
+    return SphericalTrajectory(
         n=n,
         r_min=r_min,
         t=ts,
@@ -496,7 +514,6 @@ def integrate_front(
         _dense=sol.sol,
         _boot=boot,
     )
-    return traj
 
 
 def _integrate_passive(inner, outer, init, n, t_end, r_min, rtol, atol):
@@ -505,24 +522,15 @@ def _integrate_passive(inner, outer, init, n, t_end, r_min, rtol, atol):
         (rho_i, u_i), (_, u_o) = _side(inner, phi, t), _side(outer, phi, t)
         return np.where(rho_i > 0.0, u_i, u_o)
 
-    def rhs(t, y):
-        return [speed(y[0], t)]
-
-    def ev_focus(t, y):
-        return y[0] - r_min
-
-    ev_focus.terminal = True
-    ev_focus.direction = -1.0
-
     sol = solve_ivp(
-        rhs,
+        lambda t, y: [speed(y[0], t)],
         (float(init.t), float(t_end)),
         [init.phi],
         method="RK45",
         rtol=rtol,
         atol=atol,
         dense_output=True,
-        events=[ev_focus],
+        events=[_stop_on_fall(lambda t, y: y[0] - r_min)],
     )
     if not sol.success:
         raise StiffnessError(f"passive front integration failed: {sol.message}")
@@ -561,9 +569,9 @@ def radial_moment_integral(fieldobj, a, b, t, weight, panels, nodes, moment: int
         a, b = np.maximum(a, lo), np.minimum(b, hi)
         ok = a < b
         r, w = gauss_panels(a[ok], b[ok], panels, nodes)
-        tq = t[ok][:, None]
-        vals = fieldobj.rho(r, tq) * weight(r)
+        rho, u = fieldobj.state(r, t[ok][:, None])
+        vals = rho * weight(r)
         if moment:
-            vals = vals * fieldobj.u(r, tq) ** moment
+            vals = vals * u ** moment
         out[ok] = np.vecdot(w, vals)
     return float(out) if out.ndim == 0 else out

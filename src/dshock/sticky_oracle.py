@@ -58,6 +58,10 @@ __all__ = [
     "unit_sphere_area",
 ]
 
+# Most particles or shells one discretization may hold: ten times the
+# default of the riemann oracle preset. Checked before anything is allocated.
+MAX_PARTICLES = 2_000_000
+
 _TIE = 1e-13
 
 
@@ -212,6 +216,8 @@ def sample_riemann(
     """
     if N < 100:
         raise UndersamplingError("need at least 100 particles to resolve a front")
+    if N > MAX_PARTICLES:
+        raise InvalidParameterError(f"at most {MAX_PARTICLES} particles, got N = {N}")
     if L <= 0.0:
         raise InvalidParameterError("sampling half-width L must be positive")
     if mode not in ("midpoint", "random"):
@@ -304,7 +310,7 @@ def radial_shells(
     """Spherical-shell discretization of radial data on an annulus.
 
     ``inner``/``outer`` provide densities and radial velocities via
-    ``.rho(r, t)`` and ``.u(r, t)`` at t=0 (``None`` means vacuum), split
+    ``.state(r, t)`` at t=0 (``None`` means vacuum), split
     at ``boundary``. ``front_seed = (phi0, e0, u_delta0)`` inserts the
     initial concentrated front as one shell of mass
     e0 |S^{n-1}| phi0^{n-1}.
@@ -313,6 +319,8 @@ def radial_shells(
         raise InvalidDimensionError("radial shells need dimension n >= 2")
     if N < 100:
         raise UndersamplingError("need at least 100 shells to resolve a front")
+    if N > MAX_PARTICLES:
+        raise InvalidParameterError(f"at most {MAX_PARTICLES} shells, got N = {N}")
     r_lo, r_hi = float(annulus[0]), float(annulus[1])
     if not (0.0 <= r_min <= r_lo < r_hi):
         raise InvalidParameterError("annulus must satisfy 0 <= r_min <= r_lo < r_hi")
@@ -326,11 +334,11 @@ def radial_shells(
         if fld is None:
             continue
         rs = r[side]
-        rho = fld.rho(rs, 0.0)
+        rho, u = fld.state(rs, 0.0)
         keep = rho > 0.0
         rs, rho = rs[keep], rho[keep]
         xs.append(rs)
-        vs.append(fld.u(rs, 0.0))
+        vs.append(u[keep])
         ms.append(rho * area * rs ** (n - 1) * dr)
     shell = None
     if front_seed is not None:

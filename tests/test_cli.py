@@ -235,11 +235,42 @@ def test_run_oracle_rejects_non_finite_T(tmp_path, capsys, T):
     assert report["failed"] == ["run"]
 
 
-def test_oracle_undersampled_exits_3(tmp_path):
-    rc = main(
-        ["oracle", "--preset", "riemann", "--N", "50", "--out", str(tmp_path / "o.csv")]
-    )
-    assert rc == 3
+@pytest.mark.parametrize("preset", ["riemann", "spherical"])
+@pytest.mark.parametrize("n", ["0", "50"])
+def test_oracle_undersampled_exits_2(tmp_path, capsys, preset, n):
+    # Too few particles is a configuration problem, not a numerical failure.
+    out = tmp_path / "o.csv"
+    assert main(["oracle", "--preset", preset, "--N", n, "--out", str(out)]) == 2
+    assert "invalid configuration: need at least 100" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_particle_count_is_bounded_before_allocation(tmp_path, capsys):
+    # The bound is checked before any array is built, so a count far past
+    # memory only costs the message.
+    from dshock.sticky_oracle import MAX_PARTICLES
+
+    huge = str(10**15)
+    for preset in ("riemann", "spherical"):
+        argv = ["oracle", "--preset", preset, "--N", huge, "--out", str(tmp_path / "o.csv")]
+        assert main(argv) == 2
+        assert f"at most {MAX_PARTICLES}" in capsys.readouterr().err
+    cfg = tmp_path / "oracle.json"
+    cfg.write_text(f'{{"kind": "oracle", "preset": "riemann", "N": {MAX_PARTICLES + 1}}}')
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"greater than the maximum of {MAX_PARTICLES}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("samples", ["-3", "0", "1"])
+def test_riemann_needs_two_samples(tmp_path, capsys, samples):
+    out = tmp_path / "r.csv"
+    args = [
+        "riemann", "--rho-l", "4", "--rho-r", "1", "--u-l", "1", "--u-r", "-1",
+        "--t-end", "1.0", "--samples", samples, "--out", str(out),
+    ]
+    assert main(args) == 2
+    assert f"--samples must be at least 2, got {samples}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_spherical_subcommand(tmp_path):

@@ -544,8 +544,12 @@ def test_integration_by_parts_over_several_blocks_matches_scalar_reference():
     _close([rep.lhs, rep.rhs], [lhs, rhs], 1e-13)
 
 
-def _count_chart_builds(monkeypatch):
-    """A list that gains one entry per plane_chart or sphere_chart call."""
+def _chart_builds(monkeypatch):
+    """count(check): plane_chart and sphere_chart calls while check() runs.
+
+    Each count starts from an empty unit-sphere chart cache, so it counts
+    the charts one check builds.
+    """
     from dshock.geometry import quadrature
 
     builds = []
@@ -557,7 +561,14 @@ def _count_chart_builds(monkeypatch):
             return _chart(*args, **kwargs)
 
         monkeypatch.setattr(quadrature, name, counted)
-    return builds
+
+    def count(check):
+        builds.clear()
+        quadrature._unit_sphere_chart.cache_clear()
+        check()
+        return len(builds)
+
+    return count
 
 
 def _counted_fronts():
@@ -568,29 +579,41 @@ def _counted_fronts():
 
 
 def test_integration_by_parts_builds_its_charts_once(monkeypatch):
-    builds = _count_chart_builds(monkeypatch)
+    count = _chart_builds(monkeypatch)
     e = _gaussian_field(np.array([0.1, 0.2]), 0.3)
     phi = TensorBump([BumpFactor(-1.0, 1.0), BumpFactor(-1.0, 1.0)], BumpFactor(0.05, 0.8))
     for front in _counted_fronts():
-        counts = []
-        for level in (0, 1, 2):
-            builds.clear()
-            check_integration_by_parts(e, phi, front, t_end=1.0, level=level)
-            counts.append(len(builds))
+        counts = [
+            count(lambda: check_integration_by_parts(e, phi, front, t_end=1.0, level=level))
+            for level in (0, 1, 2)
+        ]
         # One moving chart serves the space-time grid and the t = 0 term.
         assert counts == [1, 1, 1]
 
 
 def test_surface_transport_builds_its_chart_once(monkeypatch):
-    builds = _count_chart_builds(monkeypatch)
+    count = _chart_builds(monkeypatch)
     e = _gaussian_field(np.array([0.1, 0.2]), 0.3)
     for front in _counted_fronts():
-        counts = []
-        for level in (0, 1, 2):
-            builds.clear()
-            check_surface_transport(e, front, 0.4, dt=1e-3, level=level)
-            counts.append(len(builds))
+        counts = [
+            count(lambda: check_surface_transport(e, front, 0.4, dt=1e-3, level=level))
+            for level in (0, 1, 2)
+        ]
         # t - dt, t and t + dt on one moving chart.
+        assert counts == [1, 1, 1]
+
+
+def test_volume_transport_on_a_ball_builds_its_chart_once(monkeypatch):
+    count = _chart_builds(monkeypatch)
+    for center in (np.zeros(2), np.zeros(3)):
+        f = _gaussian_field(center + 0.1, 0.3)
+        ball = MovingBall(center, lambda t: 1.0 + 0.5 * t, lambda t: 0.5)
+        counts = [
+            count(lambda: check_volume_transport(f, ball, 0.4, dt=1e-3, level=level))
+            for level in (0, 1, 2)
+        ]
+        # The volume integrals at t - dt, t and t + dt and the boundary term
+        # share one unit-sphere chart.
         assert counts == [1, 1, 1]
 
 

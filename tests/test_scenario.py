@@ -107,16 +107,16 @@ def test_field_from_spec_branches():
     assert field_from_spec(None, 3) is None
     assert field_from_spec({"kind": "vacuum"}, 3) is None
     const = field_from_spec({"kind": "constant", "rho": 2.0, "u": -0.5}, 3)
-    assert const.rho(1.0, 0.3) == 2.0
+    assert const.state(1.0, 0.3) == (2.0, -0.5)
     expr = field_from_spec(
         {"kind": "expression", "rho": "1/r^2", "u": "-1", "support": [0.5, 4.0]}, 3
     )
-    assert abs(expr.rho(2.0, 0.0) - 0.25) < 1e-14
+    assert abs(expr.state(2.0, 0.0)[0] - 0.25) < 1e-14
     steady = field_from_spec({"kind": "steady_converging", "support": [0.5, 4.0]}, 3)
-    assert abs(steady.u(1.7, 0.9) + 1.0) < 1e-12
+    assert abs(steady.state(1.7, 0.9)[1] + 1.0) < 1e-12
     free = field_from_spec({"kind": "free_flow", "rho": "1", "u": "0.1*r"}, 3)
     # u = r/(10 + t) for this profile
-    assert abs(free.u(2.0, 1.0) - 2.0 / 11.0) < 1e-9
+    assert abs(free.state(2.0, 1.0)[1] - 2.0 / 11.0) < 1e-9
     with pytest.raises(ScenarioError):
         field_from_spec({"kind": "expression", "rho": "1/", "u": "0"}, 3)
 

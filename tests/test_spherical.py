@@ -1,5 +1,7 @@
 """Tests for radial fields and the spherical front integrator."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from dshock import (
     AuditInvalidError,
+    CausticError,
     InvalidParameterError,
     RiemannData1D,
     SphericalFrontState,
@@ -29,19 +32,18 @@ from dshock.spherical import _side
 
 def test_constant_field_support_advects():
     f = constant_field(2.0, -0.5, support0=(1.0, 3.0))
-    assert f.rho(2.0, 0.0) == pytest.approx(2.0)
-    assert f.rho(0.9, 0.0) == 0.0
+    assert f.state(2.0, 0.0) == (2.0, -0.5)
+    assert f.state(0.9, 0.0) == (0.0, 0.0)
     # The window moves with the particles.
-    assert f.rho(0.9, 1.0) == pytest.approx(2.0)
-    assert f.rho(2.8, 1.0) == 0.0
-    np.testing.assert_allclose(f.u(np.array([1.0, 2.0]), 1.0), [-0.5, -0.5])
+    assert f.state(0.9, 1.0) == (2.0, -0.5)
+    assert f.state(2.8, 1.0) == (0.0, 0.0)
+    np.testing.assert_allclose(f.state(np.array([1.0, 2.0]), 1.0)[1], [-0.5, -0.5])
 
 
 def test_expression_field_eval():
     f = expression_field("r^2 * t", "0 - r", support_src=("1 + t", None))
-    assert f.rho(2.0, 0.5) == pytest.approx(2.0)
-    assert f.u(2.0, 0.5) == pytest.approx(-2.0)
-    assert f.rho(1.2, 0.5) == 0.0  # below the moving lower edge
+    assert f.state(2.0, 0.5) == pytest.approx((2.0, -2.0))
+    assert f.state(1.2, 0.5) == (0.0, 0.0)  # below the moving lower edge
 
 
 def test_side_states_are_vacuum_where_density_is_not_positive():
@@ -50,18 +52,18 @@ def test_side_states_are_vacuum_where_density_is_not_positive():
     # with its own time and equal the per-point side states.
     f = expression_field("r - 2", "1/(r - 1)")
     r, t = np.array([0.5, 1.0, 2.0, 3.0]), np.array([0.0, 0.1, 0.2, 0.3])
-    rho, u = _side(f, r, t)
+    rho, u = f.state(r, t)
     np.testing.assert_array_equal(rho, [0.0, 0.0, 0.0, 1.0])
     np.testing.assert_array_equal(u, [0.0, 0.0, 0.0, 0.5])
-    assert [_side(f, rk, tk) for rk, tk in zip(r, t)] == list(zip(rho, u))
-    assert _side(None, r, t)[0].shape == r.shape
+    assert [f.state(rk, tk) for rk, tk in zip(r, t)] == list(zip(rho, u))
+    assert [a.shape for a in _side(None, r, t)] == [r.shape, r.shape]
+    assert _side(None, 1.0, 0.0) == (0.0, 0.0)
 
 
 def test_steady_converging_field_solves_radial_system():
     for n in (2, 3):
         f = steady_converging_field(n)
-        assert f.rho(2.0, 0.7) == pytest.approx(2.0 ** (1.0 - n))
-        assert f.u(1.5, 0.0) == pytest.approx(-1.0)
+        assert f.state(2.0, 0.7) == pytest.approx((2.0 ** (1.0 - n), -1.0))
         res = validate_field(f, n, (1.0, 3.0, 0.1, 0.5))
         assert res < 1e-7
 
@@ -83,8 +85,8 @@ def test_steady_converging_field_is_its_free_flow(n, lo0, width, bounded, t, fra
     assert steady.support(t) == flow.support(t)
     lo, hi = (lo0 - t, lo0 + width - t)
     r = np.array([lo + frac * (hi - lo), lo, hi])
-    np.testing.assert_allclose(steady.rho(r, t), flow.rho(r, t), rtol=1e-13, atol=0.0)
-    np.testing.assert_allclose(steady.u(r, t), flow.u(r, t), rtol=1e-13, atol=0.0)
+    for want, got in zip(steady.state(r, t), flow.state(r, t)):
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 def test_free_flow_field_linear_profile():
@@ -92,12 +94,121 @@ def test_free_flow_field_linear_profile():
     # exact density is rho0(r0) (1 + t)^{-n} in the 1-D-geometry case n=1.
     f = free_flow_field(lambda r0: np.ones_like(r0), lambda r0: r0, n=1)
     t = 0.5
-    assert f.u(3.0, t) == pytest.approx(3.0 / 1.5)
-    assert f.rho(3.0, t) == pytest.approx(1.0 / 1.5)
+    assert f.state(3.0, t) == pytest.approx((1.0 / 1.5, 3.0 / 1.5))
     # The characteristic inversion carries ~1e-9 evaluation noise which the
     # validation stencil amplifies by 1/h; only order-1 errors matter here.
     res = validate_field(f, 1, (1.0, 3.0, 0.1, 0.5))
     assert res < 1e-4
+
+
+def _ref_invert(u0, r: float, t: float) -> float:
+    """Foot r0 of the characteristic through (r, t), one scalar brentq per point.
+
+    This is the per-point inversion that ``free_flow_field`` ran before it
+    inverted whole arrays, kept as the reference for the array code.
+    """
+    from scipy.optimize import brentq
+
+    if t == 0.0:
+        return float(r)
+
+    def g(r0):
+        return r0 + t * u0(r0) - r
+
+    width = max(1.0, abs(t) * (abs(u0(r)) + 1.0))
+    a, b = r - width, r + width
+    for _ in range(60):
+        if g(a) <= 0.0 <= g(b):
+            break
+        a -= width
+        b += width
+        width *= 2.0
+    else:
+        raise AssertionError(f"no bracket at r={r}, t={t}")
+    return brentq(g, a, b, xtol=1e-14)
+
+
+_EPS = np.finfo(float).eps
+
+
+@st.composite
+def _free_flow_data(draw):
+    """Non-caustic data with feet away from the origin.
+
+    |u0'| <= 0.8 and t <= 1 keep 1 + t u0' >= 0.2; |u0| <= 1.5 on (0.5, 5.5)
+    keeps the foot of every r in [2, 4] inside it.
+    """
+    c0 = draw(st.floats(-0.5, 0.5))
+    if draw(st.booleans()):
+        c1 = draw(st.floats(-0.4, 0.4))
+        u0 = lambda x: c0 + c1 * (x - 3.0)  # noqa: E731
+    else:
+        k = draw(st.floats(0.8, 3.0))
+        a = draw(st.floats(0.0, 0.8)) / k
+        p = draw(st.floats(0.0, 6.0))
+        u0 = lambda x: c0 + a * np.sin(k * x + p)  # noqa: E731
+    d0 = draw(st.floats(0.5, 2.0))
+    d1 = draw(st.floats(-0.4, 0.4)) * d0
+    m = draw(st.integers(1, 6))
+    r = draw(st.lists(st.floats(2.0, 4.0), min_size=m, max_size=m))
+    t = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=m, max_size=m))
+    return (lambda x: d0 + d1 * np.cos(x)), u0, np.array(r), np.array(t)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=_free_flow_data(), n=st.sampled_from([1, 2, 3]))
+def test_free_flow_state_matches_scalar_inversion(data, n):
+    # One array inversion against one brentq per point. u = u0(r0) agrees
+    # to rounding. rho divides by 1 + t u0'(r0), where u0' is a central
+    # difference of step h = 1e-7 max(1, |r0|): the two inversions stop a
+    # few ulps apart, and each ulp of r0 can move that difference by the
+    # rounding of u0 and of r0 +- h over h, which bounds the rho tolerance.
+    rho0, u0, r, t = data
+    rho, u = free_flow_field(rho0, u0, n).state(r, t)
+    for k, (rk, tk) in enumerate(zip(r, t)):
+        r0 = _ref_invert(u0, rk, tk)
+        h = 1e-7 * max(1.0, abs(r0))
+        slope = (u0(r0 + h) - u0(r0 - h)) / (2.0 * h)
+        jac = 1.0 + tk * slope
+        ratio = (r0 / rk) ** (n - 1) if n > 1 else 1.0
+        scale = abs(u0(r0)) + abs(slope) * abs(r0)
+        noise = 16.0 * _EPS * tk * scale / (h * jac)
+        assert abs(u[k] - u0(r0)) <= 1e-13 * (1.0 + abs(u0(r0)))
+        want = rho0(r0) * ratio / jac
+        assert abs(rho[k] - want) <= (1e-13 + noise) * want
+
+
+def test_free_flow_evaluates_u0_on_whole_arrays():
+    # One array inversion per state call: u0 never runs point by point.
+    shapes = set()
+
+    def u0(x):
+        shapes.add(np.shape(x))
+        return 0.2 * np.sin(x) - 0.3
+
+    f = free_flow_field(lambda x: 1.0 + 0.0 * x, u0, 3)
+    f.state(np.linspace(1.0, 3.0, 50), np.linspace(0.0, 0.8, 50))
+    assert shapes == {(49,), (50,)}  # the point at t = 0 needs no inversion
+
+
+def test_free_flow_faults_name_the_point():
+    # u0'(2) = -4, so the characteristic from r0 = 2 (which stays at r = 2)
+    # is crossed by its neighbours once t > 1/4.
+    crossing = free_flow_field(lambda x: 1.0 + 0.0 * x, lambda x: -np.arctan(4.0 * (x - 2.0)), 2)
+    with pytest.raises(CausticError, match=r"characteristics cross.* at r=2\.0, t=0\.3"):
+        crossing.state(np.array([1.0, 2.0]), np.array([0.1, 0.3]))
+    unreachable = free_flow_field(lambda x: 1.0 + 0.0 * x, lambda x: np.sqrt(x - 10.0), 2)
+    with pytest.raises(CausticError, match=r"no characteristic reaches the point at r=2\.0, t=0\.5"):
+        unreachable.state(2.0, 0.5)
+    # A density that is not finite is an error, never a NaN or a warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pole = free_flow_field(lambda x: 1.0 / (x - 2.0), lambda x: 0.0 * x, 2)
+        with pytest.raises(InvalidParameterError, match=r"not finite at r=2\.0, t=0\.0: rho=inf"):
+            pole.state(np.array([1.0, 2.0]), 0.0)
+        origin = free_flow_field(lambda x: 1.0 + 0.0 * x, lambda x: 0.0 * x, 3)
+        with pytest.raises(InvalidParameterError, match=r"r=0\.0"):
+            origin.state(0.0, 0.3)
 
 
 def test_validate_field_flags_wrong_density():
@@ -172,6 +283,25 @@ def test_massless_front_started_late_bootstraps_from_its_start_time():
     assert abs(traj.phi_at(np.nextafter(t_eps, 1.0)) - traj.phi_at(t_eps)) <= 1e-8
     with pytest.raises(InvalidParameterError):
         traj.phi_at(0.2)
+
+
+def test_front_ode_reads_each_side_window_once(monkeypatch):
+    # Every side evaluation applies the support window once: each edge
+    # formula runs exactly as often as the density and the velocity.
+    from dshock.expressions import Expression
+
+    counts = {}
+    call = Expression.__call__
+
+    def counted(self, **env):
+        counts[self.source] = counts.get(self.source, 0) + 1
+        return call(self, **env)
+
+    monkeypatch.setattr(Expression, "__call__", counted)
+    outer = expression_field("r^(0-2)", "0-1", ("1-t", "3.5-t"))
+    init = SphericalFrontState(t=0.0, phi=1.0, e=0.01, u_delta=-0.5)
+    integrate_front(None, outer, init, n=3, t_end=0.6)
+    assert counts["1-t"] == counts["3.5-t"] == counts["r^(0-2)"] == counts["0-1"] > 0
 
 
 def test_steady_converging_front_n3():

@@ -289,11 +289,11 @@ def _argsort_shells(inner, outer, n, N, annulus, boundary, front_seed):
         if fld is None:
             continue
         rs = r[side]
-        rho = fld.rho(rs, 0.0)
+        rho, u = fld.state(rs, 0.0)
         keep = rho > 0.0
         rs, rho = rs[keep], rho[keep]
         xs.append(rs)
-        vs.append(fld.u(rs, 0.0))
+        vs.append(u[keep])
         ms.append(rho * area * rs ** (n - 1) * dr)
     phi0, e0, ud0 = map(float, front_seed)
     if e0 > 0.0:
