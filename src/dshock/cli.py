@@ -57,7 +57,7 @@ from .scenario import (
 )
 from .solutions import DeltaShockSolution1D, PlanarSolution, from_riemann
 from .spherical import integrate_front, steady_converging_field
-from .sticky_oracle import delta_cluster_estimate, radial_shells, sample_riemann
+from .sticky_oracle import MAX_SAMPLES, delta_cluster_estimate, radial_shells, sample_riemann
 from .weakcheck import evaluate_identities, make_battery
 
 __all__ = ["main", "build_parser"]
@@ -509,14 +509,16 @@ _RUNNERS = {
 
 def _execute_scenario(obj: dict, args) -> int:
     strict = getattr(args, "strict", False)
-    warnings = validate_scenario(obj, strict=strict)
-    for w in warnings:
-        print(f"warning: {w}", file=sys.stderr)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    seed = args.seed if getattr(args, "seed", None) is not None else int(obj.get("seed", 0))
-    kind = obj["kind"]
+    seed = getattr(args, "seed", None)
+    kind = obj.get("kind")
     try:
+        # Inside the handler, so a schema error also leaves a report.json.
+        for w in validate_scenario(obj, strict=strict):
+            print(f"warning: {w}", file=sys.stderr)
+        if seed is None:
+            seed = int(obj.get("seed", 0))
         checks, payload = _RUNNERS[kind](obj, outdir, seed, strict)
     except DShockError as exc:
         code, label = _exit_status(exc)
@@ -555,6 +557,8 @@ def cmd_spherical(args) -> int:
 def cmd_riemann(args) -> int:
     if args.samples < 2:
         raise InvalidParameterError(f"--samples must be at least 2, got {args.samples}")
+    if args.samples > MAX_SAMPLES:
+        raise InvalidParameterError(f"--samples must be at most {MAX_SAMPLES}, got {args.samples}")
     if args.flux == "relativistic":
         if args.c0 is None:
             raise ScenarioError("--flux relativistic requires --c0")

@@ -31,7 +31,7 @@ from .spherical import (
     free_flow_field,
     steady_converging_field,
 )
-from .sticky_oracle import MAX_PARTICLES
+from .sticky_oracle import MAX_PARTICLES, MAX_SAMPLES
 
 __all__ = [
     "SCENARIO_KINDS",
@@ -97,6 +97,7 @@ _FIELD_SCHEMA = {
 }
 
 _PAIR = {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2}
+_SAMPLES = {"type": "integer", "minimum": 2, "maximum": MAX_SAMPLES}
 
 _COMMON = {
     "name": {"type": "string"},
@@ -117,7 +118,7 @@ _RIEMANN_PROPS = {
     "x0": _NUM,
     "t_end": _POS,
     "support": _PAIR,
-    "samples": {"type": "integer", "minimum": 2},
+    "samples": _SAMPLES,
     "time_reverse": {"type": "boolean"},
     **_COMMON,
 }
@@ -142,7 +143,7 @@ _KIND_SCHEMAS = {
             "t_end": _POS,
             "r_min": _POS,
             "annulus": _PAIR,
-            "samples": {"type": "integer", "minimum": 2},
+            "samples": _SAMPLES,
             "rtol": _POS,
             "atol": _POS,
             **_COMMON,
@@ -165,7 +166,7 @@ _KIND_SCHEMAS = {
             "u_delta0": {"type": ["number", "null"]},
             "t_end": _POS,
             "support": _PAIR,
-            "samples": {"type": "integer", "minimum": 2},
+            "samples": _SAMPLES,
             "check_rotation": {"type": "boolean"},
             **_COMMON,
         },

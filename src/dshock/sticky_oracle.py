@@ -22,12 +22,25 @@ arithmetic can leave one cluster unmerged. Symmetric data
 3876 clusters where the exact count is 3875; one cluster is the documented
 tolerance at such contacts.
 
-``ParticleSystem.run_until`` does one regression per query time and keeps
-what it yields directly: the block boundaries, the cluster positions and
-masses, and the merge count. Cluster velocities and the dissipated energy
-are built from the stored blocks on first access after a solve, and
-``delta_cluster_estimate`` reads only the heaviest cluster's velocity at
-each snapshot.
+``ParticleSystem.run_until`` does one regression over all particles and
+keeps what it yields directly: the block boundaries, the cluster positions
+and masses, and the merge count. Cluster velocities and the dissipated
+energy are built from the stored blocks on first access after a solve.
+
+``delta_cluster_estimate`` regresses all particles once, at the final
+time. Clusters only gain mass as time runs, so a particle alone at some
+time was alone at every earlier one. Each earlier query time therefore
+regresses only the particles in multi-particle clusters at the next later
+solved time, with one free neighbour on each side of every run as a
+guard, and takes every other particle as a free singleton. Two checks
+cover the only places where this assembly can differ from the full
+regression: every guard must come out alone, and every pair of free
+neighbours that can touch must still be apart. Where a check fails, that
+time is regressed on all particles, so every query time gets the clusters
+of the full regression. A check fails only at a contact decided by
+rounding between neighbours that are apart at the later time; like any
+contact decided by rounding, it stays within the one-cluster tolerance
+above.
 
 Radial variant: in n >= 2 dimensions with radial data, spherical shells
 carry mass rho(r) |S^{n-1}| r^{n-1} dr and undergo the same 1-D dynamics
@@ -61,6 +74,10 @@ __all__ = [
 # Most particles or shells one discretization may hold: ten times the
 # default of the riemann oracle preset. Checked before anything is allocated.
 MAX_PARTICLES = 2_000_000
+# Most rows of a sampled time table (``dshock riemann --samples`` and the
+# ``samples`` of a scenario), about 150 MB of CSV. Checked before the time
+# grid is built.
+MAX_SAMPLES = 1_000_000
 
 _TIE = 1e-13
 
@@ -70,6 +87,19 @@ def unit_sphere_area(n: int) -> float:
     if n < 1:
         raise InvalidDimensionError("dimension must be >= 1")
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+
+
+def _fit(x0, v0, m0, t):
+    """Weighted isotonic regression of the free-flight positions x0 + t v0."""
+    from scipy.optimize import isotonic_regression
+
+    return isotonic_regression(x0 + t * v0, weights=m0)
+
+
+def _block_velocity(p0, lo, hi, mass):
+    """Velocity of the cluster of particles lo..hi-1, bit-equal to its entry
+    in ``np.add.reduceat(p0, starts) / masses``."""
+    return np.add.reduceat(p0[lo:hi], [0])[0] / mass
 
 
 class ParticleSystem:
@@ -144,14 +174,12 @@ class ParticleSystem:
         positions and masses, and the merge count. Velocities and the
         dissipated energy are built from the blocks on first access.
         """
-        from scipy.optimize import isotonic_regression
-
         T = float(T)
         if not math.isfinite(T):
             raise InvalidParameterError(f"query time must be finite, got {T}")
         if T < self.time - _TIE:
             raise InvalidParameterError("cannot run backwards in time")
-        fit = isotonic_regression(self._x0 + T * self._v0, weights=self._m0)
+        fit = _fit(self._x0, self._v0, self._m0, T)
         self._blocks = fit.blocks
         self._x = fit.x[fit.blocks[:-1]]
         self._m = fit.weights
@@ -166,13 +194,6 @@ class ParticleSystem:
         if self._v is None:
             self._v = np.add.reduceat(self._p0, self._blocks[:-1]) / self._m
         return self._v
-
-    def _cluster_velocity(self, k: int) -> float:
-        """Velocity of cluster k alone, bit-equal to ``velocities[k]``."""
-        if self._v is not None:
-            return self._v[k]
-        lo, hi = self._blocks[k], self._blocks[k + 1]
-        return np.add.reduceat(self._p0[lo:hi], [0])[0] / self._m[k]
 
 
 @dataclass(frozen=True)
@@ -246,9 +267,23 @@ def sample_riemann(
 def delta_cluster_estimate(ps: ParticleSystem, T: float, times=None) -> ClusterReport:
     """Advance to T recording the heaviest cluster; fail without dominance.
 
-    The dominant cluster must end with at least 10x the median surviving
-    mass, otherwise no concentration took place (for instance when the
-    data are a rarefaction and nothing ever collides).
+    ``ps.run_until(T)`` is the only regression over all particles and
+    leaves ``ps`` at T. The query times are then taken from the latest
+    down, each regressing only around the multi-particle clusters of the
+    next later solved time (see the module docstring). When every guard
+    comes out alone and every pair of free neighbours that can touch (see
+    ``_touching_pairs``) is still apart, the pool-adjacent-violators pass
+    over all particles would make the same comparisons and sums on each
+    restricted run and leave every other particle alone, so the clusters
+    equal the full regression's bit for bit. Otherwise that time is
+    regressed on all particles.
+
+    The heaviest cluster is the first in order among equals, as
+    ``np.argmax`` picks it from all cluster masses, and ``ps.truncated``
+    is set from the first cluster at every query time. The dominant
+    cluster must end with at least 10x the median surviving mass,
+    otherwise no concentration took place (for instance when the data are
+    a rarefaction and nothing ever collides).
     """
     T = float(T)
     if not math.isfinite(T):
@@ -265,16 +300,19 @@ def delta_cluster_estimate(ps: ParticleSystem, T: float, times=None) -> ClusterR
         raise InvalidParameterError(
             "query times must be finite, increasing and end at or before T"
         )
-    pos_h, mass_h, vel_h = [], [], []
-    for t in times:
-        ps.run_until(t)
-        masses = ps.masses
-        k = int(np.argmax(masses))
-        pos_h.append(ps.positions[k])
-        mass_h.append(masses[k])
-        vel_h.append(ps._cluster_velocity(k))
-    if ps.time != T:
-        ps.run_until(T)
+    if times[0] < ps.time - _TIE:
+        raise InvalidParameterError("cannot run backwards in time")
+    ps.run_until(T)
+    touch = _touching_pairs(ps._x0, ps._v0, times)
+    c = _Clusters(ps.time, None, ps._blocks, ps._x, ps._m)
+    history = []
+    for t in times[::-1]:
+        if t != c.t:
+            c = _earlier(ps, c, t, touch) if t < c.t else _solve_all(ps, t)
+        history.append(_heaviest(ps, c))
+        if ps.r_min is not None and _first_position(ps, c) < ps.r_min:
+            ps.truncated = True
+    pos_h, mass_h, vel_h = (np.array(h[::-1]) for h in zip(*history))
     masses = ps.masses
     k = int(np.argmax(masses))
     if masses[k] < 10.0 * np.median(masses):
@@ -288,13 +326,125 @@ def delta_cluster_estimate(ps: ParticleSystem, T: float, times=None) -> ClusterR
         masses=masses,
         velocities=ps.velocities,
         times=times,
-        position_history=np.array(pos_h),
-        mass_history=np.array(mass_h),
-        velocity_history=np.array(vel_h),
+        position_history=pos_h,
+        mass_history=mass_h,
+        velocity_history=vel_h,
         u_delta_hat=float(ps.velocities[k]),
         mass_hat=float(masses[k]),
         position_hat=float(ps.positions[k]),
     )
+
+
+def _touching_pairs(x0, v0, times):
+    """Indices k of the neighbours (k, k + 1) that can meet at a query time.
+
+    For t >= 0, neighbours with v0[k] <= v0[k+1] never approach, and
+    rounding is monotone, so their computed positions x0 + t v0 keep their
+    order unless they start within rounding reach of each other, which
+    these pairs include. A negative query time (allowed down to -1e-13)
+    reverses the motion, so then every pair with distinct velocities counts.
+    """
+    span = max(abs(times[0]), abs(times[-1]))
+    closing = v0[:-1] > v0[1:] if times[0] >= 0.0 else v0[:-1] != v0[1:]
+    reach = 4.0 * np.finfo(float).eps * (np.max(np.abs(x0)) + span * np.max(np.abs(v0)))
+    return np.flatnonzero(closing | (np.diff(x0) <= reach))
+
+
+class _Clusters:
+    """The clusters at time t from one regression over the particles ``ids``.
+
+    ``ids`` is None when the regression covered every particle; otherwise
+    each particle outside it is a free singleton at t. ``values`` and
+    ``weights`` are the block positions and masses. ``lone`` is the
+    heaviest singleton at t as (mass, index): the heavier of the given one
+    and the regression's singleton blocks, or None.
+    """
+
+    def __init__(self, t, ids, blocks, values, weights, lone=None):
+        self.t, self.ids, self.blocks, self.values, self.weights = t, ids, blocks, values, weights
+        single = np.flatnonzero(np.diff(blocks) == 1)
+        if single.size:
+            k = single[np.argmax(weights[single])]
+            found = (weights[k], int(self.index(blocks[k])))
+            lone = found if _beats(found, lone) else lone
+        self.lone = lone
+
+    def index(self, pos):
+        """Particle index of a position in the regression."""
+        return pos if self.ids is None else self.ids[pos]
+
+
+def _beats(a, b) -> bool:
+    """Whether (mass, index) cluster a comes before b in ``np.argmax`` order."""
+    return a is not None and (b is None or (a[0], -a[1]) > (b[0], -b[1]))
+
+
+def _solve_all(ps: ParticleSystem, t: float) -> _Clusters:
+    fit = _fit(ps._x0, ps._v0, ps._m0, t)
+    return _Clusters(t, None, fit.blocks, fit.x[fit.blocks[:-1]], fit.weights)
+
+
+def _join(lo, hi):
+    """The sorted ranges [lo, hi) with touching or overlapping ones joined."""
+    keep = np.ones(lo.size + 1, dtype=bool)
+    keep[1:-1] = lo[1:] > hi[:-1]
+    return lo[keep[:-1]], hi[keep[1:]]
+
+
+def _earlier(ps: ParticleSystem, c: _Clusters, t: float, touch) -> _Clusters:
+    """The clusters at t < c.t, regressing only around c's multi-particle clusters.
+
+    Falls back to all particles when a guard pools or two free neighbours
+    that can touch are not apart at t, so the result is the full
+    regression's whatever clusters c claims.
+    """
+    x0, v0, m0 = ps._x0, ps._v0, ps._m0
+    n = x0.size
+    lo, hi = c.blocks[:-1], c.blocks[1:]
+    multi = hi - lo > 1
+    # Runs of multi-particle clusters, and the spans that add their guards.
+    a, b = _join(c.index(lo[multi]), c.index(hi[multi] - 1) + 1)
+    s, e = _join(np.maximum(a - 1, 0), np.minimum(b + 1, n))
+    size = e - s
+    ids = np.arange(size.sum()) + np.repeat(s - (np.cumsum(size) - size), size)
+    if ids.size == 0:
+        blocks, values, weights = np.zeros(1, dtype=np.intp), np.empty(0), np.empty(0)
+        alone = True
+    else:
+        part = slice(s[0], e[0]) if s.size == 1 else ids
+        fit = _fit(x0[part], v0[part], m0[part], t)
+        blocks, values, weights = fit.blocks, fit.x[fit.blocks[:-1]], fit.weights
+        guards = np.searchsorted(ids, np.concatenate([a[a > 0] - 1, b[b < n]]))
+        j = np.searchsorted(blocks, guards, side="right") - 1
+        alone = np.all(blocks[j + 1] - blocks[j] == 1)
+    # Neighbours that can touch and are not both inside one span.
+    inside = np.zeros(touch.size, dtype=bool)
+    if s.size:
+        span = np.searchsorted(s, touch, side="right") - 1
+        inside = (span >= 0) & (touch + 1 < e[span])
+    k = touch[~inside]
+    if not (alone and np.all(x0[k] + t * v0[k] < x0[k + 1] + t * v0[k + 1])):
+        return _solve_all(ps, t)
+    return _Clusters(t, ids, blocks, values, weights, c.lone)
+
+
+def _heaviest(ps: ParticleSystem, c: _Clusters):
+    """Position, mass and velocity of the heaviest cluster at c.t."""
+    if c.weights.size:
+        k = int(np.argmax(c.weights))
+        i = int(c.index(c.blocks[k]))
+        if not _beats(c.lone, (c.weights[k], i)):
+            hi = int(c.index(c.blocks[k + 1] - 1)) + 1
+            return c.values[k], c.weights[k], _block_velocity(ps._p0, i, hi, c.weights[k])
+    mass, i = c.lone
+    return ps._x0[i] + c.t * ps._v0[i], mass, _block_velocity(ps._p0, i, i + 1, mass)
+
+
+def _first_position(ps: ParticleSystem, c: _Clusters) -> float:
+    """Position at c.t of the cluster that holds particle 0."""
+    if c.ids is None or (c.ids.size and c.ids[0] == 0):
+        return c.values[0]
+    return ps._x0[0] + c.t * ps._v0[0]
 
 
 def radial_shells(

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dshock import (
     AuditInvalidError,
+    DShockError,
     FrontState,
     RiemannData1D,
     SideStates,
@@ -15,6 +18,7 @@ from dshock import (
     energy_dissipation_rate,
     from_riemann,
     integrate_front,
+    relativistic_flux,
     solve_constant_states,
     steady_converging_field,
     time_reversed,
@@ -40,6 +44,32 @@ def test_audit_1d_closed_form_conservation():
     # The front eats mass from both sides: m = 4t here.
     np.testing.assert_allclose(rep.m, 4.0 * rep.t, atol=1e-12)
     np.testing.assert_array_equal(rep.boundary, 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rho=st.tuples(st.floats(0.05, 10.0), st.floats(0.05, 10.0)),
+    u=st.tuples(st.floats(0.01, 0.99), st.floats(0.01, 0.99)),
+    c0=st.none() | st.floats(1.0, 3.0),
+    atom=st.none() | st.tuples(st.floats(0.01, 5.0), st.floats(0.05, 0.95)),
+    x0=st.floats(-2.0, 2.0),
+    t_end=st.floats(0.1, 2.0),
+)
+def test_audit_1d_drift_is_closed_form_on_random_overcompressive_data(rho, u, c0, atom, x0, t_end):
+    # u_l > u_r, both inside (-c, c) for the relativistic flux, where c = 3 for
+    # the standard one; the support is wide enough that neither side runs out.
+    c = 3.0 if c0 is None else c0
+    u_l, u_r = c * u[0], -c * u[1]
+    kw = {} if atom is None else dict(e0=atom[0], u_delta0=u_r + (u_l - u_r) * atom[1])
+    flux = None if c0 is None else relativistic_flux(1, c0)
+    try:
+        d = RiemannData1D(*rho, u_l, u_r, flux=flux, x0=x0, **kw)
+        sol = from_riemann(solve_constant_states(d, t_end), t_end, support0=(x0 - 20.0, x0 + 20.0))
+    except DShockError:
+        assume(False)
+    rep = audit(sol)
+    assert rep.mass_drift <= 1e-8
+    assert rep.momentum_drift <= 1e-8
 
 
 def test_audit_symmetric_dissipation_rate():

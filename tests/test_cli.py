@@ -261,6 +261,46 @@ def test_particle_count_is_bounded_before_allocation(tmp_path, capsys):
     assert f"greater than the maximum of {MAX_PARTICLES}" in capsys.readouterr().err
 
 
+def test_schema_error_leaves_a_report(tmp_path, capsys):
+    # The schema check runs inside the failure handler, after the output
+    # directory exists, so it writes report.json and manifest.json too.
+    from dshock.sticky_oracle import MAX_PARTICLES
+
+    cfg = tmp_path / "oracle.json"
+    cfg.write_text(f'{{"kind": "oracle", "preset": "riemann", "N": {MAX_PARTICLES + 1}}}')
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert report["error_class"] == "ScenarioError"
+    assert report["exit_code"] == 2
+    assert report["failed"] == ["run"]
+    assert report["kind"] == "oracle"
+    assert err == f"scenario error: {report['error']}\n"
+    assert set(json.loads((out / "manifest.json").read_text())["files"]) == {"report.json"}
+
+
+def test_sample_count_is_bounded_before_allocation(tmp_path, capsys):
+    # The bound is checked before the time grid is built, so a count far
+    # past memory only costs the message.
+    from dshock.sticky_oracle import MAX_SAMPLES
+
+    out = tmp_path / "r.csv"
+    args = [
+        "riemann", "--rho-l", "4", "--rho-r", "1", "--u-l", "1", "--u-r", "-1",
+        "--t-end", "1.0", "--samples", str(10**12), "--out", str(out),
+    ]
+    assert main(args) == 2
+    assert f"--samples must be at most {MAX_SAMPLES}, got {10**12}" in capsys.readouterr().err
+    assert not out.exists()
+    obj = json.loads((SCENARIOS / "asymmetric_riemann.json").read_text())
+    obj["samples"] = MAX_SAMPLES + 1
+    cfg = tmp_path / "many.json"
+    cfg.write_text(json.dumps(obj))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"greater than the maximum of {MAX_SAMPLES}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("samples", ["-3", "0", "1"])
 def test_riemann_needs_two_samples(tmp_path, capsys, samples):
     out = tmp_path / "r.csv"

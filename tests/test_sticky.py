@@ -218,6 +218,11 @@ def test_cluster_estimate_time_grid_validation():
         delta_cluster_estimate(ps, T=1.0, times=np.array([0.5, 0.4]))
     with pytest.raises(InvalidParameterError):
         delta_cluster_estimate(ps, T=1.0, times=np.array([0.5, 1.5]))
+    # Query times before the system's time are refused before any solve.
+    ps.run_until(1.0)
+    with pytest.raises(InvalidParameterError, match="backwards"):
+        delta_cluster_estimate(ps, T=2.0, times=np.array([0.5, 2.0]))
+    assert ps.time == 1.0
 
 
 def test_radial_shells_mass_budget():
@@ -496,22 +501,202 @@ def test_cluster_estimate_equals_eager_reference_bitwise(case):
         _assert_state_equal(ps, ref)
 
 
-@pytest.mark.parametrize("times", [None, [0.2, 0.5, 1.0], [0.2, 0.5, 0.8]])
-def test_cluster_estimate_solves_once_per_query_time(monkeypatch, times):
+def _compare_with_reference(ps, T, times):
+    """``delta_cluster_estimate`` equals the eager reference bit for bit."""
+    ref = _RefSystem(ps)
+    want = _ref_delta_cluster_estimate(ref, T, times=times)
+    try:
+        rep = delta_cluster_estimate(ps, T, times=times)
+    except NotConvergedError:
+        assert want.mass_hat < 10.0 * np.median(want.masses)
+    else:
+        for f in dataclasses.fields(ClusterReport):
+            got, exp = getattr(rep, f.name), getattr(want, f.name)
+            if isinstance(exp, np.ndarray):
+                assert got.tobytes() == exp.tobytes(), f.name
+            else:
+                assert got == exp, f.name
+    _assert_state_equal(ps, ref)
+
+
+@st.composite
+def _oracle_inputs(draw):
+    """A particle system, a final time and a query grid (None: the default).
+
+    Spacings are far above rounding, so clusters nest in time and the
+    restricted regressions carry the estimate.
+    """
+    kind = draw(st.sampled_from(["particles", "riemann", "atom", "shells"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    T = draw(st.sampled_from([0.5, 1.0, 2.5]))
+    if kind == "particles":
+        n = draw(st.integers(20, 400))
+        x = np.cumsum(rng.uniform(1e-3, 0.1, n))
+        levels = rng.normal(size=draw(st.integers(1, 6)))
+        v = rng.choice(levels, n) if draw(st.booleans()) else rng.normal(size=n)
+        # A converging drift on a window of particles lets a dominant cluster form.
+        i, j = np.sort(rng.choice(n + 1, 2, replace=False))
+        v[i:j] -= (x[i:j] - x[i:j].mean()) * draw(st.floats(0.0, 4.0)) / T
+        m = rng.uniform(0.5, 2.0, n) if draw(st.booleans()) else rng.choice([1.0, 2.0], n)
+        r_min = x[0] + draw(st.floats(-1.0, 1.0)) if draw(st.booleans()) else None
+        ps = ParticleSystem(x, v, m, r_min=r_min)
+    elif kind in ("riemann", "atom"):
+        rho_l, rho_r = rng.uniform(0.2, 4.0, 2)
+        u_r = rng.uniform(-2.0, 0.5)
+        u_l = u_r + rng.uniform(0.5, 2.5)
+        e0, ud0, x0 = rng.uniform((0.05, u_r, -1.0), (2.0, u_l, 1.0))
+        atom = dict(e0=e0, u_delta0=ud0, x0=x0) if kind == "atom" else {}
+        d = RiemannData1D(rho_l, rho_r, u_l, u_r, **atom)
+        mode = draw(st.sampled_from(["midpoint", "random"]))
+        ps = sample_riemann(d, L=2.0, N=draw(st.integers(400, 3000)), mode=mode,
+                            seed=int(rng.integers(2**16)))
+    else:
+        # Every shell drifts inward, so the first cluster crosses r_min.
+        T = min(T, 1.0)
+        ps = radial_shells(
+            None, steady_converging_field(3, (1.0, 3.5)), n=3, N=draw(st.integers(400, 3000)),
+            annulus=(1.0, 3.5), front_seed=(draw(st.floats(1.0, 3.5)), 0.01, -0.5),
+            r_min=draw(st.floats(0.0, 1.0)),
+        )
+    grid = draw(st.sampled_from(["default", "random", "before_T", "from_below_zero", "early"]))
+    if grid == "default":
+        return ps, T, None
+    if grid == "early":
+        # Before the first contacts the heaviest cluster is a single particle.
+        return ps, T, T * np.geomspace(1e-7, 1.0, draw(st.integers(2, 12)))
+    times = np.unique(rng.uniform(0.0, T, draw(st.integers(1, 12))))
+    if grid == "random":
+        times = np.append(times[times < T], T)
+    elif grid == "from_below_zero":
+        times = np.append(-5e-14, times)
+    return ps, T, times
+
+
+@settings(max_examples=120, deadline=None)
+@given(_oracle_inputs())
+def test_cluster_estimate_equals_reference_on_random_systems(inputs):
+    _compare_with_reference(*inputs)
+
+
+def _full_clusters(c, ps):
+    """The (blocks, values, weights) of all particles from restricted clusters c."""
+    if c.ids is None:
+        return c.blocks, c.values, c.weights
+    n = ps.count
+    free = np.setdiff1d(np.arange(n), c.ids)
+    starts = np.concatenate([free, c.ids[c.blocks[:-1]]])
+    values = np.concatenate([ps._x0[free] + c.t * ps._v0[free], c.values])
+    weights = np.concatenate([ps._m0[free], c.weights])
+    order = np.argsort(starts)
+    return np.append(starts[order], n), values[order], weights[order]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(2, 30),
+    seed=st.integers(0, 2**32 - 1),
+    spacing=st.sampled_from([np.spacing(1.0), 1e-14, 1e-12, 1e-3, 0.1]),
+    t=st.sampled_from([-5e-14, 0.0, 0.25, 0.5, 1.0, 3.0]),
+)
+def test_restricted_regression_is_the_full_one_whatever_the_prior_clusters(n, seed, spacing, t):
+    # The checks of _earlier make it exact for any claimed clusters at the
+    # later time, also ones that do not hold: a guard that pools or free
+    # neighbours that meet send it to the full regression.
+    from scipy.optimize import isotonic_regression
+
+    from dshock.sticky_oracle import _Clusters, _earlier, _touching_pairs
+
+    rng = np.random.default_rng(seed)
+    x = 1.0 + np.cumsum(rng.integers(1, 4, n)) * spacing
+    v = rng.normal(size=n) * rng.choice([spacing, 1e3 * spacing, 1.0])
+    m = rng.choice([0.5, 1.0, 2.0], n)
+    ps = ParticleSystem(x, v, m)
+    cuts = np.flatnonzero(rng.random(n - 1) < 0.5) + 1
+    blocks = np.concatenate([[0], cuts, [n]])
+    prior = _Clusters(t + 1.0, None, blocks, np.zeros(blocks.size - 1), np.ones(blocks.size - 1))
+    got = _full_clusters(_earlier(ps, prior, t, _touching_pairs(x, v, np.array([t]))), ps)
+    fit = isotonic_regression(x + t * v, weights=m)
+    want = (fit.blocks, fit.x[fit.blocks[:-1]], fit.weights)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
+def _record_regression_lengths(monkeypatch) -> list:
+    """The length of every array passed to ``isotonic_regression`` from now on."""
     import scipy.optimize
 
-    calls = []
+    lengths = []
     solve = scipy.optimize.isotonic_regression
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
+    def counted(y, **kwargs):
+        lengths.append(len(y))
+        return solve(y, **kwargs)
 
     monkeypatch.setattr(scipy.optimize, "isotonic_regression", counted)
-    ps = sample_riemann(RiemannData1D(4.0, 1.0, 1.0, -1.0), L=2.0, N=1000)
+    return lengths
+
+
+def _with_dominant_cluster(x, v, m, at=-5.0, r_min=None):
+    """(x, v, m) with 20 unit masses from ``at`` on that collide into one cluster by t = 1."""
+    xs = np.concatenate([at + 0.1 * np.arange(20), x])
+    order = np.argsort(xs)
+    v = np.concatenate([np.repeat([1.0, -1.0], 10), v])
+    return ParticleSystem(xs[order], v[order], np.concatenate([np.ones(20), m])[order], r_min)
+
+
+_U = np.spacing(1.0)
+
+
+@pytest.mark.parametrize(
+    "x, v, times",
+    [
+        # One ulp apart with equal velocities, particles 21 and 22 never meet
+        # in exact arithmetic; rounded, they are apart at T = 1 but tie at
+        # t = 1/2, where the full regression pools them.
+        (1.0 + np.array([2.0, 3.0, 4.0]) * _U, np.array([-3.0, 1.0, 1.0]) * _U, [0.5, 1.0]),
+        # A receding pair 1e-14 apart has crossed at the query time -5e-14,
+        # which the 1e-13 tolerance on query times admits.
+        (np.array([1.0, 1.0 + 1e-14, 2.0]), np.array([-1.0, 1.0, 2.0]), [-5e-14, 1.0]),
+    ],
+    ids=["rounding_tie", "negative_time"],
+)
+def test_cluster_estimate_falls_back_where_free_neighbours_meet(monkeypatch, x, v, times):
+    lengths = _record_regression_lengths(monkeypatch)
+    ps = _with_dominant_cluster(x, v, np.ones(3))
+    _compare_with_reference(ps, 1.0, times)
+    # After the reference's three full solves: the regression at T, the one
+    # over the cluster and its guard at the earlier time, then all particles.
+    assert lengths[3:] == [23, 21, 23]
+
+
+def test_cluster_estimate_reads_lone_particles_at_every_time():
+    # Particle 0 (mass 3, velocity 0.1) is the heaviest cluster before the
+    # first collision at t = 0.05, and its momentum over mass is not 0.1 in
+    # floating point. It is also the first cluster, and no guard: below
+    # r_min = 0.05 until t = 0.5 and above it at T = 1, so only the earlier
+    # query times truncate.
+    ps = _with_dominant_cluster(
+        np.array([0.0, 1.0, 10.0, 11.0, 12.0]), np.array([0.1, 0.1, 2.0, 2.0, 2.0]),
+        np.array([3.0, 1.0, 1.0, 1.0, 1.0]), at=2.0, r_min=0.05,
+    )
+    assert ps._p0[0] / ps._m0[0] != ps._v0[0]
+    _compare_with_reference(ps, 1.0, [0.01, 0.3, 1.0])
+    assert ps.truncated and ps.positions[0] > ps.r_min
+
+
+@pytest.mark.parametrize("times", [None, [0.2, 0.5, 1.0], [0.2, 0.5, 0.8]])
+def test_cluster_estimate_solves_once_per_query_time(monkeypatch, times):
+    lengths = _record_regression_lengths(monkeypatch)
+    N = 1000
+    ps = sample_riemann(RiemannData1D(4.0, 1.0, 1.0, -1.0), L=2.0, N=N)
     rep = delta_cluster_estimate(ps, 1.0, times=times)
     expected = len(rep.times) + (0 if rep.times[-1] == 1.0 else 1)
-    assert len(calls) == expected
+    assert len(lengths) == expected
+    # Only the solve at T sees every particle; each earlier time regresses
+    # the particles clustered at the next later time (half of them at T on
+    # the 4:1 data) and their guards.
+    assert lengths[0] == N and lengths.count(N) == 1
+    assert sum(lengths[1:]) <= 0.5 * (len(lengths) - 1) * N
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
