@@ -41,7 +41,7 @@ from .spherical import (
     radial_moment_integral,
     unit_sphere_area,
 )
-from .weakcheck import TestFunctionBattery, identity_value, make_battery
+from .weakcheck import identity_value, make_battery
 
 __all__ = [
     "BalanceReport",
@@ -165,8 +165,6 @@ def audit(
     inner: RadialField | None = None,
     outer: RadialField | None = None,
     annulus=None,
-    panels: int = 24,
-    nodes: int = 10,
 ) -> BalanceReport:
     """Balance audit of a 1-D solution or a spherical trajectory.
 
@@ -180,7 +178,7 @@ def audit(
     if isinstance(solution, SphericalTrajectory):
         if annulus is None:
             raise AuditInvalidError("spherical audits need an annulus")
-        return _audit_spherical(solution, inner, outer, annulus, times, panels, nodes)
+        return _audit_spherical(solution, inner, outer, annulus, times)
     raise InvalidParameterError(f"cannot audit {type(solution).__name__}")
 
 
@@ -219,14 +217,15 @@ def _audit_1d(sol: DeltaShockSolution1D, times, box) -> BalanceReport:
     )
 
 
-def _audit_spherical(traj, inner, outer, annulus, times, panels, nodes) -> BalanceReport:
+def _audit_spherical(traj, inner, outer, annulus, times) -> BalanceReport:
     """Spherical audit sampled at the array ``times``, all samples at once.
 
     The hypotheses are masks over the samples: the first failing sample
     raises, with its front checked before the inner and then the outer
     support. The bulk integrals take one quadrature call per side and
     moment, and the boundary inflow is evaluated on every Gauss node of
-    every sample interval at once.
+    every sample interval at once. The bulk rule has 24 panels of 10
+    Gauss nodes per side.
     """
     a, b = map(float, annulus)
     if not (np.isfinite(a) and np.isfinite(b)):
@@ -258,8 +257,8 @@ def _audit_spherical(traj, inner, outer, annulus, times, panels, nodes) -> Balan
 
     def bulk(moment):
         return radial_moment_integral(
-            inner, a, phis, times, weight, panels, nodes, moment
-        ) + radial_moment_integral(outer, phis, b, times, weight, panels, nodes, moment)
+            inner, a, phis, times, weight, 24, 10, moment
+        ) + radial_moment_integral(outer, phis, b, times, weight, 24, 10, moment)
 
     # Net mass rate through the edges; the origin has no area for n >= 2.
     ts, ws = gauss_panels(times[:-1], times[1:], 1, 6)
@@ -320,25 +319,20 @@ class EnergyInequalityReport:
 
 
 def check_energy_inequality_1d(
-    solution: DeltaShockSolution1D,
-    battery: TestFunctionBattery | None = None,
-    level: int = 3,
-    seed: int = 11,
+    solution: DeltaShockSolution1D, level: int = 3
 ) -> EnergyInequalityReport:
     """Distributional check that kinetic energy does not increase.
 
-    Evaluates E(phi) = <-(rho u^2)_t - (rho u^3)_x, phi> over nonnegative
-    test functions; entropic solutions give E >= 0, while non-admissible
-    candidates (such as a time-reversed front) produce negative values.
+    Evaluates E(phi) = <-(rho u^2)_t - (rho u^3)_x, phi> over the four
+    nonnegative members of a fixed battery (seed 11); entropic solutions
+    give E >= 0, while non-admissible candidates (such as a time-reversed
+    front) produce negative values.
     """
-    if battery is None:
-        lo, hi = solution.spatial_bounds(0.1)
-        battery = make_battery(
-            [(lo, hi), (0.0, solution.t_end * (1.0 - 1e-9))], count=8, seed=seed, nonneg_count=4
-        )
+    lo, hi = solution.spatial_bounds(0.1)
+    battery = make_battery(
+        [(lo, hi), (0.0, solution.t_end * (1.0 - 1e-9))], count=8, seed=11, nonneg_count=4
+    )
     members = battery.nonneg_members
-    if not members:
-        raise InvalidParameterError("battery has no nonnegative member")
     values = np.array([identity_value(solution, b, "energy", level) for b in members])
     return EnergyInequalityReport(
         values=values, min_value=float(np.min(values)), members=len(members)

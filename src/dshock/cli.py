@@ -7,10 +7,19 @@ run        execute any scenario config (riemann1d, spherical, planar,
            CSVs, a report.json, a gnuplot script and a manifest.json of
            checksums.
 riemann    solve two-state 1-D data given directly as flags; write one CSV.
-spherical  like run, but insists the config describes a spherical problem.
+spherical  run, restricted to configs of kind spherical.
 oracle     run a sticky-particle oracle preset; write the cluster history.
 weakcheck  evaluate the weak identities of a solution config; write a
            JSON report.
+
+Each scenario kind has a runner ``_run_<kind>(obj, seed, strict)`` that
+returns ``(checks, payload, files)`` and writes nothing. ``files`` maps an
+output name to a ``(names, data)`` table or to text. ``_execute_scenario``
+is the one writer: inside the failure handler it validates the config and
+calls the runner, then writes ``files``, ``report.json`` and
+``manifest.json``. A run that fails leaves only ``report.json`` and
+``manifest.json``. The oracle and weakcheck subcommands call the same
+runners and write the one file each promises.
 
 Exit codes: 0 success, 2 config/schema problem, 3 numerical failure,
 4 theorem-check failure (including data that admits no overcompressive
@@ -66,18 +75,12 @@ _FMT = "%.16e"
 _INT_COLUMNS = {"entropy_ok", "entropy_strict"}
 
 
-def _format_cell(name: str, value) -> str:
-    if name in _INT_COLUMNS:
-        return str(int(round(float(value))))
-    return _FMT % float(value)
-
-
 def write_csv(path, names, data) -> None:
     data = np.atleast_2d(np.asarray(data, dtype=float))
-    lines = [",".join(names)]
-    for row in data:
-        lines.append(",".join(_format_cell(nm, v) for nm, v in zip(names, row)))
-    Path(path).write_text("\n".join(lines) + "\n")
+    fmt = ["%d" if name in _INT_COLUMNS else _FMT for name in names]
+    # An open handle spares savetxt its path lookup through np.lib._datasource.
+    with open(path, "w") as fh:
+        np.savetxt(fh, data, fmt=fmt, delimiter=",", header=",".join(names), comments="")
 
 
 def _jsonable(x):
@@ -97,8 +100,8 @@ def _jsonable(x):
     return x
 
 
-def _write_json(path, obj) -> None:
-    Path(path).write_text(json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n")
+def _json_text(obj) -> str:
+    return json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n"
 
 
 def write_manifest(outdir: Path, scenario_obj, seed: int) -> None:
@@ -108,15 +111,19 @@ def write_manifest(outdir: Path, scenario_obj, seed: int) -> None:
             continue
         digest = hashlib.sha256(p.read_bytes()).hexdigest()
         files[p.name] = {"sha256": digest, "bytes": p.stat().st_size}
-    _write_json(outdir / "manifest.json", {"files": files, "scenario": scenario_obj, "seed": seed})
+    (outdir / "manifest.json").write_text(
+        _json_text({"files": files, "scenario": scenario_obj, "seed": seed})
+    )
 
 
-def _out_file(path) -> Path:
-    """``path`` as a Path, with its parent directory created."""
-    out = Path(path)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
-    return out
+def _write(path, content) -> None:
+    """Write text, or a ``(names, data)`` table as CSV, creating the parent."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if isinstance(content, str):
+        path.write_text(content)
+    else:
+        write_csv(path, *content)
 
 
 def _verdict(checks: dict) -> dict:
@@ -134,6 +141,21 @@ def _tol(obj: dict, key: str, default: float | None = None) -> float | None:
     return default if value is None else float(value)
 
 
+def _balance_checks(obj: dict, rep, files: dict, momentum: bool = True) -> dict:
+    """Balance-law checks of the audit ``rep``; its table joins ``files``.
+
+    Spherical audits pass ``momentum=False``: P = p = 0 by symmetry.
+    """
+    files["balance.csv"] = rep.columns()
+    checks = {
+        "mass_conservation": rep.mass_conserved(_tol(obj, "mass_drift")),
+        "energy_monotonicity": rep.energy_monotone(_tol(obj, "energy_slack")),
+    }
+    if momentum:
+        checks["momentum_conservation"] = rep.momentum_conserved(_tol(obj, "momentum_drift"))
+    return checks
+
+
 _PLOT_HEADER = (
     "set datafile separator \",\"\n"
     "set key autotitle columnhead\n"
@@ -141,7 +163,7 @@ _PLOT_HEADER = (
 )
 
 
-def _plot_riemann(outdir: Path, with_balance: bool) -> None:
+def _plot_riemann(with_balance: bool) -> str:
     body = _PLOT_HEADER + (
         "set output \"riemann.png\"\n"
         "set multiplot layout 2,1\n"
@@ -161,33 +183,30 @@ def _plot_riemann(outdir: Path, with_balance: bool) -> None:
             "plot \"balance.csv\" using 1:10 with lines title \"W + w\"\n"
             "unset multiplot\n"
         )
-    (outdir / "plot.gp").write_text(body)
+    return body
 
 
-def _plot_spherical(outdir: Path) -> None:
-    (outdir / "plot.gp").write_text(
-        _PLOT_HEADER
-        + "set output \"spherical.png\"\n"
-        "set multiplot layout 2,1\n"
-        "set xlabel \"t\"\n"
-        "plot \"spherical.csv\" using 1:2 with lines title \"phi\", \\\n"
-        "     \"spherical.csv\" using 1:3 with lines title \"u_delta\"\n"
-        "plot \"spherical.csv\" using 1:5 with lines title \"m\", \\\n"
-        "     \"spherical.csv\" using 1:6 with lines title \"M\", \\\n"
-        "     \"spherical.csv\" using 1:7 with lines title \"M+m\"\n"
-        "unset multiplot\n"
-    )
+_PLOT_SPHERICAL = _PLOT_HEADER + (
+    "set output \"spherical.png\"\n"
+    "set multiplot layout 2,1\n"
+    "set xlabel \"t\"\n"
+    "plot \"spherical.csv\" using 1:2 with lines title \"phi\", \\\n"
+    "     \"spherical.csv\" using 1:3 with lines title \"u_delta\"\n"
+    "plot \"spherical.csv\" using 1:5 with lines title \"m\", \\\n"
+    "     \"spherical.csv\" using 1:6 with lines title \"M\", \\\n"
+    "     \"spherical.csv\" using 1:7 with lines title \"M+m\"\n"
+    "unset multiplot\n"
+)
 
+_PLOT_PLANAR = _PLOT_HEADER + (
+    "set output \"planar.png\"\n"
+    "set xlabel \"t\"\n"
+    "plot \"planar.csv\" using 1:2 with lines title \"front offset\", \\\n"
+    "     \"planar.csv\" using 1:4 with lines title \"front mass e\", \\\n"
+    "     \"planar.csv\" using 1:5 with lines title \"tangential deficit\"\n"
+)
 
-def _plot_planar(outdir: Path) -> None:
-    (outdir / "plot.gp").write_text(
-        _PLOT_HEADER
-        + "set output \"planar.png\"\n"
-        "set xlabel \"t\"\n"
-        "plot \"planar.csv\" using 1:2 with lines title \"front offset\", \\\n"
-        "     \"planar.csv\" using 1:4 with lines title \"front mass e\", \\\n"
-        "     \"planar.csv\" using 1:5 with lines title \"tangential deficit\"\n"
-    )
+_RIEMANN_COLUMNS = ["t", "phi", "u_delta", "e", "mass_deficit", "momentum_deficit"]
 
 
 def _riemann_table(sol: DeltaShockSolution1D, times: np.ndarray) -> np.ndarray:
@@ -196,14 +215,10 @@ def _riemann_table(sol: DeltaShockSolution1D, times: np.ndarray) -> np.ndarray:
     return np.column_stack([times, sol.phi(times), ud, sol.e(times), jf - jr * ud, jn - jru * ud])
 
 
-def _run_riemann1d(obj: dict, outdir: Path, seed: int, strict: bool = True):
+def _run_riemann1d(obj: dict, seed: int, strict: bool = True):
     sol = solution_from_spec(obj, strict)
     times = np.linspace(0.0, sol.t_end, int(obj.get("samples", 41)))
-    write_csv(
-        outdir / "riemann.csv",
-        ["t", "phi", "u_delta", "e", "mass_deficit", "momentum_deficit"],
-        _riemann_table(sol, times),
-    )
+    files = {"riemann.csv": (_RIEMANN_COLUMNS, _riemann_table(sol, times))}
     checks: dict = {}
     payload = {
         "t_end": sol.t_end,
@@ -212,21 +227,17 @@ def _run_riemann1d(obj: dict, outdir: Path, seed: int, strict: bool = True):
     }
     if sol.support0 is not None:
         rep = audit(sol, times)
-        names, data = rep.columns()
-        write_csv(outdir / "balance.csv", names, data)
-        checks["mass_conservation"] = rep.mass_conserved(_tol(obj, "mass_drift"))
-        checks["momentum_conservation"] = rep.momentum_conserved(_tol(obj, "momentum_drift"))
-        checks["energy_monotonicity"] = rep.energy_monotone(_tol(obj, "energy_slack"))
+        checks = _balance_checks(obj, rep, files)
         strict_all = bool(np.all(rep.entropy_strict))
         checks["concentration"] = rep.concentration_holds() if strict_all else None
         payload["entropy_strict_everywhere"] = strict_all
         payload["mass_drift"] = rep.mass_drift
         payload["momentum_drift"] = rep.momentum_drift
-    _plot_riemann(outdir, sol.support0 is not None)
-    return checks, payload
+    files["plot.gp"] = _plot_riemann(sol.support0 is not None)
+    return checks, payload, files
 
 
-def _run_spherical(obj: dict, outdir: Path, seed: int, strict: bool = True):
+def _run_spherical(obj: dict, seed: int, strict: bool = True):
     inner, outer, init, kwargs = spherical_setup_from_spec(obj)
     traj = integrate_front(inner, outer, init, **kwargs)
     times = np.linspace(0.0, traj.t_stop, int(obj.get("samples", 25)))
@@ -243,17 +254,11 @@ def _run_spherical(obj: dict, outdir: Path, seed: int, strict: bool = True):
             rep.entropy_strict.astype(float),
         ]
     )
-    write_csv(
-        outdir / "spherical.csv",
-        ["t", "phi", "u_delta", "e", "m", "M", "M+m", "entropy_ok"],
-        rows,
-    )
-    names, data = rep.columns()
-    write_csv(outdir / "balance.csv", names, data)
-    checks = {
-        "mass_conservation": rep.mass_conserved(_tol(obj, "mass_drift")),
-        "energy_monotonicity": rep.energy_monotone(_tol(obj, "energy_slack")),
+    files = {
+        "spherical.csv": (["t", "phi", "u_delta", "e", "m", "M", "M+m", "entropy_ok"], rows),
+        "plot.gp": _PLOT_SPHERICAL,
     }
+    checks = _balance_checks(obj, rep, files, momentum=False)
     strict_all = bool(np.all(rep.entropy_strict))
     checks["concentration"] = rep.concentration_holds() if strict_all else None
     payload = {
@@ -264,8 +269,7 @@ def _run_spherical(obj: dict, outdir: Path, seed: int, strict: bool = True):
         "mass_drift": rep.mass_drift,
         "entropy_strict_everywhere": strict_all,
     }
-    _plot_spherical(outdir)
-    return checks, payload
+    return checks, payload, files
 
 
 def _random_rotation(dim: int, seed: int) -> np.ndarray:
@@ -277,7 +281,7 @@ def _random_rotation(dim: int, seed: int) -> np.ndarray:
     return q
 
 
-def _run_planar(obj: dict, outdir: Path, seed: int, strict: bool = True):
+def _run_planar(obj: dict, seed: int, strict: bool = True):
     cand = planar_from_spec(obj)
     base = cand.base
     times = np.linspace(0.0, base.t_end, int(obj.get("samples", 41)))
@@ -296,7 +300,7 @@ def _run_planar(obj: dict, outdir: Path, seed: int, strict: bool = True):
     names = ["t", "phi", "u_delta", "e", "tan_deficit"] + [
         f"tan_deficit_{j + 1}" for j in range(dim - 1)
     ]
-    write_csv(outdir / "planar.csv", names, rows)
+    files = {"planar.csv": (names, rows), "plot.gp": _PLOT_PLANAR}
     checks: dict = {}
     payload = {
         "dim": dim,
@@ -304,12 +308,7 @@ def _run_planar(obj: dict, outdir: Path, seed: int, strict: bool = True):
         "tangential_deficit_final": cand.tangential_deficit(base.t_end),
     }
     if base.support0 is not None:
-        rep = audit(base, times)
-        bal_names, bal_data = rep.columns()
-        write_csv(outdir / "balance.csv", bal_names, bal_data)
-        checks["mass_conservation"] = rep.mass_conserved(_tol(obj, "mass_drift"))
-        checks["momentum_conservation"] = rep.momentum_conserved(_tol(obj, "momentum_drift"))
-        checks["energy_monotonicity"] = rep.energy_monotone(_tol(obj, "energy_slack"))
+        checks = _balance_checks(obj, audit(base, times), files)
     if obj.get("check_rotation", True):
         rot = _random_rotation(dim, seed)
         rotated_obj = dict(obj)
@@ -328,46 +327,32 @@ def _run_planar(obj: dict, outdir: Path, seed: int, strict: bool = True):
             err = max(err, abs(d1 - d2))
         checks["rotation_covariance"] = err <= _tol(obj, "rotation", 1e-12)
         payload["rotation_error"] = err
-    _plot_planar(outdir)
-    return checks, payload
+    return checks, payload, files
 
 
-def _oracle_estimate(preset: str, N: int | None, T: float, mode: str, seed: int):
+def _run_oracle(obj: dict, seed: int, strict: bool = True):
+    preset = obj["preset"]
+    N = obj.get("N")
     if preset == "riemann":
-        n_particles = 200000 if N is None else N
         data = RiemannData1D(rho_l=4.0, rho_r=1.0, u_l=1.0, u_r=-1.0)
-        ps = sample_riemann(data, L=2.0, N=n_particles, mode=mode, seed=seed)
+        mode = obj.get("mode", "midpoint")
+        ps = sample_riemann(data, L=2.0, N=200000 if N is None else N, mode=mode, seed=seed)
         names = ["t", "position_hat", "u_delta_hat", "mass_hat"]
     else:
-        n_shells = 2000 if N is None else N
-        outer = steady_converging_field(3, (1.0, 3.5))
         ps = radial_shells(
             None,
-            outer,
+            steady_converging_field(3, (1.0, 3.5)),
             n=3,
-            N=n_shells,
+            N=2000 if N is None else N,
             annulus=(1.0, 3.5),
             front_seed=(1.0, 0.01, -0.5),
             r_min=1e-3,
         )
         names = ["t", "phi_hat", "u_delta_hat", "m_hat"]
-    est = delta_cluster_estimate(ps, T)
+    est = delta_cluster_estimate(ps, float(obj.get("T", 1.0)))
     rows = np.column_stack(
         [est.times, est.position_history, est.velocity_history, est.mass_history]
     )
-    return ps, est, names, rows
-
-
-def _run_oracle(obj: dict, outdir: Path, seed: int, strict: bool = True):
-    preset = obj["preset"]
-    ps, est, names, rows = _oracle_estimate(
-        preset,
-        obj.get("N"),
-        float(obj.get("T", 1.0)),
-        obj.get("mode", "midpoint"),
-        seed,
-    )
-    write_csv(outdir / "oracle.csv", names, rows)
     payload = {
         "preset": preset,
         "particles": ps.count,
@@ -377,7 +362,7 @@ def _run_oracle(obj: dict, outdir: Path, seed: int, strict: bool = True):
         "mass_hat": est.mass_hat,
         "position_hat": est.position_hat,
     }
-    return {}, payload
+    return {}, payload, {"oracle.csv": (names, rows)}
 
 
 def _battery_box(sol) -> list:
@@ -398,13 +383,7 @@ def _spatial_window(sol: DeltaShockSolution1D) -> tuple[float, float]:
     return float(np.min(ph)) - spread, float(np.max(ph)) + spread
 
 
-def _run_weakcheck(obj: dict, outdir: Path, seed: int, strict: bool = True):
-    checks, payload = _weakcheck_payload(obj, seed, strict)
-    _write_json(outdir / "weakcheck.json", dict(payload, checks=checks))
-    return checks, payload
-
-
-def _weakcheck_payload(obj: dict, seed: int, strict: bool = True):
+def _run_weakcheck(obj: dict, seed: int, strict: bool = True):
     sol = solution_from_spec(obj["solution"], strict)
     k = int(obj.get("levels", 5))
     bspec = obj.get("battery", {})
@@ -429,10 +408,10 @@ def _weakcheck_payload(obj: dict, seed: int, strict: bool = True):
         "battery_members": len(battery.functions),
         "tolerance": tol,
     }
-    return checks, payload
+    return checks, payload, {"weakcheck.json": _json_text(dict(payload, checks=checks))}
 
 
-def _run_geom_suite(obj: dict, outdir: Path, seed: int, strict: bool = True):
+def _run_geom_suite(obj: dict, seed: int, strict: bool = True):
     radii = [float(r) for r in obj.get("radii", [0.5, 1.0, 2.0])]
     dims = [int(n) for n in obj.get("dims", [2, 3])]
     level = int(obj.get("level", 2))
@@ -494,7 +473,7 @@ def _run_geom_suite(obj: dict, outdir: Path, seed: int, strict: bool = True):
         "volume_transport_order": ladder_order(vol),
         "ibp_residual": ibp.residual,
     }
-    return checks, payload
+    return checks, payload, {}
 
 
 _RUNNERS = {
@@ -508,18 +487,20 @@ _RUNNERS = {
 
 
 def _execute_scenario(obj: dict, args) -> int:
-    strict = getattr(args, "strict", False)
+    """Run the config ``obj`` into ``args.out``; the one writer of scenario outputs."""
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    seed = getattr(args, "seed", None)
+    seed = args.seed
     kind = obj.get("kind")
     try:
-        # Inside the handler, so a schema error also leaves a report.json.
-        for w in validate_scenario(obj, strict=strict):
+        # Inside the handler, so a kind or schema error also leaves a report.json.
+        if args.kind not in (None, kind):
+            raise ScenarioError(f"'dshock {args.kind}' needs a config with kind '{args.kind}'")
+        for w in validate_scenario(obj, strict=args.strict):
             print(f"warning: {w}", file=sys.stderr)
         if seed is None:
             seed = int(obj.get("seed", 0))
-        checks, payload = _RUNNERS[kind](obj, outdir, seed, strict)
+        checks, payload, files = _RUNNERS[kind](obj, seed, args.strict)
     except DShockError as exc:
         code, label = _exit_status(exc)
         report = {"kind": kind, "name": obj.get("name", ""), "error": str(exc), "passed": False}
@@ -530,28 +511,22 @@ def _execute_scenario(obj: dict, args) -> int:
             )
         else:
             report.update(failed=["run"], error_class=type(exc).__name__, exit_code=code)
-        _write_json(outdir / "report.json", report)
-        write_manifest(outdir, obj, seed)
         print(f"{label}: {exc}", file=sys.stderr)
-        return code
-    report = dict(payload, kind=kind, name=obj.get("name", ""), seed=seed, **_verdict(checks))
-    _write_json(outdir / "report.json", report)
+    else:
+        code = 0
+        report = dict(payload, kind=kind, name=obj.get("name", ""), seed=seed, **_verdict(checks))
+        for name, content in files.items():
+            _write(outdir / name, content)
+        if report["failed"]:
+            print("theorem checks failed: " + ", ".join(report["failed"]), file=sys.stderr)
+            code = 4
+    _write(outdir / "report.json", _json_text(report))
     write_manifest(outdir, obj, seed)
-    if report["failed"]:
-        print("theorem checks failed: " + ", ".join(report["failed"]), file=sys.stderr)
-        return 4
-    return 0
+    return code
 
 
 def cmd_run(args) -> int:
     return _execute_scenario(load_scenario(args.config), args)
-
-
-def cmd_spherical(args) -> int:
-    obj = load_scenario(args.config)
-    if obj.get("kind") != "spherical":
-        raise ScenarioError("'dshock spherical' needs a config with kind 'spherical'")
-    return _execute_scenario(obj, args)
 
 
 def cmd_riemann(args) -> int:
@@ -578,17 +553,14 @@ def cmd_riemann(args) -> int:
     path = solve_constant_states(data, t_end=args.t_end)
     sol = from_riemann(path, args.t_end)
     times = np.linspace(0.0, args.t_end, args.samples)
-    write_csv(
-        _out_file(args.out),
-        ["t", "phi", "u_delta", "e", "mass_deficit", "momentum_deficit"],
-        _riemann_table(sol, times),
-    )
+    _write(args.out, (_RIEMANN_COLUMNS, _riemann_table(sol, times)))
     return 0
 
 
 def cmd_oracle(args) -> int:
-    ps, est, names, rows = _oracle_estimate(args.preset, args.N, args.T, args.mode, args.seed)
-    write_csv(_out_file(args.out), names, rows)
+    obj = {"preset": args.preset, "N": args.N, "T": args.T, "mode": args.mode}
+    _, _, files = _run_oracle(obj, args.seed)
+    _write(args.out, files["oracle.csv"])
     return 0
 
 
@@ -600,9 +572,9 @@ def cmd_weakcheck(args) -> int:
         "seed": args.seed,
     }
     validate_scenario(obj, strict=True)
-    checks, payload = _weakcheck_payload(obj, args.seed)
+    checks, payload, _ = _run_weakcheck(obj, args.seed)
     report = dict(payload, **_verdict(checks))
-    _write_json(_out_file(args.out), report)
+    _write(args.out, _json_text(report))
     if report["failed"]:
         print("weak identities exceed tolerance", file=sys.stderr)
         return 4
@@ -616,12 +588,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    runp = sub.add_parser("run", help="execute a scenario config into an output directory")
-    runp.add_argument("--config", required=True, help="scenario JSON file")
-    runp.add_argument("--out", required=True, help="output directory")
-    runp.add_argument("--seed", type=int, default=None)
-    runp.add_argument("--strict", action="store_true", help="reject unknown config keys")
-    runp.set_defaults(func=cmd_run)
+    for name, kind, text in (
+        ("run", None, "execute a scenario config into an output directory"),
+        ("spherical", "spherical", "run a spherical scenario config"),
+    ):
+        runp = sub.add_parser(name, help=text)
+        runp.add_argument("--config", required=True, help="scenario JSON file")
+        runp.add_argument("--out", required=True, help="output directory")
+        runp.add_argument("--seed", type=int, default=None)
+        runp.add_argument("--strict", action="store_true", help="reject unknown config keys")
+        runp.set_defaults(func=cmd_run, kind=kind)
 
     r = sub.add_parser("riemann", help="solve two-state 1-D data given as flags")
     r.add_argument("--rho-l", dest="rho_l", type=float, required=True)
@@ -637,13 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--samples", type=int, default=101)
     r.add_argument("--out", required=True, help="output CSV path")
     r.set_defaults(func=cmd_riemann)
-
-    s = sub.add_parser("spherical", help="run a spherical scenario config")
-    s.add_argument("--config", required=True)
-    s.add_argument("--out", required=True, help="output directory")
-    s.add_argument("--seed", type=int, default=None)
-    s.add_argument("--strict", action="store_true")
-    s.set_defaults(func=cmd_spherical)
 
     o = sub.add_parser("oracle", help="run a sticky-particle oracle preset")
     o.add_argument("--preset", choices=["riemann", "spherical"], required=True)

@@ -102,7 +102,7 @@ def relativistic_flux(dim: int, c0: float) -> FluxModel:
     )
 
 
-def tabulated_flux(u_nodes, f_values, n_values, name: str = "tabulated") -> FluxModel:
+def tabulated_flux(u_nodes, f_values, n_values) -> FluxModel:
     """User-supplied 1-D flux pair sampled on a velocity grid.
 
     Values are interpolated with a monotone cubic (PCHIP), so tabulating a
@@ -140,4 +140,4 @@ def tabulated_flux(u_nodes, f_values, n_values, name: str = "tabulated") -> Flux
             raise InvalidParameterError(f"velocity {u} outside table range [{lo}, {hi}]")
         return np.array([[float(n_interp(u))]])
 
-    return FluxModel(name, 1, F, N, params={"u_min": lo, "u_max": hi})
+    return FluxModel("tabulated", 1, F, N, params={"u_min": lo, "u_max": hi})

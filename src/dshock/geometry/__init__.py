@@ -19,7 +19,6 @@ from .fronts import (
 )
 from .quadrature import (
     SurfacePatchQuadrature,
-    circle_chart,
     gauss_panels,
     plane_chart,
     sphere_chart,
@@ -50,7 +49,6 @@ __all__ = [
     "project_to_front",
     "SurfacePatchQuadrature",
     "gauss_panels",
-    "circle_chart",
     "sphere_chart",
     "plane_chart",
     "surface_integral",

@@ -176,7 +176,6 @@ def delta_derivative_time(
     front: LevelSetFront,
     x,
     t,
-    h_x: float | None = None,
     h_t: float = 1e-6,
 ):
     """Front-riding time derivative delta f / delta t = f_t + G df/dnu.
@@ -187,7 +186,7 @@ def delta_derivative_time(
     rows (m, dim) it returns m values, and so does this function.
     """
     x = project_to_front(front, x, t)
-    h_x = h_x if h_x is not None else 1e-6 * front.char_length
+    h_x = 1e-6 * front.char_length
     nu = _raw_normal(front, x, t)
     big_g = normal_speed(front, x, t)
     try:
@@ -203,11 +202,10 @@ def tangential_gradient(
     front: LevelSetFront,
     x,
     t: float,
-    h_x: float | None = None,
 ) -> np.ndarray:
     """In-surface gradient grad f - nu (nu . grad f); orthogonal to nu."""
     x = project_to_front(front, x, t)
-    h_x = h_x if h_x is not None else 1e-6 * front.char_length
+    h_x = 1e-6 * front.char_length
     nu = _raw_normal(front, x, t)
     g = _scalar_grad(f, x, t, h_x)
     return g - nu * float(nu @ g)
@@ -218,7 +216,6 @@ def tangential_divergence(
     front: LevelSetFront,
     x,
     t: float,
-    h_x: float | None = None,
 ) -> float:
     """Surface divergence sum_j (dA_j/dx_j - nu_j dA_j/dnu).
 
@@ -227,7 +224,7 @@ def tangential_divergence(
     with tangentially constant speed.
     """
     x = project_to_front(front, x, t)
-    h_x = h_x if h_x is not None else 1e-6 * front.char_length
+    h_x = 1e-6 * front.char_length
     nu = _raw_normal(front, x, t)
     dim = front.dim
     jac = np.empty((dim, dim))

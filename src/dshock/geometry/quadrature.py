@@ -26,7 +26,6 @@ from ..errors import EmptyQuadratureError, InvalidDimensionError, InvalidParamet
 __all__ = [
     "SurfacePatchQuadrature",
     "gauss_panels",
-    "circle_chart",
     "sphere_chart",
     "plane_chart",
     "surface_integral",
@@ -76,23 +75,11 @@ def gauss_panels(a, b, panels: int, nodes: int = 6):
     return (mids[..., None] + half[..., None] * xi).reshape(shape), (half[..., None] * wi).reshape(shape)
 
 
-def circle_chart(center, radius: float, t: float = 0.0, level: int = 2) -> SurfacePatchQuadrature:
-    """Full circle in the plane, trapezoid rule with 16 * 2^level nodes."""
-    center = np.asarray(center, dtype=float)
-    if center.size != 2:
-        raise InvalidDimensionError("circle chart requires dim 2")
-    m = 16 * (2**level)
-    theta = 2.0 * np.pi * np.arange(m) / m
-    nodes = center[None, :] + radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    weights = np.full(m, 2.0 * np.pi * radius / m)
-    return SurfacePatchQuadrature(nodes, weights, float(t))
-
-
 def sphere_chart(center, radius: float, t: float = 0.0, level: int = 2) -> SurfacePatchQuadrature:
     """Full sphere; dispatches on the dimension of ``center``.
 
     n=3 uses Gauss-Legendre x trapezoid with 6*2^level polar nodes, n=2
-    falls back to the circle chart, n=1 is the two-point "sphere".
+    the trapezoid rule with 16*2^level nodes, n=1 the two-point "sphere".
     """
     center = np.asarray(center, dtype=float)
     if radius <= 0:
@@ -101,7 +88,10 @@ def sphere_chart(center, radius: float, t: float = 0.0, level: int = 2) -> Surfa
         nodes = np.array([[center[0] - radius], [center[0] + radius]])
         return SurfacePatchQuadrature(nodes, np.ones(2), float(t))
     if center.size == 2:
-        return circle_chart(center, radius, t, level)
+        m = 16 * (2**level)
+        theta = 2.0 * np.pi * np.arange(m) / m
+        nodes = center[None, :] + radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        return SurfacePatchQuadrature(nodes, np.full(m, 2.0 * np.pi * radius / m), float(t))
     if center.size != 3:
         raise InvalidDimensionError("sphere charts support dim 1, 2 and 3")
     n_polar = 6 * (2**level)
@@ -137,7 +127,6 @@ def plane_chart(
     half_widths,
     t: float = 0.0,
     level: int = 2,
-    nodes: int = 6,
     tangent_basis: np.ndarray | None = None,
 ) -> SurfacePatchQuadrature:
     """Rectangular window on a hyperplane through ``point`` with unit ``normal``."""
@@ -152,7 +141,7 @@ def plane_chart(
         return SurfacePatchQuadrature(point[None, :], np.ones(1), float(t))
     basis = _tangent_basis(normal) if tangent_basis is None else tangent_basis
     panels = 4 * (2**level)
-    grids = [gauss_panels(-hw, hw, panels, nodes) for hw in half_widths]
+    grids = [gauss_panels(-hw, hw, panels, nodes=6) for hw in half_widths]
     mesh = np.meshgrid(*[g[0] for g in grids], indexing="ij")
     wmesh = np.meshgrid(*[g[1] for g in grids], indexing="ij")
     coords = np.stack([m.ravel() for m in mesh], axis=1)  # (m, dim-1)

@@ -179,7 +179,6 @@ def check_integration_by_parts(
     front: LevelSetFront,
     t_end: float,
     level: int = 2,
-    dt_fd: float = 1e-5,
 ) -> TransportReport:
     """Residual of the space-time surface integration-by-parts identity.
 
@@ -215,7 +214,7 @@ def check_integration_by_parts(
         live = phi_vals != 0.0
         if np.any(live):
             # Only nodes inside supp phi contribute; the others are never evaluated.
-            de_dt = delta_derivative_time(e, front, x[live], tau[live], h_t=dt_fd)
+            de_dt = delta_derivative_time(e, front, x[live], tau[live], h_t=1e-5)
             kappa = mean_curvature(front, x[live], tau[live])
             integrand = np.zeros(x.shape[0])
             integrand[live] = (de_dt - 2.0 * kappa * big_g[live] * e_vals[live]) * phi_vals[live]

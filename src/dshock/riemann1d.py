@@ -98,15 +98,16 @@ def _jumps(d: RiemannData1D) -> tuple[float, float, float, float]:
     )
 
 
-def classical_shock_feasible(d: RiemannData1D, tol: float = 1e-14) -> bool:
+def classical_shock_feasible(d: RiemannData1D) -> bool:
     """Whether a classical (non-singular) shock can balance the data.
 
     For the standard flux this happens exactly when
-    rho_l rho_r (u_l - u_r)^2 = 0: one side vacuous or no velocity jump.
+    rho_l rho_r (u_l - u_r)^2 = 0 (to 1e-14): one side vacuous or no
+    velocity jump.
     """
     if d.flux.name != "standard":
         raise InvalidParameterError("classical feasibility test applies to the standard flux")
-    return abs(d.rho_l * d.rho_r * (d.u_l - d.u_r) ** 2) <= tol
+    return abs(d.rho_l * d.rho_r * (d.u_l - d.u_r) ** 2) <= 1e-14
 
 
 def admissible_front_speed(d: RiemannData1D) -> float:

@@ -103,7 +103,6 @@ _COMMON = {
     "name": {"type": "string"},
     "seed": _SEED,
     "tolerances": _TOL_MAP,
-    "out": {"type": "string"},
 }
 
 _RIEMANN_PROPS = {

@@ -281,9 +281,10 @@ def delta_cluster_estimate(ps: ParticleSystem, T: float, times=None) -> ClusterR
     The heaviest cluster is the first in order among equals, as
     ``np.argmax`` picks it from all cluster masses, and ``ps.truncated``
     is set from the first cluster at every query time. The dominant
-    cluster must end with at least 10x the median surviving mass,
-    otherwise no concentration took place (for instance when the data are
-    a rarefaction and nothing ever collides).
+    cluster must end with at least 10x the median mass of the other
+    clusters, otherwise no concentration took place (for instance when the
+    data are a rarefaction and nothing ever collides). A lone cluster is
+    dominant: all the mass has merged.
     """
     T = float(T)
     if not math.isfinite(T):
@@ -315,10 +316,11 @@ def delta_cluster_estimate(ps: ParticleSystem, T: float, times=None) -> ClusterR
     pos_h, mass_h, vel_h = (np.array(h[::-1]) for h in zip(*history))
     masses = ps.masses
     k = int(np.argmax(masses))
-    if masses[k] < 10.0 * np.median(masses):
+    others = np.delete(masses, k)
+    if others.size and masses[k] < 10.0 * np.median(others):
         raise NotConvergedError(
             "no dominant cluster formed "
-            f"(heaviest {masses[k]:.3e} vs median {np.median(masses):.3e})"
+            f"(heaviest {masses[k]:.3e} vs median of the others {np.median(others):.3e})"
         )
     return ClusterReport(
         time=ps.time,

@@ -203,9 +203,9 @@ def _piece_integrals(factor: BumpFactor, a: np.ndarray, b: np.ndarray, ref_x, re
     return width * out
 
 
-def _level_values(sol: DeltaShockSolution1D, bump: TensorBump, segments, level, nodes, identities):
+def _level_values(sol: DeltaShockSolution1D, bump: TensorBump, segments, level, identities):
     """Values of ``identities``, (d, q, power) triples, and the (t, x) node count."""
-    ref_x, ref_w = gauss_panels(0.0, 1.0, 2 ** (level + 1), nodes)
+    ref_x, ref_w = gauss_panels(0.0, 1.0, 2 ** (level + 1), _GAUSS_NODES)
     s0, s1 = segments
     h = (s1 - s0)[:, None]
     # Time nodes of every segment, then t = 0 for the initial terms.
@@ -233,11 +233,11 @@ def _level_values(sol: DeltaShockSolution1D, bump: TensorBump, segments, level, 
     return values, a.size * ref_x.size
 
 
-def _ladder(sol: DeltaShockSolution1D, bump: TensorBump, levels, identities, nodes=_GAUSS_NODES):
+def _ladder(sol: DeltaShockSolution1D, bump: TensorBump, levels, identities):
     """Identity values (levels x identities) and quadrature node counts of one member."""
     segments = _time_segments(sol, bump)
     values, counts = zip(
-        *(_level_values(sol, bump, segments, level, nodes, identities) for level in levels)
+        *(_level_values(sol, bump, segments, level, identities) for level in levels)
     )
     return np.array(values), list(counts)
 
@@ -265,11 +265,9 @@ def _pairs_1d(sol: DeltaShockSolution1D, kind: str):
     return np.array(d, dtype=float), np.array(q, dtype=float), power
 
 
-def identity_value(
-    sol: DeltaShockSolution1D, bump: TensorBump, kind: str, level: int = 3, nodes: int = _GAUSS_NODES
-) -> float:
+def identity_value(sol: DeltaShockSolution1D, bump: TensorBump, kind: str, level: int = 3) -> float:
     """Value of one weak functional for a 1-D candidate (0 for solutions)."""
-    values, _ = _ladder(sol, bump, (level,), [_pairs_1d(sol, kind)], nodes)
+    values, _ = _ladder(sol, bump, (level,), [_pairs_1d(sol, kind)])
     return float(values[0, 0])
 
 

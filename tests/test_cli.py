@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dshock.cli import main
+from dshock.cli import _RUNNERS, main
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
@@ -405,6 +405,8 @@ def test_run_rejects_a_literal_that_is_not_finite(tmp_path, capsys):
 
 
 def test_spherical_subcommand_rejects_other_kinds(tmp_path):
+    # The kind is checked inside the failure handler, so the refusal leaves
+    # a report like any other configuration error.
     rc = main(
         [
             "spherical",
@@ -413,6 +415,26 @@ def test_spherical_subcommand_rejects_other_kinds(tmp_path):
         ]
     )
     assert rc == 2
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["error_class"] == "ScenarioError"
+    assert report["exit_code"] == 2
+    assert set(json.loads((tmp_path / "manifest.json").read_text())["files"]) == {"report.json"}
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
+def test_runners_write_nothing_and_name_every_output(tmp_path, monkeypatch, path):
+    # A runner returns its outputs; only `dshock run` writes them, next to
+    # report.json and manifest.json.
+    obj = json.loads(path.read_text())
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    _, _, files = _RUNNERS[obj["kind"]](obj, int(obj.get("seed", 0)), False)
+    assert list(work.iterdir()) == []
+    out = tmp_path / "out"
+    main(["run", "--config", str(path), "--out", str(out)])
+    written = {p.name for p in out.iterdir()}
+    assert set(files) | {"report.json", "manifest.json"} == written
 
 
 def test_weakcheck_subcommand(tmp_path):

@@ -18,7 +18,6 @@ from dshock.geometry import (
     check_integration_by_parts,
     check_surface_transport,
     check_volume_transport,
-    circle_chart,
     delta_derivative_time,
     delta_shock_velocity,
     front_from_spec,
@@ -71,7 +70,7 @@ def test_gauss_panels_rows_are_each_intervals_rule():
 def test_sphere_chart_measures():
     # Total weight is the sphere area in each supported dimension.
     assert sphere_chart(np.zeros(1), 2.0).measure() == pytest.approx(2.0)
-    assert circle_chart(np.zeros(2), 1.5).measure() == pytest.approx(2.0 * np.pi * 1.5)
+    assert sphere_chart(np.zeros(2), 1.5).measure() == pytest.approx(2.0 * np.pi * 1.5)
     assert sphere_chart(np.zeros(3), 0.7, level=2).measure() == pytest.approx(
         4.0 * np.pi * 0.49, rel=1e-12
     )
