@@ -9,6 +9,18 @@ derivatives vanishing at the support edge, so quadrature against them
 converges at the panel rule's order. A factor can also be "anchored" at its
 left edge (xi = (x - lo)/(hi - lo) in [0, 1)), which is used for time
 factors that are nonzero at t = 0 while remaining smooth on [0, infinity).
+
+Evaluation contract, for finite arguments: a factor is exactly zero outside
+|xi| < 1 - 1e-9; the support kernels raise no floating-point warning (exp
+underflows to 0.0 near the edge, which numpy ignores by default, as it does
+for the reference); and every value is bitwise equal to the masked
+reference that the tests keep (gather the inside points, evaluate, scatter
+into zeros, modulate with ``polyval``). The polynomial modulation
+overflows, as ``polyval`` does, only where |xi|^degree does. Each kernel is
+a few whole-array in-place passes with no gather or scatter: an outside
+point enters at |xi| = 1 - 1e-9, where the bump underflows to +0.0, while
+every inside point goes through the reference's operations in the
+reference's order.
 """
 
 from __future__ import annotations
@@ -22,20 +34,42 @@ from .errors import InvalidParameterError
 __all__ = ["BumpFactor", "TensorBump"]
 
 
+_EDGE = 1.0 - 1e-9  # |xi| below this is inside the support
+
+
 def _core(xi: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(xi)
-    inside = np.abs(xi) < 1.0 - 1e-9
-    q = 1.0 - xi[inside] ** 2
-    out[inside] = np.exp(-1.0 / q)
+    # An outside point enters clipped to |xi| = _EDGE, where exp(-1/q) underflows to +0.0.
+    out = np.minimum(xi, _EDGE, out=np.empty_like(xi))
+    np.maximum(out, -_EDGE, out=out)
+    np.square(out, out=out)
+    np.subtract(1.0, out, out=out)  # q = 1 - xi^2
+    np.divide(-1.0, out, out=out)
+    np.exp(out, out=out)
     return out
 
 
 def _core_deriv(xi: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(xi)
-    inside = np.abs(xi) < 1.0 - 1e-9
-    q = 1.0 - xi[inside] ** 2
-    out[inside] = np.exp(-1.0 / q) * (-2.0 * xi[inside] / q**2)
+    # An outside point enters as xi = -_EDGE: its term is exp(-1/q) = 0 times a
+    # positive slope, so +0.0 as in the reference; xi = +_EDGE would give -0.0.
+    slope = np.where(np.abs(xi) < _EDGE, xi, -_EDGE)
+    out = np.square(slope, out=np.empty_like(slope))
+    np.subtract(1.0, out, out=out)  # q
+    slope *= -2.0
+    slope /= np.square(out)
+    np.divide(-1.0, out, out=out)
+    np.exp(out, out=out)
+    out *= slope
     return out
+
+
+def _horner(xi: np.ndarray, coeffs) -> np.ndarray:
+    """``polyval(xi, coeffs)`` with its operations in its order, in one buffer."""
+    acc = np.multiply(xi, 0.0, out=np.empty_like(xi))
+    acc += coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc *= xi
+        acc += c
+    return acc
 
 
 @dataclass(frozen=True)
@@ -50,38 +84,50 @@ class BumpFactor:
     def __post_init__(self):
         if not self.hi > self.lo:
             raise InvalidParameterError("factor support must have positive width")
+        object.__setattr__(self, "poly", tuple(float(c) for c in self.poly))
 
     def _xi(self, x: np.ndarray) -> np.ndarray:
+        xi = np.empty_like(x)
         if self.anchored_left:
-            return (x - self.lo) / (self.hi - self.lo)
-        return (2.0 * x - (self.lo + self.hi)) / (self.hi - self.lo)
+            np.subtract(x, self.lo, out=xi)
+        else:
+            np.multiply(x, 2.0, out=xi)
+            xi -= self.lo + self.hi
+        xi /= self.hi - self.lo
+        return xi
 
     def _dxi_dx(self) -> float:
         return (1.0 if self.anchored_left else 2.0) / (self.hi - self.lo)
 
     def value(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        xi = self._xi(x)
-        out = _core(xi) * np.polynomial.polynomial.polyval(xi, np.asarray(self.poly))
+        xi = self._xi(np.asarray(x, dtype=float))
+        out = _core(xi)
+        if self.poly != (1.0,):
+            out *= _horner(xi, self.poly)
         if self.anchored_left:
-            out = np.where(xi < 0.0, 0.0, out)
+            np.copyto(out, 0.0, where=xi < 0.0)
         return out
 
     def deriv(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        xi = self._xi(x)
-        p = np.asarray(self.poly)
-        pd = np.polynomial.polynomial.polyder(p) if p.size > 1 else np.zeros(1)
-        out = _core_deriv(xi) * np.polynomial.polynomial.polyval(xi, p)
-        out += _core(xi) * np.polynomial.polynomial.polyval(xi, pd)
+        xi = self._xi(np.asarray(x, dtype=float))
+        out = _core_deriv(xi)
+        poly = self.poly
+        if poly != (1.0,):
+            out *= _horner(xi, poly)
+        if len(poly) > 1:
+            tail = _core(xi)
+            tail *= _horner(xi, [k * c for k, c in enumerate(poly)][1:])
+            out += tail
+        else:
+            out += 0.0  # core * P'(xi) with P' = 0: turns -0.0 into +0.0
         if self.anchored_left:
-            out = np.where(xi < 0.0, 0.0, out)
-        return out * self._dxi_dx()
+            np.copyto(out, 0.0, where=xi < 0.0)
+        out *= self._dxi_dx()
+        return out
 
     @property
     def nonneg(self) -> bool:
-        p = np.asarray(self.poly)
-        return p.size == 1 and p[0] >= 0.0
+        return len(self.poly) == 1 and self.poly[0] >= 0.0
 
 
 class TensorBump:

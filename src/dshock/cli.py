@@ -17,11 +17,13 @@ returns ``(checks, payload, files)`` and writes nothing. ``files`` maps an
 output name to a ``(names, data)`` table or to text. ``_execute_scenario``
 is the one writer: inside the failure handler it validates the config and
 calls the runner, then writes ``files``, ``report.json`` and
-``manifest.json``. A run that fails leaves only ``report.json`` and
+``manifest.json``. A run that fails, from an unreadable config file to an
+unexpected exception in a runner, leaves only ``report.json`` and
 ``manifest.json``. The oracle and weakcheck subcommands call the same
 runners and write the one file each promises.
 
-Exit codes: 0 success, 2 config/schema problem, 3 numerical failure,
+Exit codes: 0 success, 2 config/schema problem, 3 numerical failure or
+any unexpected exception (one line on stderr, no traceback),
 4 theorem-check failure (including data that admits no overcompressive
 front). Outputs are deterministic for a fixed (scenario, seed); CSVs use
 17-significant-digit scientific notation.
@@ -486,14 +488,17 @@ _RUNNERS = {
 }
 
 
-def _execute_scenario(obj: dict, args) -> int:
-    """Run the config ``obj`` into ``args.out``; the one writer of scenario outputs."""
+def _execute_scenario(args) -> int:
+    """Run the config file ``args.config`` into ``args.out``; the one writer of scenario outputs."""
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     seed = args.seed
-    kind = obj.get("kind")
+    obj, kind, name = None, None, ""
     try:
-        # Inside the handler, so a kind or schema error also leaves a report.json.
+        # Inside the handler, so an unreadable file or a kind or schema error
+        # also leaves a report.json.
+        obj = load_scenario(args.config)
+        kind, name = obj.get("kind"), obj.get("name", "")
         if args.kind not in (None, kind):
             raise ScenarioError(f"'dshock {args.kind}' needs a config with kind '{args.kind}'")
         for w in validate_scenario(obj, strict=args.strict):
@@ -501,9 +506,9 @@ def _execute_scenario(obj: dict, args) -> int:
         if seed is None:
             seed = int(obj.get("seed", 0))
         checks, payload, files = _RUNNERS[kind](obj, seed, args.strict)
-    except DShockError as exc:
-        code, label = _exit_status(exc)
-        report = {"kind": kind, "name": obj.get("name", ""), "error": str(exc), "passed": False}
+    except Exception as exc:
+        code, message = _failure(exc)
+        report = {"kind": kind, "name": name, "error": str(exc), "passed": False}
         if isinstance(exc, NoDeltaShockError):
             report["failed"] = ["overcompression"]
             report["failed_condition"] = (
@@ -511,22 +516,18 @@ def _execute_scenario(obj: dict, args) -> int:
             )
         else:
             report.update(failed=["run"], error_class=type(exc).__name__, exit_code=code)
-        print(f"{label}: {exc}", file=sys.stderr)
+        print(message, file=sys.stderr)
     else:
         code = 0
-        report = dict(payload, kind=kind, name=obj.get("name", ""), seed=seed, **_verdict(checks))
-        for name, content in files.items():
-            _write(outdir / name, content)
+        report = dict(payload, kind=kind, name=name, seed=seed, **_verdict(checks))
+        for fname, content in files.items():
+            _write(outdir / fname, content)
         if report["failed"]:
             print("theorem checks failed: " + ", ".join(report["failed"]), file=sys.stderr)
             code = 4
     _write(outdir / "report.json", _json_text(report))
     write_manifest(outdir, obj, seed)
     return code
-
-
-def cmd_run(args) -> int:
-    return _execute_scenario(load_scenario(args.config), args)
 
 
 def cmd_riemann(args) -> int:
@@ -597,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
         runp.add_argument("--out", required=True, help="output directory")
         runp.add_argument("--seed", type=int, default=None)
         runp.add_argument("--strict", action="store_true", help="reject unknown config keys")
-        runp.set_defaults(func=cmd_run, kind=kind)
+        runp.set_defaults(func=_execute_scenario, kind=kind)
 
     r = sub.add_parser("riemann", help="solve two-state 1-D data given as flags")
     r.add_argument("--rho-l", dest="rho_l", type=float, required=True)
@@ -637,24 +638,30 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _exit_status(exc: DShockError) -> tuple[int, str]:
-    """Exit code and stderr label of a package error (see the module docstring)."""
+def _failure(exc: Exception) -> tuple[int, str]:
+    """Exit code and one-line stderr message of a failure (see the module docstring).
+
+    An exception that is not a package error is a defect, not a verdict on
+    the input: it exits 3, named by its type, without a traceback.
+    """
     if isinstance(exc, ScenarioError):
-        return 2, "scenario error"
+        return 2, f"scenario error: {exc}"
     if isinstance(exc, (InvalidParameterError, InvalidBatteryError)):
-        return 2, "invalid configuration"
+        return 2, f"invalid configuration: {exc}"
     if isinstance(exc, NoDeltaShockError):
-        return 4, "theorem check failed"
-    return 3, "numerical failure"
+        return 4, f"theorem check failed: {exc}"
+    if isinstance(exc, DShockError):
+        return 3, f"numerical failure: {exc}"
+    return 3, " ".join(f"unexpected error: {type(exc).__name__}: {exc}".split())
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return int(args.func(args))
-    except DShockError as exc:
-        code, label = _exit_status(exc)
-        print(f"{label}: {exc}", file=sys.stderr)
+    except Exception as exc:
+        code, message = _failure(exc)
+        print(message, file=sys.stderr)
         return code
 
 

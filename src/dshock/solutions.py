@@ -17,6 +17,7 @@ functional changes sign.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -71,20 +72,27 @@ class DeltaShockSolution1D:
                         "support truncation needs N(u) = u F(u) at the edge state; "
                         f"off by {mismatch} at u={u}"
                     )
-        for t in np.linspace(0.0, self.t_end, 33):
-            lo, pos, hi = self.edge_l(t), float(self.phi(t)), self.edge_r(t)
-            if not (lo <= pos <= hi):
+        ts = np.linspace(0.0, self.t_end, 33)
+        lo, pos, hi, e = (
+            np.broadcast_to(np.asarray(v, dtype=float), ts.shape)
+            for v in (self.edge_l(ts), self.phi(ts), self.edge_r(ts), self.e(ts))
+        )
+        outside = ~((lo <= pos) & (pos <= hi))
+        bad = np.flatnonzero(outside | (e < -1e-12))
+        if bad.size:
+            k = bad[0]
+            if outside[k]:
                 raise SupportViolationError(
-                    f"front leaves the support window at t={t}: {lo} .. {pos} .. {hi}"
+                    f"front leaves the support window at t={ts[k]}: "
+                    f"{lo[k]} .. {pos[k]} .. {hi[k]}"
                 )
-            if float(self.e(t)) < -1e-12:
-                raise SupportViolationError(f"front mass negative at t={t}")
+            raise SupportViolationError(f"front mass negative at t={ts[k]}")
 
-    @property
+    @cached_property
     def edge_speed_l(self) -> float:
         return float(self.flux.f1(self.u_l))
 
-    @property
+    @cached_property
     def edge_speed_r(self) -> float:
         return float(self.flux.f1(self.u_r))
 

@@ -7,11 +7,14 @@ tests/golden/ pin the byte-exact output of a reference scenario.
 
 import hashlib
 import json
+import math
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dshock.cli import _RUNNERS, main
 
@@ -36,6 +39,19 @@ def test_golden_symmetric_riemann_byte_exact(tmp_path):
     produced = sorted(p.name for p in tmp_path.iterdir())
     assert produced == sorted(p.name for p in golden.iterdir())
     for ref in golden.iterdir():
+        assert (tmp_path / ref.name).read_bytes() == ref.read_bytes(), ref.name
+
+
+def test_golden_weakcheck_asymmetric_byte_exact(tmp_path):
+    # Pins every residual of the bundled weak-identity ladder, so no change
+    # to the bump kernels or the quadrature can move a bit unseen.
+    rc = main(
+        ["run", "--config", str(SCENARIOS / "weakcheck_asymmetric.json"), "--out", str(tmp_path)]
+    )
+    assert rc == 0
+    produced = sorted(p.name for p in tmp_path.iterdir())
+    assert produced == ["manifest.json", "report.json", "weakcheck.json"]
+    for ref in (GOLDEN / "weakcheck_asymmetric").iterdir():
         assert (tmp_path / ref.name).read_bytes() == ref.read_bytes(), ref.name
 
 
@@ -71,6 +87,108 @@ def test_missing_and_malformed_configs_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"kind": "wormhole"}')
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("content", [None, '{"kind": "riemann1d",'], ids=["missing", "bad-json"])
+def test_unreadable_config_leaves_a_report(tmp_path, capsys, content):
+    # The file is read inside the failure handler, so a config that cannot
+    # be read or parsed leaves report.json and manifest.json like any other
+    # configuration error.
+    cfg = tmp_path / "config.json"
+    if content is not None:
+        cfg.write_text(content)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert report["error_class"] == "ScenarioError"
+    assert report["exit_code"] == 2
+    assert report["failed"] == ["run"]
+    assert report["kind"] is None
+    assert err == f"scenario error: {report['error']}\n"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest["files"]) == {"report.json"}
+    assert manifest["scenario"] is None
+
+
+def test_unexpected_exception_exits_3_with_a_report(tmp_path, capsys, monkeypatch):
+    # An exception that is not a package error is a defect: exit 3, one line
+    # on stderr naming its type, no traceback, and still a report.
+    def broken(obj, seed, strict=True):
+        raise KeyError("column")
+
+    monkeypatch.setitem(_RUNNERS, "riemann1d", broken)
+    out = tmp_path / "out"
+    cfg = str(SCENARIOS / "symmetric_riemann.json")
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "unexpected error: KeyError: 'column'\n"
+    report = json.loads((out / "report.json").read_text())
+    assert report["error_class"] == "KeyError"
+    assert report["exit_code"] == 3
+    assert report["failed"] == ["run"]
+    assert set(json.loads((out / "manifest.json").read_text())["files"]) == {"report.json"}
+
+    # The flag subcommands fail through main; a multi-line message is one line.
+    def broken_oracle(obj, seed, strict=True):
+        raise ValueError("first\nsecond")
+
+    monkeypatch.setattr("dshock.cli._run_oracle", broken_oracle)
+    assert main(["oracle", "--preset", "riemann", "--out", str(tmp_path / "o.csv")]) == 3
+    assert capsys.readouterr().err == "unexpected error: ValueError: first second\n"
+
+
+# Keys that set how much work a run does; mutations may shrink them, never grow them.
+_SIZE_KEYS = {"samples", "N", "levels", "battery", "count", "level", "dims", "radii", "n", "dim"}
+
+
+def _key_paths(node, prefix=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _key_paths(value, prefix + (key,))
+
+
+@st.composite
+def _mutated_scenarios(draw):
+    """A bundled scenario with one key deleted, retyped, made non-finite or
+    negative, or with an unknown key beside it."""
+    obj = json.loads(draw(st.sampled_from(sorted(SCENARIOS.glob("*.json")))).read_text())
+    *parents, key = draw(st.sampled_from(list(_key_paths(obj))))
+    holder = obj
+    for k in parents:
+        holder = holder[k]
+    old = holder[key]
+    mutation = draw(st.sampled_from(["delete", "retype", "number", "unknown"]))
+    if mutation == "delete":
+        del holder[key]
+    elif mutation == "retype":
+        holder[key] = draw(st.sampled_from(["text", [1.0, 2.0], {"kind": "x"}, None, True]))
+    elif mutation == "number":
+        numeric = isinstance(old, (int, float)) and not isinstance(old, bool)
+        bad = [math.nan, -math.inf, -abs(old) if numeric else -1.0]
+        if _SIZE_KEYS.isdisjoint(k for k in (*parents, key) if isinstance(k, str)):
+            bad.append(math.inf)
+        holder[key] = draw(st.sampled_from(bad))
+    else:
+        (holder if isinstance(holder, dict) else obj)[f"{key}_unknown"] = 1
+    return obj
+
+
+@settings(max_examples=60, deadline=None)
+@given(obj=_mutated_scenarios(), strict=st.booleans())
+def test_fuzzed_scenarios_exit_with_a_report(tmp_path_factory, obj, strict):
+    # Whatever a broken config holds, a run ends in a documented exit code
+    # and leaves report.json; it never raises.
+    work = tmp_path_factory.mktemp("fuzz")
+    cfg = work / "config.json"
+    cfg.write_text(json.dumps(obj))
+    argv = ["run", "--config", str(cfg), "--out", str(work / "out")] + ["--strict"] * strict
+    rc = main(argv)
+    assert rc in {0, 2, 3, 4}
+    report = json.loads((work / "out" / "report.json").read_text())
+    assert report["passed"] is (rc == 0)
+    assert report.get("exit_code", rc) == rc
 
 
 def test_unknown_keys_strict_vs_lenient(tmp_path, capsys):

@@ -1,9 +1,14 @@
 """Tests for the 1-D and planar front-tracking solution containers."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dshock import (
+    DeltaShockSolution1D,
     InvalidParameterError,
     PlanarSolution,
     RiemannData1D,
@@ -225,3 +230,76 @@ def test_planar_requires_standard_flux():
             u_tan_l=np.zeros(1),
             u_tan_r=np.zeros(1),
         )
+
+
+def _ref_support_check(sol):
+    """The per-time support check that the array check replaced."""
+    for t in np.linspace(0.0, sol.t_end, 33):
+        lo, pos, hi = sol.edge_l(t), float(sol.phi(t)), sol.edge_r(t)
+        if not (lo <= pos <= hi):
+            raise SupportViolationError(
+                f"front leaves the support window at t={t}: {lo} .. {pos} .. {hi}"
+            )
+        if float(sol.e(t)) < -1e-12:
+            raise SupportViolationError(f"front mass negative at t={t}")
+
+
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except SupportViolationError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@st.composite
+def _solution_fields(draw):
+    """Fields of a 1-D solution, admissible or pushed out of its window."""
+    relativistic = draw(st.booleans())
+    flux = relativistic_flux(1, draw(st.floats(2.0, 4.0))) if relativistic else standard_flux(1)
+    u_l, u_r = draw(st.floats(0.1, 1.5)), draw(st.floats(-1.5, -0.1))
+    atom = {}
+    if draw(st.booleans()):
+        frac = draw(st.floats(0.05, 0.95))
+        atom = {"e0": draw(st.floats(0.05, 2.0)), "u_delta0": u_r + frac * (u_l - u_r)}
+    x0, t_end = draw(st.floats(-1.0, 1.0)), draw(st.floats(0.2, 2.0))
+    data = RiemannData1D(
+        draw(st.floats(0.2, 5.0)), draw(st.floats(0.2, 5.0)), u_l, u_r, flux=flux, x0=x0, **atom
+    )
+    sol = from_riemann(solve_constant_states(data, t_end=t_end), t_end)
+    support = None
+    if draw(st.booleans()):
+        support = (x0 - draw(st.floats(-0.5, 5.0)), x0 + draw(st.floats(-0.5, 5.0)))
+    # A shifted front speed can leave the window; a mass drain can go negative.
+    du = draw(st.just(0.0) | st.floats(-3.0, 3.0))
+    drain = draw(st.just(0.0) | st.floats(0.0, 10.0))
+    phi, e = sol.phi, sol.e
+    return {
+        **{f.name: getattr(sol, f.name) for f in fields(sol)},
+        "phi": lambda t: np.asarray(phi(t)) + du * np.asarray(t, dtype=float),
+        "e": lambda t: np.asarray(e(t)) - drain * np.asarray(t, dtype=float),
+        "support0": support,
+    }
+
+
+@settings(max_examples=80, deadline=None)
+@given(kw=_solution_fields())
+def test_array_support_check_matches_per_time_loop(kw):
+    # Build the instance without __post_init__ to run the reference on it.
+    unchecked = object.__new__(DeltaShockSolution1D)
+    for name, value in kw.items():
+        object.__setattr__(unchecked, name, value)
+    expected = _outcome(_ref_support_check, unchecked)
+    assert _outcome(lambda: DeltaShockSolution1D(**kw)) == expected
+
+
+def test_edge_speeds_are_computed_once(monkeypatch):
+    sol = _solution()
+    calls = []
+    f1 = type(sol.flux).f1
+    monkeypatch.setattr(type(sol.flux), "f1", lambda self, u: calls.append(u) or f1(self, u))
+    for t in np.linspace(0.0, 1.0, 5):
+        sol.edge_l(t), sol.edge_r(t)
+    assert calls == []  # both were cached by the support check
+    # A copy made by dataclasses.replace computes its own speeds.
+    assert time_reversed(sol).edge_speed_l == -1.0
