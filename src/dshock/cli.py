@@ -32,6 +32,7 @@ front). Outputs are deterministic for a fixed (scenario, seed); CSVs use
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import sys
@@ -70,6 +71,10 @@ from .solutions import DeltaShockSolution1D, PlanarSolution, from_riemann
 from .spherical import integrate_front, steady_converging_field
 from .sticky_oracle import MAX_SAMPLES, delta_cluster_estimate, radial_shells, sample_riemann
 from .weakcheck import evaluate_identities, make_battery
+
+# A CLI process keeps every imported module until it exits. Frozen, that heap
+# is skipped by every later collection, the one at interpreter shutdown too.
+gc.freeze()
 
 __all__ = ["main", "build_parser"]
 
@@ -415,6 +420,8 @@ def _run_weakcheck(obj: dict, seed: int, strict: bool = True):
 
 def _run_geom_suite(obj: dict, seed: int, strict: bool = True):
     radii = [float(r) for r in obj.get("radii", [0.5, 1.0, 2.0])]
+    if not all(np.isfinite(r) and r > 0.0 for r in radii):
+        raise ScenarioError(f"geom-suite radii must be finite and positive, got {radii}")
     dims = [int(n) for n in obj.get("dims", [2, 3])]
     level = int(obj.get("level", 2))
     curvature_rows = []

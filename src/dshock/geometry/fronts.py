@@ -44,11 +44,20 @@ _FD_STEP = 1e-6
 _NO_CHART = "this front has no chart-based quadrature; use a plane or sphere front"
 
 
+def _number(value) -> float:
+    """float(value); a value that is not a number raises InvalidParameterError."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"expected a number, got {value!r}") from None
+
+
 def _time_law(law, rate=None):
     """(f, f') for a time law: a number, an (f0, speed) pair, or a callable of t.
 
     A callable without ``rate`` gets the central difference of step 1e-6
-    as its rate.
+    as its rate. A number or pair entry that is not a number, NaN included,
+    raises ``InvalidParameterError``.
     """
     if callable(law):
         if rate is None:
@@ -57,7 +66,9 @@ def _time_law(law, rate=None):
                 return (law(t + h) - law(t - h)) / (2.0 * h)
 
         return law, rate
-    f0, speed = (float(law), 0.0) if np.ndim(law) == 0 else (float(law[0]), float(law[1]))
+    f0, speed = (_number(law), 0.0) if np.ndim(law) == 0 else (_number(law[0]), _number(law[1]))
+    if np.isnan(f0) or np.isnan(speed):
+        raise InvalidParameterError(f"expected a number, got {law!r}")
     return (lambda t: f0 + speed * t), (lambda t: speed)
 
 

@@ -281,7 +281,7 @@ def field_from_spec(spec: dict | None, n: int) -> RadialField | None:
     support = spec.get("support")
     try:
         if kind == "constant":
-            return constant_field(float(spec["rho"]), float(spec["u"]), support)
+            return constant_field(spec["rho"], spec["u"], support)
         if kind == "steady_converging":
             return steady_converging_field(n, support)
         if kind == "expression":
@@ -289,8 +289,7 @@ def field_from_spec(spec: dict | None, n: int) -> RadialField | None:
         # free_flow: rho/u are formulas in the Lagrangian radius r
         rho_e = parse_expression(str(spec["rho"]), allowed={"r"})
         u_e = parse_expression(str(spec["u"]), allowed={"r"})
-        sup = None if support is None else (float(support[0]), float(support[1]))
-        return free_flow_field(lambda r0: rho_e(r=r0), lambda r0: u_e(r=r0), n, sup)
+        return free_flow_field(lambda r0: rho_e(r=r0), lambda r0: u_e(r=r0), n, support)
     except DShockError as exc:
         raise ScenarioError(f"bad {kind} field spec: {exc}") from exc
 
@@ -337,6 +336,8 @@ def solution_from_spec(obj: dict, strict: bool = True):
 def orthonormal_frame(normal) -> np.ndarray:
     """Rows: the unit normal, then a deterministic tangential completion."""
     nu = np.asarray(normal, dtype=float)
+    if not np.isfinite(nu).all():
+        raise ScenarioError(f"normal vector must be finite, got {nu.tolist()}")
     norm = float(np.linalg.norm(nu))
     if norm < 1e-13:
         raise ScenarioError("normal vector must be nonzero")

@@ -51,7 +51,7 @@ from .errors import (
     StiffnessError,
 )
 from .expressions import parse_expression
-from .geometry.fronts import _of_t, _of_time, _time_law
+from .geometry.fronts import _number, _of_t, _of_time, _time_law
 from .geometry.quadrature import gauss_panels
 from .riemann1d import RiemannData1D, admissible_front_speed
 from .sticky_oracle import unit_sphere_area
@@ -126,12 +126,13 @@ def _window(edges, law: Callable) -> Callable:
 
 def constant_field(rho0: float, u0: float, support0=None) -> RadialField:
     """Uniform state; support edges ride along at the particle speed u0."""
+    rho0, u0 = _number(rho0), _number(u0)
     if not (math.isfinite(rho0) and math.isfinite(u0)):
         raise InvalidParameterError(f"constant field needs finite rho and u, got ({rho0}, {u0})")
     if rho0 < 0.0:
         raise InvalidParameterError("density must be nonnegative")
     return RadialField(
-        raw=_uniform_speed(lambda r, t: np.full(r.shape, float(rho0)), float(u0)),
+        raw=_uniform_speed(lambda r, t: np.full(r.shape, rho0), u0),
         support=_window(support0, lambda x0: (x0, u0)),
     )
 
@@ -215,7 +216,7 @@ def free_flow_field(rho0: Callable, u0: Callable, n: int, support0=None) -> Radi
             )
         return rho, lambda mass: u[mass]
 
-    return RadialField(raw=raw, support=_window(support0, lambda x0: (x0, u0(x0))))
+    return RadialField(raw=raw, support=_window(support0, lambda x0: (x0, u0(_number(x0)))))
 
 
 def expression_field(rho_src: str, u_src: str, support_src=None) -> RadialField:

@@ -482,6 +482,43 @@ def test_run_rejects_non_finite_constant_field(tmp_path, capsys, key, value):
 
 
 @pytest.mark.parametrize(
+    "outer",
+    [
+        {"kind": "steady_converging", "support": ["abc", 3.5]},
+        {"kind": "steady_converging", "support": [float("nan"), 3.5]},
+        {"kind": "constant", "rho": 1.0, "u": -1.0, "support": [1.0, "xyz"]},
+        {"kind": "constant", "rho": "abc", "u": -1.0},
+        {"kind": "free_flow", "rho": "1", "u": "-1", "support": ["abc", 3.5]},
+    ],
+    ids=["steady-string-edge", "steady-nan-edge", "constant-string-edge", "constant-string-rho",
+         "free-flow-string-edge"],
+)
+def test_run_rejects_a_field_number_that_is_not_a_number(tmp_path, capsys, outer):
+    # The schema lets a support edge be a string, for expression fields. Where
+    # the field needs a number, float() raised ValueError (exit 3, unexpected);
+    # a NaN edge ran on and failed the overcompression check (exit 4).
+    obj = json.loads((SCENARIOS / "spherical_converging_n3.json").read_text())
+    obj["outer"] = outer
+    cfg = tmp_path / "field.json"
+    cfg.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "expected a number" in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert report["error_class"] == "ScenarioError" and report["exit_code"] == 2
+
+
+def test_run_free_flow_with_an_unbounded_edge(tmp_path):
+    # A null edge is unbounded for every field kind; free flow used to pass it
+    # to float() (exit 3, unexpected TypeError).
+    obj = json.loads((SCENARIOS / "spherical_converging_n3.json").read_text())
+    obj["outer"] = {"kind": "free_flow", "rho": "1", "u": "-1", "support": [None, 3.5]}
+    cfg = tmp_path / "field.json"
+    cfg.write_text(json.dumps(obj))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize(
     "rho, fault",
     [
         ("1/(r-r)", "division by zero"),
@@ -595,3 +632,31 @@ def test_run_geom_suite(tmp_path):
     assert report["passed"] is True
     assert report["checks"]["curvature"] is True
     assert report["checks"]["integration_by_parts"] is True
+
+
+@pytest.mark.parametrize("radius", [float("inf"), float("nan")])
+def test_run_geom_suite_rejects_a_radius_that_is_not_finite(tmp_path, capsys, radius):
+    # An infinite radius made every curvature error NaN, which lost every
+    # comparison, so the run passed (exit 0) after numpy invalid-value warnings.
+    obj = json.loads((SCENARIOS / "geom_suite.json").read_text())
+    obj["radii"] = [0.5, radius]
+    cfg = tmp_path / "geom.json"
+    cfg.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "finite and positive" in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert report["error_class"] == "ScenarioError" and report["exit_code"] == 2
+
+
+def test_run_planar_rejects_a_normal_that_is_not_finite(tmp_path, capsys):
+    # The normal was divided by its infinite norm first: a RuntimeWarning,
+    # then exit 2 only from the NaN Riemann data it made.
+    obj = json.loads((SCENARIOS / "planar_2d.json").read_text())
+    obj["normal"] = [float("inf"), 0.0]
+    cfg = tmp_path / "planar.json"
+    cfg.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "normal vector must be finite" in capsys.readouterr().err
+    assert json.loads((out / "report.json").read_text())["error_class"] == "ScenarioError"

@@ -151,8 +151,9 @@ def test_orthonormal_frame_properties():
         np.testing.assert_allclose(frame @ frame.T, np.eye(dim), atol=1e-12)
         nu = np.asarray(normal) / np.linalg.norm(normal)
         np.testing.assert_allclose(frame[0], nu, atol=1e-12)
-    with pytest.raises(ScenarioError):
-        orthonormal_frame([0.0, 0.0])
+    for bad in ([0.0, 0.0], [np.inf, 0.0], [0.6, np.nan]):
+        with pytest.raises(ScenarioError):
+            orthonormal_frame(bad)
 
 
 def test_planar_from_spec_decomposes_velocities():

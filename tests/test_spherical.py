@@ -40,6 +40,17 @@ def test_constant_field_support_advects():
     np.testing.assert_allclose(f.state(np.array([1.0, 2.0]), 1.0)[1], [-0.5, -0.5])
 
 
+@pytest.mark.parametrize("edge", ["abc", float("nan")])
+def test_numeric_support_edges_must_be_numbers(edge):
+    # Only expression fields take edges as formulas in t.
+    with pytest.raises(InvalidParameterError, match="expected a number"):
+        constant_field(2.0, -0.5, support0=(edge, 3.0))
+    with pytest.raises(InvalidParameterError, match="expected a number"):
+        steady_converging_field(3, (1.0, edge))
+    with pytest.raises(InvalidParameterError, match="expected a number"):
+        free_flow_field(lambda r0: 1.0, lambda r0: -1.0, 3, (edge, 3.0))
+
+
 def test_expression_field_eval():
     f = expression_field("r^2 * t", "0 - r", support_src=("1 + t", None))
     assert f.state(2.0, 0.5) == pytest.approx((2.0, -2.0))

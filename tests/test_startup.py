@@ -1,0 +1,64 @@
+"""The garbage-collector state that ``import dshock`` and ``import dshock.cli`` leave.
+
+The package imports its modules with the cyclic GC paused and then restores
+it; the CLI module freezes the import heap for the life of its process. Each
+case runs in a fresh interpreter, because this test process has imported
+dshock already. Nothing here is timed.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+_PROBE = """
+import gc, json
+{setup}
+before = gc.get_freeze_count()
+import dshock
+after_package = {{"enabled": gc.isenabled(), "frozen": gc.get_freeze_count()}}
+check = {check}
+import dshock.cli
+after_cli = {{"enabled": gc.isenabled(), "frozen": gc.get_freeze_count()}}
+print(json.dumps({{"before": before, "package": after_package, "cli": after_cli, "check": check}}))
+"""
+
+
+def _probe(setup: str, check: str = "None") -> dict:
+    """GC states around the imports, after ``setup``; ``check`` is evaluated after ``import dshock``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", _PROBE.format(setup=setup, check=check)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    return json.loads(out.stdout)
+
+
+def test_package_import_leaves_the_gc_as_found_and_the_cli_freezes():
+    state = _probe("")
+    assert state["before"] == 0
+    assert state["package"] == {"enabled": True, "frozen": 0}
+    assert state["cli"]["enabled"] is True
+    assert state["cli"]["frozen"] > 0
+
+
+def test_package_import_leaves_a_disabled_gc_disabled():
+    state = _probe("gc.disable()")
+    assert state["package"] == {"enabled": False, "frozen": 0}
+
+
+def test_package_import_keeps_a_heap_the_caller_froze():
+    # Freezing and unfreezing would thaw the caller's heap. gc.get_objects()
+    # lists only objects that are not frozen.
+    state = _probe("mine = []; gc.freeze()", "all(o is not mine for o in gc.get_objects())")
+    assert state["before"] > 0
+    assert state["package"]["enabled"] is True and state["package"]["frozen"] > 0
+    assert state["check"] is True
