@@ -20,7 +20,8 @@ calls the runner, then writes ``files``, ``report.json`` and
 ``manifest.json``. A run that fails, from an unreadable config file to an
 unexpected exception in a runner, leaves only ``report.json`` and
 ``manifest.json``. The oracle and weakcheck subcommands call the same
-runners and write the one file each promises.
+runners and write the one file each promises. ``write_csv`` refuses a table
+with a value that is not finite before it opens the file.
 
 Exit codes: 0 success, 2 config/schema problem, 3 numerical failure or
 any unexpected exception (one line on stderr, no traceback),
@@ -47,6 +48,7 @@ from .errors import (
     InvalidBatteryError,
     InvalidParameterError,
     NoDeltaShockError,
+    NonFiniteOutputError,
     ScenarioError,
 )
 from .fluxes import relativistic_flux, standard_flux
@@ -84,6 +86,12 @@ _INT_COLUMNS = {"entropy_ok", "entropy_strict"}
 
 def write_csv(path, names, data) -> None:
     data = np.atleast_2d(np.asarray(data, dtype=float))
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        row, col = bad[0]
+        raise NonFiniteOutputError(
+            f"{Path(path).name}: column '{names[col]}' holds {data[row, col]} in data row {row + 1}"
+        )
     fmt = ["%d" if name in _INT_COLUMNS else _FMT for name in names]
     # An open handle spares savetxt its path lookup through np.lib._datasource.
     with open(path, "w") as fh:
@@ -500,7 +508,7 @@ def _execute_scenario(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     seed = args.seed
-    obj, kind, name = None, None, ""
+    obj, kind, name, files = None, None, "", {}
     try:
         # Inside the handler, so an unreadable file or a kind or schema error
         # also leaves a report.json.
@@ -513,7 +521,12 @@ def _execute_scenario(args) -> int:
         if seed is None:
             seed = int(obj.get("seed", 0))
         checks, payload, files = _RUNNERS[kind](obj, seed, args.strict)
+        for fname, content in files.items():
+            _write(outdir / fname, content)
     except Exception as exc:
+        # A table that could not be written takes the tables before it along.
+        for fname in files:
+            (outdir / fname).unlink(missing_ok=True)
         code, message = _failure(exc)
         report = {"kind": kind, "name": name, "error": str(exc), "passed": False}
         if isinstance(exc, NoDeltaShockError):
@@ -527,8 +540,6 @@ def _execute_scenario(args) -> int:
     else:
         code = 0
         report = dict(payload, kind=kind, name=name, seed=seed, **_verdict(checks))
-        for fname, content in files.items():
-            _write(outdir / fname, content)
         if report["failed"]:
             print("theorem checks failed: " + ", ".join(report["failed"]), file=sys.stderr)
             code = 4
@@ -589,6 +600,13 @@ def cmd_weakcheck(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: an integer >= 0, as the scenario key ``seed`` requires."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="dshock",
@@ -603,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
         runp = sub.add_parser(name, help=text)
         runp.add_argument("--config", required=True, help="scenario JSON file")
         runp.add_argument("--out", required=True, help="output directory")
-        runp.add_argument("--seed", type=int, default=None)
+        runp.add_argument("--seed", type=_seed, default=None)
         runp.add_argument("--strict", action="store_true", help="reject unknown config keys")
         runp.set_defaults(func=_execute_scenario, kind=kind)
 
@@ -627,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--N", type=int, default=None, help="particle/shell count")
     o.add_argument("--T", type=float, default=1.0, help="final time")
     o.add_argument("--mode", choices=["midpoint", "random"], default="midpoint")
-    o.add_argument("--seed", type=int, default=0)
+    o.add_argument("--seed", type=_seed, default=0)
     o.add_argument("--out", required=True, help="output CSV path")
     o.set_defaults(func=cmd_oracle)
 
@@ -639,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=5,
         help="quadrature ladder depth; the 1e-6 pass tolerance assumes >= 5",
     )
-    w.add_argument("--seed", type=int, default=7)
+    w.add_argument("--seed", type=_seed, default=7)
     w.add_argument("--out", required=True, help="output report.json path")
     w.set_defaults(func=cmd_weakcheck)
     return p

@@ -69,5 +69,9 @@ class InvalidBatteryError(DShockError):
     """Test-function battery parameters are out of contract."""
 
 
+class NonFiniteOutputError(DShockError):
+    """An output table holds a value that is not finite (an overflow, say)."""
+
+
 class ScenarioError(DShockError):
     """Scenario file failed schema validation or refers to unknown keys."""

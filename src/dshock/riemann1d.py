@@ -179,12 +179,21 @@ def _path_constant_speed(d: RiemannData1D, s: float) -> DeltaShockPath1D:
         out = np.full(t.shape, value)
         return out if out.shape else float(value)
 
+    def linear(f):
+        # Near the top of the float range f(t) overflows to inf, which the
+        # CLI writers refuse; numpy need not warn about it first.
+        def at(t):
+            with np.errstate(over="ignore"):
+                return f(np.asarray(t, dtype=float))
+
+        return at
+
     return DeltaShockPath1D(
         data=d,
-        phi=lambda t: d.x0 + s * np.asarray(t, dtype=float),
+        phi=linear(lambda t: d.x0 + s * t),
         u_delta=lambda t: as_like(t, s),
-        e=lambda t: alpha * np.asarray(t, dtype=float),
-        momentum=lambda t: alpha * s * np.asarray(t, dtype=float),
+        e=linear(lambda t: alpha * t),
+        momentum=linear(lambda t: alpha * s * t),
         detail={"kind": "constant-speed", "speed": s, "growth": alpha},
     )
 

@@ -8,15 +8,27 @@ reported as warnings and ignored. Builders translate validated configs
 into the solver-layer objects; semantic errors that the schema cannot
 express (for example a tabulated flux with unordered nodes) surface as
 ScenarioError with a pointer to the offending key.
+
+The schemas are JSON Schema (draft 2020-12) and are checked in-package by
+``_violations``, which implements exactly the keywords they use: ``type``,
+``enum``, ``const``, ``minimum``, ``maximum``, ``exclusiveMinimum``,
+``items``, ``minItems``, ``maxItems``, ``properties``, ``required``,
+``additionalProperties`` (``false`` or a schema) and ``allOf`` with
+``if``/``then``. It keeps the draft's semantics, and jsonschema's
+messages, for what JSON can carry: a bool is not a number, a float with an
+integral value is an integer, ``true`` does not equal ``1`` in ``enum`` and
+``const``, and NaN passes every bound. Violations are reported in
+jsonschema's order, sorted by their path, so errors inside a property come
+before errors of the object that holds it.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 from pathlib import Path
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from .errors import DShockError, ScenarioError
 from .expressions import parse_expression
@@ -235,6 +247,86 @@ def load_scenario(path) -> dict:
     return obj
 
 
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
+    "integer": lambda v: not isinstance(v, bool)
+    and (isinstance(v, int) or isinstance(v, float) and v.is_integer()),
+}
+
+
+def _equal(value, const) -> bool:
+    """JSON equality with a scalar ``const``: a bool equals only a bool."""
+    return isinstance(value, bool) == isinstance(const, bool) and value == const
+
+
+def _violations(value, schema: dict, path: tuple = ()):
+    """Yield ``(path, keyword, message)`` for each way ``value`` breaks ``schema``.
+
+    Keywords are visited in the schema's order, as jsonschema visits them.
+    """
+    is_object, is_array = isinstance(value, dict), isinstance(value, list)
+    is_number = _TYPES["number"](value)
+    for key, rule in schema.items():
+        message = None
+        if key == "type":
+            types = [rule] if isinstance(rule, str) else rule
+            if not any(_TYPES[t](value) for t in types):
+                message = f"{value!r} is not of type {', '.join(map(repr, types))}"
+        elif key == "enum":
+            if not any(_equal(value, each) for each in rule):
+                message = f"{value!r} is not one of {rule!r}"
+        elif key == "const":
+            if not _equal(value, rule):
+                message = f"{rule!r} was expected"
+        elif key == "minimum":
+            if is_number and value < rule:
+                message = f"{value!r} is less than the minimum of {rule!r}"
+        elif key == "maximum":
+            if is_number and value > rule:
+                message = f"{value!r} is greater than the maximum of {rule!r}"
+        elif key == "exclusiveMinimum":
+            if is_number and value <= rule:
+                message = f"{value!r} is less than or equal to the minimum of {rule!r}"
+        elif key == "minItems":
+            if is_array and len(value) < rule:
+                message = f"{value!r} {'should be non-empty' if rule == 1 else 'is too short'}"
+        elif key == "maxItems":
+            if is_array and len(value) > rule:
+                message = f"{value!r} {'is expected to be empty' if rule == 0 else 'is too long'}"
+        elif key == "items" and is_array:
+            for index, item in enumerate(value):
+                yield from _violations(item, rule, path + (index,))
+        elif key == "properties" and is_object:
+            for name, sub in rule.items():
+                if name in value:
+                    yield from _violations(value[name], sub, path + (name,))
+        elif key == "required" and is_object:
+            for name in rule:
+                if name not in value:
+                    yield path, key, f"{name!r} is a required property"
+        elif key == "additionalProperties" and is_object:
+            extras = [name for name in value if name not in schema.get("properties", {})]
+            if isinstance(rule, dict):
+                for name in extras:
+                    yield from _violations(value[name], rule, path + (name,))
+            elif extras:
+                names = ", ".join(repr(name) for name in sorted(extras, key=str))
+                verb = "was" if len(extras) == 1 else "were"
+                message = f"Additional properties are not allowed ({names} {verb} unexpected)"
+        elif key == "allOf":
+            for sub in rule:
+                yield from _violations(value, sub, path)
+        elif key == "if" and "then" in schema and not any(_violations(value, rule, path)):
+            yield from _violations(value, schema["then"], path)
+        if message is not None:
+            yield path, key, message
+
+
 def validate_scenario(obj: dict, strict: bool = True) -> list[str]:
     """Validate against the kind-specific schema.
 
@@ -248,14 +340,14 @@ def validate_scenario(obj: dict, strict: bool = True) -> list[str]:
         raise ScenarioError(
             f"scenario kind must be one of {list(SCENARIO_KINDS)}, got {kind!r}"
         )
-    validator = Draft202012Validator(_KIND_SCHEMAS[kind])
     warnings = []
-    for err in sorted(validator.iter_errors(obj), key=lambda e: str(e.absolute_path)):
-        where = "/".join(str(p) for p in err.absolute_path) or "<root>"
-        if err.validator == "additionalProperties" and not strict:
-            warnings.append(f"ignoring unknown keys at {where}: {err.message}")
+    violations = _violations(obj, _KIND_SCHEMAS[kind])
+    for path, keyword, message in sorted(violations, key=lambda v: repr(list(v[0]))):
+        where = "/".join(str(p) for p in path) or "<root>"
+        if keyword == "additionalProperties" and not strict:
+            warnings.append(f"ignoring unknown keys at {where}: {message}")
             continue
-        raise ScenarioError(f"scenario schema violation at {where}: {err.message}")
+        raise ScenarioError(f"scenario schema violation at {where}: {message}")
     return warnings
 
 

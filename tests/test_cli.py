@@ -379,6 +379,95 @@ def test_particle_count_is_bounded_before_allocation(tmp_path, capsys):
     assert f"greater than the maximum of {MAX_PARTICLES}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--config", str(SCENARIOS / "symmetric_riemann.json")],
+        ["oracle", "--preset", "riemann", "--mode", "random", "--N", "1000"],
+        ["weakcheck", "--solution", str(SCENARIOS / "symmetric_riemann.json")],
+    ],
+    ids=["run", "oracle", "weakcheck"],
+)
+def test_negative_seed_flag_is_a_config_error(tmp_path, capsys, argv):
+    # Like the scenario key "seed", every --seed flag is bounded at 0. numpy
+    # refused -1 in the oracle with an unexpected ValueError (exit 3).
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "-1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "argument --seed: must be an integer >= 0, got '-1'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _no_runtime_warnings(call):
+    """``call()``, asserting that numpy warned about nothing on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    return result
+
+
+def test_riemann_subcommand_refuses_an_overflowed_table(tmp_path, capsys):
+    # e = 2t overflows to inf in the last rows; it used to be written (exit 0).
+    out = tmp_path / "r.csv"
+    args = [
+        "riemann", "--rho-l", "1", "--rho-r", "1", "--u-l", "1", "--u-r", "-1",
+        "--t-end", "1e308", "--out", str(out),
+    ]
+    assert _no_runtime_warnings(lambda: main(args)) == 3
+    assert capsys.readouterr().err == "numerical failure: r.csv: column 'e' holds inf in data row 91\n"
+    assert not out.exists()
+
+
+def test_oracle_subcommand_refuses_an_overflowed_table(tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    args = ["oracle", "--preset", "riemann", "--N", "1000", "--T", "1e308", "--out", str(out)]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: o.csv: column 'position_hat' holds inf")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("support", [True, False])
+def test_run_at_the_top_of_the_float_range_leaves_a_report(tmp_path, capsys, support):
+    # With its support the front leaves the window; without, riemann.csv
+    # would hold inf. Either way numpy's overflow stays off stderr.
+    obj = json.loads((SCENARIOS / "symmetric_riemann.json").read_text())
+    obj["t_end"] = 1e308
+    if not support:
+        del obj["support"]
+    cfg = tmp_path / "late.json"
+    cfg.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    assert _no_runtime_warnings(lambda: main(["run", "--config", str(cfg), "--out", str(out)])) == 3
+    report = json.loads((out / "report.json").read_text())
+    assert capsys.readouterr().err == f"numerical failure: {report['error']}\n"
+    if support:
+        assert report["error_class"] == "SupportViolationError"
+    else:
+        assert report["error_class"] == "NonFiniteOutputError"
+        assert report["error"].startswith("riemann.csv: column 'e' holds inf")
+    assert set(json.loads((out / "manifest.json").read_text())["files"]) == {"report.json"}
+
+
+def test_a_table_that_cannot_be_written_takes_the_others_along(tmp_path, capsys):
+    # riemann.csv is finite and written first; the masses in balance.csv
+    # overflow. The audit's own numpy warnings are beside the point here.
+    obj = json.loads((SCENARIOS / "symmetric_riemann.json").read_text())
+    obj["rho_l"] = obj["rho_r"] = 2e307
+    cfg = tmp_path / "dense.json"
+    cfg.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+    report = json.loads((out / "report.json").read_text())
+    assert report["error"] == "balance.csv: column 'M' holds inf in data row 1"
+    assert capsys.readouterr().err == f"numerical failure: {report['error']}\n"
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "report.json"]
+
+
 def test_schema_error_leaves_a_report(tmp_path, capsys):
     # The schema check runs inside the failure handler, after the output
     # directory exists, so it writes report.json and manifest.json too.

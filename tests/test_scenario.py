@@ -1,13 +1,20 @@
 """Tests for scenario loading, schema validation, and builders."""
 
+import copy
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dshock import ScenarioError
 from dshock.scenario import (
+    _KIND_SCHEMAS,
+    SCENARIO_KINDS,
+    _violations,
     field_from_spec,
     flux_from_spec,
     load_scenario,
@@ -82,6 +89,158 @@ def test_validate_type_errors_raise_even_lenient():
     }
     with pytest.raises(ScenarioError):
         validate_scenario(obj, strict=False)
+
+
+# The keywords scenario._violations implements; it reads "then" with "if".
+_CHECKED_KEYWORDS = {
+    "type", "enum", "const", "minimum", "maximum", "exclusiveMinimum", "items", "minItems",
+    "maxItems", "properties", "required", "additionalProperties", "allOf", "if", "then",
+}
+
+
+def _schema_nodes(schema):
+    yield schema
+    for key, rule in schema.items():
+        if key == "properties":
+            for sub in rule.values():
+                yield from _schema_nodes(sub)
+        elif key == "allOf":
+            for sub in rule:
+                yield from _schema_nodes(sub)
+        elif key in ("items", "if", "then", "additionalProperties") and isinstance(rule, dict):
+            yield from _schema_nodes(rule)
+
+
+@pytest.mark.parametrize("kind", SCENARIO_KINDS)
+def test_schemas_use_only_checked_keywords(kind):
+    # A keyword the checker does not know would be ignored, as jsonschema
+    # ignores unknown keywords: every schema must stay inside the checked set.
+    for node in _schema_nodes(_KIND_SCHEMAS[kind]):
+        assert set(node) <= _CHECKED_KEYWORDS, set(node) - _CHECKED_KEYWORDS
+        assert "then" not in node or "if" in node
+        # _equal compares scalars only.
+        for value in node.get("enum", []) + ([node["const"]] if "const" in node else []):
+            assert isinstance(value, (str, int, float)), value
+
+
+def _jsonschema_validate(obj: dict, strict: bool) -> list[str]:
+    """validate_scenario as written on jsonschema, the reference for the checker."""
+    jsonschema = pytest.importorskip("jsonschema")
+    if not isinstance(obj, dict):
+        raise ScenarioError("scenario must be a JSON object")
+    kind = obj.get("kind")
+    if kind not in SCENARIO_KINDS:
+        raise ScenarioError(f"scenario kind must be one of {list(SCENARIO_KINDS)}, got {kind!r}")
+    validator = jsonschema.Draft202012Validator(_KIND_SCHEMAS[kind])
+    warnings = []
+    for err in sorted(validator.iter_errors(obj), key=lambda e: str(e.absolute_path)):
+        where = "/".join(str(p) for p in err.absolute_path) or "<root>"
+        if err.validator == "additionalProperties" and not strict:
+            warnings.append(f"ignoring unknown keys at {where}: {err.message}")
+            continue
+        raise ScenarioError(f"scenario schema violation at {where}: {err.message}")
+    return warnings
+
+
+def _outcome(validate, obj, strict):
+    try:
+        return "ok", validate(obj, strict)
+    except ScenarioError as exc:
+        return "error", str(exc)
+
+
+@pytest.mark.parametrize(
+    "schema, value",
+    [
+        ({"enum": [0, 1]}, True),
+        ({"enum": [0, 1]}, False),
+        ({"enum": [0, 1]}, 1.0),
+        ({"const": 1}, True),
+        ({"const": "a"}, ["a"]),
+        ({"type": "integer"}, 2.0),
+        ({"type": "integer"}, True),
+        ({"type": "integer"}, math.nan),
+        ({"type": "integer"}, math.inf),
+        ({"type": "number"}, False),
+        ({"type": ["number", "null"]}, "x"),
+        ({"type": "array"}, (1.0, 2.0)),
+        ({"minimum": 0}, math.nan),
+        ({"maximum": 0}, math.nan),
+        ({"exclusiveMinimum": 0}, math.nan),
+        ({"exclusiveMinimum": 0}, 0),
+        ({"minimum": 0, "maximum": 1}, True),
+        ({"minItems": 1}, []),
+        ({"maxItems": 0}, [1]),
+        ({"minItems": 2, "maxItems": 2, "items": {"type": "number"}}, ["a", True, 3]),
+        ({"required": ["a", "b"], "properties": {"a": {"type": "string"}}}, {"a": 1}),
+        ({"properties": {"a": {}}, "additionalProperties": False}, {"z": 1, "b": 2, "a": 3}),
+        ({"additionalProperties": {"type": "number"}}, {"b": "x", "a": None}),
+        (
+            {
+                "properties": {"k": {"type": "string"}},
+                "allOf": [{"if": {"properties": {"k": {"const": "r"}}}, "then": {"required": ["c"]}}],
+            },
+            {"k": "r"},
+        ),
+    ],
+)
+def test_checker_edge_semantics_match_jsonschema(schema, value):
+    # Cases the bundled scenarios seldom reach: bools against integers,
+    # integral floats, NaN against bounds, tuples, several unknown keys.
+    jsonschema = pytest.importorskip("jsonschema")
+    errors = jsonschema.Draft202012Validator(schema).iter_errors(value)
+    expected = [(list(e.absolute_path), e.validator, e.message) for e in errors]
+    found = [(list(p), k, m) for p, k, m in _violations(value, schema)]
+    # jsonschema visits unknown keys in set order; validate_scenario sorts by path.
+    assert sorted(found, key=lambda e: repr(e[0])) == sorted(expected, key=lambda e: repr(e[0]))
+
+
+_VALUES = [
+    True, False, None, 0, 1, 2, 3, -1, 2.0, 3.0, 1.0, 0.0, -0.0, -0.5, 0.25, 7, 100, 99, 1e308,
+    math.nan, math.inf, -math.inf, "text", "standard", "relativistic", "tabulated", "riemann",
+    "vacuum", "constant", "1/r", [], [1.0], [1.0, 2.0], [True, 2.0], [2, 3.0], [1, 2, 3, 4],
+    [None, "r"], [[1.0]], {}, {"kind": "x"}, {"kind": "relativistic"}, {"kind": "tabulated"},
+    {"a": 1}, {"count": True},
+]
+
+
+def _paths(node, prefix=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def _mutated(draw):
+    """A bundled scenario with up to three keys deleted, retyped or added."""
+    obj = json.loads(draw(st.sampled_from(sorted(SCENARIOS.glob("*.json")))).read_text())
+    value = st.sampled_from(_VALUES).map(copy.deepcopy)
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(obj))
+        if not paths:
+            break
+        *parents, key = draw(st.sampled_from(paths))
+        holder = obj
+        for k in parents:
+            holder = holder[k]
+        mutation = draw(st.sampled_from(["delete", "retype", "unknown"]))
+        if mutation == "delete":
+            del holder[key]
+        elif mutation == "retype":
+            holder[key] = draw(value)
+        else:
+            target = holder if isinstance(holder, dict) else obj
+            target[draw(st.sampled_from([f"{key}_x", "zeta", "a", "Z", "10"]))] = draw(value)
+    return obj
+
+
+@settings(max_examples=400, deadline=None)
+@given(obj=_mutated(), strict=st.booleans())
+def test_checker_matches_jsonschema(obj, strict):
+    # The same verdict, warnings and message as Draft202012Validator.
+    assert _outcome(validate_scenario, obj, strict) == _outcome(_jsonschema_validate, obj, strict)
 
 
 def test_flux_from_spec_branches():

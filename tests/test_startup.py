@@ -1,7 +1,8 @@
-"""The garbage-collector state that ``import dshock`` and ``import dshock.cli`` leave.
+"""What ``import dshock`` and ``import dshock.cli`` leave in a fresh process.
 
 The package imports its modules with the cyclic GC paused and then restores
-it; the CLI module freezes the import heap for the life of its process. Each
+it; the CLI module freezes the import heap for the life of its process.
+Scenarios are validated in-package, so no CLI run imports jsonschema. Each
 case runs in a fresh interpreter, because this test process has imported
 dshock already. Nothing here is timed.
 """
@@ -27,12 +28,12 @@ print(json.dumps({{"before": before, "package": after_package, "cli": after_cli,
 """
 
 
-def _probe(setup: str, check: str = "None") -> dict:
-    """GC states around the imports, after ``setup``; ``check`` is evaluated after ``import dshock``."""
+def _run_python(code: str) -> dict:
+    """Run ``code`` in a fresh interpreter on this checkout; it prints one JSON line."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     out = subprocess.run(
-        [sys.executable, "-c", _PROBE.format(setup=setup, check=check)],
+        [sys.executable, "-c", code],
         env=env,
         capture_output=True,
         text=True,
@@ -40,6 +41,11 @@ def _probe(setup: str, check: str = "None") -> dict:
         check=True,
     )
     return json.loads(out.stdout)
+
+
+def _probe(setup: str, check: str = "None") -> dict:
+    """GC states around the imports, after ``setup``; ``check`` is evaluated after ``import dshock``."""
+    return _run_python(_PROBE.format(setup=setup, check=check))
 
 
 def test_package_import_leaves_the_gc_as_found_and_the_cli_freezes():
@@ -62,3 +68,33 @@ def test_package_import_keeps_a_heap_the_caller_froze():
     assert state["before"] > 0
     assert state["package"]["enabled"] is True and state["package"]["frozen"] > 0
     assert state["check"] is True
+
+
+_JSONSCHEMA_PROBE = """
+import json, sys
+from dshock.cli import main
+loaded = {{"import": "jsonschema" in sys.modules}}
+for name, argv in {runs!r}:
+    loaded[name] = (main(argv), "jsonschema" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_cli_runs_never_import_jsonschema(tmp_path):
+    scenarios = SRC.parent / "scenarios"
+    runs = [
+        ("symmetric_riemann", ["run", "--config", str(scenarios / "symmetric_riemann.json"),
+                               "--out", str(tmp_path / "sym")]),
+        ("weakcheck_asymmetric", ["run", "--config", str(scenarios / "weakcheck_asymmetric.json"),
+                                  "--out", str(tmp_path / "weak")]),
+        # 500 shells, since 200 form no dominant cluster (exit 3).
+        ("oracle", ["oracle", "--preset", "spherical", "--N", "500",
+                    "--out", str(tmp_path / "oracle.csv")]),
+    ]
+    loaded = _run_python(_JSONSCHEMA_PROBE.format(runs=runs))
+    assert loaded == {
+        "import": False,
+        "symmetric_riemann": [0, False],
+        "weakcheck_asymmetric": [0, False],
+        "oracle": [0, False],
+    }
