@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AuditInvalidError, InvalidParameterError
+from .errors import AuditInvalidError, InvalidParameterError, NonFiniteOutputError
 from .geometry.quadrature import gauss_panels
 from .rh import FrontState, SideStates
 from .solutions import DeltaShockSolution1D
@@ -201,19 +201,30 @@ def _audit_1d(sol: DeltaShockSolution1D, times, box) -> BalanceReport:
             f"support [{float(lo[k])}, {float(hi[k])}] touches the audit box [{a}, {b}] "
             f"at t={times[k]}"
         )
-    ll, lr = pos - lo, hi - pos
     ud, e = sol.u_delta(times), sol.e(times)
+    # Extreme finite data overflow here; the check below refuses the result.
+    with np.errstate(over="ignore", invalid="ignore"):
+        ll, lr = pos - lo, hi - pos
+        functionals = {
+            "M": sol.rho_l * ll + sol.rho_r * lr,
+            "m": e,
+            "P": (sol.rho_l * sol.u_l * ll + sol.rho_r * sol.u_r * lr)[:, None],
+            "p": (e * ud)[:, None],
+            "W": 0.5 * (sol.rho_l * sol.u_l ** 2 * ll + sol.rho_r * sol.u_r ** 2 * lr),
+            "w": 0.5 * e * ud ** 2,
+        }
+    for name, values in functionals.items():
+        flat = np.ravel(values)  # P and p are one column in 1-D
+        bad = np.flatnonzero(~np.isfinite(flat))
+        if bad.size:
+            k = bad[0]
+            raise NonFiniteOutputError(f"balance functional {name} is {flat[k]} at t={times[k]}")
     return BalanceReport(
         t=times,
-        M=sol.rho_l * ll + sol.rho_r * lr,
-        m=e,
         boundary=np.zeros(times.size),
-        P=(sol.rho_l * sol.u_l * ll + sol.rho_r * sol.u_r * lr)[:, None],
-        p=(e * ud)[:, None],
-        W=0.5 * (sol.rho_l * sol.u_l ** 2 * ll + sol.rho_r * sol.u_r ** 2 * lr),
-        w=0.5 * e * ud ** 2,
         entropy_strict=(sol.u_r < ud) & (ud < sol.u_l),
         closed_form=True,
+        **functionals,
     )
 
 

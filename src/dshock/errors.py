@@ -70,7 +70,7 @@ class InvalidBatteryError(DShockError):
 
 
 class NonFiniteOutputError(DShockError):
-    """An output table holds a value that is not finite (an overflow, say)."""
+    """An output table or an audited functional holds a value that is not finite."""
 
 
 class ScenarioError(DShockError):

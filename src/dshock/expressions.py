@@ -8,17 +8,16 @@ Grammar (deliberately small):
     power  := atom ('^' unary)?          # right associative
     atom   := NUMBER | NAME | 'sqrt' '(' expr ')' | '(' expr ')' | '|' expr '|'
 
-Names resolve against the evaluation environment. Spatial contexts provide
-x1..xn, the vector x, the radius r = |x| and time t; radial contexts provide
-r and t. Bars take the absolute value of scalars and the Euclidean norm of
-the vector x, so "|x| - 1 - 0.5*t" is a moving sphere.
+Names resolve against the evaluation environment. Scenario files use three
+contexts: radial fields take r and t, free-flow data take the radius r
+alone, and support edges take t alone. Bars take the absolute value.
 
 Values may be numpy arrays that broadcast together: a radial field takes
-arrays of (r, t) and a level set takes (m, dim) rows of points, each
-evaluated elementwise in one pass. Arithmetic runs in float64 with division
-by zero, overflow and results that are not real numbers raised as
-``InvalidParameterError`` naming the expression; underflow to zero is
-allowed. Numeric literals must be finite.
+arrays of (r, t) and an edge an array of times, each evaluated elementwise
+in one pass. Arithmetic runs in float64 with division by zero, overflow and
+results that are not real numbers raised as ``InvalidParameterError``
+naming the expression; underflow to zero is allowed. Numeric literals must
+be finite.
 """
 
 from __future__ import annotations
@@ -151,23 +150,8 @@ def _names(node, out: set):
             _names(child, out)
 
 
-class _Vector:
-    """The point x in more than one dimension: only |x| applies to it."""
-
-    def __init__(self, norm):
-        self.norm = norm
-
-
-def _scalar(value, what: str):
-    if isinstance(value, _Vector):
-        raise InvalidParameterError(f"{what} requires a scalar, got a vector")
-    return value
-
-
 def _number(value):
-    """A binding as a numpy float or a float array; the vector x stays as it is."""
-    if isinstance(value, _Vector):
-        return value
+    """A binding as a numpy float or a float array."""
     value = np.asarray(value, dtype=float)
     return value if value.ndim else value[()]
 
@@ -193,16 +177,13 @@ def _eval(node, env: dict):
             raise InvalidParameterError(f"unknown name {name!r} in expression")
         return env[name]
     if tag == "abs":
-        value = _eval(node[1], env)
-        return value.norm if isinstance(value, _Vector) else abs(value)
+        return abs(_eval(node[1], env))
     if tag == "neg":
-        return -_scalar(_eval(node[1], env), "negation")
+        return -_eval(node[1], env)
     if tag == "sqrt":
-        return np.sqrt(_scalar(_eval(node[1], env), "sqrt"))
+        return np.sqrt(_eval(node[1], env))
     if tag in _BINARY:
-        a = _scalar(_eval(node[1], env), "arithmetic")
-        b = _scalar(_eval(node[2], env), "arithmetic")
-        return _BINARY[tag](a, b)
+        return _BINARY[tag](_eval(node[1], env), _eval(node[2], env))
     raise InvalidParameterError(f"unknown expression node {tag!r}")
 
 
@@ -233,20 +214,6 @@ class Expression:
                 f"expression {self.source!r} cannot be evaluated: {fault}"
             ) from exc
         return value if isinstance(value, np.ndarray) else float(value)
-
-    def eval_point(self, x, t):
-        """Evaluate in a spatial context: x1.., the vector x, r = |x| and t.
-
-        ``x`` is one point of shape (dim,), giving a float, or (m, dim) rows,
-        giving an (m,) array; ``t`` is a number or an (m,) array of row times.
-        """
-        x = np.asarray(x, dtype=float)
-        rows = np.atleast_2d(x)
-        r = np.sqrt(np.vecdot(rows, rows))
-        env = {f"x{k + 1}": col for k, col in enumerate(rows.T)}
-        env.update(t=t, r=r, x=env["x1"] if rows.shape[1] == 1 else _Vector(r))
-        value = np.broadcast_to(self(**env), r.shape)
-        return value if x.ndim > 1 else float(value[0])
 
     def eval_radial(self, r, t):
         """Evaluate in a radial context on radii and times that broadcast together."""

@@ -47,7 +47,8 @@ class FluxModel:
     def F(self, U) -> np.ndarray:
         """Mass flux velocity F(U), shape (dim,)."""
         U = _check_vector(U, self.dim)
-        out = np.asarray(self._F(U), dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            out = np.asarray(self._F(U), dtype=float)
         if not np.all(np.isfinite(out)):
             raise InvalidParameterError("flux evaluation produced non-finite values")
         return out
@@ -55,7 +56,8 @@ class FluxModel:
     def N(self, U) -> np.ndarray:
         """Momentum flux tensor N(U), shape (dim, dim)."""
         U = _check_vector(U, self.dim)
-        out = np.asarray(self._N(U), dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            out = np.asarray(self._N(U), dtype=float)
         if not np.all(np.isfinite(out)):
             raise InvalidParameterError("flux evaluation produced non-finite values")
         return out

@@ -11,11 +11,9 @@ from .calculus import (
     tangential_gradient,
 )
 from .fronts import (
-    ExpressionFront,
     LevelSetFront,
     MovingPlaneFront,
     MovingSphereFront,
-    front_from_spec,
 )
 from .quadrature import (
     SurfacePatchQuadrature,
@@ -25,7 +23,6 @@ from .quadrature import (
     surface_integral,
 )
 from .transport import (
-    Box,
     MovingBall,
     TransportReport,
     check_integration_by_parts,
@@ -37,8 +34,6 @@ __all__ = [
     "LevelSetFront",
     "MovingPlaneFront",
     "MovingSphereFront",
-    "ExpressionFront",
-    "front_from_spec",
     "normal",
     "normal_speed",
     "delta_shock_velocity",
@@ -54,7 +49,6 @@ __all__ = [
     "surface_integral",
     "TransportReport",
     "MovingBall",
-    "Box",
     "check_surface_transport",
     "check_volume_transport",
     "check_integration_by_parts",

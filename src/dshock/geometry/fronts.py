@@ -27,15 +27,12 @@ from ..errors import (
     InvalidParameterError,
     StencilError,
 )
-from ..expressions import Expression, parse_expression
 from .quadrature import _tangent_basis
 
 __all__ = [
     "LevelSetFront",
     "MovingPlaneFront",
     "MovingSphereFront",
-    "ExpressionFront",
-    "front_from_spec",
 ]
 
 # Relative central-difference step for fronts without analytic derivatives.
@@ -349,40 +346,3 @@ class MovingSphereFront(LevelSetFront):
 
         return unit.weights.size, at
 
-
-class ExpressionFront(LevelSetFront):
-    """Front parsed from a level-set expression in x1..xn, |x| and t."""
-
-    def __init__(self, source: str, dim: int):
-        allowed = {"t", "x", "r"} | {f"x{k + 1}" for k in range(dim)}
-        self.expression: Expression = parse_expression(source, allowed=allowed)
-        super().__init__(s=None, dim=dim)
-
-    def _value_rows(self, x: np.ndarray, t) -> np.ndarray:
-        return self.expression.eval_point(x, t)
-
-
-def _of_t(source: str):
-    """An expression in t as a callable of a time or of an array of times."""
-    expr = parse_expression(source, allowed={"t"})
-    return lambda t: expr(t=t)
-
-
-def front_from_spec(spec: dict) -> LevelSetFront:
-    """Build a front from its scenario-file description."""
-    kind = spec.get("kind")
-    if kind == "plane":
-        offset = spec.get("offset", 0.0)
-        if isinstance(offset, str):
-            return MovingPlaneFront(spec["normal"], _of_t(offset))
-        return MovingPlaneFront(spec["normal"], offset)
-    if kind == "sphere":
-        radius = spec["radius"]
-        if isinstance(radius, str):
-            radius = _of_t(radius)
-        return MovingSphereFront(
-            spec["center"], radius, orientation=spec.get("orientation", "outward")
-        )
-    if kind == "level_set_expr":
-        return ExpressionFront(spec["expr"], int(spec["dim"]))
-    raise InvalidParameterError(f"unknown front kind {kind!r}")

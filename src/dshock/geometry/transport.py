@@ -43,7 +43,6 @@ _BLOCK = 2**13
 __all__ = [
     "TransportReport",
     "MovingBall",
-    "Box",
     "check_surface_transport",
     "check_volume_transport",
     "check_integration_by_parts",
@@ -97,28 +96,6 @@ class MovingBall:
 
     def boundary_integral(self, f, t: float, level: int = 2) -> float:
         return surface_integral(f, self.boundary.patch_quadrature(t, level))
-
-
-class Box:
-    """Static axis-aligned box; its boundary term vanishes."""
-
-    def __init__(self, bounds):
-        self.bounds = [(float(lo), float(hi)) for lo, hi in bounds]
-
-    def rate(self, t):
-        return 0.0
-
-    def volume_integral(self, f, t: float, level: int = 2) -> float:
-        grids = [gauss_panels(lo, hi, 4 * (2**level), nodes=6) for lo, hi in self.bounds]
-        mesh = np.meshgrid(*[g[0] for g in grids], indexing="ij")
-        wmesh = np.meshgrid(*[g[1] for g in grids], indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
-        wts = np.prod(np.stack([w.ravel() for w in wmesh], axis=1), axis=1)
-        vals = np.broadcast_to(np.asarray(f(pts, t), dtype=float), wts.shape)
-        return float(wts @ vals)
-
-    def boundary_integral(self, f, t: float, level: int = 2) -> float:
-        return 0.0
 
 
 def check_surface_transport(

@@ -167,6 +167,21 @@ class DeltaShockPath1D:
         return deficits(self.data.flux, self.data.side_states(), self.front_state(t))
 
 
+def _quiet(f: Callable) -> Callable:
+    """f of a float array of times, with numpy's floating-point warnings off.
+
+    At extreme finite data a path overflows or divides by zero to inf or
+    nan, which the solution's support check and the CLI writers refuse;
+    numpy need not warn about it first.
+    """
+
+    def at(t):
+        with np.errstate(all="ignore"):
+            return f(np.asarray(t, dtype=float))
+
+    return at
+
+
 def _path_constant_speed(d: RiemannData1D, s: float) -> DeltaShockPath1D:
     a_, b_, _, _ = _jumps(d)
     alpha = a_ - b_ * s
@@ -179,21 +194,12 @@ def _path_constant_speed(d: RiemannData1D, s: float) -> DeltaShockPath1D:
         out = np.full(t.shape, value)
         return out if out.shape else float(value)
 
-    def linear(f):
-        # Near the top of the float range f(t) overflows to inf, which the
-        # CLI writers refuse; numpy need not warn about it first.
-        def at(t):
-            with np.errstate(over="ignore"):
-                return f(np.asarray(t, dtype=float))
-
-        return at
-
     return DeltaShockPath1D(
         data=d,
-        phi=linear(lambda t: d.x0 + s * t),
+        phi=_quiet(lambda t: d.x0 + s * t),
         u_delta=lambda t: as_like(t, s),
-        e=linear(lambda t: alpha * t),
-        momentum=linear(lambda t: alpha * s * t),
+        e=_quiet(lambda t: alpha * t),
+        momentum=_quiet(lambda t: alpha * s * t),
         detail={"kind": "constant-speed", "speed": s, "growth": alpha},
     )
 
@@ -203,7 +209,6 @@ def _path_standard_atom(d: RiemannData1D) -> DeltaShockPath1D:
     e0, q0 = d.e0, d.e0 * float(d.u_delta0)
 
     def displacement(t):
-        t = np.asarray(t, dtype=float)
         s = e0 + a_ * t
         if abs(b_) <= 1e-13 * (abs(d.rho_l) + abs(d.rho_r) + 1.0):
             return (0.5 * c_ * t * t + q0 * t) / s
@@ -213,22 +218,17 @@ def _path_standard_atom(d: RiemannData1D) -> DeltaShockPath1D:
         return (s - np.sqrt(np.maximum(disc, 0.0))) / b_
 
     def e_of(t):
-        t = np.asarray(t, dtype=float)
         return e0 + a_ * t - b_ * displacement(t)
 
     def q_of(t):
-        t = np.asarray(t, dtype=float)
         return q0 + c_ * t - a_ * displacement(t)
-
-    def u_of(t):
-        return q_of(t) / e_of(t)
 
     return DeltaShockPath1D(
         data=d,
-        phi=lambda t: d.x0 + displacement(t),
-        u_delta=u_of,
-        e=e_of,
-        momentum=q_of,
+        phi=_quiet(lambda t: d.x0 + displacement(t)),
+        u_delta=_quiet(lambda t: q_of(t) / e_of(t)),
+        e=_quiet(e_of),
+        momentum=_quiet(q_of),
         detail={"kind": "atom-exact", "e0": e0, "u_delta0": float(d.u_delta0)},
     )
 

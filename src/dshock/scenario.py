@@ -64,7 +64,18 @@ _NUM = {"type": "number"}
 _POS = {"type": "number", "exclusiveMinimum": 0}
 _NONNEG = {"type": "number", "minimum": 0}
 _SEED = {"type": "integer", "minimum": 0}
-_TOL_MAP = {"type": "object", "additionalProperties": {"type": "number"}}
+
+
+def _tolerances(*keys: str) -> dict:
+    """The ``tolerances`` object of a kind: the keys its runner reads, each a number."""
+    return {
+        "type": "object",
+        "properties": {key: _NUM for key in keys},
+        "additionalProperties": False,
+    }
+
+
+_BALANCE_TOLS = ("mass_drift", "energy_slack")
 
 _FLUX_SCHEMA = {
     "type": "object",
@@ -114,7 +125,6 @@ _SAMPLES = {"type": "integer", "minimum": 2, "maximum": MAX_SAMPLES}
 _COMMON = {
     "name": {"type": "string"},
     "seed": _SEED,
-    "tolerances": _TOL_MAP,
 }
 
 _RIEMANN_PROPS = {
@@ -131,6 +141,7 @@ _RIEMANN_PROPS = {
     "support": _PAIR,
     "samples": _SAMPLES,
     "time_reverse": {"type": "boolean"},
+    "tolerances": _tolerances(*_BALANCE_TOLS, "momentum_drift"),
     **_COMMON,
 }
 
@@ -157,6 +168,7 @@ _KIND_SCHEMAS = {
             "samples": _SAMPLES,
             "rtol": _POS,
             "atol": _POS,
+            "tolerances": _tolerances(*_BALANCE_TOLS),
             **_COMMON,
         },
         "required": ["kind", "n", "phi0", "t_end", "annulus"],
@@ -179,6 +191,7 @@ _KIND_SCHEMAS = {
             "support": _PAIR,
             "samples": _SAMPLES,
             "check_rotation": {"type": "boolean"},
+            "tolerances": _tolerances(*_BALANCE_TOLS, "momentum_drift", "rotation"),
             **_COMMON,
         },
         "required": ["kind", "dim", "rho_minus", "rho_plus", "U_minus", "U_plus", "normal", "t_end"],
@@ -192,6 +205,7 @@ _KIND_SCHEMAS = {
             "N": {"type": "integer", "minimum": 100, "maximum": MAX_PARTICLES},
             "T": _POS,
             "mode": {"enum": ["midpoint", "random"]},
+            "tolerances": _tolerances(),
             **_COMMON,
         },
         "required": ["kind", "preset"],
@@ -212,6 +226,7 @@ _KIND_SCHEMAS = {
                 },
                 "additionalProperties": False,
             },
+            "tolerances": _tolerances("weak_residual"),
             **_COMMON,
         },
         "required": ["kind", "solution"],
@@ -224,6 +239,7 @@ _KIND_SCHEMAS = {
             "radii": {"type": "array", "items": _POS, "minItems": 1},
             "dims": {"type": "array", "items": {"enum": [2, 3]}, "minItems": 1},
             "level": {"type": "integer", "minimum": 0, "maximum": 5},
+            "tolerances": _tolerances("curvature", "transport_order", "ibp_residual"),
             **_COMMON,
         },
         "required": ["kind"],

@@ -51,7 +51,7 @@ from .errors import (
     StiffnessError,
 )
 from .expressions import parse_expression
-from .geometry.fronts import _number, _of_t, _of_time, _time_law
+from .geometry.fronts import _number, _of_time, _time_law
 from .geometry.quadrature import gauss_panels
 from .riemann1d import RiemannData1D, admissible_front_speed
 from .sticky_oracle import unit_sphere_area
@@ -217,6 +217,12 @@ def free_flow_field(rho0: Callable, u0: Callable, n: int, support0=None) -> Radi
         return rho, lambda mass: u[mass]
 
     return RadialField(raw=raw, support=_window(support0, lambda x0: (x0, u0(_number(x0)))))
+
+
+def _of_t(source: str) -> Callable:
+    """An expression in t as a callable of a time or of an array of times."""
+    expr = parse_expression(source, allowed={"t"})
+    return lambda t: expr(t=t)
 
 
 def expression_field(rho_src: str, u_src: str, support_src=None) -> RadialField:
@@ -539,8 +545,9 @@ def _integrate_passive(inner, outer, init, n, t_end, r_min, rtol, atol):
     base = sol.sol
 
     def dense(t):
+        # With e = 0 the third row is read as u_delta itself: the flow speed.
         phi = base(t)[0]
-        return np.stack([phi, np.zeros_like(phi), np.zeros_like(phi)])
+        return np.stack([phi, np.zeros_like(phi), speed(phi, t)])
 
     return SphericalTrajectory(
         n=n,

@@ -5,7 +5,9 @@ are observable without spawning subprocesses. The golden files under
 tests/golden/ pin the byte-exact output of a reference scenario.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import warnings
@@ -13,10 +15,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dshock.cli import _RUNNERS, main
+from dshock.sticky_oracle import MAX_PARTICLES, MAX_SAMPLES
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
@@ -199,6 +202,22 @@ def test_unknown_keys_strict_vs_lenient(tmp_path, capsys):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "a"), "--strict"]) == 2
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
     assert "wavelength" in capsys.readouterr().err
+
+
+def test_tolerance_keys_are_read_or_refused(tmp_path, capsys):
+    obj = json.loads((SCENARIOS / "asymmetric_riemann.json").read_text())
+
+    def run(tolerances, *flags):
+        cfg = tmp_path / "tol.json"
+        cfg.write_text(json.dumps(dict(obj, tolerances=tolerances)))
+        return main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), *flags])
+
+    # A misspelt key used to fall back to the default: exit 0 even under --strict.
+    assert run({"mass_drfit": 1e-300}, "--strict") == 2
+    assert run({"mass_drfit": 1e-300}) == 0
+    assert "'mass_drfit' was unexpected" in capsys.readouterr().err
+    # The real key is read: no drift passes a bound of 1e-300.
+    assert run({"mass_drift": 1e-300}, "--strict") == 4
 
 
 def test_rarefaction_data_exits_4_with_named_condition(tmp_path):
@@ -451,21 +470,168 @@ def test_run_at_the_top_of_the_float_range_leaves_a_report(tmp_path, capsys, sup
     assert set(json.loads((out / "manifest.json").read_text())["files"]) == {"report.json"}
 
 
-def test_a_table_that_cannot_be_written_takes_the_others_along(tmp_path, capsys):
-    # riemann.csv is finite and written first; the masses in balance.csv
-    # overflow. The audit's own numpy warnings are beside the point here.
-    obj = json.loads((SCENARIOS / "symmetric_riemann.json").read_text())
-    obj["rho_l"] = obj["rho_r"] = 2e307
-    cfg = tmp_path / "dense.json"
-    cfg.write_text(json.dumps(obj))
+def test_a_table_that_cannot_be_written_takes_the_others_along(tmp_path, capsys, monkeypatch):
+    # riemann.csv is finite and written first; balance.csv then holds an inf.
+    from dshock.balance import BalanceReport
+
+    columns = BalanceReport.columns
+
+    def overflowed(self):
+        names, data = columns(self)
+        data[0, names.index("M")] = np.inf
+        return names, data
+
+    monkeypatch.setattr(BalanceReport, "columns", overflowed)
     out = tmp_path / "out"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+    assert main(["run", "--config", str(SCENARIOS / "symmetric_riemann.json"), "--out", str(out)]) == 3
     report = json.loads((out / "report.json").read_text())
     assert report["error"] == "balance.csv: column 'M' holds inf in data row 1"
     assert capsys.readouterr().err == f"numerical failure: {report['error']}\n"
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "report.json"]
+
+
+@pytest.mark.parametrize(
+    "scenario, changes, error",
+    [
+        (
+            "seeded_atom_riemann",
+            {"t_end": 1e308},
+            "front leaves the support window at t=3.125e+306: 3.125e+306 .. nan .. -3.125e+306",
+        ),
+        (
+            "symmetric_riemann",
+            {"rho_l": 2e307, "rho_r": 2e307},
+            "balance functional M is inf at t=0.0",
+        ),
+    ],
+    ids=["atom-late", "dense"],
+)
+def test_extreme_finite_data_fail_quietly_with_a_report(tmp_path, capsys, scenario, changes, error):
+    # The atom path and the 1-D audit overflow; numpy used to warn on stderr
+    # before the failure, and the audit computed its drifts on inf.
+    obj = dict(json.loads((SCENARIOS / f"{scenario}.json").read_text()), **changes)
+    cfg = tmp_path / "extreme.json"
+    cfg.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    assert _no_runtime_warnings(lambda: main(["run", "--config", str(cfg), "--out", str(out)])) == 3
+    report = json.loads((out / "report.json").read_text())
+    assert report["error"] == error
+    assert capsys.readouterr().err == f"numerical failure: {error}\n"
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "report.json"]
+
+
+def test_riemann_subcommand_atom_at_the_top_of_the_float_range(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    args = [
+        "riemann", "--rho-l", "4", "--rho-r", "1", "--u-l", "1", "--u-r", "-1",
+        "--e0", "0.5", "--u-delta0", "0", "--t-end", "1e308", "--out", str(out),
+    ]
+    assert _no_runtime_warnings(lambda: main(args)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: front leaves the support window") and err.count("\n") == 1
+    assert not out.exists()
+
+
+# Flag values: ordinary, tiny, huge, negative, not finite and not a number.
+_FLAG_NUMBERS = st.one_of(
+    st.floats(-4.0, 4.0).map(repr),
+    st.sampled_from(
+        ["0", "-0", "5e-324", "1e-300", "2e307", "1e308", "-1e308", "1.7976931348623157e308",
+         "nan", "inf", "-inf", "x"]
+    ),
+)
+_FLAG_SEEDS = st.sampled_from(["0", "1", "-1", "007", "4294967296", str(2**70), "1.5", "+3", ""])
+
+
+def _flag_sizes(small, bound):
+    """Small enough to run at once, or past the bound the CLI refuses before allocating."""
+    return st.one_of(st.integers(-3, small), st.integers(bound + 1, 2 * bound)).map(str)
+
+
+# Per subcommand: each flag's usual value (None: not given) and its mutations.
+_FLAGS = {
+    "riemann": {
+        "--rho-l": ("1", _FLAG_NUMBERS),
+        "--rho-r": ("4", _FLAG_NUMBERS),
+        "--u-l": ("1", _FLAG_NUMBERS),
+        "--u-r": ("-1", _FLAG_NUMBERS),
+        "--t-end": ("1", _FLAG_NUMBERS),
+        "--e0": (None, _FLAG_NUMBERS),
+        "--u-delta0": (None, _FLAG_NUMBERS),
+        "--x0": (None, _FLAG_NUMBERS),
+        "--flux": (None, st.sampled_from(["standard", "relativistic"])),
+        "--c0": (None, _FLAG_NUMBERS),
+        "--samples": (None, _flag_sizes(500, MAX_SAMPLES)),
+    },
+    "oracle": {
+        "--preset": ("riemann", st.sampled_from(["riemann", "spherical"])),
+        "--N": ("1000", _flag_sizes(5000, MAX_PARTICLES)),
+        "--T": (None, _FLAG_NUMBERS),
+        "--mode": (None, st.sampled_from(["midpoint", "random"])),
+        "--seed": (None, _FLAG_SEEDS),
+    },
+    "weakcheck": {
+        "--solution": (
+            "symmetric_riemann",
+            st.sampled_from(
+                ["asymmetric_riemann", "seeded_atom_riemann", "relativistic_riemann",
+                 "time_reversed_sanity", "planar_2d", "spherical_converging_n3", "missing"]
+            ),
+        ),
+        "--levels": ("2", st.one_of(st.integers(-1, 3).map(str), st.sampled_from(["7", "1000000000"]))),
+        "--seed": (None, _FLAG_SEEDS),
+    },
+}
+# Their defaults would make a run slow: 200,000 particles, 5 levels.
+_ALWAYS_GIVEN = {"--N", "--levels"}
+
+
+@st.composite
+def _mutated_flags(draw):
+    """argv of riemann, oracle or weakcheck with flags kept, mutated or dropped."""
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command]
+    for flag, (usual, values) in _FLAGS[command].items():
+        choices = ["keep", "keep", "keep", "mutate", "mutate"] + ["drop"] * (flag not in _ALWAYS_GIVEN)
+        how = draw(st.sampled_from(choices))
+        value = draw(values) if how == "mutate" else usual if how == "keep" else None
+        if value is None:
+            continue
+        if flag == "--solution":
+            value = str(SCENARIOS / f"{value}.json")
+        # "--x=-1e308" reaches the parser as a value; "--x -1e308" reads as an option.
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    return argv
+
+
+_RIEMANN_41 = ["riemann", "--rho-l", "4", "--rho-r", "1", "--u-l", "1", "--u-r", "-1"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_mutated_flags())
+# Faults the fuzz found: numpy warned from the atom path and the flux maps.
+@example(argv=_RIEMANN_41 + ["--e0", "0.5", "--u-delta0", "0", "--t-end", "1e308"])
+@example(argv=_RIEMANN_41 + ["--e0", "5e-273", "--u-delta0", "5e-273", "--t-end", "1"])
+@example(argv=["riemann", "--rho-l", "1", "--rho-r", "4", "--u-l", "1", "--u-r", "2e307", "--t-end", "1"])
+def test_fuzzed_flags_exit_cleanly(tmp_path_factory, argv):
+    # Whatever the flags hold, a subcommand ends in a documented exit code,
+    # with no traceback or numpy warning, and a failure writes no output.
+    out = tmp_path_factory.mktemp("flags") / "out"
+    err = io.StringIO()
+
+    def call():
+        try:
+            return main(argv + ["--out", str(out)])
+        except SystemExit as exc:  # argparse refuses the flags
+            return exc.code
+
+    with contextlib.redirect_stderr(err):
+        rc = _no_runtime_warnings(call)
+    assert rc in {0, 2, 3, 4}
+    for text in ("Traceback", "RuntimeWarning", "unexpected error"):
+        assert text not in err.getvalue()
+    if rc in (2, 3):
+        assert not out.exists()
 
 
 def test_schema_error_leaves_a_report(tmp_path, capsys):

@@ -60,22 +60,6 @@ def test_bad_syntax_raises():
         Expression("1 # 2")
 
 
-def test_eval_point_components_and_radius():
-    e = Expression("x1 + 2*x2 + r")
-    x = np.array([3.0, 4.0])
-    assert e.eval_point(x, 0.0) == pytest.approx(3.0 + 8.0 + 5.0)
-
-
-def test_eval_point_scalar_x_in_1d():
-    e = Expression("x*t")
-    assert e.eval_point(np.array([2.0]), 3.0) == pytest.approx(6.0)
-
-
-def test_abs_of_vector_is_norm():
-    e = Expression("|x|")
-    assert e.eval_point(np.array([3.0, 4.0]), 0.0) == pytest.approx(5.0)
-
-
 def test_eval_radial_vectorized():
     e = Expression("r^(0 - 2) * t")
     r = np.array([1.0, 2.0, 4.0])

@@ -1,5 +1,8 @@
 """Tests for level-set fronts, surface calculus, quadrature, and transport."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,8 +12,6 @@ from dshock import InvalidParameterError, SupportViolationError
 from dshock.errors import DegenerateGradientError, OffSurfaceError
 from dshock.bumps import BumpFactor, TensorBump
 from dshock.geometry import (
-    Box,
-    ExpressionFront,
     LevelSetFront,
     MovingBall,
     MovingPlaneFront,
@@ -20,7 +21,6 @@ from dshock.geometry import (
     check_volume_transport,
     delta_derivative_time,
     delta_shock_velocity,
-    front_from_spec,
     gauss_panels,
     mean_curvature,
     normal,
@@ -183,17 +183,21 @@ def test_tangential_operators_on_sphere():
     assert div == pytest.approx(-2.0 * mean_curvature(front, x, 0.0), abs=1e-6)
 
 
+def _expanding_circle(x, t):
+    """S = |x| - 1 - t: a generic level set, every derivative by central differences."""
+    return float(np.linalg.norm(x)) - 1.0 - t
+
+
 def test_expression_front_rows_match_points():
-    # S = |x| - 1 - t: a circle of radius 1.5 at t = 0.5 moving outward at
-    # unit speed, with every derivative taken by central differences.
-    front = ExpressionFront("r - 1 - t", 2)
+    # A circle of radius 1.5 at t = 0.5 moving outward at unit speed.
+    front = LevelSetFront(_expanding_circle, 2)
     theta = 0.3 + np.pi * np.arange(6) / 3.0
     x = 1.5 * np.stack([np.cos(theta), np.sin(theta)], axis=1)
     np.testing.assert_allclose(normal(front, x, 0.5), x / 1.5, atol=1e-9)
     np.testing.assert_allclose(normal_speed(front, x, 0.5), 1.0, atol=1e-9)
     kappa = mean_curvature(front, x, 0.5)
     np.testing.assert_allclose(kappa, -1.0 / (2.0 * 1.5), atol=1e-6)
-    # The expression evaluates the rows elementwise, so one (m, 2) call is
+    # The front evaluates the rows one at a time, so one (m, 2) call is
     # exactly m single-point calls.
     for k, xk in enumerate(x):
         assert mean_curvature(front, xk, 0.5) == kappa[k]
@@ -201,22 +205,18 @@ def test_expression_front_rows_match_points():
         np.testing.assert_array_equal(normal(front, xk, 0.5), normal(front, x, 0.5)[k])
 
 
-def test_front_from_spec():
-    plane = front_from_spec({"kind": "plane", "normal": [0.0, 1.0], "offset": [0.0, 1.0]})
-    assert isinstance(plane, MovingPlaneFront)
+def test_time_laws_on_row_times():
+    # Pair and callable laws give one offset or radius per row time.
+    times = np.array([0.5, 1.0])
+    plane = MovingPlaneFront([0.0, 1.0], (0.0, 1.0))
     assert plane.offset(2.0) == pytest.approx(2.0)
-    sphere = front_from_spec({"kind": "sphere", "center": [0.0, 0.0, 0.0], "radius": "2 - t"})
-    assert isinstance(sphere, MovingSphereFront)
+    np.testing.assert_array_equal(plane.offset(times), [0.5, 1.0])
+    sphere = MovingSphereFront([0.0, 0.0, 0.0], lambda t: 2.0 - t)
     assert sphere.radius(0.5) == pytest.approx(1.5)
-    # Expressions in t are evaluated elementwise on arrays of row times.
-    np.testing.assert_array_equal(sphere.radius(np.array([0.5, 1.0])), [1.5, 1.0])
-    line = front_from_spec({"kind": "plane", "normal": [1.0, 0.0], "offset": "0.5*t"})
+    np.testing.assert_array_equal(sphere.radius(times), [1.5, 1.0])
+    line = MovingPlaneFront([1.0, 0.0], lambda t: 0.5 * t)
     np.testing.assert_array_equal(line.offset(np.array([0.0, 1.0])), [0.0, 0.5])
     assert line.value(np.ones((2, 2)), np.array([0.0, 1.0])).tolist() == [1.0, 0.5]
-    expr = front_from_spec({"kind": "level_set_expr", "expr": "r - 1 - t", "dim": 2})
-    assert expr.value(np.array([1.0, 0.0]), 0.0) == pytest.approx(0.0)
-    with pytest.raises(InvalidParameterError):
-        front_from_spec({"kind": "torus"})
 
 
 # Transport identities ----------------------------------------------------
@@ -246,10 +246,14 @@ def test_volume_transport_growing_ball():
     assert rep.residual < 1e-7
 
 
-def test_volume_transport_static_box():
-    box = Box([(-1.0, 1.0), (0.0, 2.0)])
-    f = lambda pts, t: np.sin(np.atleast_2d(pts)[:, 0] + t)
-    rep = check_volume_transport(f, box, t=0.3, dt=1e-4, level=1)
+def test_volume_transport_static_ball():
+    # A constant radius has a zero boundary rate, so the boundary term drops:
+    # d/dt int_{|x|<1} (1 + |x|^2) cos t dx = -(3 pi / 2) sin t.
+    ball = MovingBall(np.zeros(2), 1.0)
+    f = lambda pts, t: (1.0 + np.sum(np.atleast_2d(pts) ** 2, axis=1)) * np.cos(t)
+    rep = check_volume_transport(f, ball, t=0.3, dt=1e-4, level=1)
+    assert ball.rate(0.3) == 0.0
+    assert rep.rhs == pytest.approx(-1.5 * np.pi * np.sin(0.3), rel=1e-8)
     assert rep.residual < 1e-9
 
 
@@ -467,7 +471,7 @@ def _row_time_fronts():
         MovingPlaneFront(np.array([1.0, 0.5]), (0.2, 0.3)),
         MovingSphereFront(np.zeros(3), lambda t: 1.0 + 0.5 * t, lambda t: 0.5),
         MovingSphereFront(np.array([0.1, -0.2]), lambda t: 1.5 - 0.4 * t, orientation="inward"),
-        ExpressionFront("r - 1 - t", 2),
+        LevelSetFront(_expanding_circle, 2),
     ]
 
 
@@ -477,7 +481,7 @@ def _rows_on_front(front, times):
     theta = 0.3 + 2.0 * np.pi * np.arange(7) / 7.0
     blocks = []
     for t in times:
-        if isinstance(front, ExpressionFront):
+        if type(front) is LevelSetFront:
             pts = (1.0 + t) * np.stack([np.cos(theta), np.sin(theta)], axis=1)
         else:
             pts = front.patch_quadrature(t, level=0).nodes[::5][:7]
@@ -717,3 +721,24 @@ def test_moving_chart_at_times_matches_each_time():
             np.testing.assert_array_equal(weights[k], quad.weights)
     with pytest.raises(InvalidParameterError):
         _row_time_fronts()[3].patch_quadrature(0.0)
+
+
+def test_geometry_does_not_import_the_expression_language():
+    # Fronts take callables; parsing scenario text stays outside geometry.
+    geometry = Path(__file__).resolve().parents[1] / "src" / "dshock" / "geometry"
+    found = []
+    for path in sorted(geometry.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                # A relative import of level k drops k - 1 parts of dshock.geometry.
+                parts = ["dshock", "geometry"][: 3 - node.level] if node.level else []
+                base = ".".join(parts + ([node.module] if node.module else []))
+                modules = [base] + [f"{base}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(m == "dshock.expressions" or m.startswith("dshock.expressions.") for m in modules):
+                found.append(f"{path.name}:{node.lineno}")
+    assert len(list(geometry.glob("*.py"))) >= 4
+    assert not found, found

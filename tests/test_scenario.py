@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +77,35 @@ def test_validate_unknown_keys_strict_vs_lenient():
         validate_scenario(obj, strict=True)
     warnings = validate_scenario(obj, strict=False)
     assert len(warnings) == 1 and "colour" in warnings[0]
+
+
+# Each kind's tolerance keys: the ones its runner reads, on a bundled scenario.
+_TOLERANCES = {
+    "riemann1d": ("symmetric_riemann", ["mass_drift", "energy_slack", "momentum_drift"]),
+    "planar": ("planar_2d", ["mass_drift", "energy_slack", "momentum_drift", "rotation"]),
+    "spherical": ("spherical_converging_n3", ["mass_drift", "energy_slack"]),
+    "weakcheck": ("weakcheck_asymmetric", ["weak_residual"]),
+    "geom-suite": ("geom_suite", ["curvature", "transport_order", "ibp_residual"]),
+    "oracle": (None, []),
+}
+
+
+@pytest.mark.parametrize("kind", SCENARIO_KINDS)
+def test_tolerance_keys_are_checked(kind):
+    # A misspelt key used to fall back to the default tolerance silently.
+    name, keys = _TOLERANCES[kind]
+    obj = {"kind": "oracle", "preset": "riemann"}
+    if name is not None:
+        obj = json.loads((SCENARIOS / f"{name}.json").read_text())
+    obj["tolerances"] = {key: 0.5 for key in keys}
+    assert validate_scenario(obj, strict=True) == []
+    obj["tolerances"]["mass_drfit"] = 1e-300
+    unknown = "Additional properties are not allowed ('mass_drfit' was unexpected)"
+    with pytest.raises(ScenarioError, match=re.escape(f"at tolerances: {unknown}")):
+        validate_scenario(obj, strict=True)
+    assert validate_scenario(obj, strict=False) == [f"ignoring unknown keys at tolerances: {unknown}"]
+    for strict in (True, False):
+        assert _outcome(validate_scenario, obj, strict) == _outcome(_jsonschema_validate, obj, strict)
 
 
 def test_validate_type_errors_raise_even_lenient():

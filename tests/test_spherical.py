@@ -354,6 +354,21 @@ def test_passive_advection_of_massless_front():
     assert traj.phi_at(1.0) == pytest.approx(2.0 - 0.3, abs=1e-9)
 
 
+def test_passive_front_reports_its_velocity():
+    # A massless front between equal velocities and unequal densities rides
+    # the flow; its dense velocity is that flow speed, as at the steps.
+    inner = constant_field(1.0, -0.5)
+    outer = constant_field(2.0, -0.5)
+    traj = integrate_front(inner, outer, SphericalFrontState(0.0, 1.0, 0.0, 0.0), n=3, t_end=1.0)
+    assert traj.passive
+    np.testing.assert_array_equal(traj.u_delta, -0.5)
+    np.testing.assert_array_equal(traj.u_delta_at(traj.t), traj.u_delta)
+    assert traj.u_delta_at(0.37) == -0.5
+    assert traj.phi_at(1.0) == pytest.approx(0.5, abs=1e-9)
+    rep = audit(traj, np.linspace(0.0, 1.0, 5), inner=inner, outer=outer, annulus=(0.0, 5.0))
+    assert not rep.entropy_strict.any()
+
+
 def test_entropy_violation_stops_integration():
     # The outer gas accelerates inward-to-outward over time while mass
     # accretion drags the front speed down toward it; once the outer
