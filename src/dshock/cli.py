@@ -36,6 +36,7 @@ import argparse
 import gc
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -607,6 +608,41 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _final_time(text: str) -> float:
+    """A ``--T`` value: a finite number > 0, as the scenario key ``T`` requires."""
+    value = float(text) if _is_number(text) else math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
+
+
+# The flags that take a real number. argparse reads only "-123" and "-1.5"
+# as negative numbers; "-1e-3" or "-inf" after such a flag would read as an
+# option, so main passes them on as "--flag=value".
+_NUMBER_FLAGS = frozenset(
+    ["--rho-l", "--rho-r", "--u-l", "--u-r", "--c0", "--e0", "--u-delta0", "--x0", "--t-end", "--T"]
+)
+
+
+def _join_negative_numbers(argv: list) -> list:
+    """argv with each number flag followed by a negative number joined to it."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _NUMBER_FLAGS and arg.startswith("-") and _is_number(arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="dshock",
@@ -643,7 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
     o = sub.add_parser("oracle", help="run a sticky-particle oracle preset")
     o.add_argument("--preset", choices=["riemann", "spherical"], required=True)
     o.add_argument("--N", type=int, default=None, help="particle/shell count")
-    o.add_argument("--T", type=float, default=1.0, help="final time")
+    o.add_argument("--T", type=_final_time, default=1.0, help="final time, a finite number > 0")
     o.add_argument("--mode", choices=["midpoint", "random"], default="midpoint")
     o.add_argument("--seed", type=_seed, default=0)
     o.add_argument("--out", required=True, help="output CSV path")
@@ -681,7 +717,7 @@ def _failure(exc: Exception) -> tuple[int, str]:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_negative_numbers(sys.argv[1:] if argv is None else argv))
     try:
         return int(args.func(args))
     except Exception as exc:

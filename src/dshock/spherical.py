@@ -423,6 +423,11 @@ def integrate_front(
     Stops early (with a flag, not an exception) when the front reaches
     r_min or the overcompression condition fails. A massless front over
     locally equal velocities is advected passively with e = 0.
+
+    An initial state with e > 0 that violates overcompression raises
+    ``NoDeltaShockError``. A vacuum side counts as velocity 0, so over an
+    inner vacuum the front must start with u_delta < 0; u_delta >= 0 is
+    refused by the margin against that vacuum.
     """
     if n < 1:
         raise InvalidDimensionError("dimension must be >= 1")

@@ -27,6 +27,15 @@ keeps what it yields directly: the block boundaries, the cluster positions
 and masses, and the merge count. Cluster velocities and the dissipated
 energy are built from the stored blocks on first access after a solve.
 
+Memory: a ``ParticleSystem`` keeps one copy each of x0, v0 and m0 plus the
+compact cluster arrays of its last solve, only as long as the cluster
+count. Momenta m0 v0 are formed where they are summed, never stored. One
+regression allocates the free-flight positions in one buffer, and scipy
+copies the values and the weights and builds the block index, all of
+length N; the live blocks are copied out and those buffers dropped as the
+solve returns. A ``delta_cluster_estimate`` therefore peaks at 7 arrays of
+N floats, the three initial arrays plus these four.
+
 ``delta_cluster_estimate`` regresses all particles once, at the final
 time. Clusters only gain mass as time runs, so a particle alone at some
 time was alone at every earlier one. Each earlier query time therefore
@@ -89,17 +98,34 @@ def unit_sphere_area(n: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
+def _free_flight(x0, v0, t):
+    """x0 + t v0 in one new buffer, bit-equal to the two-temporary expression."""
+    y = v0 * t
+    y += x0
+    return y
+
+
 def _fit(x0, v0, m0, t):
-    """Weighted isotonic regression of the free-flight positions x0 + t v0."""
+    """Weighted isotonic regression of the free-flight positions x0 + t v0.
+
+    Returns the blocks, the block values and the block weights, holding only
+    the live entries. scipy returns the blocks and weights as views of its
+    full-length buffers; each buffer is dropped as soon as its live entries
+    are copied out, so none of them outlives the solve. The free-flight
+    buffer is a temporary of the scipy call and goes with it.
+    """
     from scipy.optimize import isotonic_regression
 
-    return isotonic_regression(x0 + t * v0, weights=m0)
+    fit = isotonic_regression(_free_flight(x0, v0, t), weights=m0)
+    blocks = fit.pop("blocks").copy()
+    values = fit.pop("x")[blocks[:-1]]
+    return blocks, values, fit.pop("weights").copy()
 
 
-def _block_velocity(p0, lo, hi, mass):
+def _block_velocity(ps, lo, hi, mass):
     """Velocity of the cluster of particles lo..hi-1, bit-equal to its entry
-    in ``np.add.reduceat(p0, starts) / masses``."""
-    return np.add.reduceat(p0[lo:hi], [0])[0] / mass
+    in ``np.add.reduceat(m0 * v0, starts) / masses``."""
+    return np.add.reduceat(ps._m0[lo:hi] * ps._v0[lo:hi], [0])[0] / mass
 
 
 class ParticleSystem:
@@ -112,17 +138,17 @@ class ParticleSystem:
     """
 
     def __init__(self, positions, velocities, masses, r_min=None):
-        x = np.array(positions, dtype=float)
-        v = np.array(velocities, dtype=float)
-        m = np.array(masses, dtype=float)
+        # Checked before the copies are made, so that the check's
+        # temporaries never sit beside both the inputs and the copies.
+        x, v, m = (np.asarray(a, dtype=float) for a in (positions, velocities, masses))
         if not (x.shape == v.shape == m.shape) or x.ndim != 1 or x.size == 0:
             raise InvalidParameterError("positions, velocities, masses must be equal-length 1-D")
         if np.any(m <= 0.0):
             raise InvalidParameterError("all particle masses must be positive")
         if np.any(np.diff(x) <= 0.0):
             raise InvalidParameterError("initial positions must be strictly increasing")
+        x, v, m = x.copy(), v.copy(), m.copy()
         self._x0, self._v0, self._m0 = x, v, m
-        self._p0 = m * v
         self._blocks = None
         self._x, self._v, self._m = x, v, m
         self._ke = 0.0
@@ -179,10 +205,7 @@ class ParticleSystem:
             raise InvalidParameterError(f"query time must be finite, got {T}")
         if T < self.time - _TIE:
             raise InvalidParameterError("cannot run backwards in time")
-        fit = _fit(self._x0, self._v0, self._m0, T)
-        self._blocks = fit.blocks
-        self._x = fit.x[fit.blocks[:-1]]
-        self._m = fit.weights
+        self._blocks, self._x, self._m = _fit(self._x0, self._v0, self._m0, T)
         self._v = self._ke = None
         self.merges = self._x0.size - self._x.size
         self.time = T
@@ -192,7 +215,8 @@ class ParticleSystem:
 
     def _cluster_velocities(self) -> np.ndarray:
         if self._v is None:
-            self._v = np.add.reduceat(self._p0, self._blocks[:-1]) / self._m
+            self._v = np.add.reduceat(self._m0 * self._v0, self._blocks[:-1])
+            self._v /= self._m
         return self._v
 
 
@@ -382,8 +406,7 @@ def _beats(a, b) -> bool:
 
 
 def _solve_all(ps: ParticleSystem, t: float) -> _Clusters:
-    fit = _fit(ps._x0, ps._v0, ps._m0, t)
-    return _Clusters(t, None, fit.blocks, fit.x[fit.blocks[:-1]], fit.weights)
+    return _Clusters(t, None, *_fit(ps._x0, ps._v0, ps._m0, t))
 
 
 def _join(lo, hi):
@@ -407,15 +430,20 @@ def _earlier(ps: ParticleSystem, c: _Clusters, t: float, touch) -> _Clusters:
     # Runs of multi-particle clusters, and the spans that add their guards.
     a, b = _join(c.index(lo[multi]), c.index(hi[multi] - 1) + 1)
     s, e = _join(np.maximum(a - 1, 0), np.minimum(b + 1, n))
-    size = e - s
-    ids = np.arange(size.sum()) + np.repeat(s - (np.cumsum(size) - size), size)
-    if ids.size == 0:
+    # One span is regressed through views, and its indices are built after
+    # the regression so that they do not add to its peak memory.
+    ids = None
+    if s.size != 1:
+        size = e - s
+        ids = np.arange(size.sum()) + np.repeat(s - (np.cumsum(size) - size), size)
+    if s.size == 0:
         blocks, values, weights = np.zeros(1, dtype=np.intp), np.empty(0), np.empty(0)
         alone = True
     else:
-        part = slice(s[0], e[0]) if s.size == 1 else ids
-        fit = _fit(x0[part], v0[part], m0[part], t)
-        blocks, values, weights = fit.blocks, fit.x[fit.blocks[:-1]], fit.weights
+        part = slice(s[0], e[0]) if ids is None else ids
+        blocks, values, weights = _fit(x0[part], v0[part], m0[part], t)
+        if ids is None:
+            ids = np.arange(s[0], e[0])
         guards = np.searchsorted(ids, np.concatenate([a[a > 0] - 1, b[b < n]]))
         j = np.searchsorted(blocks, guards, side="right") - 1
         alone = np.all(blocks[j + 1] - blocks[j] == 1)
@@ -437,9 +465,9 @@ def _heaviest(ps: ParticleSystem, c: _Clusters):
         i = int(c.index(c.blocks[k]))
         if not _beats(c.lone, (c.weights[k], i)):
             hi = int(c.index(c.blocks[k + 1] - 1)) + 1
-            return c.values[k], c.weights[k], _block_velocity(ps._p0, i, hi, c.weights[k])
+            return c.values[k], c.weights[k], _block_velocity(ps, i, hi, c.weights[k])
     mass, i = c.lone
-    return ps._x0[i] + c.t * ps._v0[i], mass, _block_velocity(ps._p0, i, i + 1, mass)
+    return ps._x0[i] + c.t * ps._v0[i], mass, _block_velocity(ps, i, i + 1, mass)
 
 
 def _first_position(ps: ParticleSystem, c: _Clusters) -> float:

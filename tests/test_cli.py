@@ -344,16 +344,18 @@ def test_oracle_subcommand(tmp_path):
     assert abs(data[-1, 3] - 4.0) < 0.1
 
 
-@pytest.mark.parametrize("T", ["nan", "inf"])
-def test_oracle_subcommand_rejects_non_finite_T(tmp_path, capsys, T):
-    # A non-finite final time is a configuration error, caught before any
-    # particle moves: exit 2, no output and no numpy warnings.
+@pytest.mark.parametrize("T", ["0", "-1", "inf", "nan"])
+def test_T_flag_is_a_finite_positive_number(tmp_path, capsys, T):
+    # Like the scenario key "T", the flag is a finite number > 0, refused by
+    # the parser before any particle moves: exit 2, a message that names
+    # --T, no output and no numpy warnings.
     out = tmp_path / "o.csv"
     args = ["oracle", "--preset", "riemann", "--N", "1000", "--T", T, "--out", str(out)]
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), pytest.raises(SystemExit) as exc:
         warnings.simplefilter("error")
-        assert main(args) == 2
-    assert "finite" in capsys.readouterr().err
+        main(args)
+    assert exc.value.code == 2
+    assert f"argument --T: must be a finite number > 0, got {T!r}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -416,6 +418,65 @@ def test_negative_seed_flag_is_a_config_error(tmp_path, capsys, argv):
     assert exc.value.code == 2
     assert "argument --seed: must be an integer >= 0, got '-1'" in capsys.readouterr().err
     assert not out.exists()
+
+
+_RIEMANN_FLAT = ["riemann", "--rho-l", "1", "--rho-r", "1", "--u-l", "1", "--u-r", "-1", "--t-end", "1"]
+
+
+def _exit_and_output(argv, out):
+    """Exit code, stderr and output bytes (None: no file) of ``main(argv)``."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv + ["--out", str(out)])
+        except SystemExit as exc:
+            rc = exc.code
+    data = out.read_bytes() if out.exists() else None
+    if data is not None:
+        out.unlink()
+    return rc, err.getvalue(), data
+
+
+def test_negative_exponent_after_a_flag_is_its_value(tmp_path):
+    # argparse takes "-1e-3" for an option unless it is joined to its flag.
+    argv = ["riemann", "--rho-l", "1", "--rho-r", "1", "--u-l", "1", "--t-end", "1"]
+    out = tmp_path / "r.csv"
+    spaced = _exit_and_output(argv + ["--u-r", "-1e-3"], out)
+    joined = _exit_and_output(argv + ["--u-r=-1e-3"], out)
+    assert spaced == joined
+    assert spaced[0] == 0 and spaced[2]
+
+
+def _number_flags(command):
+    """The option strings of ``command`` whose values are real numbers."""
+    from dshock.cli import _final_time, build_parser
+
+    sub = next(a for a in build_parser()._actions if a.choices and command in a.choices)
+    actions = sub.choices[command]._actions
+    return sorted(a.option_strings[0] for a in actions if a.type in (float, _final_time))
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("riemann", f) for f in _number_flags("riemann")] + [("oracle", "--T")],
+)
+@pytest.mark.parametrize("value", ["-1e-3", "-2E+1", "-inf"])
+def test_every_number_flag_takes_a_negative_exponent(tmp_path, command, flag, value):
+    # Spaced or joined, the value reaches the flag and gets one verdict.
+    argv = _RIEMANN_FLAT if command == "riemann" else ["oracle", "--preset", "riemann", "--N", "1000"]
+    if flag in argv:
+        i = argv.index(flag)
+        argv = argv[:i] + argv[i + 2 :]
+    out = tmp_path / "o.csv"
+    spaced = _exit_and_output(argv + [flag, value], out)
+    assert "expected one argument" not in spaced[1]
+    assert spaced == _exit_and_output(argv + [f"{flag}={value}"], out)
+
+
+def test_number_flags_are_the_real_valued_options():
+    from dshock.cli import _NUMBER_FLAGS
+
+    assert _NUMBER_FLAGS == set(_number_flags("riemann") + _number_flags("oracle"))
 
 
 def _no_runtime_warnings(call):
@@ -599,7 +660,7 @@ def _mutated_flags(draw):
             continue
         if flag == "--solution":
             value = str(SCENARIOS / f"{value}.json")
-        # "--x=-1e308" reaches the parser as a value; "--x -1e308" reads as an option.
+        # "--x -1e308" and "--x=-1e308" must both reach the flag as its value.
         argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
     return argv
 

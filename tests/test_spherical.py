@@ -11,6 +11,7 @@ from dshock import (
     AuditInvalidError,
     CausticError,
     InvalidParameterError,
+    NoDeltaShockError,
     RiemannData1D,
     SphericalFrontState,
     audit,
@@ -331,6 +332,38 @@ def test_steady_converging_front_n3():
     # Front mass m = e |S^2| phi^2 grows as the shell sweeps mass up.
     ms = [traj.m_at(t) for t in np.linspace(0.0, traj.t_stop, 9)]
     assert np.all(np.diff(ms) > 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    phi0=st.floats(1.0, 3.0),
+    e0=st.floats(0.05, 2.0),
+    u0=st.floats(-0.95, -0.05),
+    t_end=st.floats(0.05, 0.6),
+)
+def test_front_into_steady_inflow_matches_its_closed_form(n, phi0, e0, u0, t_end):
+    # Vacuum inside, rho = r^{1-n} and u = -1 outside. With M = phi^{n-1} e
+    # the front equations read M' = 1 + u_delta and (M u_delta)' = -M', so
+    # M (1 + u_delta) = C = M0 (1 + u0), M(t) = sqrt(M0^2 + 2 C t),
+    # u_delta = C / M - 1 and phi = phi0 - t + M - M0.
+    init = SphericalFrontState(0.0, phi0, e0, u0)
+    traj = integrate_front(
+        None, steady_converging_field(n), init, n=n, t_end=t_end, rtol=1e-12, atol=1e-14
+    )
+    assert traj.t_stop == t_end and not (traj.focused or traj.entropy_violated)
+    m0 = phi0 ** (n - 1) * e0
+    c = m0 * (1.0 + u0)
+    m = np.sqrt(m0**2 + 2.0 * c * traj.t)
+    assert np.max(np.abs(traj.phi - (phi0 - traj.t + m - m0))) <= 1e-10
+    assert np.max(np.abs(traj.u_delta - (c / m - 1.0))) <= 1e-10
+
+
+def test_front_moving_out_of_an_inner_vacuum_is_refused():
+    # Overcompression needs u_delta below the vacuum's 0, so u0 > 0 is refused.
+    init = SphericalFrontState(0.0, 1.0, 0.5, 0.1)
+    with pytest.raises(NoDeltaShockError, match="overcompression"):
+        integrate_front(None, steady_converging_field(3), init, n=3, t_end=0.5)
 
 
 def test_focusing_stops_at_r_min():

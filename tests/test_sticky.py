@@ -700,9 +700,32 @@ def test_cluster_estimate_reads_lone_particles_at_every_time():
         np.array([0.0, 1.0, 10.0, 11.0, 12.0]), np.array([0.1, 0.1, 2.0, 2.0, 2.0]),
         np.array([3.0, 1.0, 1.0, 1.0, 1.0]), at=2.0, r_min=0.05,
     )
-    assert ps._p0[0] / ps._m0[0] != ps._v0[0]
+    assert (ps._m0[0] * ps._v0[0]) / ps._m0[0] != ps._v0[0]
     _compare_with_reference(ps, 1.0, [0.01, 0.3, 1.0])
     assert ps.truncated and ps.positions[0] > ps.r_min
+
+
+@pytest.mark.parametrize("mode", ["random", "midpoint"])
+def test_cluster_estimate_holds_at_most_eight_particle_arrays(mode):
+    # The peak counts the system's own arrays (x0, v0, m0) and every array
+    # allocated while the estimate runs. The floor with scipy's
+    # isotonic_regression is 7 arrays of N floats: those three, the
+    # free-flight positions and scipy's value copy, weight copy and block
+    # index. tracemalloc counts bytes and no time, so the bound is exact.
+    import tracemalloc
+
+    from scipy.optimize import isotonic_regression  # noqa: F401  (imported untraced)
+
+    N = 50_000
+    tracemalloc.start()
+    try:
+        ps = sample_riemann(RiemannData1D(4.0, 1.0, 1.0, -1.0), L=2.0, N=N, mode=mode, seed=1)
+        tracemalloc.reset_peak()
+        delta_cluster_estimate(ps, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * N * 8
 
 
 @pytest.mark.parametrize("times", [None, [0.2, 0.5, 1.0], [0.2, 0.5, 0.8]])
