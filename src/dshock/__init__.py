@@ -20,74 +20,17 @@ _gc_enabled, _gc_frozen = gc.isenabled(), gc.get_freeze_count()
 gc.disable()
 try:
     from . import geometry
-    from .balance import (
-        BalanceReport,
-        EnergyInequalityReport,
-        audit,
-        check_energy_inequality_1d,
-        energy_dissipation_rate,
-    )
-    from .bumps import BumpFactor, TensorBump
-    from .errors import (
-        AmbiguousRootError,
-        AuditInvalidError,
-        CausticError,
-        DShockError,
-        InvalidBatteryError,
-        InvalidDimensionError,
-        InvalidParameterError,
-        NoDeltaShockError,
-        NotConvergedError,
-        ScenarioError,
-        StiffnessError,
-        SupportViolationError,
-        UndersamplingError,
-        UnsupportedFrontError,
-    )
-    from .expressions import Expression, parse_expression
-    from .fluxes import FluxModel, relativistic_flux, standard_flux, tabulated_flux
-    from .rh import FrontState, RHDeficit, SideStates, deficits, entropy_ok, rh_residual
-    from .riemann1d import (
-        DeltaShockPath1D,
-        RiemannData1D,
-        admissible_front_speed,
-        classical_shock_feasible,
-        solve_constant_states,
-    )
-    from .solutions import (
-        DeltaShockSolution1D,
-        PlanarSolution,
-        from_riemann,
-        time_reversed,
-        with_front_speed_offset,
-    )
-    from .spherical import (
-        RadialField,
-        SphericalFrontState,
-        SphericalTrajectory,
-        constant_field,
-        expression_field,
-        free_flow_field,
-        integrate_front,
-        radial_moment_integral,
-        steady_converging_field,
-        validate_field,
-    )
-    from .sticky_oracle import (
-        ClusterReport,
-        ParticleSystem,
-        delta_cluster_estimate,
-        radial_shells,
-        sample_riemann,
-        unit_sphere_area,
-    )
-    from .weakcheck import (
-        TestFunctionBattery,
-        WeakResidual,
-        evaluate_identities,
-        identity_value,
-        make_battery,
-    )
+    from .balance import *
+    from .bumps import *
+    from .errors import *
+    from .expressions import *
+    from .fluxes import *
+    from .rh import *
+    from .riemann1d import *
+    from .solutions import *
+    from .spherical import *
+    from .sticky_oracle import *
+    from .weakcheck import *
 finally:
     if not _gc_frozen:
         gc.freeze()
@@ -98,78 +41,11 @@ finally:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "geometry",
-    # errors
-    "DShockError",
-    "InvalidParameterError",
-    "InvalidDimensionError",
-    "NoDeltaShockError",
-    "AmbiguousRootError",
-    "CausticError",
-    "StiffnessError",
-    "NotConvergedError",
-    "UndersamplingError",
-    "AuditInvalidError",
-    "UnsupportedFrontError",
-    "InvalidBatteryError",
-    "SupportViolationError",
-    "ScenarioError",
-    # fluxes and expressions
-    "FluxModel",
-    "standard_flux",
-    "relativistic_flux",
-    "tabulated_flux",
-    "Expression",
-    "parse_expression",
-    # jump conditions
-    "SideStates",
-    "FrontState",
-    "RHDeficit",
-    "deficits",
-    "rh_residual",
-    "entropy_ok",
-    # 1-D fronts
-    "RiemannData1D",
-    "DeltaShockPath1D",
-    "classical_shock_feasible",
-    "admissible_front_speed",
-    "solve_constant_states",
-    "DeltaShockSolution1D",
-    "PlanarSolution",
-    "from_riemann",
-    "time_reversed",
-    "with_front_speed_offset",
-    # spherical fronts
-    "RadialField",
-    "SphericalFrontState",
-    "SphericalTrajectory",
-    "constant_field",
-    "free_flow_field",
-    "expression_field",
-    "steady_converging_field",
-    "validate_field",
-    "integrate_front",
-    "radial_moment_integral",
-    # particle oracle
-    "ParticleSystem",
-    "ClusterReport",
-    "unit_sphere_area",
-    "sample_riemann",
-    "radial_shells",
-    "delta_cluster_estimate",
-    # balance and weak checks
-    "BalanceReport",
-    "audit",
-    "energy_dissipation_rate",
-    "EnergyInequalityReport",
-    "check_energy_inequality_1d",
-    "BumpFactor",
-    "TensorBump",
-    "TestFunctionBattery",
-    "WeakResidual",
-    "make_battery",
-    "identity_value",
-    "evaluate_identities",
+# A public name is declared once, in its module's __all__. The star imports
+# above bound each submodule as well as its names.
+__all__ = ["__version__", "geometry"] + [
+    name
+    for module in (balance, bumps, errors, expressions, fluxes, rh, riemann1d,  # noqa: F405
+                   solutions, spherical, sticky_oracle, weakcheck)  # noqa: F405
+    for name in module.__all__
 ]

@@ -632,11 +632,23 @@ _NUMBER_FLAGS = frozenset(
 )
 
 
-def _join_negative_numbers(argv: list) -> list:
-    """argv with each number flag followed by a negative number joined to it."""
+def _join_negative_numbers(argv: list, parser: argparse.ArgumentParser) -> list:
+    """argv with each number flag followed by a negative number joined to it.
+
+    A flag may be abbreviated as argparse allows: to a prefix that names one
+    option of the subcommand, the first argument that is not an option.
+    """
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    subcommands = next(a.choices for a in parser._actions if a.dest == "command")
+    options = subcommands[command]._option_string_actions if command in subcommands else {}
+
+    def names_a_number_flag(arg: str) -> bool:
+        named = [o for o in options if o.startswith(arg)] if arg.startswith("--") else []
+        return arg in _NUMBER_FLAGS or len(named) == 1 and named[0] in _NUMBER_FLAGS
+
     out = []
     for arg in argv:
-        if out and out[-1] in _NUMBER_FLAGS and arg.startswith("-") and _is_number(arg):
+        if out and names_a_number_flag(out[-1]) and arg.startswith("-") and _is_number(arg):
             out[-1] = f"{out[-1]}={arg}"
         else:
             out.append(arg)
@@ -717,7 +729,8 @@ def _failure(exc: Exception) -> tuple[int, str]:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(_join_negative_numbers(sys.argv[1:] if argv is None else argv))
+    parser = build_parser()
+    args = parser.parse_args(_join_negative_numbers(sys.argv[1:] if argv is None else argv, parser))
     try:
         return int(args.func(args))
     except Exception as exc:

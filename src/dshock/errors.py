@@ -75,3 +75,7 @@ class NonFiniteOutputError(DShockError):
 
 class ScenarioError(DShockError):
     """Scenario file failed schema validation or refers to unknown keys."""
+
+
+__all__ = [name for name, value in list(globals().items())
+           if isinstance(value, type) and issubclass(value, DShockError)]

@@ -15,7 +15,7 @@ downstream jump algebra relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -42,7 +42,6 @@ class FluxModel:
     dim: int
     _F: Callable[[np.ndarray], np.ndarray]
     _N: Callable[[np.ndarray], np.ndarray]
-    params: dict = field(default_factory=dict)
 
     def F(self, U) -> np.ndarray:
         """Mass flux velocity F(U), shape (dim,)."""
@@ -99,9 +98,7 @@ def relativistic_flux(dim: int, c0: float) -> FluxModel:
     def C(U: np.ndarray) -> np.ndarray:
         return c0 * U / np.sqrt(c0 * c0 + float(U @ U))
 
-    return FluxModel(
-        "relativistic", dim, C, lambda U: np.outer(U, C(U)), params={"c0": c0}
-    )
+    return FluxModel("relativistic", dim, C, lambda U: np.outer(U, C(U)))
 
 
 def tabulated_flux(u_nodes, f_values, n_values) -> FluxModel:
@@ -142,4 +139,4 @@ def tabulated_flux(u_nodes, f_values, n_values) -> FluxModel:
             raise InvalidParameterError(f"velocity {u} outside table range [{lo}, {hi}]")
         return np.array([[float(n_interp(u))]])
 
-    return FluxModel("tabulated", 1, F, N, params={"u_min": lo, "u_max": hi})
+    return FluxModel("tabulated", 1, F, N)

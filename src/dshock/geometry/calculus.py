@@ -12,11 +12,12 @@ finite-difference versions below agree across extensions to truncation
 order. The mean curvature convention is K = -(1/2) div nu, which makes
 K = -(n-1)/(2R) on a sphere with outward normal.
 
-``project_to_front``, ``normal``, ``normal_speed``, ``mean_curvature`` and
-``delta_derivative_time`` take a scalar time, or at rows (m, dim) an (m,)
-array of times aligned with the rows, so that one call covers many
-(time, node) pairs. The field ``f`` of ``delta_derivative_time`` then
-receives that array as its time.
+``project_to_front``, ``normal``, ``normal_speed``, ``delta_shock_velocity``,
+``mean_curvature`` and ``delta_derivative_time`` take a scalar time, or at
+rows (m, dim) an (m,) array of times aligned with the rows, so that one call
+covers many (time, node) pairs. The field ``f`` of ``delta_derivative_time``
+then receives that array as its time. ``tangential_gradient`` and
+``tangential_divergence`` take one point.
 """
 
 from __future__ import annotations
@@ -120,23 +121,22 @@ def normal_speed(front: LevelSetFront, x, t):
     return _scalar_if_point(-np.asarray(front.time_deriv(x, t)) / norm, x)
 
 
-def delta_shock_velocity(front: LevelSetFront, x, t: float) -> np.ndarray:
-    """Front velocity U_delta = G nu = -S_t grad S / |grad S|^2 at one point.
+def delta_shock_velocity(front: LevelSetFront, x, t) -> np.ndarray:
+    """Front velocity U_delta = G nu = -S_t grad S / |grad S|^2: (dim,) or (m, dim) at rows.
 
-    Both formulas are evaluated; with analytic gradients they must agree to
-    1e-12, which guards the sign conventions.
+    Both formulas are evaluated from one gradient; with analytic gradients
+    they must agree to 1e-12, which guards the sign conventions.
     """
     x = project_to_front(front, x, t)
     g = front.grad(x, t)
-    gg = float(g @ g)
-    if gg < 1e-24:
-        raise DegenerateGradientError(f"level-set gradient vanishes near {x}")
-    u_direct = -front.time_deriv(x, t) * g / gg
-    nu = g / np.sqrt(gg)
-    u_gn = normal_speed(front, x, t) * nu
+    gg = np.vecdot(g, g)
+    _check_gradient(x, gg < 1e-24)
+    minus_s_t = -np.asarray(front.time_deriv(x, t))[..., None]
+    u_direct = minus_s_t * g / gg[..., None]
+    norm = np.sqrt(gg)[..., None]
+    u_gn = minus_s_t / norm * (g / norm)
     tol = 1e-12 if front.grad_mode == "analytic" else 1e-6
-    scale = 1.0 + float(np.linalg.norm(u_gn))
-    if float(np.linalg.norm(u_direct - u_gn)) > tol * scale:
+    if np.any(_norm(u_direct - u_gn) > tol * (1.0 + _norm(u_gn))):
         raise StencilError("normal-speed and level-set front velocities disagree")
     return u_direct
 

@@ -59,8 +59,8 @@ def _time_law(law, rate=None):
     if callable(law):
         if rate is None:
 
-            def rate(t, h=_FD_STEP):
-                return (law(t + h) - law(t - h)) / (2.0 * h)
+            def rate(t):
+                return (law(t + _FD_STEP) - law(t - _FD_STEP)) / (2.0 * _FD_STEP)
 
         return law, rate
     f0, speed = (_number(law), 0.0) if np.ndim(law) == 0 else (_number(law[0]), _number(law[1]))

@@ -58,8 +58,6 @@ __all__ = [
     "spherical_setup_from_spec",
 ]
 
-SCENARIO_KINDS = ("riemann1d", "spherical", "planar", "oracle", "weakcheck", "geom-suite")
-
 _NUM = {"type": "number"}
 _POS = {"type": "number", "exclusiveMinimum": 0}
 _NONNEG = {"type": "number", "minimum": 0}
@@ -127,31 +125,67 @@ _COMMON = {
     "seed": _SEED,
 }
 
-_RIEMANN_PROPS = {
-    "kind": {"const": "riemann1d"},
-    "flux": _FLUX_SCHEMA,
-    "rho_l": _NONNEG,
-    "rho_r": _NONNEG,
-    "u_l": _NUM,
-    "u_r": _NUM,
-    "e0": _NONNEG,
-    "u_delta0": {"type": ["number", "null"]},
-    "x0": _NUM,
-    "t_end": _POS,
-    "support": _PAIR,
-    "samples": _SAMPLES,
-    "time_reverse": {"type": "boolean"},
-    "tolerances": _tolerances(*_BALANCE_TOLS, "momentum_drift"),
-    **_COMMON,
+_RIEMANN_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "kind": {"const": "riemann1d"},
+        "flux": _FLUX_SCHEMA,
+        "rho_l": _NONNEG,
+        "rho_r": _NONNEG,
+        "u_l": _NUM,
+        "u_r": _NUM,
+        "e0": _NONNEG,
+        "u_delta0": {"type": ["number", "null"]},
+        "x0": _NUM,
+        "t_end": _POS,
+        "support": _PAIR,
+        "samples": _SAMPLES,
+        "time_reverse": {"type": "boolean"},
+        "tolerances": _tolerances(*_BALANCE_TOLS, "momentum_drift"),
+        **_COMMON,
+    },
+    "required": ["kind", "rho_l", "rho_r", "u_l", "u_r", "t_end"],
+    "additionalProperties": False,
+}
+
+_PLANAR_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "kind": {"const": "planar"},
+        "dim": {"type": "integer", "minimum": 2},
+        "rho_minus": _NONNEG,
+        "rho_plus": _NONNEG,
+        "U_minus": {"type": "array", "items": _NUM, "minItems": 2},
+        "U_plus": {"type": "array", "items": _NUM, "minItems": 2},
+        "normal": {"type": "array", "items": _NUM, "minItems": 2},
+        "x0": _NUM,
+        "e0": _NONNEG,
+        "u_delta0": {"type": ["number", "null"]},
+        "t_end": _POS,
+        "support": _PAIR,
+        "samples": _SAMPLES,
+        "check_rotation": {"type": "boolean"},
+        "tolerances": _tolerances(*_BALANCE_TOLS, "momentum_drift", "rotation"),
+        **_COMMON,
+    },
+    "required": ["kind", "dim", "rho_minus", "rho_plus", "U_minus", "U_plus", "normal", "t_end"],
+    "additionalProperties": False,
+}
+
+# The solution a weakcheck scenario embeds: a riemann1d or planar scenario,
+# checked against the schema its kind names.
+_SOLUTION_SCHEMA = {
+    "type": "object",
+    "properties": {"kind": {"enum": ["riemann1d", "planar"]}},
+    "required": ["kind"],
+    "allOf": [
+        {"if": {"properties": {"kind": {"const": kind}}, "required": ["kind"]}, "then": schema}
+        for kind, schema in (("riemann1d", _RIEMANN_SCHEMA), ("planar", _PLANAR_SCHEMA))
+    ],
 }
 
 _KIND_SCHEMAS = {
-    "riemann1d": {
-        "type": "object",
-        "properties": _RIEMANN_PROPS,
-        "required": ["kind", "rho_l", "rho_r", "u_l", "u_r", "t_end"],
-        "additionalProperties": False,
-    },
+    "riemann1d": _RIEMANN_SCHEMA,
     "spherical": {
         "type": "object",
         "properties": {
@@ -174,29 +208,7 @@ _KIND_SCHEMAS = {
         "required": ["kind", "n", "phi0", "t_end", "annulus"],
         "additionalProperties": False,
     },
-    "planar": {
-        "type": "object",
-        "properties": {
-            "kind": {"const": "planar"},
-            "dim": {"type": "integer", "minimum": 2},
-            "rho_minus": _NONNEG,
-            "rho_plus": _NONNEG,
-            "U_minus": {"type": "array", "items": _NUM, "minItems": 2},
-            "U_plus": {"type": "array", "items": _NUM, "minItems": 2},
-            "normal": {"type": "array", "items": _NUM, "minItems": 2},
-            "x0": _NUM,
-            "e0": _NONNEG,
-            "u_delta0": {"type": ["number", "null"]},
-            "t_end": _POS,
-            "support": _PAIR,
-            "samples": _SAMPLES,
-            "check_rotation": {"type": "boolean"},
-            "tolerances": _tolerances(*_BALANCE_TOLS, "momentum_drift", "rotation"),
-            **_COMMON,
-        },
-        "required": ["kind", "dim", "rho_minus", "rho_plus", "U_minus", "U_plus", "normal", "t_end"],
-        "additionalProperties": False,
-    },
+    "planar": _PLANAR_SCHEMA,
     "oracle": {
         "type": "object",
         "properties": {
@@ -215,7 +227,7 @@ _KIND_SCHEMAS = {
         "type": "object",
         "properties": {
             "kind": {"const": "weakcheck"},
-            "solution": {"type": "object"},
+            "solution": _SOLUTION_SCHEMA,
             "levels": {"type": "integer", "minimum": 1, "maximum": 6},
             "battery": {
                 "type": "object",
@@ -246,6 +258,8 @@ _KIND_SCHEMAS = {
         "additionalProperties": False,
     },
 }
+
+SCENARIO_KINDS = tuple(_KIND_SCHEMAS)
 
 
 def load_scenario(path) -> dict:

@@ -75,8 +75,6 @@ class TestFunctionBattery:
     """Deterministic battery of bump test functions over one space-time box."""
 
     functions: tuple
-    seed: int
-    box: tuple
 
     def __len__(self):
         return len(self.functions)
@@ -133,7 +131,7 @@ def make_battery(box, count: int, seed: int, nonneg_count: int = 2) -> TestFunct
             h = rng.uniform(0.15 * w, 0.95 * min(c - t_lo, t_hi - c))
             tf = BumpFactor(c - h, c + h, (1.0,) if nonneg else tpoly)
         members.append(TensorBump(space_factors, tf, amplitude=1.0))
-    return TestFunctionBattery(functions=tuple(members), seed=int(seed), box=tuple(box))
+    return TestFunctionBattery(functions=tuple(members))
 
 
 def _random_poly(rng) -> tuple:

@@ -479,6 +479,33 @@ def test_number_flags_are_the_real_valued_options():
     assert _NUMBER_FLAGS == set(_number_flags("riemann") + _number_flags("oracle"))
 
 
+@pytest.mark.parametrize(
+    "prefix, flag",
+    [("--x", "--x0"), ("--t-e", "--t-end"), ("--u-d", "--u-delta0"), ("--c", "--c0")],
+)
+def test_an_abbreviated_number_flag_takes_a_negative_exponent(tmp_path, prefix, flag):
+    # argparse takes a prefix that names one option for that option; so
+    # does the joining of a negative number to its flag.
+    argv = list(_RIEMANN_FLAT)
+    if flag in argv:
+        i = argv.index(flag)
+        argv = argv[:i] + argv[i + 2 :]
+    if flag == "--c0":
+        argv += ["--flux", "relativistic"]
+    out = tmp_path / "o.csv"
+    for value in ("-1e-3", "-5"):
+        abbreviated = _exit_and_output(argv + [prefix, value], out)
+        assert "expected one argument" not in abbreviated[1]
+        assert abbreviated == _exit_and_output(argv + [f"{flag}={value}"], out)
+
+
+@pytest.mark.parametrize("prefix", ["--u", "--rho", "--u-"])
+def test_an_ambiguous_number_flag_prefix_is_argparses_error(tmp_path, prefix):
+    rc, err, data = _exit_and_output(_RIEMANN_FLAT + [prefix, "-1e-3"], tmp_path / "o.csv")
+    assert rc == 2 and data is None
+    assert f"error: ambiguous option: {prefix} could match" in err
+
+
 def _no_runtime_warnings(call):
     """``call()``, asserting that numpy warned about nothing on the way."""
     with warnings.catch_warnings(record=True) as caught:
@@ -906,6 +933,29 @@ def test_runners_write_nothing_and_name_every_output(tmp_path, monkeypatch, path
     main(["run", "--config", str(path), "--out", str(out)])
     written = {p.name for p in out.iterdir()}
     assert set(files) | {"report.json", "manifest.json"} == written
+
+
+def test_runners_cover_exactly_the_scenario_kinds():
+    from dshock.scenario import SCENARIO_KINDS
+
+    assert sorted(_RUNNERS) == sorted(SCENARIO_KINDS)
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_run_reports_an_unknown_key_inside_the_weakcheck_solution(tmp_path, capsys, strict):
+    obj = json.loads((SCENARIOS / "weakcheck_asymmetric.json").read_text())
+    obj["solution"]["stray"] = 1
+    cfg = tmp_path / "weak.json"
+    cfg.write_text(json.dumps(obj))
+    rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")] + ["--strict"] * strict)
+    unknown = "Additional properties are not allowed ('stray' was unexpected)"
+    err = capsys.readouterr().err
+    if strict:
+        assert rc == 2
+        assert err == f"scenario error: scenario schema violation at solution: {unknown}\n"
+    else:
+        assert rc == 0
+        assert err == f"warning: ignoring unknown keys at solution: {unknown}\n"
 
 
 def test_weakcheck_subcommand(tmp_path):

@@ -505,6 +505,7 @@ def test_row_times_match_per_time_calls_bit_for_bit(front):
         "project_to_front": project_to_front,
         "normal": normal,
         "normal_speed": normal_speed,
+        "delta_shock_velocity": delta_shock_velocity,
         "mean_curvature": mean_curvature,
         "delta_derivative_time": lambda f, p, t: delta_derivative_time(e, f, p, t),
     }

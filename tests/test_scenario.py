@@ -108,6 +108,52 @@ def test_tolerance_keys_are_checked(kind):
         assert _outcome(validate_scenario, obj, strict) == _outcome(_jsonschema_validate, obj, strict)
 
 
+def _weakcheck_of(name: str, **changes) -> dict:
+    """The bundled weakcheck scenario with the bundled scenario ``name`` as its solution."""
+    obj = json.loads((SCENARIOS / "weakcheck_asymmetric.json").read_text())
+    obj["solution"] = json.loads((SCENARIOS / f"{name}.json").read_text())
+    obj["solution"].update(changes)
+    return obj
+
+
+_UNKNOWN_STRAY = "Additional properties are not allowed ('stray' was unexpected)"
+
+
+@pytest.mark.parametrize("name", ["asymmetric_riemann", "planar_2d"])
+def test_weakcheck_solution_is_part_of_the_document(name):
+    # The embedded solution was checked on its own, so its paths lost the
+    # "solution/" prefix and a lenient run dropped its unknown-key warning.
+    stray = _weakcheck_of(name, stray=1)
+    assert validate_scenario(stray, strict=False) == [f"ignoring unknown keys at solution: {_UNKNOWN_STRAY}"]
+    with pytest.raises(ScenarioError, match=re.escape(f"at solution: {_UNKNOWN_STRAY}")):
+        validate_scenario(stray, strict=True)
+    key = "rho_l" if name == "asymmetric_riemann" else "rho_minus"
+    negative = _weakcheck_of(name, **{key: -1.0})
+    with pytest.raises(ScenarioError, match=f"at solution/{key}: -1.0 is less than the minimum of 0$"):
+        validate_scenario(negative, strict=False)
+    cases = [stray, negative, _weakcheck_of(name, t_end="1"), _weakcheck_of(name, kind=None)]
+    for obj in cases:
+        for strict in (True, False):
+            assert _outcome(validate_scenario, obj, strict) == _outcome(_jsonschema_validate, obj, strict)
+
+
+@pytest.mark.parametrize(
+    "solution, message",
+    [
+        ({"kind": "spherical"}, "at solution/kind: 'spherical' is not one of ['riemann1d', 'planar']"),
+        ({"rho_l": -1.0}, "at solution: 'kind' is a required property"),
+        ({"kind": "planar", "dim": 2}, "at solution: 'rho_minus' is a required property"),
+        ([1.0], "at solution: [1.0] is not of type 'object'"),
+    ],
+)
+def test_weakcheck_solution_kind_picks_its_schema(solution, message):
+    obj = {"kind": "weakcheck", "solution": solution}
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        validate_scenario(obj, strict=False)
+    for strict in (True, False):
+        assert _outcome(validate_scenario, obj, strict) == _outcome(_jsonschema_validate, obj, strict)
+
+
 def test_validate_type_errors_raise_even_lenient():
     obj = {
         "kind": "riemann1d",

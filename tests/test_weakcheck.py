@@ -156,7 +156,7 @@ def test_levels_validation():
 
 
 def test_empty_battery_is_rejected():
-    empty = Battery(functions=(), seed=0, box=((-6.5, 6.5), (0.0, 0.9)))
+    empty = Battery(functions=())
     with pytest.raises(InvalidBatteryError):
         evaluate_identities(_solution(), empty, levels=(1,))
 
