@@ -10,11 +10,13 @@ tangential momentum it has no equation for, and the mismatch is
 reported as a tangential deficit rather than silently dropped.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from dshock.scenario import load_scenario, planar_from_spec
 
-obj = load_scenario("scenarios/planar_2d.json")
+obj = load_scenario(Path(__file__).resolve().parents[1] / "scenarios" / "planar_2d.json")
 sol = planar_from_spec(obj)
 
 nu = sol.frame[0]

@@ -6,22 +6,23 @@ run        execute any scenario config (riemann1d, spherical, planar,
            oracle, weakcheck, geom-suite) into an output directory with
            CSVs, a report.json, a gnuplot script and a manifest.json of
            checksums.
-riemann    solve two-state 1-D data given directly as flags; write one CSV.
+riemann    solve two-state 1-D data given as flags; write one CSV.
 spherical  run, restricted to configs of kind spherical.
 oracle     run a sticky-particle oracle preset; write the cluster history.
 weakcheck  evaluate the weak identities of a solution config; write a
            JSON report.
 
-Each scenario kind has a runner ``_run_<kind>(obj, seed, strict)`` that
-returns ``(checks, payload, files)`` and writes nothing. ``files`` maps an
-output name to a ``(names, data)`` table or to text. ``_execute_scenario``
-is the one writer: inside the failure handler it validates the config and
-calls the runner, then writes ``files``, ``report.json`` and
-``manifest.json``. A run that fails, from an unreadable config file to an
-unexpected exception in a runner, leaves only ``report.json`` and
-``manifest.json``. The oracle and weakcheck subcommands call the same
-runners and write the one file each promises. ``write_csv`` refuses a table
-with a value that is not finite before it opens the file.
+Each scenario kind has a runner ``_run_<kind>(obj, seed)`` that takes a
+validated document, returns ``(checks, payload, files)`` and writes nothing.
+``files`` maps an output name to a ``(names, data)`` table or to text.
+``_run_document`` validates a document once and calls the runner of its
+kind. ``_execute_scenario`` runs a config file through it and is the one
+writer of scenario outputs: it writes ``files``, ``report.json`` and
+``manifest.json``, and a run that fails, from an unreadable config file to
+an unexpected exception in a runner, leaves only the last two. ``riemann``
+and ``weakcheck`` map their flags to a ``riemann1d`` or ``weakcheck``
+document, run it the same way and write the one file each promises.
+``write_csv`` refuses a table with a value that is not finite.
 
 Exit codes: 0 success, 2 config/schema problem, 3 numerical failure or
 any unexpected exception (one line on stderr, no traceback),
@@ -52,7 +53,6 @@ from .errors import (
     NonFiniteOutputError,
     ScenarioError,
 )
-from .fluxes import relativistic_flux, standard_flux
 from .geometry import (
     MovingBall,
     MovingPlaneFront,
@@ -62,6 +62,8 @@ from .geometry import (
     check_volume_transport,
     mean_curvature,
 )
+# solve_constant_states and from_riemann are not called here, but perfbench's
+# tracer patches them under these names.
 from .riemann1d import RiemannData1D, _jumps, solve_constant_states
 from .scenario import (
     load_scenario,
@@ -225,16 +227,13 @@ _PLOT_PLANAR = _PLOT_HEADER + (
 _RIEMANN_COLUMNS = ["t", "phi", "u_delta", "e", "mass_deficit", "momentum_deficit"]
 
 
-def _riemann_table(sol: DeltaShockSolution1D, times: np.ndarray) -> np.ndarray:
+def _run_riemann1d(obj: dict, seed: int):
+    sol = solution_from_spec(obj)
+    times = np.linspace(0.0, sol.t_end, int(obj.get("samples", 41)))
     jf, jr, jn, jru = _jumps(sol)
     ud = sol.u_delta(times)
-    return np.column_stack([times, sol.phi(times), ud, sol.e(times), jf - jr * ud, jn - jru * ud])
-
-
-def _run_riemann1d(obj: dict, seed: int, strict: bool = True):
-    sol = solution_from_spec(obj, strict)
-    times = np.linspace(0.0, sol.t_end, int(obj.get("samples", 41)))
-    files = {"riemann.csv": (_RIEMANN_COLUMNS, _riemann_table(sol, times))}
+    table = np.column_stack([times, sol.phi(times), ud, sol.e(times), jf - jr * ud, jn - jru * ud])
+    files = {"riemann.csv": (_RIEMANN_COLUMNS, table)}
     checks: dict = {}
     payload = {
         "t_end": sol.t_end,
@@ -253,7 +252,7 @@ def _run_riemann1d(obj: dict, seed: int, strict: bool = True):
     return checks, payload, files
 
 
-def _run_spherical(obj: dict, seed: int, strict: bool = True):
+def _run_spherical(obj: dict, seed: int):
     inner, outer, init, kwargs = spherical_setup_from_spec(obj)
     traj = integrate_front(inner, outer, init, **kwargs)
     times = np.linspace(0.0, traj.t_stop, int(obj.get("samples", 25)))
@@ -297,7 +296,7 @@ def _random_rotation(dim: int, seed: int) -> np.ndarray:
     return q
 
 
-def _run_planar(obj: dict, seed: int, strict: bool = True):
+def _run_planar(obj: dict, seed: int):
     cand = planar_from_spec(obj)
     base = cand.base
     times = np.linspace(0.0, base.t_end, int(obj.get("samples", 41)))
@@ -346,7 +345,7 @@ def _run_planar(obj: dict, seed: int, strict: bool = True):
     return checks, payload, files
 
 
-def _run_oracle(obj: dict, seed: int, strict: bool = True):
+def _run_oracle(obj: dict, seed: int):
     preset = obj["preset"]
     N = obj.get("N")
     if preset == "riemann":
@@ -399,8 +398,8 @@ def _spatial_window(sol: DeltaShockSolution1D) -> tuple[float, float]:
     return float(np.min(ph)) - spread, float(np.max(ph)) + spread
 
 
-def _run_weakcheck(obj: dict, seed: int, strict: bool = True):
-    sol = solution_from_spec(obj["solution"], strict)
+def _run_weakcheck(obj: dict, seed: int):
+    sol = solution_from_spec(obj["solution"])
     k = int(obj.get("levels", 5))
     bspec = obj.get("battery", {})
     battery = make_battery(
@@ -427,7 +426,7 @@ def _run_weakcheck(obj: dict, seed: int, strict: bool = True):
     return checks, payload, {"weakcheck.json": _json_text(dict(payload, checks=checks))}
 
 
-def _run_geom_suite(obj: dict, seed: int, strict: bool = True):
+def _run_geom_suite(obj: dict, seed: int):
     radii = [float(r) for r in obj.get("radii", [0.5, 1.0, 2.0])]
     if not all(np.isfinite(r) and r > 0.0 for r in radii):
         raise ScenarioError(f"geom-suite radii must be finite and positive, got {radii}")
@@ -504,6 +503,18 @@ _RUNNERS = {
 }
 
 
+def _run_document(obj: dict, seed: int | None = None, strict: bool = True) -> tuple:
+    """``(seed, checks, payload, files)`` of ``obj``, validated once, warnings to stderr.
+
+    A ``seed`` of None is the document's own ``seed``, else 0.
+    """
+    for w in validate_scenario(obj, strict=strict):
+        print(f"warning: {w}", file=sys.stderr)
+    if seed is None:
+        seed = int(obj.get("seed", 0))
+    return (seed, *_RUNNERS[obj["kind"]](obj, seed))
+
+
 def _execute_scenario(args) -> int:
     """Run the config file ``args.config`` into ``args.out``; the one writer of scenario outputs."""
     outdir = Path(args.out)
@@ -517,11 +528,7 @@ def _execute_scenario(args) -> int:
         kind, name = obj.get("kind"), obj.get("name", "")
         if args.kind not in (None, kind):
             raise ScenarioError(f"'dshock {args.kind}' needs a config with kind '{args.kind}'")
-        for w in validate_scenario(obj, strict=args.strict):
-            print(f"warning: {w}", file=sys.stderr)
-        if seed is None:
-            seed = int(obj.get("seed", 0))
-        checks, payload, files = _RUNNERS[kind](obj, seed, args.strict)
+        seed, checks, payload, files = _run_document(obj, seed, args.strict)
         for fname, content in files.items():
             _write(outdir / fname, content)
     except Exception as exc:
@@ -549,31 +556,19 @@ def _execute_scenario(args) -> int:
     return code
 
 
+# The riemann flags whose dest is the riemann1d key they set; --flux and --c0 set "flux".
+_RIEMANN_FLAG_KEYS = ("rho_l", "rho_r", "u_l", "u_r", "e0", "u_delta0", "x0", "t_end", "samples")
+
+
 def cmd_riemann(args) -> int:
     if args.samples < 2:
         raise InvalidParameterError(f"--samples must be at least 2, got {args.samples}")
     if args.samples > MAX_SAMPLES:
         raise InvalidParameterError(f"--samples must be at most {MAX_SAMPLES}, got {args.samples}")
-    if args.flux == "relativistic":
-        if args.c0 is None:
-            raise ScenarioError("--flux relativistic requires --c0")
-        flux = relativistic_flux(1, args.c0)
-    else:
-        flux = standard_flux(1)
-    data = RiemannData1D(
-        rho_l=args.rho_l,
-        rho_r=args.rho_r,
-        u_l=args.u_l,
-        u_r=args.u_r,
-        flux=flux,
-        e0=args.e0,
-        u_delta0=args.u_delta0,
-        x0=args.x0,
-    )
-    path = solve_constant_states(data, t_end=args.t_end)
-    sol = from_riemann(path, args.t_end)
-    times = np.linspace(0.0, args.t_end, args.samples)
-    _write(args.out, (_RIEMANN_COLUMNS, _riemann_table(sol, times)))
+    obj = {key: getattr(args, key) for key in _RIEMANN_FLAG_KEYS}
+    flux = {"kind": args.flux} if args.c0 is None else {"kind": args.flux, "c0": args.c0}
+    *_, files = _run_document(dict(obj, kind="riemann1d", flux=flux))
+    _write(args.out, files["riemann.csv"])
     return 0
 
 
@@ -585,14 +580,9 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_weakcheck(args) -> int:
-    obj = {
-        "kind": "weakcheck",
-        "solution": load_scenario(args.solution),
-        "levels": args.levels,
-        "seed": args.seed,
-    }
-    validate_scenario(obj, strict=True)
-    checks, payload, _ = _run_weakcheck(obj, args.seed)
+    solution = load_scenario(args.solution)
+    obj = {"kind": "weakcheck", "solution": solution, "levels": args.levels, "seed": args.seed}
+    _, checks, payload, _ = _run_document(obj)
     report = dict(payload, **_verdict(checks))
     _write(args.out, _json_text(report))
     if report["failed"]:

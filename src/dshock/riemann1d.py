@@ -22,7 +22,8 @@ For constant side states the front balance reduces to
 * e(0) = e0 > 0: the speed is no longer constant. For the standard flux
   (A = D) the displacement X = phi(t) - phi(0) satisfies the algebraic
   equation (B/2) X^2 - (e0 + A t) X + (C/2) t^2 + q0 t = 0 with
-  q0 = e0 u_delta0, obtained by integrating e dX/dt = q0 + C t - D X; then
+  q0 = e0 u_delta0, obtained by integrating e dX/dt = q0 + C t - D X, so
+  X = (C t^2 + 2 q0 t) / (s + sqrt(s^2 - B (C t^2 + 2 q0 t))), s = e0 + A t;
   e and e u_delta are affine in (t, X) and exact. Generic fluxes fall back
   to a tight adaptive ODE solve.
 """
@@ -112,8 +113,11 @@ def classical_shock_feasible(d: RiemannData1D) -> bool:
 
 def admissible_front_speed(d: RiemannData1D) -> float:
     """Root of B s^2 - (A+D) s + C = 0 satisfying u_r < s < u_l (strict)."""
-    a_, b_, c_, d_ = _jumps(d)
-    scale = abs(d.rho_l) + abs(d.rho_r) + 1.0
+    # Jumps in units of a power of two near rho_l + rho_r, exact, so the roots
+    # keep their bits and no square under- or overflows, whatever the units.
+    unit = math.ldexp(1.0, -max(math.frexp(abs(d.rho_l) + abs(d.rho_r))[1], -1000))
+    a_, b_, c_, d_ = (unit * jump for jump in _jumps(d))
+    scale = unit * (abs(d.rho_l) + abs(d.rho_r))
     roots: list[float]
     if abs(b_) <= 1e-13 * scale:
         lin = a_ + d_
@@ -209,13 +213,15 @@ def _path_standard_atom(d: RiemannData1D) -> DeltaShockPath1D:
     e0, q0 = d.e0, d.e0 * float(d.u_delta0)
 
     def displacement(t):
+        # Not (s - sqrt(disc)) / B, which cancels. Below s = 1/2, disc is in units
+        # of a power of two near s (exact), so a small mass does not underflow.
         s = e0 + a_ * t
-        if abs(b_) <= 1e-13 * (abs(d.rho_l) + abs(d.rho_r) + 1.0):
-            return (0.5 * c_ * t * t + q0 * t) / s
-        disc = s * s - b_ * (c_ * t * t + 2.0 * q0 * t)
-        if np.any(disc < -1e-12 * (e0 * e0 + 1.0)):
+        lin = c_ * t * t + 2.0 * q0 * t
+        unit = np.ldexp(1.0, np.clip(-np.frexp(s)[1], 0, 1000))
+        disc = (s * unit) ** 2 - (b_ * unit) * (lin * unit)
+        if np.any(disc < -1e-12 * (e0 * e0 + 1.0) * unit**2):
             raise NoDeltaShockError("front mass would vanish inside the requested window")
-        return (s - np.sqrt(np.maximum(disc, 0.0))) / b_
+        return lin / (s + np.sqrt(np.maximum(disc, 0.0)) / unit)
 
     def e_of(t):
         return e0 + a_ * t - b_ * displacement(t)
@@ -250,7 +256,8 @@ def _path_generic_atom(d: RiemannData1D, t_end: float) -> DeltaShockPath1D:
         [0.0, d.e0, q0],
         method="DOP853",
         rtol=1e-12,
-        atol=1e-14,
+        # e and q in units of e0: an absolute floor would swamp a small atom.
+        atol=1e-14 * np.array([1.0, d.e0, d.e0 * (abs(d.u_l) + abs(d.u_r))]),
         dense_output=True,
     )
     if not sol.success:
@@ -293,7 +300,7 @@ def solve_constant_states(d: RiemannData1D, t_end: float | None = None) -> Delta
             f"u_r < u_delta0 < u_l for u_delta0={d.u_delta0}"
         )
     a_, b_, c_, d_ = _jumps(d)
-    if abs(a_ - d_) <= 1e-13 * (abs(a_) + abs(d_) + 1.0):
+    if abs(a_ - d_) <= 1e-13 * (abs(a_) + abs(d_)):
         return _path_standard_atom(d)
     if t_end is None:
         raise InvalidParameterError("generic fluxes with an initial atom need t_end")

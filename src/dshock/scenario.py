@@ -434,13 +434,12 @@ def riemann_data_from_spec(obj: dict) -> RiemannData1D:
         raise ScenarioError(f"bad Riemann data: {exc}") from exc
 
 
-def solution_from_spec(obj: dict, strict: bool = True):
-    """Build the solution object an embedded scenario describes.
+def solution_from_spec(obj: dict):
+    """Build the solution a validated riemann1d or planar document describes.
 
-    Accepts riemann1d and planar scenario objects (the two kinds whose
-    solutions the weak-identity checker understands).
+    These are the two kinds whose solutions the weak-identity checker
+    understands. Like every builder here, it does not validate again.
     """
-    validate_scenario(obj, strict)
     if obj["kind"] == "riemann1d":
         data = riemann_data_from_spec(obj)
         t_end = float(obj["t_end"])

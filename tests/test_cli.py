@@ -927,7 +927,7 @@ def test_runners_write_nothing_and_name_every_output(tmp_path, monkeypatch, path
     work = tmp_path / "work"
     work.mkdir()
     monkeypatch.chdir(work)
-    _, _, files = _RUNNERS[obj["kind"]](obj, int(obj.get("seed", 0)), False)
+    _, _, files = _RUNNERS[obj["kind"]](obj, int(obj.get("seed", 0)))
     assert list(work.iterdir()) == []
     out = tmp_path / "out"
     main(["run", "--config", str(path), "--out", str(out)])
@@ -1026,3 +1026,97 @@ def test_run_planar_rejects_a_normal_that_is_not_finite(tmp_path, capsys):
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
     assert "normal vector must be finite" in capsys.readouterr().err
     assert json.loads((out / "report.json").read_text())["error_class"] == "ScenarioError"
+
+
+def _count_validations(monkeypatch):
+    """The kinds of the documents ``validate_scenario`` checks, wherever it is called from."""
+    import dshock.scenario
+    from dshock.scenario import validate_scenario
+
+    kinds = []
+
+    def counted(obj, *args, **kwargs):
+        kinds.append(obj.get("kind") if isinstance(obj, dict) else None)
+        return validate_scenario(obj, *args, **kwargs)
+
+    monkeypatch.setattr(dshock.scenario, "validate_scenario", counted)
+    monkeypatch.setattr("dshock.cli.validate_scenario", counted)
+    return kinds
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
+def test_a_run_validates_its_config_once(tmp_path, monkeypatch, path):
+    # The weakcheck kind's schema holds its solution's schema, so the
+    # embedded solution is not validated a second time.
+    kinds = _count_validations(monkeypatch)
+    main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert kinds == [json.loads(path.read_text())["kind"]]
+
+
+def test_flag_commands_validate_their_document_once(tmp_path, monkeypatch):
+    kinds = _count_validations(monkeypatch)
+    assert main(_RIEMANN_41 + ["--t-end", "1", "--out", str(tmp_path / "r.csv")]) == 0
+    assert kinds == ["riemann1d"]
+    kinds.clear()
+    solution = str(SCENARIOS / "symmetric_riemann.json")
+    # Two levels keep it quick; too few for the tolerance, so it exits 4.
+    main(["weakcheck", "--solution", solution, "--levels", "2", "--out", str(tmp_path / "w.json")])
+    assert kinds == ["weakcheck"]
+
+
+def test_riemann_subcommand_keeps_a_tiny_initial_atom(tmp_path):
+    # (s - sqrt(disc)) / B gave X(0) = e0 / B once s^2 underflowed, so e(0)
+    # was 0 and u_delta -inf: exit 3.
+    out = tmp_path / "r.csv"
+    args = _RIEMANN_41 + ["--e0", "5e-273", "--u-delta0", "5e-273", "--t-end", "1", "--out", str(out)]
+    assert _no_runtime_warnings(lambda: main(args)) == 0
+    names, data = _read_csv(out)
+    assert data[0, names.index("e")] == 5e-273
+    assert np.all(np.isfinite(data))
+
+
+@st.composite
+def _riemann_flags(draw):
+    """Flags of admissible riemann data, with the riemann1d document they stand for."""
+    u_r = draw(st.floats(-2.0, 2.0))
+    u_l = u_r + draw(st.floats(0.1, 3.0))
+    doc = {
+        "kind": "riemann1d",
+        "rho_l": draw(st.floats(0.1, 10.0)),
+        "rho_r": draw(st.floats(0.1, 10.0)),
+        "u_l": u_l,
+        "u_r": u_r,
+        "t_end": draw(st.floats(0.1, 3.0)),
+        "samples": draw(st.integers(2, 60)),
+    }
+    flux = draw(st.sampled_from(["standard", "relativistic"]))
+    if flux == "relativistic":
+        doc["flux"] = {"kind": flux, "c0": draw(st.floats(1.0, 5.0))}
+    if draw(st.booleans()):
+        doc["e0"] = draw(st.floats(0.01, 2.0))
+        doc["u_delta0"] = u_r + draw(st.floats(0.1, 0.9)) * (u_l - u_r)
+    if draw(st.booleans()):
+        doc["x0"] = draw(st.floats(-2.0, 2.0))
+    argv = ["riemann"]
+    for key, value in doc.items():
+        if key == "flux":
+            argv += ["--flux", flux, "--c0", repr(value["c0"])]
+        elif key != "kind":
+            argv += [f"--{key.replace('_', '-')}", repr(value)]
+    return argv, doc
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=_riemann_flags())
+def test_riemann_flags_write_the_csv_of_their_document(tmp_path_factory, case):
+    # The two entry points cannot drift: `dshock riemann` exits as `dshock
+    # run` does on the same riemann1d data, and writes the bytes `run` writes
+    # to riemann.csv. (A relativistic pair may admit no front: exit 4.)
+    argv, doc = case
+    work = tmp_path_factory.mktemp("same")
+    cfg = work / "doc.json"
+    cfg.write_text(json.dumps(doc))
+    rc = main(argv + ["--out", str(work / "flags.csv")])
+    assert main(["run", "--config", str(cfg), "--out", str(work / "run")]) == rc
+    if rc == 0:
+        assert (work / "flags.csv").read_bytes() == (work / "run" / "riemann.csv").read_bytes()

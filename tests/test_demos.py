@@ -13,6 +13,9 @@ def test_demos_found():
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
-def test_demo_runs(path, capsys):
+def test_demo_runs(path, capsys, tmp_path, monkeypatch):
+    # From a directory that is not the repository root: a demo finds its
+    # inputs from its own location, not from the working directory.
+    monkeypatch.chdir(tmp_path)
     runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out.strip()

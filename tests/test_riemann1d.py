@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dshock import (
     AmbiguousRootError,
@@ -217,3 +219,161 @@ def test_non_finite_data_rejected(kw):
     args = {"rho_l": 4.0, "rho_r": 1.0, "u_l": 1.0, "u_r": -1.0} | kw
     with pytest.raises(InvalidParameterError):
         RiemannData1D(**args)
+
+
+def test_atom_path_matches_a_50_digit_reference():
+    # The exact atom path against the same closed form in 50-digit
+    # arithmetic, on the float data it was given. Each quantity is measured
+    # against the size of the terms it sums, since the displacement crosses
+    # zero and A, C and e = e0 + A t - B X may cancel. The old form
+    # (s - sqrt(disc)) / B of the displacement was off by up to 1.4e-8.
+    mp = pytest.importorskip("mpmath")
+    from dshock.riemann1d import _path_standard_atom
+
+    mp.mp.dps = 50
+    rng = np.random.default_rng(17)
+    worst = 0.0
+    for _ in range(400):
+        rho_l, rho_r = 10.0 ** rng.uniform(-1.3, 1.3, size=2)
+        u_r = rng.uniform(-3.0, 3.0)
+        u_l = u_r + rng.uniform(0.05, 4.0)
+        e0 = 10.0 ** rng.uniform(-8.0, 1.0)
+        u_delta0 = u_r + rng.uniform(0.05, 0.95) * (u_l - u_r)
+        times = 10.0 ** rng.uniform(-6.0, 0.0, size=5)
+        path = _path_standard_atom(RiemannData1D(rho_l, rho_r, u_l, u_r, e0=e0, u_delta0=u_delta0))
+        x, e, u = path.phi(times), path.e(times), path.u_delta(times)
+        # The sizes of the terms of A, B and C.
+        A_, B_, C_ = rho_l * abs(u_l) + rho_r * abs(u_r), rho_l + rho_r, rho_l * u_l**2 + rho_r * u_r**2
+        rl, rr, ul, ur, E0, ud0 = map(mp.mpf, (rho_l, rho_r, u_l, u_r, e0, u_delta0))
+        A, B, C, q0 = rl * ul - rr * ur, rl - rr, rl * ul**2 - rr * ur**2, E0 * ud0
+        for k, t in enumerate(times):
+            s = E0 + A * t
+            lin = C * t * t + 2 * q0 * t
+            root = mp.sqrt(s * s - B * lin)
+            X = lin / (s + root)
+            e_ref = s - B * X
+            u_ref = (q0 + C * t - A * X) / e_ref
+            x_terms = (C_ * t**2 + 2.0 * abs(float(q0)) * t) / float(abs(s) + root)
+            worst = max(
+                worst,
+                float(abs(x[k] - X)) / x_terms,
+                float(abs(e[k] - e_ref)) / (e0 + A_ * t + B_ * abs(float(X))),
+                float(abs(u[k] - u_ref)) / (abs(u_l) + abs(u_r)),
+            )
+    # 2.0e-14 measured.
+    assert worst <= 1e-13
+
+
+# Admissible two-state data for each path kind: "constant" and
+# "relativistic" start without an atom, "atom" takes the exact standard-flux
+# path and "atom-ode" the ODE fallback of the relativistic flux.
+_PATH_KINDS = {
+    "constant": "constant-speed",
+    "relativistic": "constant-speed",
+    "atom": "atom-exact",
+    "atom-ode": "atom-ode",
+}
+
+
+@st.composite
+def _admissible(draw, kinds=tuple(_PATH_KINDS)):
+    kind = draw(st.sampled_from(kinds))
+    rho_l = 10.0 ** draw(st.floats(-1.3, 1.3))
+    rho_r = draw(st.one_of(st.just(rho_l), st.floats(-1.3, 1.3).map(lambda v: 10.0**v)))
+    u_r = draw(st.floats(-3.0, 3.0))
+    u_l = u_r + draw(st.floats(0.05, 4.0))
+    data = {"rho_l": rho_l, "rho_r": rho_r, "u_l": u_l, "u_r": u_r, "x0": draw(st.floats(-2.0, 2.0))}
+    if kind in ("relativistic", "atom-ode"):
+        data["flux"] = relativistic_flux(1, draw(st.floats(0.5, 5.0)))
+    if kind in ("atom", "atom-ode"):
+        data["e0"] = 10.0 ** draw(st.floats(-8.0, 1.0))
+        data["u_delta0"] = u_r + draw(st.floats(0.05, 0.95)) * (u_l - u_r)
+    try:
+        path_kind, _ = _solve(data)
+    except NoDeltaShockError:  # a relativistic pair with no overcompressive speed
+        assume(False)
+    assert path_kind == _PATH_KINDS[kind]
+    return data
+
+
+_TIMES = np.array([0.0, 1e-6, 1e-3, 0.1, 0.37, 1.0])
+
+
+def _solve(data):
+    """The path kind and the (phi, u_delta, e) rows at _TIMES."""
+    path = solve_constant_states(RiemannData1D(**data), t_end=1.0)
+    return path.detail["kind"], np.array([path.phi(_TIMES), path.u_delta(_TIMES), path.e(_TIMES)])
+
+
+def _deviation(got, want, data, u_delta, speed=0.0):
+    """Largest error of (phi, u_delta, e) rows, in units of the rounding of the data.
+
+    The jumps A, B, C sum terms of size (rho_l + rho_r) U^2. Their rounding
+    moves the front speed by itself over the mass growth rate
+    alpha = rho_l (u_l - u_delta) + rho_r (u_delta - u_r), which is small
+    when the states are close. So each row is measured against the size of
+    its terms times kappa = (rho_l + rho_r) U / min alpha, with ``u_delta``
+    the reference path's velocity and U the velocity scale, into which a
+    boost by ``speed`` enters.
+    """
+    rho_l, rho_r, u_l, u_r = data["rho_l"], data["rho_r"], data["u_l"], data["u_r"]
+    U = abs(u_l) + abs(u_r) + abs(speed)
+    kappa = (rho_l + rho_r) * U / np.min(rho_l * (u_l - u_delta) + rho_r * (u_delta - u_r))
+    terms = [abs(data["x0"]) + U * _TIMES, U, (rho_l + rho_r) * U * _TIMES + data.get("e0", 0.0)]
+    with np.errstate(invalid="ignore"):  # 0 / 0 at t = 0, where both are exact
+        return max(float(np.nanmax(np.abs(g - w) / (kappa * t))) for g, w, t in zip(got, want, terms))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=_admissible(), log_c=st.floats(-250.0, 150.0))
+def test_density_scaling(data, log_c):
+    # (rho, e) -> (c rho, c e) leaves phi and u_delta alone and scales e,
+    # whatever the unit of density. With x0 = 0 the displacement itself is
+    # compared. Before, an absolute floor in the front-speed and flux tests
+    # refused data at c = 1e-100 or took a relativistic atom for a standard
+    # one; the exact atom path was off by up to 0.04 in these units, and the
+    # ODE path by 1e-6 unscaled through its absolute atol. Above c = 1e150
+    # the atom path's s^2 overflows: a run then fails, with exit 3.
+    data = dict(data, x0=0.0)
+    kind, base = _solve(data)
+    c = 10.0**log_c
+    scaled = dict(data, rho_l=c * data["rho_l"], rho_r=c * data["rho_r"])
+    if "e0" in data:
+        scaled["e0"] = c * data["e0"]
+    kind_c, curves = _solve(scaled)
+    assert kind_c == kind
+    curves[2] /= c
+    # Largest found by a targeted search: 3.7e-16 on the closed forms and
+    # 4.5e-12 through the ODE, whose steps move with the rounding.
+    assert _deviation(curves, base, data, base[1]) <= (1e-10 if kind == "atom-ode" else 1e-14)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=_admissible())
+def test_reflection_is_exact(data):
+    # x -> -x, u -> -u with the sides swapped mirrors the path bit for bit.
+    mirrored = dict(
+        data, rho_l=data["rho_r"], rho_r=data["rho_l"], u_l=-data["u_r"], u_r=-data["u_l"], x0=-data["x0"]
+    )
+    if "u_delta0" in data:
+        mirrored["u_delta0"] = -data["u_delta0"]
+    kind, (phi, u_delta, e) = _solve(data)
+    kind_m, curves = _solve(mirrored)
+    assert kind_m == kind
+    np.testing.assert_array_equal(curves, np.array([-phi, -u_delta, e]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=_admissible(kinds=("constant", "atom")), speed=st.floats(-3.0, 3.0))
+def test_galilean_boost(data, speed):
+    # For the standard flux, u -> u + V moves the front by V t and leaves e.
+    boosted = dict(data, u_l=data["u_l"] + speed, u_r=data["u_r"] + speed)
+    if "u_delta0" in data:
+        boosted["u_delta0"] = data["u_delta0"] + speed
+    kind, (phi, u_delta, e) = _solve(data)
+    kind_v, curves = _solve(boosted)
+    assert kind_v == kind
+    # Largest found by a targeted search: 5.6e-15, where |B| <= 1e-13 (rho_l
+    # + rho_r) sends the front speed down the linear branch; that branch
+    # costs at most 5e-14 in these units.
+    assert _deviation(curves, [phi + speed * _TIMES, u_delta + speed, e], data, u_delta, speed) <= 1e-13
