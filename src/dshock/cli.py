@@ -15,9 +15,9 @@ weakcheck  evaluate the weak identities of a solution config; write a
 Each scenario kind has a runner ``_run_<kind>(obj, seed)`` that takes a
 validated document, returns ``(checks, payload, files)`` and writes nothing.
 ``files`` maps an output name to a ``(names, data)`` table or to text.
-``_run_document`` validates a document once and calls the runner of its
-kind. ``_execute_scenario`` runs a config file through it and is the one
-writer of scenario outputs: it writes ``files``, ``report.json`` and
+``_validated_seed`` validates a document once and resolves the seed its
+runner takes. ``_execute_scenario`` runs a config file that way and is the
+one writer of scenario outputs: it writes ``files``, ``report.json`` and
 ``manifest.json``, and a run that fails, from an unreadable config file to
 an unexpected exception in a runner, leaves only the last two. ``riemann``
 and ``weakcheck`` map their flags to a ``riemann1d`` or ``weakcheck``
@@ -62,9 +62,7 @@ from .geometry import (
     check_volume_transport,
     mean_curvature,
 )
-# solve_constant_states and from_riemann are not called here, but perfbench's
-# tracer patches them under these names.
-from .riemann1d import RiemannData1D, _jumps, solve_constant_states
+from .riemann1d import RiemannData1D, _jumps
 from .scenario import (
     load_scenario,
     planar_from_spec,
@@ -72,7 +70,7 @@ from .scenario import (
     spherical_setup_from_spec,
     validate_scenario,
 )
-from .solutions import DeltaShockSolution1D, PlanarSolution, from_riemann
+from .solutions import DeltaShockSolution1D, PlanarSolution
 from .spherical import integrate_front, steady_converging_field
 from .sticky_oracle import MAX_SAMPLES, delta_cluster_estimate, radial_shells, sample_riemann
 from .weakcheck import evaluate_identities, make_battery
@@ -503,16 +501,14 @@ _RUNNERS = {
 }
 
 
-def _run_document(obj: dict, seed: int | None = None, strict: bool = True) -> tuple:
-    """``(seed, checks, payload, files)`` of ``obj``, validated once, warnings to stderr.
+def _validated_seed(obj: dict, seed: int | None = None, strict: bool = True) -> int:
+    """The seed to run ``obj`` with, once ``obj`` is validated; warnings go to stderr.
 
     A ``seed`` of None is the document's own ``seed``, else 0.
     """
     for w in validate_scenario(obj, strict=strict):
         print(f"warning: {w}", file=sys.stderr)
-    if seed is None:
-        seed = int(obj.get("seed", 0))
-    return (seed, *_RUNNERS[obj["kind"]](obj, seed))
+    return int(obj.get("seed", 0)) if seed is None else seed
 
 
 def _execute_scenario(args) -> int:
@@ -528,7 +524,8 @@ def _execute_scenario(args) -> int:
         kind, name = obj.get("kind"), obj.get("name", "")
         if args.kind not in (None, kind):
             raise ScenarioError(f"'dshock {args.kind}' needs a config with kind '{args.kind}'")
-        seed, checks, payload, files = _run_document(obj, seed, args.strict)
+        seed = _validated_seed(obj, seed, args.strict)
+        checks, payload, files = _RUNNERS[kind](obj, seed)
         for fname, content in files.items():
             _write(outdir / fname, content)
     except Exception as exc:
@@ -565,9 +562,9 @@ def cmd_riemann(args) -> int:
         raise InvalidParameterError(f"--samples must be at least 2, got {args.samples}")
     if args.samples > MAX_SAMPLES:
         raise InvalidParameterError(f"--samples must be at most {MAX_SAMPLES}, got {args.samples}")
-    obj = {key: getattr(args, key) for key in _RIEMANN_FLAG_KEYS}
     flux = {"kind": args.flux} if args.c0 is None else {"kind": args.flux, "c0": args.c0}
-    *_, files = _run_document(dict(obj, kind="riemann1d", flux=flux))
+    obj = {key: getattr(args, key) for key in _RIEMANN_FLAG_KEYS} | {"kind": "riemann1d", "flux": flux}
+    _, _, files = _run_riemann1d(obj, _validated_seed(obj))
     _write(args.out, files["riemann.csv"])
     return 0
 
@@ -582,7 +579,7 @@ def cmd_oracle(args) -> int:
 def cmd_weakcheck(args) -> int:
     solution = load_scenario(args.solution)
     obj = {"kind": "weakcheck", "solution": solution, "levels": args.levels, "seed": args.seed}
-    _, checks, payload, _ = _run_document(obj)
+    checks, payload, _ = _run_weakcheck(obj, _validated_seed(obj))
     report = dict(payload, **_verdict(checks))
     _write(args.out, _json_text(report))
     if report["failed"]:

@@ -23,9 +23,10 @@ For constant side states the front balance reduces to
   (A = D) the displacement X = phi(t) - phi(0) satisfies the algebraic
   equation (B/2) X^2 - (e0 + A t) X + (C/2) t^2 + q0 t = 0 with
   q0 = e0 u_delta0, obtained by integrating e dX/dt = q0 + C t - D X, so
-  X = (C t^2 + 2 q0 t) / (s + sqrt(s^2 - B (C t^2 + 2 q0 t))), s = e0 + A t;
-  e and e u_delta are affine in (t, X) and exact. Generic fluxes fall back
-  to a tight adaptive ODE solve.
+  X = (s - r) / B = (C t^2 + 2 q0 t) / (s + r), s = e0 + A t,
+  r = sqrt(s^2 - B (C t^2 + 2 q0 t)), and the mass is e = r; e and
+  e u_delta are affine in (t, X) and exact. Generic fluxes fall back to a
+  tight adaptive ODE solve.
 """
 
 from __future__ import annotations
@@ -213,7 +214,9 @@ def _path_standard_atom(d: RiemannData1D) -> DeltaShockPath1D:
     e0, q0 = d.e0, d.e0 * float(d.u_delta0)
 
     def displacement(t):
-        # Not (s - sqrt(disc)) / B, which cancels. Below s = 1/2, disc is in units
+        # X = (s - sqrt(disc)) / B = lin / (s + sqrt(disc)): the form without
+        # cancellation is chosen by the sign of s, which turns negative only
+        # where A < 0, so B is far from 0 there. Below |s| = 1/2, disc is in units
         # of a power of two near s (exact), so a small mass does not underflow.
         s = e0 + a_ * t
         lin = c_ * t * t + 2.0 * q0 * t
@@ -221,7 +224,8 @@ def _path_standard_atom(d: RiemannData1D) -> DeltaShockPath1D:
         disc = (s * unit) ** 2 - (b_ * unit) * (lin * unit)
         if np.any(disc < -1e-12 * (e0 * e0 + 1.0) * unit**2):
             raise NoDeltaShockError("front mass would vanish inside the requested window")
-        return lin / (s + np.sqrt(np.maximum(disc, 0.0)) / unit)
+        root = np.sqrt(np.maximum(disc, 0.0)) / unit
+        return np.where(s > 0.0, lin / (s + root), (s - root) / b_)
 
     def e_of(t):
         return e0 + a_ * t - b_ * displacement(t)

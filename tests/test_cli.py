@@ -271,6 +271,18 @@ def test_numerical_failure_in_a_runner_leaves_a_report(tmp_path, capsys):
     assert set(json.loads((out / "manifest.json").read_text())["files"]) == {"report.json"}
 
 
+def test_a_failed_run_records_the_seed_it_resolved(tmp_path):
+    # The runner raises (no overcompressive front), after the seed was taken
+    # from the config; without a config seed it is 0.
+    doc = {"kind": "riemann1d", "rho_l": 1.0, "rho_r": 1.0, "u_l": -1.0, "u_r": 1.0, "t_end": 1.0}
+    for seed, extra in ((5, {"seed": 5}), (0, {})):
+        cfg = tmp_path / f"rarefaction{seed}.json"
+        cfg.write_text(json.dumps(doc | extra))
+        out = tmp_path / f"out{seed}"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 4
+        assert json.loads((out / "manifest.json").read_text())["seed"] == seed
+
+
 def test_time_reversed_sanity_fails_energy_check(tmp_path):
     rc = main(
         ["run", "--config", str(SCENARIOS / "time_reversed_sanity.json"), "--out", str(tmp_path)]
