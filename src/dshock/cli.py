@@ -19,9 +19,10 @@ validated document, returns ``(checks, payload, files)`` and writes nothing.
 runner takes. ``_execute_scenario`` runs a config file that way and is the
 one writer of scenario outputs: it writes ``files``, ``report.json`` and
 ``manifest.json``, and a run that fails, from an unreadable config file to
-an unexpected exception in a runner, leaves only the last two. ``riemann``
-and ``weakcheck`` map their flags to a ``riemann1d`` or ``weakcheck``
-document, run it the same way and write the one file each promises.
+an unexpected exception in a runner, leaves only the last two. ``riemann``,
+``oracle`` and ``weakcheck`` map the flags given to a document of their kind,
+run it the same way and write the one file each promises; a flag left out
+stays out of the document, so its runner's default applies.
 ``write_csv`` refuses a table with a value that is not finite.
 
 Exit codes: 0 success, 2 config/schema problem, 3 numerical failure or
@@ -37,7 +38,6 @@ import argparse
 import gc
 import hashlib
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -72,7 +72,7 @@ from .scenario import (
 )
 from .solutions import DeltaShockSolution1D, PlanarSolution
 from .spherical import integrate_front, steady_converging_field
-from .sticky_oracle import MAX_SAMPLES, delta_cluster_estimate, radial_shells, sample_riemann
+from .sticky_oracle import delta_cluster_estimate, radial_shells, sample_riemann
 from .weakcheck import evaluate_identities, make_battery
 
 # A CLI process keeps every imported module until it exits. Frozen, that heap
@@ -553,32 +553,33 @@ def _execute_scenario(args) -> int:
     return code
 
 
+def _given(args, keys) -> dict:
+    """The flags among ``keys`` (each a dest and the document key it sets) that were given."""
+    return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+
+
 # The riemann flags whose dest is the riemann1d key they set; --flux and --c0 set "flux".
 _RIEMANN_FLAG_KEYS = ("rho_l", "rho_r", "u_l", "u_r", "e0", "u_delta0", "x0", "t_end", "samples")
 
 
 def cmd_riemann(args) -> int:
-    if args.samples < 2:
-        raise InvalidParameterError(f"--samples must be at least 2, got {args.samples}")
-    if args.samples > MAX_SAMPLES:
-        raise InvalidParameterError(f"--samples must be at most {MAX_SAMPLES}, got {args.samples}")
-    flux = {"kind": args.flux} if args.c0 is None else {"kind": args.flux, "c0": args.c0}
-    obj = {key: getattr(args, key) for key in _RIEMANN_FLAG_KEYS} | {"kind": "riemann1d", "flux": flux}
+    flux = {"kind": args.flux} | _given(args, ("c0",))
+    obj = _given(args, _RIEMANN_FLAG_KEYS) | {"kind": "riemann1d", "flux": flux}
     _, _, files = _run_riemann1d(obj, _validated_seed(obj))
     _write(args.out, files["riemann.csv"])
     return 0
 
 
 def cmd_oracle(args) -> int:
-    obj = {"preset": args.preset, "N": args.N, "T": args.T, "mode": args.mode}
-    _, _, files = _run_oracle(obj, args.seed)
+    obj = _given(args, ("preset", "N", "T", "mode", "seed")) | {"kind": "oracle"}
+    _, _, files = _run_oracle(obj, _validated_seed(obj))
     _write(args.out, files["oracle.csv"])
     return 0
 
 
 def cmd_weakcheck(args) -> int:
     solution = load_scenario(args.solution)
-    obj = {"kind": "weakcheck", "solution": solution, "levels": args.levels, "seed": args.seed}
+    obj = _given(args, ("levels", "seed")) | {"kind": "weakcheck", "solution": solution}
     checks, payload, _ = _run_weakcheck(obj, _validated_seed(obj))
     report = dict(payload, **_verdict(checks))
     _write(args.out, _json_text(report))
@@ -601,14 +602,6 @@ def _is_number(text: str) -> bool:
     except ValueError:
         return False
     return True
-
-
-def _final_time(text: str) -> float:
-    """A ``--T`` value: a finite number > 0, as the scenario key ``T`` requires."""
-    value = float(text) if _is_number(text) else math.nan
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
-    return value
 
 
 # The flags that take a real number. argparse reads only "-123" and "-1.5"
@@ -666,10 +659,10 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--u-l", dest="u_l", type=float, required=True)
     r.add_argument("--u-r", dest="u_r", type=float, required=True)
     r.add_argument("--flux", choices=["standard", "relativistic"], default="standard")
-    r.add_argument("--c0", type=float, default=None)
-    r.add_argument("--e0", type=float, default=0.0)
-    r.add_argument("--u-delta0", dest="u_delta0", type=float, default=None)
-    r.add_argument("--x0", type=float, default=0.0)
+    r.add_argument("--c0", type=float)
+    r.add_argument("--e0", type=float)
+    r.add_argument("--u-delta0", dest="u_delta0", type=float)
+    r.add_argument("--x0", type=float)
     r.add_argument("--t-end", dest="t_end", type=float, required=True)
     r.add_argument("--samples", type=int, default=101)
     r.add_argument("--out", required=True, help="output CSV path")
@@ -677,20 +670,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     o = sub.add_parser("oracle", help="run a sticky-particle oracle preset")
     o.add_argument("--preset", choices=["riemann", "spherical"], required=True)
-    o.add_argument("--N", type=int, default=None, help="particle/shell count")
-    o.add_argument("--T", type=_final_time, default=1.0, help="final time, a finite number > 0")
-    o.add_argument("--mode", choices=["midpoint", "random"], default="midpoint")
-    o.add_argument("--seed", type=_seed, default=0)
+    o.add_argument("--N", type=int, help="particle/shell count")
+    o.add_argument("--T", type=float, help="final time")
+    o.add_argument("--mode", choices=["midpoint", "random"])
+    o.add_argument("--seed", type=_seed)
     o.add_argument("--out", required=True, help="output CSV path")
     o.set_defaults(func=cmd_oracle)
 
     w = sub.add_parser("weakcheck", help="evaluate weak identities of a solution config")
     w.add_argument("--solution", required=True, help="riemann1d or planar scenario JSON")
     w.add_argument(
-        "--levels",
-        type=int,
-        default=5,
-        help="quadrature ladder depth; the 1e-6 pass tolerance assumes >= 5",
+        "--levels", type=int, help="quadrature ladder depth; the 1e-6 pass tolerance assumes >= 5"
     )
     w.add_argument("--seed", type=_seed, default=7)
     w.add_argument("--out", required=True, help="output report.json path")

@@ -487,20 +487,16 @@ def planar_from_spec(obj: dict) -> PlanarSolution:
         raise ScenarioError("U_minus, U_plus and normal must all have length dim")
     frame = orthonormal_frame(obj["normal"])
     nu = frame[0]
-    data = RiemannData1D(
-        rho_l=float(obj["rho_minus"]),
-        rho_r=float(obj["rho_plus"]),
-        u_l=float(U_minus @ nu),
-        u_r=float(U_plus @ nu),
-        flux=standard_flux(1),
-        e0=float(obj.get("e0", 0.0)),
-        u_delta0=obj.get("u_delta0"),
-        x0=float(obj.get("x0", 0.0)),
-    )
-    t_end = float(obj["t_end"])
-    path = solve_constant_states(data, t_end=t_end)
-    support = obj.get("support")
-    base = from_riemann(path, t_end, None if support is None else tuple(support))
+    # The normal problem: the riemann1d document of the data along nu.
+    normal = {key: obj[key] for key in ("e0", "u_delta0", "x0", "t_end", "support") if key in obj}
+    normal |= {
+        "kind": "riemann1d",
+        "rho_l": obj["rho_minus"],
+        "rho_r": obj["rho_plus"],
+        "u_l": float(U_minus @ nu),
+        "u_r": float(U_plus @ nu),
+    }
+    base = solution_from_spec(normal)
     return PlanarSolution(
         base=base,
         frame=frame,

@@ -41,7 +41,6 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq  # noqa: F401  (unused; perfbench/tracer.py wraps this name)
 
 from .errors import (
     CausticError,

@@ -356,19 +356,25 @@ def test_oracle_subcommand(tmp_path):
     assert abs(data[-1, 3] - 4.0) < 0.1
 
 
-@pytest.mark.parametrize("T", ["0", "-1", "inf", "nan"])
-def test_T_flag_is_a_finite_positive_number(tmp_path, capsys, T):
-    # Like the scenario key "T", the flag is a finite number > 0, refused by
-    # the parser before any particle moves: exit 2, a message that names
-    # --T, no output and no numpy warnings.
+@pytest.mark.parametrize(
+    "T, error",
+    [
+        ("0", "scenario error: scenario schema violation at T: 0.0 is less than or equal to the minimum of 0"),
+        ("-1", "scenario error: scenario schema violation at T: -1.0 is less than or equal to the minimum of 0"),
+        ("inf", "invalid configuration: final time must be finite, got inf"),
+        ("nan", "invalid configuration: final time must be finite, got nan"),
+    ],
+    ids=["0", "-1", "inf", "nan"],
+)
+def test_T_flag_is_a_finite_positive_number(tmp_path, capsys, T, error):
+    # --T sets the oracle key "T", a finite number > 0: exit 2 with the
+    # message run gives that document, no output and no numpy warnings.
     out = tmp_path / "o.csv"
     args = ["oracle", "--preset", "riemann", "--N", "1000", "--T", T, "--out", str(out)]
-    with warnings.catch_warnings(), pytest.raises(SystemExit) as exc:
-        warnings.simplefilter("error")
-        main(args)
-    assert exc.value.code == 2
-    assert f"argument --T: must be a finite number > 0, got {T!r}" in capsys.readouterr().err
+    assert _no_runtime_warnings(lambda: main(args)) == 2
+    assert capsys.readouterr().err == error + "\n"
     assert not out.exists()
+    assert _run_message(tmp_path, {"kind": "oracle", "preset": "riemann", "N": 1000, "T": float(T)}) == error
 
 
 @pytest.mark.parametrize("T", ["Infinity", "NaN", "1e400"])
@@ -391,25 +397,26 @@ def test_run_oracle_rejects_non_finite_T(tmp_path, capsys, T):
 def test_oracle_undersampled_exits_2(tmp_path, capsys, preset, n):
     # Too few particles is a configuration problem, not a numerical failure.
     out = tmp_path / "o.csv"
-    assert main(["oracle", "--preset", preset, "--N", n, "--out", str(out)]) == 2
-    assert "invalid configuration: need at least 100" in capsys.readouterr().err
+    argv = ["oracle", "--preset", preset, "--N", n, "--out", str(out)]
+    assert _no_runtime_warnings(lambda: main(argv)) == 2
+    error = f"scenario error: scenario schema violation at N: {n} is less than the minimum of 100"
+    assert capsys.readouterr().err == error + "\n"
     assert not out.exists()
+    assert _run_message(tmp_path, {"kind": "oracle", "preset": preset, "N": int(n)}) == error
 
 
 def test_particle_count_is_bounded_before_allocation(tmp_path, capsys):
-    # The bound is checked before any array is built, so a count far past
-    # memory only costs the message.
-    from dshock.sticky_oracle import MAX_PARTICLES
-
-    huge = str(10**15)
+    # The schema bound is checked before any array is built, so a count far
+    # past memory only costs the message.
+    huge = 10**15
+    error = f"scenario error: scenario schema violation at N: {huge} is greater than the maximum of {MAX_PARTICLES}"
     for preset in ("riemann", "spherical"):
-        argv = ["oracle", "--preset", preset, "--N", huge, "--out", str(tmp_path / "o.csv")]
-        assert main(argv) == 2
-        assert f"at most {MAX_PARTICLES}" in capsys.readouterr().err
-    cfg = tmp_path / "oracle.json"
-    cfg.write_text(f'{{"kind": "oracle", "preset": "riemann", "N": {MAX_PARTICLES + 1}}}')
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-    assert f"greater than the maximum of {MAX_PARTICLES}" in capsys.readouterr().err
+        out = tmp_path / "o.csv"
+        argv = ["oracle", "--preset", preset, "--N", str(huge), "--out", str(out)]
+        assert _no_runtime_warnings(lambda: main(argv)) == 2
+        assert capsys.readouterr().err == error + "\n"
+        assert not out.exists()
+        assert _run_message(tmp_path, {"kind": "oracle", "preset": preset, "N": huge}) == error
 
 
 @pytest.mark.parametrize(
@@ -461,11 +468,11 @@ def test_negative_exponent_after_a_flag_is_its_value(tmp_path):
 
 def _number_flags(command):
     """The option strings of ``command`` whose values are real numbers."""
-    from dshock.cli import _final_time, build_parser
+    from dshock.cli import build_parser
 
     sub = next(a for a in build_parser()._actions if a.choices and command in a.choices)
     actions = sub.choices[command]._actions
-    return sorted(a.option_strings[0] for a in actions if a.type in (float, _final_time))
+    return sorted(a.option_strings[0] for a in actions if a.type is float)
 
 
 @pytest.mark.parametrize(
@@ -525,6 +532,16 @@ def _no_runtime_warnings(call):
         result = call()
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     return result
+
+
+def _run_message(tmp_path, obj):
+    """The stderr line, without its newline, of ``run`` on the config ``obj``; it must exit 2."""
+    cfg = tmp_path / "doc.json"
+    cfg.write_text(json.dumps(obj))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "doc")]) == 2
+    return err.getvalue().removesuffix("\n")
 
 
 def test_riemann_subcommand_refuses_an_overflowed_table(tmp_path, capsys):
@@ -753,37 +770,31 @@ def test_schema_error_leaves_a_report(tmp_path, capsys):
     assert set(json.loads((out / "manifest.json").read_text())["files"]) == {"report.json"}
 
 
-def test_sample_count_is_bounded_before_allocation(tmp_path, capsys):
-    # The bound is checked before the time grid is built, so a count far
-    # past memory only costs the message.
-    from dshock.sticky_oracle import MAX_SAMPLES
+_RIEMANN_41_DOC = {"kind": "riemann1d", "rho_l": 4.0, "rho_r": 1.0, "u_l": 1.0, "u_r": -1.0, "t_end": 1.0}
 
+
+def test_sample_count_is_bounded_before_allocation(tmp_path, capsys):
+    # The schema bound is checked before the time grid is built, so a count
+    # far past memory only costs the message.
+    huge = 10**12
     out = tmp_path / "r.csv"
-    args = [
-        "riemann", "--rho-l", "4", "--rho-r", "1", "--u-l", "1", "--u-r", "-1",
-        "--t-end", "1.0", "--samples", str(10**12), "--out", str(out),
-    ]
-    assert main(args) == 2
-    assert f"--samples must be at most {MAX_SAMPLES}, got {10**12}" in capsys.readouterr().err
+    args = _RIEMANN_41 + ["--t-end", "1.0", "--samples", str(huge), "--out", str(out)]
+    assert _no_runtime_warnings(lambda: main(args)) == 2
+    error = f"scenario error: scenario schema violation at samples: {huge} is greater than the maximum of {MAX_SAMPLES}"
+    assert capsys.readouterr().err == error + "\n"
     assert not out.exists()
-    obj = json.loads((SCENARIOS / "asymmetric_riemann.json").read_text())
-    obj["samples"] = MAX_SAMPLES + 1
-    cfg = tmp_path / "many.json"
-    cfg.write_text(json.dumps(obj))
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-    assert f"greater than the maximum of {MAX_SAMPLES}" in capsys.readouterr().err
+    assert _run_message(tmp_path, dict(_RIEMANN_41_DOC, samples=huge)) == error
 
 
 @pytest.mark.parametrize("samples", ["-3", "0", "1"])
 def test_riemann_needs_two_samples(tmp_path, capsys, samples):
     out = tmp_path / "r.csv"
-    args = [
-        "riemann", "--rho-l", "4", "--rho-r", "1", "--u-l", "1", "--u-r", "-1",
-        "--t-end", "1.0", "--samples", samples, "--out", str(out),
-    ]
-    assert main(args) == 2
-    assert f"--samples must be at least 2, got {samples}" in capsys.readouterr().err
+    args = _RIEMANN_41 + ["--t-end", "1.0", "--samples", samples, "--out", str(out)]
+    assert _no_runtime_warnings(lambda: main(args)) == 2
+    error = f"scenario error: scenario schema violation at samples: {samples} is less than the minimum of 2"
+    assert capsys.readouterr().err == error + "\n"
     assert not out.exists()
+    assert _run_message(tmp_path, dict(_RIEMANN_41_DOC, samples=int(samples))) == error
 
 
 def test_spherical_subcommand(tmp_path):
@@ -1074,6 +1085,41 @@ def test_flag_commands_validate_their_document_once(tmp_path, monkeypatch):
     # Two levels keep it quick; too few for the tolerance, so it exits 4.
     main(["weakcheck", "--solution", solution, "--levels", "2", "--out", str(tmp_path / "w.json")])
     assert kinds == ["weakcheck"]
+    kinds.clear()
+    assert main(["oracle", "--preset", "riemann", "--N", "1000", "--out", str(tmp_path / "o.csv")]) == 0
+    assert kinds == ["oracle"]
+
+
+@pytest.mark.parametrize("preset", ["riemann", "spherical"])
+@pytest.mark.parametrize("mode", ["midpoint", "random"])
+def test_oracle_subcommand_writes_the_oracle_csv_of_run(tmp_path, preset, mode):
+    # The flags become an oracle document; the command writes the file run
+    # writes for that document, byte for byte.
+    doc = {"kind": "oracle", "preset": preset, "N": 1000, "T": 0.75, "mode": mode, "seed": 5}
+    out = tmp_path / "o.csv"
+    argv = ["oracle", "--preset", preset, "--N", "1000", "--T", "0.75", "--mode", mode, "--seed", "5"]
+    assert main(argv + ["--out", str(out)]) == 0
+    cfg = tmp_path / "oracle.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    assert out.read_bytes() == (tmp_path / "run" / "oracle.csv").read_bytes()
+
+
+def test_bad_planar_data_is_reported_as_bad_riemann_data(tmp_path, capsys):
+    # The planar builder solves its normal problem as a riemann1d document,
+    # so bad data reads as it does for riemann1d.
+    obj = json.loads((SCENARIOS / "planar_2d.json").read_text())
+    obj["e0"] = 0.5
+    cfg = tmp_path / "planar.json"
+    cfg.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    error = "bad Riemann data: an initial atom needs an initial velocity u_delta0"
+    assert capsys.readouterr().err == f"scenario error: {error}\n"
+    report = json.loads((out / "report.json").read_text())
+    assert report["error"] == error
+    assert report["error_class"] == "ScenarioError"
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "report.json"]
 
 
 def test_riemann_subcommand_keeps_a_tiny_initial_atom(tmp_path):
