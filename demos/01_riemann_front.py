@@ -15,7 +15,6 @@ import numpy as np
 from dshock import (
     RiemannData1D,
     classical_shock_feasible,
-    from_riemann,
     solve_constant_states,
 )
 
@@ -26,14 +25,13 @@ print("classical shock feasible:", classical_shock_feasible(data))
 
 # The front speed solves the jump quadratic; for this data the admissible
 # root is exactly 1/3, and the front absorbs mass at the constant rate 4.
-path = solve_constant_states(data, t_end=2.0)
-print(f"front speed u_delta = {path.u_delta(1.0):.6f}  (exact: 1/3)")
-print(f"mass growth   e(t) = {path.e(0.5):.3f}, {path.e(1.0):.3f}, {path.e(2.0):.3f}"
+sol = solve_constant_states(data, t_end=2.0)
+print(f"front speed u_delta = {sol.u_delta(1.0):.6f}  (exact: 1/3)")
+print(f"mass growth   e(t) = {sol.e(0.5):.3f}, {sol.e(1.0):.3f}, {sol.e(2.0):.3f}"
       "  (exact: 2, 4, 8)")
-print(f"front path   x(t) = t/3: x(1.5) = {path.phi(1.5):.6f}")
+print(f"front path   x(t) = t/3: x(1.5) = {sol.phi(1.5):.6f}")
 
-# The solution object gives the piecewise fields away from the front.
-sol = from_riemann(path, 2.0)
+# The same solution object gives the piecewise fields away from the front.
 print("\n  x      rho    u   (at t = 1.5, front at x = 0.5)")
 for x in np.linspace(-2.0, 2.0, 9):
     print(f"{x:5.1f}  {sol.rho(x, 1.5):5.1f}  {sol.u(x, 1.5):4.1f}")
@@ -41,5 +39,6 @@ for x in np.linspace(-2.0, 2.0, 9):
 # The same machinery accepts an initial point mass riding between the
 # states; the front then relaxes toward the constant-speed root.
 seeded = RiemannData1D(4.0, 1.0, 1.0, -1.0, e0=0.5, u_delta0=0.9)
-spath = solve_constant_states(seeded, t_end=6.0)
-print("\nseeded atom: u_delta(t) ->", [round(float(spath.u_delta(t)), 4) for t in (0.0, 1.0, 6.0)])
+ssol = solve_constant_states(seeded, t_end=6.0)
+print(f"\nseeded atom ({ssol.detail['kind']} path): u_delta(t) ->",
+      [round(float(ssol.u_delta(t)), 4) for t in (0.0, 1.0, 6.0)])

@@ -11,10 +11,10 @@ ledger; the front eats mass at rate 2 and kinetic energy at rate 1.
 
 import numpy as np
 
-from dshock import RiemannData1D, audit, from_riemann, solve_constant_states, time_reversed
+from dshock import RiemannData1D, audit, solve_constant_states, time_reversed
 
 data = RiemannData1D(rho_l=1.0, rho_r=1.0, u_l=1.0, u_r=-1.0)
-sol = from_riemann(solve_constant_states(data, t_end=1.0), t_end=1.0, support0=(-5.0, 5.0))
+sol = solve_constant_states(data, t_end=1.0, support0=(-5.0, 5.0))
 
 times = np.linspace(0.0, 1.0, 11)
 rep = audit(sol, times)

@@ -16,14 +16,13 @@ import numpy as np
 from dshock import (
     RiemannData1D,
     evaluate_identities,
-    from_riemann,
     make_battery,
     solve_constant_states,
     with_front_speed_offset,
 )
 
 data = RiemannData1D(rho_l=4.0, rho_r=1.0, u_l=1.0, u_r=-1.0)
-sol = from_riemann(solve_constant_states(data, t_end=1.0), 1.0, support0=(-5.0, 5.0))
+sol = solve_constant_states(data, t_end=1.0, support0=(-5.0, 5.0))
 
 battery = make_battery([(-6.5, 6.5), (0.0, 1.0 - 1e-9)], count=6, seed=5)
 levels = (0, 1, 2, 3, 4)

@@ -62,7 +62,7 @@ from .geometry import (
     check_volume_transport,
     mean_curvature,
 )
-from .riemann1d import RiemannData1D, _jumps
+from .riemann1d import RiemannData1D
 from .scenario import (
     load_scenario,
     planar_from_spec,
@@ -228,9 +228,9 @@ _RIEMANN_COLUMNS = ["t", "phi", "u_delta", "e", "mass_deficit", "momentum_defici
 def _run_riemann1d(obj: dict, seed: int):
     sol = solution_from_spec(obj)
     times = np.linspace(0.0, sol.t_end, int(obj.get("samples", 41)))
-    jf, jr, jn, jru = _jumps(sol)
-    ud = sol.u_delta(times)
-    table = np.column_stack([times, sol.phi(times), ud, sol.e(times), jf - jr * ud, jn - jru * ud])
+    table = np.column_stack(
+        [times, sol.phi(times), sol.u_delta(times), sol.e(times), *sol.deficits(times)]
+    )
     files = {"riemann.csv": (_RIEMANN_COLUMNS, table)}
     checks: dict = {}
     payload = {
@@ -345,6 +345,8 @@ def _run_planar(obj: dict, seed: int):
 
 def _run_oracle(obj: dict, seed: int):
     preset = obj["preset"]
+    if preset == "spherical" and "mode" in obj:
+        raise ScenarioError("the spherical oracle preset does not read 'mode'")
     N = obj.get("N")
     if preset == "riemann":
         data = RiemannData1D(rho_l=4.0, rho_r=1.0, u_l=1.0, u_r=-1.0)

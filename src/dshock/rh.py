@@ -129,6 +129,22 @@ def deficits(flux: FluxModel, s: SideStates, f: FrontState) -> RHDeficit:
     return RHDeficit(mass, momentum)
 
 
+def jumps_1d(d) -> tuple[float, float, float, float]:
+    """(A, B, C, D) = ([rho F], [rho], [rho N], [rho u]) of 1-D data ``d``.
+
+    ``d`` has a 1-D ``flux``, the minus side ``rho_l``, ``u_l`` and the plus
+    side ``rho_r``, ``u_r``. The deficits are A - B u_delta and C - D u_delta.
+    """
+    fl, fr = d.flux.f1(d.u_l), d.flux.f1(d.u_r)
+    nl, nr = d.flux.n1(d.u_l), d.flux.n1(d.u_r)
+    return (
+        d.rho_l * fl - d.rho_r * fr,
+        d.rho_l - d.rho_r,
+        d.rho_l * nl - d.rho_r * nr,
+        d.rho_l * d.u_l - d.rho_r * d.u_r,
+    )
+
+
 def rh_residual(
     flux: FluxModel,
     s: SideStates,

@@ -1,5 +1,9 @@
 """Riemann problems whose solution is a single mass-carrying front.
 
+``solve_constant_states`` returns that solution, a ``DeltaShockSolution1D``
+whose ``detail`` names the path taken: "constant-speed", "atom-exact" or
+"atom-ode".
+
 Zero-pressure systems cannot resolve overcompressive data (u_l > u_r) with
 a classical shock: a bounded jump between the constant states balances mass
 and momentum only when rho_l rho_r (u_l - u_r)^2 = 0. The admissible
@@ -26,7 +30,7 @@ For constant side states the front balance reduces to
   X = (s - r) / B = (C t^2 + 2 q0 t) / (s + r), s = e0 + A t,
   r = sqrt(s^2 - B (C t^2 + 2 q0 t)), and the mass is e = r; e and
   e u_delta are affine in (t, X) and exact. Generic fluxes fall back to a
-  tight adaptive ODE solve.
+  tight adaptive ODE solve over [0, t_end].
 """
 
 from __future__ import annotations
@@ -43,11 +47,11 @@ from .errors import (
     NoDeltaShockError,
 )
 from .fluxes import FluxModel, standard_flux
-from .rh import FrontState, RHDeficit, SideStates, deficits
+from .rh import jumps_1d
+from .solutions import DeltaShockSolution1D
 
 __all__ = [
     "RiemannData1D",
-    "DeltaShockPath1D",
     "classical_shock_feasible",
     "admissible_front_speed",
     "solve_constant_states",
@@ -84,21 +88,6 @@ class RiemannData1D:
         if self.e0 > 0.0 and self.u_delta0 is None:
             raise InvalidParameterError("an initial atom needs an initial velocity u_delta0")
 
-    def side_states(self) -> SideStates:
-        return SideStates(self.rho_l, self.rho_r, np.array([self.u_l]), np.array([self.u_r]))
-
-
-def _jumps(d: RiemannData1D) -> tuple[float, float, float, float]:
-    """(A, B, C, D) = ([rho F], [rho], [rho N], [rho u]) with [g] = g_l - g_r."""
-    fl, fr = d.flux.f1(d.u_l), d.flux.f1(d.u_r)
-    nl, nr = d.flux.n1(d.u_l), d.flux.n1(d.u_r)
-    return (
-        d.rho_l * fl - d.rho_r * fr,
-        d.rho_l - d.rho_r,
-        d.rho_l * nl - d.rho_r * nr,
-        d.rho_l * d.u_l - d.rho_r * d.u_r,
-    )
-
 
 def classical_shock_feasible(d: RiemannData1D) -> bool:
     """Whether a classical (non-singular) shock can balance the data.
@@ -117,7 +106,7 @@ def admissible_front_speed(d: RiemannData1D) -> float:
     # Jumps in units of a power of two near rho_l + rho_r, exact, so the roots
     # keep their bits and no square under- or overflows, whatever the units.
     unit = math.ldexp(1.0, -max(math.frexp(abs(d.rho_l) + abs(d.rho_r))[1], -1000))
-    a_, b_, c_, d_ = (unit * jump for jump in _jumps(d))
+    a_, b_, c_, d_ = (unit * jump for jump in jumps_1d(d))
     scale = unit * (abs(d.rho_l) + abs(d.rho_r))
     roots: list[float]
     if abs(b_) <= 1e-13 * scale:
@@ -147,31 +136,6 @@ def admissible_front_speed(d: RiemannData1D) -> float:
     return float(admissible[0])
 
 
-@dataclass(frozen=True)
-class DeltaShockPath1D:
-    """Front trajectory: position, speed, carried mass and momentum.
-
-    All callables accept scalars or numpy arrays of times. Along the path
-    de/dt and d(e u_delta)/dt equal the mass and momentum deficits of
-    ``deficits_at``, so the front balance residual vanishes.
-    """
-
-    data: RiemannData1D
-    phi: Callable
-    u_delta: Callable
-    e: Callable
-    momentum: Callable
-    detail: dict
-
-    def front_state(self, t: float) -> FrontState:
-        return FrontState(
-            e=float(self.e(t)), nu=np.array([1.0]), G=float(self.u_delta(t)), K=0.0
-        )
-
-    def deficits_at(self, t: float) -> RHDeficit:
-        return deficits(self.data.flux, self.data.side_states(), self.front_state(t))
-
-
 def _quiet(f: Callable) -> Callable:
     """f of a float array of times, with numpy's floating-point warnings off.
 
@@ -187,8 +151,10 @@ def _quiet(f: Callable) -> Callable:
     return at
 
 
-def _path_constant_speed(d: RiemannData1D, s: float) -> DeltaShockPath1D:
-    a_, b_, _, _ = _jumps(d)
+# Each _path_* helper returns (phi, u_delta, e, detail): callables of scalar
+# or array times, and how they were found.
+def _path_constant_speed(d: RiemannData1D, s: float) -> tuple:
+    a_, b_, _, _ = jumps_1d(d)
     alpha = a_ - b_ * s
     if alpha < -1e-12 * (abs(a_) + abs(b_ * s) + 1.0):
         raise NoDeltaShockError("admissible speed would produce negative front mass")
@@ -199,18 +165,16 @@ def _path_constant_speed(d: RiemannData1D, s: float) -> DeltaShockPath1D:
         out = np.full(t.shape, value)
         return out if out.shape else float(value)
 
-    return DeltaShockPath1D(
-        data=d,
-        phi=_quiet(lambda t: d.x0 + s * t),
-        u_delta=lambda t: as_like(t, s),
-        e=_quiet(lambda t: alpha * t),
-        momentum=_quiet(lambda t: alpha * s * t),
-        detail={"kind": "constant-speed", "speed": s, "growth": alpha},
+    return (
+        _quiet(lambda t: d.x0 + s * t),
+        lambda t: as_like(t, s),
+        _quiet(lambda t: alpha * t),
+        {"kind": "constant-speed", "speed": s, "growth": alpha},
     )
 
 
-def _path_standard_atom(d: RiemannData1D) -> DeltaShockPath1D:
-    a_, b_, c_, _ = _jumps(d)  # standard flux: A == D
+def _path_standard_atom(d: RiemannData1D) -> tuple:
+    a_, b_, c_, _ = jumps_1d(d)  # standard flux: A == D
     e0, q0 = d.e0, d.e0 * float(d.u_delta0)
 
     def displacement(t):
@@ -233,20 +197,22 @@ def _path_standard_atom(d: RiemannData1D) -> DeltaShockPath1D:
     def q_of(t):
         return q0 + c_ * t - a_ * displacement(t)
 
-    return DeltaShockPath1D(
-        data=d,
-        phi=_quiet(lambda t: d.x0 + displacement(t)),
-        u_delta=_quiet(lambda t: q_of(t) / e_of(t)),
-        e=_quiet(e_of),
-        momentum=_quiet(q_of),
-        detail={"kind": "atom-exact", "e0": e0, "u_delta0": float(d.u_delta0)},
+    return (
+        _quiet(lambda t: d.x0 + displacement(t)),
+        _quiet(lambda t: q_of(t) / e_of(t)),
+        _quiet(e_of),
+        {"kind": "atom-exact", "e0": e0, "u_delta0": float(d.u_delta0)},
     )
 
 
-def _path_generic_atom(d: RiemannData1D, t_end: float) -> DeltaShockPath1D:
+def _path_generic_atom(d: RiemannData1D, t_end: float) -> tuple:
     from scipy.integrate import solve_ivp
 
-    a_, b_, c_, d_ = _jumps(d)
+    # The solution checks t_end too, but after the path: on a nan or infinite
+    # span solve_ivp would never return.
+    if not 0.0 < t_end < np.inf:
+        raise InvalidParameterError(f"t_end must be positive and finite, got {t_end}")
+    a_, b_, c_, d_ = jumps_1d(d)
     q0 = d.e0 * float(d.u_delta0)
 
     def rhs(t, y):
@@ -280,33 +246,39 @@ def _path_generic_atom(d: RiemannData1D, t_end: float) -> DeltaShockPath1D:
     def u_of(t):
         return q_of(t) / e_of(t)
 
-    return DeltaShockPath1D(
-        data=d,
-        phi=lambda t: d.x0 + np.asarray(x_of(t)),
-        u_delta=u_of,
-        e=e_of,
-        momentum=q_of,
-        detail={"kind": "atom-ode", "t_end": float(t_end)},
+    return (
+        lambda t: d.x0 + np.asarray(x_of(t)),
+        u_of,
+        e_of,
+        {"kind": "atom-ode", "t_end": float(t_end)},
     )
 
 
-def solve_constant_states(d: RiemannData1D, t_end: float | None = None) -> DeltaShockPath1D:
-    """Front trajectory for constant side states.
+def solve_constant_states(
+    d: RiemannData1D, t_end: float, support0: tuple[float, float] | None = None
+) -> DeltaShockSolution1D:
+    """The solution of ``d`` on 0 <= t <= t_end, truncated to ``support0`` if given.
 
     Raises if the data are not overcompressive, if no real front speed
-    exists, or (defensively) if both speeds are admissible.
+    exists, or (defensively) if both speeds are admissible; the solution
+    itself refuses a bad ``t_end`` or a front that leaves ``support0``.
     """
     if d.e0 == 0.0:
-        return _path_constant_speed(d, admissible_front_speed(d))
-    if not (d.u_r < float(d.u_delta0) < d.u_l):
+        path = _path_constant_speed(d, admissible_front_speed(d))
+    elif not (d.u_r < float(d.u_delta0) < d.u_l):
         raise NoDeltaShockError(
             "initial atom velocity violates the overcompression condition "
             f"u_r < u_delta0 < u_l for u_delta0={d.u_delta0}"
         )
-    a_, b_, c_, d_ = _jumps(d)
-    if abs(a_ - d_) <= 1e-13 * (abs(a_) + abs(d_)):
-        return _path_standard_atom(d)
-    if t_end is None:
-        raise InvalidParameterError("generic fluxes with an initial atom need t_end")
-    return _path_generic_atom(d, t_end)
+    else:
+        a_, _, _, d_ = jumps_1d(d)
+        if abs(a_ - d_) <= 1e-13 * (abs(a_) + abs(d_)):
+            path = _path_standard_atom(d)
+        else:
+            path = _path_generic_atom(d, t_end)
+    phi, u_delta, e, detail = path
+    return DeltaShockSolution1D(
+        flux=d.flux, rho_l=d.rho_l, rho_r=d.rho_r, u_l=d.u_l, u_r=d.u_r,
+        phi=phi, u_delta=u_delta, e=e, t_end=t_end, support0=support0, detail=detail,
+    )
 

@@ -34,7 +34,7 @@ from .errors import DShockError, ScenarioError
 from .expressions import parse_expression
 from .fluxes import FluxModel, relativistic_flux, standard_flux, tabulated_flux
 from .riemann1d import RiemannData1D, solve_constant_states
-from .solutions import PlanarSolution, from_riemann, time_reversed
+from .solutions import PlanarSolution, time_reversed
 from .spherical import (
     RadialField,
     SphericalFrontState,
@@ -75,10 +75,17 @@ def _tolerances(*keys: str) -> dict:
 
 _BALANCE_TOLS = ("mass_drift", "energy_slack")
 
+# The keys each flux kind reads besides ``kind``; it requires all of them.
+_FLUX_KEYS = {
+    "standard": (),
+    "relativistic": ("c0",),
+    "tabulated": ("u_nodes", "f_values", "n_values"),
+}
+
 _FLUX_SCHEMA = {
     "type": "object",
     "properties": {
-        "kind": {"enum": ["standard", "relativistic", "tabulated"]},
+        "kind": {"enum": list(_FLUX_KEYS)},
         "c0": _POS,
         "u_nodes": {"type": "array", "items": _NUM, "minItems": 4},
         "f_values": {"type": "array", "items": _NUM, "minItems": 4},
@@ -87,14 +94,9 @@ _FLUX_SCHEMA = {
     "required": ["kind"],
     "additionalProperties": False,
     "allOf": [
-        {
-            "if": {"properties": {"kind": {"const": "relativistic"}}},
-            "then": {"required": ["c0"]},
-        },
-        {
-            "if": {"properties": {"kind": {"const": "tabulated"}}},
-            "then": {"required": ["u_nodes", "f_values", "n_values"]},
-        },
+        {"if": {"properties": {"kind": {"const": kind}}}, "then": {"required": list(keys)}}
+        for kind, keys in _FLUX_KEYS.items()
+        if keys
     ],
 }
 
@@ -382,9 +384,14 @@ def validate_scenario(obj: dict, strict: bool = True) -> list[str]:
 
 
 def flux_from_spec(spec: dict | None, dim: int = 1) -> FluxModel:
+    """The flux a validated spec names; a flux key its kind does not read is refused."""
     if spec is None:
         return standard_flux(dim)
     kind = spec["kind"]
+    unread = sorted(set(spec) & set(_FLUX_SCHEMA["properties"]) - {"kind", *_FLUX_KEYS[kind]})
+    if unread:
+        names = ", ".join(map(repr, unread))
+        raise ScenarioError(f"bad flux spec: a {kind} flux does not read {names}")
     try:
         if kind == "standard":
             return standard_flux(dim)
@@ -441,11 +448,12 @@ def solution_from_spec(obj: dict):
     understands. Like every builder here, it does not validate again.
     """
     if obj["kind"] == "riemann1d":
-        data = riemann_data_from_spec(obj)
-        t_end = float(obj["t_end"])
-        path = solve_constant_states(data, t_end=t_end)
         support = obj.get("support")
-        sol = from_riemann(path, t_end, None if support is None else tuple(support))
+        sol = solve_constant_states(
+            riemann_data_from_spec(obj),
+            float(obj["t_end"]),
+            None if support is None else tuple(support),
+        )
         if obj.get("time_reverse", False):
             sol = time_reversed(sol)
         return sol

@@ -1,11 +1,11 @@
 """Complete 1-D solutions: a mass-carrying front between piecewise data.
 
-A solution bundles two constant side states, the front trajectory, and an
-optional compact support window whose edges ride along with the adjacent
-side velocity. An edge moving at exactly the local particle speed against
-vacuum is itself a weak discontinuity with no concentration, so truncating
-the data this way keeps every integral identity exact while making totals
-finite.
+A solution bundles two constant side states, the front trajectory (phi,
+u_delta, e), and an optional compact support window whose edges ride along
+with the adjacent side velocity. An edge moving at exactly the local
+particle speed against vacuum is itself a weak discontinuity with no
+concentration, so truncating the data this way keeps every integral
+identity exact while making totals finite.
 
 ``time_reversed`` produces the companion non-admissible weak solution used
 to exercise entropy and energy checks: it solves the same equations (the
@@ -16,7 +16,7 @@ functional changes sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable
 
@@ -24,12 +24,11 @@ import numpy as np
 
 from .errors import InvalidParameterError, SupportViolationError
 from .fluxes import FluxModel
-from .riemann1d import DeltaShockPath1D
+from .rh import jumps_1d
 
 __all__ = [
     "DeltaShockSolution1D",
     "PlanarSolution",
-    "from_riemann",
     "time_reversed",
     "with_front_speed_offset",
 ]
@@ -38,6 +37,10 @@ __all__ = [
 @dataclass(frozen=True)
 class DeltaShockSolution1D:
     """Piecewise-constant fields around a single front on 0 <= t <= t_end.
+
+    ``solve_constant_states`` builds one from Riemann data; ``detail``
+    names the path it took and takes no part in comparisons. ``phi``,
+    ``u_delta`` and ``e`` accept scalars or numpy arrays of times.
 
     ``support0`` gives the initial truncation window (vacuum outside). A
     vacuum-contact edge is itself a jump, and its speed from the mass jump
@@ -58,6 +61,7 @@ class DeltaShockSolution1D:
     e: Callable
     t_end: float
     support0: tuple[float, float] | None = None
+    detail: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.t_end < np.inf:
@@ -106,6 +110,15 @@ class DeltaShockSolution1D:
             return np.inf
         return self.support0[1] + self.edge_speed_r * np.asarray(t, dtype=float)
 
+    def deficits(self, t):
+        """(A - B u_delta, C - D u_delta) at times ``t``, with the jumps of ``rh.jumps_1d``.
+
+        Along an exact front these are the rates de/dt and d(e u_delta)/dt.
+        """
+        a_, b_, c_, d_ = jumps_1d(self)
+        u_delta = self.u_delta(t)
+        return a_ - b_ * u_delta, c_ - d_ * u_delta
+
     def breakpoints(self, t: float) -> list[float]:
         """Interior discontinuity locations at time t, sorted."""
         pts = [float(self.phi(t))]
@@ -139,24 +152,6 @@ class DeltaShockSolution1D:
         lo, hi = min(xs), max(xs)
         width = max(hi - lo, 1.0)
         return lo - pad * width, hi + pad * width
-
-
-def from_riemann(
-    path: DeltaShockPath1D, t_end: float, support0: tuple[float, float] | None = None
-) -> DeltaShockSolution1D:
-    d = path.data
-    return DeltaShockSolution1D(
-        flux=d.flux,
-        rho_l=d.rho_l,
-        rho_r=d.rho_r,
-        u_l=d.u_l,
-        u_r=d.u_r,
-        phi=path.phi,
-        u_delta=path.u_delta,
-        e=path.e,
-        t_end=t_end,
-        support0=support0,
-    )
 
 
 def time_reversed(sol: DeltaShockSolution1D) -> DeltaShockSolution1D:

@@ -325,6 +325,44 @@ def test_riemann_subcommand_relativistic_needs_c0(tmp_path):
     assert main(args + ["--c0", "10.0"]) == 0
 
 
+def test_riemann_subcommand_refuses_c0_without_the_relativistic_flux(tmp_path, capsys):
+    # The standard flux reads no c0; the data were meant for another flux,
+    # so they are refused, not solved as the standard problem.
+    out = tmp_path / "r.csv"
+    for flux in ([], ["--flux", "standard"]):
+        assert main(_RIEMANN_41 + ["--t-end", "1", "--c0", "0.5", *flux, "--out", str(out)]) == 2
+        error = "scenario error: bad flux spec: a standard flux does not read 'c0'\n"
+        assert capsys.readouterr().err == error
+        assert not out.exists()
+
+
+_NODES = [-2.0, -1.0, 1.0, 2.0]
+
+
+@pytest.mark.parametrize(
+    "flux, key",
+    [
+        ({"kind": "standard", "u_nodes": _NODES}, "'u_nodes'"),
+        ({"kind": "relativistic", "c0": 2.0, "f_values": _NODES}, "'f_values'"),
+        ({"kind": "tabulated", "c0": 2.0, "u_nodes": _NODES, "f_values": _NODES, "n_values": _NODES},
+         "'c0'"),
+    ],
+)
+@pytest.mark.parametrize("weakcheck", [False, True])
+def test_run_refuses_a_flux_key_its_kind_does_not_read(tmp_path, capsys, flux, key, weakcheck):
+    obj = json.loads((SCENARIOS / "symmetric_riemann.json").read_text()) | {"flux": flux}
+    if weakcheck:  # the solution a weakcheck embeds is built the same way
+        obj = {"kind": "weakcheck", "solution": obj}
+    cfg = tmp_path / "flux.json"
+    cfg.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    error = f"bad flux spec: a {flux['kind']} flux does not read {key}"
+    assert capsys.readouterr().err == f"scenario error: {error}\n"
+    assert json.loads((out / "report.json").read_text())["error"] == error
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "report.json"]
+
+
 def test_riemann_subcommand_rejects_nan_as_config_error(tmp_path, capsys):
     args = [
         "riemann", "--rho-l", "nan", "--rho-r", "1", "--u-l", "1", "--u-r", "-1",
@@ -342,6 +380,18 @@ def test_riemann_subcommand_rejects_non_finite_t_end(tmp_path, capsys, t_end):
     ]
     assert main(args) == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t_end", ["inf", "nan"])
+def test_riemann_subcommand_rejects_non_finite_t_end_on_the_ode_path(tmp_path, capsys, t_end):
+    # A relativistic atom is integrated over [0, t_end]; solve_ivp never
+    # returned on a nan or infinite span.
+    out = tmp_path / "r.csv"
+    atom = ["--flux", "relativistic", "--c0", "1", "--e0", "0.4", "--u-delta0", "0.3"]
+    assert main(_RIEMANN_41 + atom + ["--t-end", t_end, "--out", str(out)]) == 2
+    error = f"invalid configuration: t_end must be positive and finite, got {t_end}\n"
+    assert capsys.readouterr().err == error
+    assert not out.exists()
 
 
 def test_oracle_subcommand(tmp_path):
@@ -1095,14 +1145,32 @@ def test_flag_commands_validate_their_document_once(tmp_path, monkeypatch):
 def test_oracle_subcommand_writes_the_oracle_csv_of_run(tmp_path, preset, mode):
     # The flags become an oracle document; the command writes the file run
     # writes for that document, byte for byte.
-    doc = {"kind": "oracle", "preset": preset, "N": 1000, "T": 0.75, "mode": mode, "seed": 5}
+    doc = {"kind": "oracle", "preset": preset, "N": 1000, "T": 0.75, "seed": 5}
     out = tmp_path / "o.csv"
-    argv = ["oracle", "--preset", preset, "--N", "1000", "--T", "0.75", "--mode", mode, "--seed", "5"]
+    argv = ["oracle", "--preset", preset, "--N", "1000", "--T", "0.75", "--seed", "5"]
+    if preset == "riemann":  # the spherical preset refuses mode
+        doc["mode"] = mode
+        argv += ["--mode", mode]
     assert main(argv + ["--out", str(out)]) == 0
     cfg = tmp_path / "oracle.json"
     cfg.write_text(json.dumps(doc))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
     assert out.read_bytes() == (tmp_path / "run" / "oracle.csv").read_bytes()
+
+
+@pytest.mark.parametrize("mode", ["midpoint", "random"])
+def test_the_spherical_oracle_preset_refuses_mode(tmp_path, capsys, mode):
+    # Shells have no sampling mode; a given mode was once ignored in silence.
+    error = "the spherical oracle preset does not read 'mode'"
+    out = tmp_path / "o.csv"
+    assert main(["oracle", "--preset", "spherical", "--N", "1000", "--mode", mode, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"scenario error: {error}\n"
+    assert not out.exists()
+    cfg = tmp_path / "oracle.json"
+    cfg.write_text(json.dumps({"kind": "oracle", "preset": "spherical", "N": 1000, "mode": mode}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    assert json.loads((tmp_path / "run" / "report.json").read_text())["error"] == error
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["manifest.json", "report.json"]
 
 
 def test_bad_planar_data_is_reported_as_bad_riemann_data(tmp_path, capsys):

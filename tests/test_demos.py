@@ -1,11 +1,15 @@
-"""Smoke tests: every demo script runs to completion in-process."""
+"""Smoke tests: every demo script, and every python block of the README, runs in-process."""
 
+import re
 import runpy
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# The fenced ```python blocks of the README, in order.
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
 
 
 def test_demos_found():
@@ -19,3 +23,15 @@ def test_demo_runs(path, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out.strip()
+
+
+def test_readme_blocks_found():
+    assert README_BLOCKS
+
+
+@pytest.mark.parametrize("index", range(len(README_BLOCKS)))
+def test_readme_block_runs(index, tmp_path, monkeypatch):
+    # A README example is code the reader copies: an API change must not
+    # leave it stale.
+    monkeypatch.chdir(tmp_path)
+    exec(compile(README_BLOCKS[index], f"README.md python block {index}", "exec"), {})

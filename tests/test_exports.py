@@ -18,12 +18,13 @@ _PACKAGES = {
     "dshock.geometry": ([], ["calculus", "fronts", "quadrature", "transport"]),
 }
 
-# The exports before they were built from the modules' lists.
+# The exports before they were built from the modules' lists, less the
+# DeltaShockPath1D and from_riemann that solve_constant_states replaced.
 _EXPORTED = {
     "dshock": set(
         """
         AmbiguousRootError AuditInvalidError BalanceReport BumpFactor CausticError ClusterReport
-        DShockError DeltaShockPath1D DeltaShockSolution1D EnergyInequalityReport Expression
+        DShockError DeltaShockSolution1D EnergyInequalityReport Expression
         FluxModel FrontState InvalidBatteryError InvalidDimensionError InvalidParameterError
         NoDeltaShockError NotConvergedError ParticleSystem PlanarSolution RHDeficit RadialField
         RiemannData1D ScenarioError SideStates SphericalFrontState SphericalTrajectory
@@ -31,7 +32,7 @@ _EXPORTED = {
         UnsupportedFrontError WeakResidual __version__ admissible_front_speed audit
         check_energy_inequality_1d classical_shock_feasible constant_field deficits
         delta_cluster_estimate energy_dissipation_rate entropy_ok evaluate_identities
-        expression_field free_flow_field from_riemann geometry identity_value integrate_front
+        expression_field free_flow_field geometry identity_value integrate_front
         make_battery parse_expression radial_moment_integral radial_shells relativistic_flux
         rh_residual sample_riemann solve_constant_states standard_flux steady_converging_field
         tabulated_flux time_reversed unit_sphere_area validate_field with_front_speed_offset

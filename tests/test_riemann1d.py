@@ -1,5 +1,7 @@
 """Tests for the 1-D two-state front solver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from dshock import (
     AmbiguousRootError,
+    DeltaShockSolution1D,
     InvalidParameterError,
     NoDeltaShockError,
     RiemannData1D,
@@ -40,38 +43,41 @@ def test_standard_speed_closed_form():
 
 def test_reference_case_speed_and_mass():
     d = RiemannData1D(4.0, 1.0, 1.0, -1.0)
-    path = solve_constant_states(d, t_end=2.0)
-    assert path.u_delta(0.7) == pytest.approx(1.0 / 3.0, abs=1e-14)
+    sol = solve_constant_states(d, t_end=2.0)
+    assert sol.u_delta(0.7) == pytest.approx(1.0 / 3.0, abs=1e-14)
     for t in (0.0, 0.5, 1.0, 2.0):
-        assert path.phi(t) == pytest.approx(t / 3.0, abs=1e-14)
-        assert path.e(t) == pytest.approx(4.0 * t, abs=1e-13)
-        assert path.momentum(t) == pytest.approx(4.0 * t / 3.0, abs=1e-13)
-    assert _rates(path, 1.0) == pytest.approx((4.0, 4.0 / 3.0), rel=1e-10)
+        assert sol.phi(t) == pytest.approx(t / 3.0, abs=1e-14)
+        assert sol.e(t) == pytest.approx(4.0 * t, abs=1e-13)
+        assert sol.e(t) * sol.u_delta(t) == pytest.approx(4.0 * t / 3.0, abs=1e-13)
+    assert _rates(sol, 1.0) == pytest.approx((4.0, 4.0 / 3.0), rel=1e-10)
 
 
-def _rates(path, t, h=1e-5):
-    """Central differences of e and e u_delta along the path at t.
+def _rates(sol, t, h=1e-5):
+    """Central differences of e and e u_delta along the front at t.
 
     Truncation (h^2) and rounding (eps / h) keep them within about 1e-9
     relative of the exact rates on the paths tested here.
     """
+
+    def momentum(t):
+        return sol.e(t) * sol.u_delta(t)
+
     return (
-        (path.e(t + h) - path.e(t - h)) / (2.0 * h),
-        (path.momentum(t + h) - path.momentum(t - h)) / (2.0 * h),
+        (sol.e(t + h) - sol.e(t - h)) / (2.0 * h),
+        (momentum(t + h) - momentum(t - h)) / (2.0 * h),
     )
 
 
-def _assert_rates_are_deficits(path, times, rel=1e-8):
-    """The path's own mass and momentum rates equal its deficits at each time."""
+def _assert_rates_are_deficits(sol, times, rel=1e-8):
+    """The front's own mass and momentum rates equal its deficits at each time."""
     for t in times:
-        defc = path.deficits_at(t)
-        assert _rates(path, t) == pytest.approx((defc.mass, float(defc.momentum[0])), rel=rel)
+        assert _rates(sol, t) == pytest.approx(sol.deficits(t), rel=rel)
 
 
 def test_front_balance_residual_vanishes_along_path():
     d = RiemannData1D(2.0, 0.7, 1.3, -0.4)
-    path = solve_constant_states(d, t_end=1.0)
-    _assert_rates_are_deficits(path, (0.1, 0.5, 0.9), rel=1e-10)
+    sol = solve_constant_states(d, t_end=1.0)
+    _assert_rates_are_deficits(sol, (0.1, 0.5, 0.9), rel=1e-10)
 
 
 def test_speed_is_entropic():
@@ -95,7 +101,7 @@ def test_rarefaction_data_raise():
     with pytest.raises(NoDeltaShockError):
         admissible_front_speed(RiemannData1D(1.0, 2.0, -1.0, 1.0))
     with pytest.raises(NoDeltaShockError):
-        solve_constant_states(RiemannData1D(1.0, 2.0, -1.0, 1.0))
+        solve_constant_states(RiemannData1D(1.0, 2.0, -1.0, 1.0), t_end=1.0)
 
 
 def test_no_jump_raises():
@@ -123,12 +129,12 @@ def test_classical_feasibility_requires_standard_flux():
 
 def test_relativistic_reference_speed():
     d = RiemannData1D(4.0, 1.0, 1.0, -1.0, flux=relativistic_flux(1, 1.0))
-    path = solve_constant_states(d, t_end=1.0)
-    assert path.u_delta(0.5) == pytest.approx(RELATIVISTIC_SPEED_411, abs=1e-13)
+    sol = solve_constant_states(d, t_end=1.0)
+    assert sol.u_delta(0.5) == pytest.approx(RELATIVISTIC_SPEED_411, abs=1e-13)
     # Mass accretes at the constant deficit rate, linear in t.
-    rate = path.deficits_at(0.0).mass
+    rate, _ = sol.deficits(0.0)
     assert rate > 0.0
-    assert path.e(0.5) == pytest.approx(0.5 * rate, rel=1e-12)
+    assert sol.e(0.5) == pytest.approx(0.5 * rate, rel=1e-12)
 
 
 def test_relativistic_speed_slower_than_standard():
@@ -152,12 +158,12 @@ def test_initial_atom_standard_closed_form():
     # A seeded atom relaxes toward the two-state front; mass and momentum
     # of the combined system are conserved exactly.
     d = RiemannData1D(4.0, 1.0, 1.0, -1.0, e0=0.5, u_delta0=0.9)
-    path = solve_constant_states(d, t_end=3.0)
-    assert path.e(0.0) == pytest.approx(0.5)
-    assert path.u_delta(0.0) == pytest.approx(0.9)
-    _assert_rates_are_deficits(path, (0.2, 1.0, 3.0))
+    sol = solve_constant_states(d, t_end=3.0)
+    assert sol.e(0.0) == pytest.approx(0.5)
+    assert sol.u_delta(0.0) == pytest.approx(0.9)
+    _assert_rates_are_deficits(sol, (0.2, 1.0, 3.0))
     # Late-time speed approaches the unseeded front speed.
-    assert path.u_delta(3.0) == pytest.approx(1.0 / 3.0, abs=2e-2)
+    assert sol.u_delta(3.0) == pytest.approx(1.0 / 3.0, abs=2e-2)
 
 
 def test_initial_atom_requires_velocity():
@@ -178,23 +184,37 @@ def test_generic_atom_ode_matches_closed_form():
     from dshock.riemann1d import _path_generic_atom, _path_standard_atom
 
     d = RiemannData1D(2.0, 1.0, 0.8, -0.6, e0=0.3, u_delta0=0.5)
-    p_std = _path_standard_atom(d)
-    p_ode = _path_generic_atom(d, t_end=1.5)
+    phi_std, u_std, e_std, _ = _path_standard_atom(d)
+    phi_ode, u_ode, e_ode, _ = _path_generic_atom(d, t_end=1.5)
     for t in (0.3, 0.9, 1.5):
-        assert p_ode.phi(t) == pytest.approx(p_std.phi(t), abs=1e-9)
-        assert p_ode.e(t) == pytest.approx(p_std.e(t), rel=1e-9)
-        assert p_ode.u_delta(t) == pytest.approx(p_std.u_delta(t), abs=1e-9)
+        assert phi_ode(t) == pytest.approx(phi_std(t), abs=1e-9)
+        assert e_ode(t) == pytest.approx(e_std(t), rel=1e-9)
+        assert u_ode(t) == pytest.approx(u_std(t), abs=1e-9)
 
 
 def test_relativistic_atom_path():
-    # Non-standard flux with a seed takes the ODE route; the balance laws
-    # hold along it and the atom needs an integration horizon.
+    # Non-standard flux with a seed takes the ODE route over [0, t_end];
+    # the balance laws hold along it.
     d = RiemannData1D(4.0, 1.0, 1.0, -1.0, flux=relativistic_flux(1, 1.0), e0=0.4, u_delta0=0.6)
-    with pytest.raises(InvalidParameterError):
-        solve_constant_states(d)
-    path = solve_constant_states(d, t_end=2.0)
-    _assert_rates_are_deficits(path, (0.5, 1.5))
-    assert path.u_delta(2.0) == pytest.approx(RELATIVISTIC_SPEED_411, abs=5e-2)
+    sol = solve_constant_states(d, t_end=2.0)
+    _assert_rates_are_deficits(sol, (0.5, 1.5))
+    assert sol.u_delta(2.0) == pytest.approx(RELATIVISTIC_SPEED_411, abs=5e-2)
+
+
+@pytest.mark.parametrize(
+    "atom, flux, kind",
+    [
+        ({}, standard_flux(1), "constant-speed"),
+        ({"e0": 0.5, "u_delta0": 0.9}, standard_flux(1), "atom-exact"),
+        ({"e0": 0.4, "u_delta0": 0.6}, relativistic_flux(1, 1.0), "atom-ode"),
+    ],
+)
+def test_solution_detail_names_its_path(atom, flux, kind):
+    sol = solve_constant_states(RiemannData1D(4.0, 1.0, 1.0, -1.0, flux=flux, **atom), t_end=1.5)
+    assert isinstance(sol, DeltaShockSolution1D)
+    assert sol.detail["kind"] == kind
+    # The detail records how the front was found; it is not part of the solution.
+    assert dataclasses.replace(sol, detail={}) == sol
 
 
 def test_vacuum_side_degenerate_root():
@@ -232,8 +252,8 @@ def _atom_reference_error(mp, data, times):
     from dshock.riemann1d import _path_standard_atom
 
     rho_l, rho_r, u_l, u_r, e0 = (data[k] for k in ("rho_l", "rho_r", "u_l", "u_r", "e0"))
-    path = _path_standard_atom(RiemannData1D(**data))
-    x, e, u = path.phi(times), path.e(times), path.u_delta(times)
+    phi, u_delta, e_of, _ = _path_standard_atom(RiemannData1D(**data))
+    x, e, u = phi(times), e_of(times), u_delta(times)
     # The sizes of the terms of A, B and C.
     A_, B_, C_ = rho_l * abs(u_l) + rho_r * abs(u_r), rho_l + rho_r, rho_l * u_l**2 + rho_r * u_r**2
     rl, rr, ul, ur, E0, ud0 = map(mp.mpf, (rho_l, rho_r, u_l, u_r, e0, data["u_delta0"]))
@@ -304,9 +324,9 @@ def test_atom_path_where_s_turns_negative():
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 50
     data = {"rho_l": 1.0, "rho_r": 0.1, "u_l": -1.0, "u_r": -2.0, "e0": 0.1, "u_delta0": -1.5}
-    path = solve_constant_states(RiemannData1D(**data), t_end=1.0)
-    assert path.phi(0.5) == pytest.approx(-2.0 / 3.0, rel=1e-15)
-    assert path.e(0.5) == pytest.approx(0.3, rel=1e-15)
+    sol = solve_constant_states(RiemannData1D(**data), t_end=1.0)
+    assert sol.phi(0.5) == pytest.approx(-2.0 / 3.0, rel=1e-15)
+    assert sol.e(0.5) == pytest.approx(0.3, rel=1e-15)
     # The rows after t = 0, where the path is exact and the displacement's terms vanish.
     assert _atom_reference_error(mp, data, np.linspace(0.0, 1.0, 41)[1:]) <= 1e-13
 
@@ -348,8 +368,8 @@ _TIMES = np.array([0.0, 1e-6, 1e-3, 0.1, 0.37, 1.0])
 
 def _solve(data):
     """The path kind and the (phi, u_delta, e) rows at _TIMES."""
-    path = solve_constant_states(RiemannData1D(**data), t_end=1.0)
-    return path.detail["kind"], np.array([path.phi(_TIMES), path.u_delta(_TIMES), path.e(_TIMES)])
+    sol = solve_constant_states(RiemannData1D(**data), t_end=1.0)
+    return sol.detail["kind"], np.array([sol.phi(_TIMES), sol.u_delta(_TIMES), sol.e(_TIMES)])
 
 
 def _deviation(got, want, data, u_delta, speed=0.0):

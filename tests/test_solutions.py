@@ -13,7 +13,6 @@ from dshock import (
     PlanarSolution,
     RiemannData1D,
     SupportViolationError,
-    from_riemann,
     relativistic_flux,
     solve_constant_states,
     standard_flux,
@@ -25,10 +24,10 @@ from dshock import (
 
 def _solution(rho_l=4.0, rho_r=1.0, u_l=1.0, u_r=-1.0, support=(-5.0, 5.0), t_end=1.0, **kw):
     d = RiemannData1D(rho_l, rho_r, u_l, u_r, **kw)
-    return from_riemann(solve_constant_states(d, t_end=t_end), t_end, support0=support)
+    return solve_constant_states(d, t_end, support)
 
 
-def test_from_riemann_fields():
+def test_solution_fields():
     sol = _solution()
     assert sol.phi(0.9) == pytest.approx(0.3)
     assert sol.u_delta(0.5) == pytest.approx(1.0 / 3.0)
@@ -38,7 +37,7 @@ def test_from_riemann_fields():
     assert sol.u(-1.0, 0.5) == pytest.approx(1.0)
     assert sol.u(1.0, 0.5) == pytest.approx(-1.0)
     # Without a support window the side states extend to infinity.
-    free = from_riemann(solve_constant_states(RiemannData1D(4.0, 1.0, 1.0, -1.0)), 1.0)
+    free = solve_constant_states(RiemannData1D(4.0, 1.0, 1.0, -1.0), 1.0)
     assert (free.rho(-1.0, 0.9), free.u(-1.0, 0.9)) == (4.0, 1.0)
     assert (free.rho(1.0, 0.9), free.u(1.0, 0.9)) == (1.0, -1.0)
 
@@ -60,7 +59,7 @@ def test_support_edges_move_at_flux_speed():
 def test_relativistic_edges_move_at_bounded_speed():
     fx = relativistic_flux(1, c0=1.0)
     d = RiemannData1D(4.0, 1.0, 1.0, -1.0, flux=fx)
-    sol = from_riemann(solve_constant_states(d, 1.0), 1.0, support0=(-5.0, 5.0))
+    sol = solve_constant_states(d, 1.0, support0=(-5.0, 5.0))
     assert sol.edge_speed_l == pytest.approx(fx.f1(1.0))
     assert abs(sol.edge_speed_l) < 1.0  # strictly below the speed limit
     assert sol.edge_speed_r == pytest.approx(fx.f1(-1.0))
@@ -72,11 +71,10 @@ def test_truncation_rejects_inconsistent_flux_table():
     u = np.linspace(-3.0, 3.0, 121)
     fx = tabulated_flux(u, u, u**2 + 0.1)
     d = RiemannData1D(4.0, 1.0, 1.0, -1.0, flux=fx)
-    path = solve_constant_states(d, 1.0)
     with pytest.raises(SupportViolationError):
-        from_riemann(path, 1.0, support0=(-5.0, 5.0))
+        solve_constant_states(d, 1.0, support0=(-5.0, 5.0))
     # Untruncated states are still fine.
-    from_riemann(path, 1.0)
+    solve_constant_states(d, 1.0)
 
 
 def test_breakpoints_sorted():
@@ -89,9 +87,8 @@ def test_breakpoints_sorted():
 
 def test_front_must_stay_inside_support():
     d = RiemannData1D(4.0, 1.0, 1.0, -1.0)
-    path = solve_constant_states(d, t_end=1.0)
     with pytest.raises(SupportViolationError):
-        from_riemann(path, 1.0, support0=(-5.0, -1.0))
+        solve_constant_states(d, 1.0, support0=(-5.0, -1.0))
 
 
 def test_spatial_bounds_contain_support():
@@ -138,7 +135,7 @@ def test_time_reversal_needs_odd_even_flux():
     u = np.linspace(-3.0, 3.0, 121)
     fx = tabulated_flux(u, u + 0.05 * u**2, u**2 + 0.05 * u**3)
     d = RiemannData1D(2.0, 1.0, 0.5, -0.5, flux=fx)
-    sol = from_riemann(solve_constant_states(d, 1.0), 1.0)
+    sol = solve_constant_states(d, 1.0)
     with pytest.raises(InvalidParameterError):
         time_reversed(sol)
 
@@ -156,7 +153,7 @@ def test_with_front_speed_offset():
 
 def _planar(u_tan_l=0.0, u_tan_r=0.0):
     d = RiemannData1D(3.0, 1.0, 1.0, -0.8)
-    base = from_riemann(solve_constant_states(d, 1.0), 1.0, support0=(-5.0, 5.0))
+    base = solve_constant_states(d, 1.0, support0=(-5.0, 5.0))
     frame = np.array([[0.6, 0.8], [-0.8, 0.6]])
     return PlanarSolution(
         base=base,
@@ -210,7 +207,7 @@ def test_planar_rotation_covariance():
 
 def test_planar_rejects_bad_frame():
     d = RiemannData1D(3.0, 1.0, 1.0, -0.8)
-    base = from_riemann(solve_constant_states(d, 1.0), 1.0)
+    base = solve_constant_states(d, 1.0)
     with pytest.raises(InvalidParameterError):
         PlanarSolution(
             base=base,
@@ -222,7 +219,7 @@ def test_planar_rejects_bad_frame():
 
 def test_planar_requires_standard_flux():
     d = RiemannData1D(3.0, 1.0, 1.0, -0.8, flux=relativistic_flux(1, 2.0))
-    base = from_riemann(solve_constant_states(d, 1.0), 1.0)
+    base = solve_constant_states(d, 1.0)
     with pytest.raises(InvalidParameterError):
         PlanarSolution(
             base=base,
@@ -266,7 +263,7 @@ def _solution_fields(draw):
     data = RiemannData1D(
         draw(st.floats(0.2, 5.0)), draw(st.floats(0.2, 5.0)), u_l, u_r, flux=flux, x0=x0, **atom
     )
-    sol = from_riemann(solve_constant_states(data, t_end=t_end), t_end)
+    sol = solve_constant_states(data, t_end)
     support = None
     if draw(st.booleans()):
         support = (x0 - draw(st.floats(-0.5, 5.0)), x0 + draw(st.floats(-0.5, 5.0)))

@@ -245,6 +245,29 @@ def test_cluster_estimate_time_grid_validation():
     assert ps.time == 1.0
 
 
+@pytest.mark.parametrize("speed", [0.37, -1.3, 2.5, 10.0])
+@pytest.mark.parametrize("data", [(4.0, 1.0, 1.0, -1.0), (2.0, 0.7, 1.3, -0.4), (1.0, 3.0, 0.5, -2.0)])
+def test_cluster_estimate_is_galilean_invariant(data, speed):
+    # u -> u + V moves every cluster by V t and adds V to its velocity; the
+    # same particles merge, so the masses are equal bit for bit. A fixed
+    # table of V, not drawn ones: at an exact contact rounding decides the
+    # pooling, which a boost may change. The worst error in this table is
+    # 8.0e-13, at V = 10.
+    rho_l, rho_r, u_l, u_r = data
+    base = delta_cluster_estimate(sample_riemann(RiemannData1D(*data), L=2.0, N=20_000), T=1.0)
+    boosted = RiemannData1D(rho_l, rho_r, u_l + speed, u_r + speed)
+    rep = delta_cluster_estimate(sample_riemann(boosted, L=2.0, N=20_000), T=1.0)
+    np.testing.assert_array_equal(rep.mass_history, base.mass_history)
+    np.testing.assert_array_equal(rep.masses, base.masses)
+    tol = 1e-13 * (1.0 + abs(speed))
+    np.testing.assert_allclose(rep.positions, base.positions + speed * rep.time, rtol=0.0, atol=tol)
+    np.testing.assert_allclose(rep.velocities, base.velocities + speed, rtol=0.0, atol=tol)
+    np.testing.assert_allclose(
+        rep.position_history, base.position_history + speed * base.times, rtol=0.0, atol=tol
+    )
+    np.testing.assert_allclose(rep.velocity_history, base.velocity_history + speed, rtol=0.0, atol=tol)
+
+
 def test_radial_shells_mass_budget():
     # Steady converging profile rho = r^(1-n): each shell carries
     # area * dr of mass, so the total is area * (b - a) plus the seed.

@@ -12,7 +12,6 @@ from dshock import (
     PlanarSolution,
     RiemannData1D,
     evaluate_identities,
-    from_riemann,
     identity_value,
     make_battery,
     relativistic_flux,
@@ -28,7 +27,7 @@ from dshock.weakcheck import _time_segments
 
 def _solution(rho_l=4.0, rho_r=1.0, u_l=1.0, u_r=-1.0, support=(-5.0, 5.0), t_end=1.0, **kw):
     d = RiemannData1D(rho_l, rho_r, u_l, u_r, **kw)
-    return from_riemann(solve_constant_states(d, t_end=t_end), t_end, support0=support)
+    return solve_constant_states(d, t_end, support)
 
 
 # Bump factors -------------------------------------------------------------
@@ -163,7 +162,7 @@ def test_empty_battery_is_rejected():
 
 def test_planar_identities_small_and_rotation_covariant():
     d = RiemannData1D(3.0, 1.0, 1.0, -0.8)
-    base = from_riemann(solve_constant_states(d, 1.0), 1.0, support0=(-5.0, 5.0))
+    base = solve_constant_states(d, 1.0, support0=(-5.0, 5.0))
     frame = np.array([[0.6, 0.8], [-0.8, 0.6]])
     sol = PlanarSolution(base, frame, np.array([0.0]), np.array([0.0]))
     battery = make_battery(
@@ -178,7 +177,7 @@ def test_planar_tangential_slip_breaks_momentum():
     # With tangential slip the front would need to store tangential
     # momentum it cannot carry; the momentum identities must flag it.
     d = RiemannData1D(3.0, 1.0, 1.0, -0.8)
-    base = from_riemann(solve_constant_states(d, 1.0), 1.0, support0=(-5.0, 5.0))
+    base = solve_constant_states(d, 1.0, support0=(-5.0, 5.0))
     sol = PlanarSolution(base, np.eye(2), np.array([0.8]), np.array([-0.4]))
     battery = make_battery(
         [(-6.5, 6.5), (-1.5, 1.5), (0.0, 1.0 - 1e-9)], count=3, seed=4
@@ -190,7 +189,7 @@ def test_planar_tangential_slip_breaks_momentum():
 
 def test_battery_dimension_mismatch():
     d = RiemannData1D(3.0, 1.0, 1.0, -0.8)
-    base = from_riemann(solve_constant_states(d, 1.0), 1.0, support0=(-5.0, 5.0))
+    base = solve_constant_states(d, 1.0, support0=(-5.0, 5.0))
     sol = PlanarSolution(base, np.eye(2), np.zeros(1), np.zeros(1))
     battery = make_battery([(-6.5, 6.5), (0.0, 0.9)], count=2, seed=1)
     with pytest.raises(InvalidBatteryError):
