@@ -5,9 +5,8 @@ Subcommands
 run        execute any scenario config (riemann1d, spherical, planar,
            oracle, weakcheck, geom-suite) into an output directory with
            CSVs, a report.json, a gnuplot script and a manifest.json of
-           checksums.
+           checksums. It is the one command that takes a config file.
 riemann    solve two-state 1-D data given as flags; write one CSV.
-spherical  run, restricted to configs of kind spherical.
 oracle     run a sticky-particle oracle preset; write the cluster history.
 weakcheck  evaluate the weak identities of a solution config; write a
            JSON report.
@@ -15,9 +14,10 @@ weakcheck  evaluate the weak identities of a solution config; write a
 Each scenario kind has a runner ``_run_<kind>(obj, seed)`` that takes a
 validated document, returns ``(checks, payload, files)`` and writes nothing.
 ``files`` maps an output name to a ``(names, data)`` table or to text.
-``_validated_seed`` validates a document once and resolves the seed its
-runner takes. ``_execute_scenario`` runs a config file that way and is the
-one writer of scenario outputs: it writes ``files``, ``report.json`` and
+``_validated_seed`` validates a document once, refusing any key its kind's
+schema does not name, and resolves the seed its runner takes.
+``_execute_scenario`` runs a config file that way and is the one writer of
+scenario outputs: it writes ``files``, ``report.json`` and
 ``manifest.json``, and a run that fails, from an unreadable config file to
 an unexpected exception in a runner, leaves only the last two. ``riemann``,
 ``oracle`` and ``weakcheck`` map the flags given to a document of their kind,
@@ -503,13 +503,12 @@ _RUNNERS = {
 }
 
 
-def _validated_seed(obj: dict, seed: int | None = None, strict: bool = True) -> int:
-    """The seed to run ``obj`` with, once ``obj`` is validated; warnings go to stderr.
+def _validated_seed(obj: dict, seed: int | None = None) -> int:
+    """The seed to run ``obj`` with, once ``obj`` is validated.
 
     A ``seed`` of None is the document's own ``seed``, else 0.
     """
-    for w in validate_scenario(obj, strict=strict):
-        print(f"warning: {w}", file=sys.stderr)
+    validate_scenario(obj)
     return int(obj.get("seed", 0)) if seed is None else seed
 
 
@@ -524,9 +523,7 @@ def _execute_scenario(args) -> int:
         # also leaves a report.json.
         obj = load_scenario(args.config)
         kind, name = obj.get("kind"), obj.get("name", "")
-        if args.kind not in (None, kind):
-            raise ScenarioError(f"'dshock {args.kind}' needs a config with kind '{args.kind}'")
-        seed = _validated_seed(obj, seed, args.strict)
+        seed = _validated_seed(obj, seed)
         checks, payload, files = _RUNNERS[kind](obj, seed)
         for fname, content in files.items():
             _write(outdir / fname, content)
@@ -644,16 +641,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    for name, kind, text in (
-        ("run", None, "execute a scenario config into an output directory"),
-        ("spherical", "spherical", "run a spherical scenario config"),
-    ):
-        runp = sub.add_parser(name, help=text)
-        runp.add_argument("--config", required=True, help="scenario JSON file")
-        runp.add_argument("--out", required=True, help="output directory")
-        runp.add_argument("--seed", type=_seed, default=None)
-        runp.add_argument("--strict", action="store_true", help="reject unknown config keys")
-        runp.set_defaults(func=_execute_scenario, kind=kind)
+    runp = sub.add_parser("run", help="execute a scenario config into an output directory")
+    runp.add_argument("--config", required=True, help="scenario JSON file")
+    runp.add_argument("--out", required=True, help="output directory")
+    runp.add_argument("--seed", type=_seed, default=None)
+    runp.set_defaults(func=_execute_scenario)
 
     r = sub.add_parser("riemann", help="solve two-state 1-D data given as flags")
     r.add_argument("--rho-l", dest="rho_l", type=float, required=True)

@@ -174,8 +174,13 @@ def _path_constant_speed(d: RiemannData1D, s: float) -> tuple:
 
 
 def _path_standard_atom(d: RiemannData1D) -> tuple:
-    a_, b_, c_, _ = jumps_1d(d)  # standard flux: A == D
-    e0, q0 = d.e0, d.e0 * float(d.u_delta0)
+    # Masses and jumps in units of a power of two near rho_l + rho_r + e0
+    # (exact), so the displacement keeps its bits and no square overflows,
+    # whatever the unit of density. e and e u_delta are scaled back.
+    scale = math.ldexp(1.0, max(math.frexp(abs(d.rho_l) + abs(d.rho_r) + d.e0)[1], -1000))
+    a_, b_, c_, _ = (jump / scale for jump in jumps_1d(d))  # standard flux: A == D
+    e0 = d.e0 / scale
+    q0 = e0 * float(d.u_delta0)
 
     def displacement(t):
         # X = (s - sqrt(disc)) / B = lin / (s + sqrt(disc)): the form without
@@ -200,8 +205,8 @@ def _path_standard_atom(d: RiemannData1D) -> tuple:
     return (
         _quiet(lambda t: d.x0 + displacement(t)),
         _quiet(lambda t: q_of(t) / e_of(t)),
-        _quiet(e_of),
-        {"kind": "atom-exact", "e0": e0, "u_delta0": float(d.u_delta0)},
+        _quiet(lambda t: e_of(t) * scale),
+        {"kind": "atom-exact", "e0": d.e0, "u_delta0": float(d.u_delta0)},
     )
 
 
@@ -220,16 +225,19 @@ def _path_generic_atom(d: RiemannData1D, t_end: float) -> tuple:
         u = q / e
         return [u, a_ - b_ * u, c_ - d_ * u]
 
-    sol = solve_ivp(
-        rhs,
-        (0.0, float(t_end)),
-        [0.0, d.e0, q0],
-        method="DOP853",
-        rtol=1e-12,
-        # e and q in units of e0: an absolute floor would swamp a small atom.
-        atol=1e-14 * np.array([1.0, d.e0, d.e0 * (abs(d.u_l) + abs(d.u_r))]),
-        dense_output=True,
-    )
+    # At a huge t_end the steps overflow to inf and nan, which the solution's
+    # support check and the CLI writers refuse; numpy need not warn first.
+    with np.errstate(all="ignore"):
+        sol = solve_ivp(
+            rhs,
+            (0.0, float(t_end)),
+            [0.0, d.e0, q0],
+            method="DOP853",
+            rtol=1e-12,
+            # e and q in units of e0: an absolute floor would swamp a small atom.
+            atol=1e-14 * np.array([1.0, d.e0, d.e0 * (abs(d.u_l) + abs(d.u_r))]),
+            dense_output=True,
+        )
     if not sol.success:
         raise NoDeltaShockError(f"front ODE integration failed: {sol.message}")
 
@@ -242,14 +250,10 @@ def _path_generic_atom(d: RiemannData1D, t_end: float) -> tuple:
         return f
 
     x_of, e_of, q_of = component(0), component(1), component(2)
-
-    def u_of(t):
-        return q_of(t) / e_of(t)
-
     return (
-        lambda t: d.x0 + np.asarray(x_of(t)),
-        u_of,
-        e_of,
+        _quiet(lambda t: d.x0 + np.asarray(x_of(t))),
+        _quiet(lambda t: q_of(t) / e_of(t)),
+        _quiet(e_of),
         {"kind": "atom-ode", "t_end": float(t_end)},
     )
 

@@ -2,9 +2,9 @@
 
 A scenario is a JSON object with a ``kind`` discriminator selecting one of
 the runnable problem families (riemann1d, spherical, planar, oracle,
-weakcheck, geom-suite). Validation happens before any computation; in
-strict mode unknown keys are rejected outright, otherwise they are
-reported as warnings and ignored. Builders translate validated configs
+weakcheck, geom-suite). Validation happens before any computation and
+refuses every violation, an unknown key included, so a misspelt key never
+falls back to a default. Builders translate validated configs
 into the solver-layer objects; semantic errors that the schema cannot
 express (for example a tabulated flux with unordered nodes) surface as
 ScenarioError with a pointer to the offending key.
@@ -359,12 +359,8 @@ def _violations(value, schema: dict, path: tuple = ()):
             yield path, key, message
 
 
-def validate_scenario(obj: dict, strict: bool = True) -> list[str]:
-    """Validate against the kind-specific schema.
-
-    Returns the list of ignored-unknown-key warnings (empty in strict mode,
-    where unknown keys raise). Any other violation raises ScenarioError.
-    """
+def validate_scenario(obj: dict) -> None:
+    """Validate against the kind-specific schema; the first violation raises ScenarioError."""
     if not isinstance(obj, dict):
         raise ScenarioError("scenario must be a JSON object")
     kind = obj.get("kind")
@@ -372,15 +368,11 @@ def validate_scenario(obj: dict, strict: bool = True) -> list[str]:
         raise ScenarioError(
             f"scenario kind must be one of {list(SCENARIO_KINDS)}, got {kind!r}"
         )
-    warnings = []
-    violations = _violations(obj, _KIND_SCHEMAS[kind])
-    for path, keyword, message in sorted(violations, key=lambda v: repr(list(v[0]))):
+    violations = sorted(_violations(obj, _KIND_SCHEMAS[kind]), key=lambda v: repr(list(v[0])))
+    if violations:
+        path, _, message = violations[0]
         where = "/".join(str(p) for p in path) or "<root>"
-        if keyword == "additionalProperties" and not strict:
-            warnings.append(f"ignoring unknown keys at {where}: {message}")
-            continue
         raise ScenarioError(f"scenario schema violation at {where}: {message}")
-    return warnings
 
 
 def flux_from_spec(spec: dict | None, dim: int = 1) -> FluxModel:

@@ -34,7 +34,9 @@ regression allocates the free-flight positions in one buffer, and scipy
 copies the values and the weights and builds the block index, all of
 length N; the live blocks are copied out and those buffers dropped as the
 solve returns. A ``delta_cluster_estimate`` therefore peaks at 7 arrays of
-N floats, the three initial arrays plus these four.
+N floats, the three initial arrays plus these four. ``radial_shells`` peaks
+at 6: it fills one buffer per array, evaluating its fields a chunk of radii
+at a time, and the system copies the three buffers.
 
 ``delta_cluster_estimate`` regresses all particles once, at the final
 time. Clusters only gain mass as time runs, so a particle alone at some
@@ -89,6 +91,9 @@ MAX_PARTICLES = 2_000_000
 MAX_SAMPLES = 1_000_000
 
 _TIE = 1e-13
+
+# Radii per field evaluation in ``radial_shells``.
+_SHELL_CHUNK = 1 << 14
 
 
 def unit_sphere_area(n: int) -> float:
@@ -508,26 +513,29 @@ def radial_shells(
         boundary = r_lo if inner is None else 0.5 * (r_lo + r_hi)
     area = unit_sphere_area(n)
     dr = (r_hi - r_lo) / N
-    r = r_lo + (np.arange(N) + 0.5) * dr
-    xs, vs, ms = [], [], []
-    for fld, side in ((inner, r < boundary), (outer, r >= boundary)):
-        if fld is None:
-            continue
-        rs = r[side]
-        rho, u = fld.state(rs, 0.0)
-        keep = rho > 0.0
-        rs, rho = rs[keep], rho[keep]
-        xs.append(rs)
-        vs.append(u[keep])
-        ms.append(rho * area * rs ** (n - 1) * dr)
+    # The shells with mass go straight into one buffer per array, a chunk of
+    # radii at a time, so the fields' temporaries never scale with N. The
+    # radii increase, so the inner side's shells lie left of the outer ones.
+    x, v, m = np.empty(N), np.empty(N), np.empty(N)
+    count = 0
+    for start in range(0, N, _SHELL_CHUNK):
+        r = r_lo + (np.arange(start, min(start + _SHELL_CHUNK, N)) + 0.5) * dr
+        for fld, side in ((inner, r < boundary), (outer, r >= boundary)):
+            if fld is None:
+                continue
+            rs = r[side]
+            rho, u = fld.state(rs, 0.0)
+            keep = rho > 0.0
+            rs, end = rs[keep], count + np.count_nonzero(keep)
+            x[count:end], v[count:end] = rs, u[keep]
+            m[count:end] = rho[keep] * area * rs ** (n - 1) * dr
+            count = end
     shell = None
     if front_seed is not None:
         phi0, e0, ud0 = map(float, front_seed)
         if e0 > 0.0:
             shell = (phi0, ud0, e0 * area * phi0 ** (n - 1))
-    # The inner block lies left of the outer one, each in order.
-    x, v, m = (np.concatenate(a) if a else np.empty(0) for a in (xs, vs, ms))
-    x, v, m = _insert_seed(x, v, m, shell)
+    x, v, m = _insert_seed(x[:count], v[:count], m[:count], shell)
     if x.size == 0:
         raise InvalidParameterError("no mass anywhere in the annulus")
     return ParticleSystem(x, v, m, r_min=r_min)

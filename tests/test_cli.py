@@ -117,7 +117,7 @@ def test_unreadable_config_leaves_a_report(tmp_path, capsys, content):
 def test_unexpected_exception_exits_3_with_a_report(tmp_path, capsys, monkeypatch):
     # An exception that is not a package error is a defect: exit 3, one line
     # on stderr naming its type, no traceback, and still a report.
-    def broken(obj, seed, strict=True):
+    def broken(obj, seed):
         raise KeyError("column")
 
     monkeypatch.setitem(_RUNNERS, "riemann1d", broken)
@@ -132,7 +132,7 @@ def test_unexpected_exception_exits_3_with_a_report(tmp_path, capsys, monkeypatc
     assert set(json.loads((out / "manifest.json").read_text())["files"]) == {"report.json"}
 
     # The flag subcommands fail through main; a multi-line message is one line.
-    def broken_oracle(obj, seed, strict=True):
+    def broken_oracle(obj, seed):
         raise ValueError("first\nsecond")
 
     monkeypatch.setattr("dshock.cli._run_oracle", broken_oracle)
@@ -179,45 +179,61 @@ def _mutated_scenarios(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(obj=_mutated_scenarios(), strict=st.booleans())
-def test_fuzzed_scenarios_exit_with_a_report(tmp_path_factory, obj, strict):
+@given(obj=_mutated_scenarios())
+def test_fuzzed_scenarios_exit_with_a_report(tmp_path_factory, obj):
     # Whatever a broken config holds, a run ends in a documented exit code
     # and leaves report.json; it never raises.
     work = tmp_path_factory.mktemp("fuzz")
     cfg = work / "config.json"
     cfg.write_text(json.dumps(obj))
-    argv = ["run", "--config", str(cfg), "--out", str(work / "out")] + ["--strict"] * strict
-    rc = main(argv)
+    rc = main(["run", "--config", str(cfg), "--out", str(work / "out")])
     assert rc in {0, 2, 3, 4}
     report = json.loads((work / "out" / "report.json").read_text())
     assert report["passed"] is (rc == 0)
     assert report.get("exit_code", rc) == rc
 
 
-def test_unknown_keys_strict_vs_lenient(tmp_path, capsys):
-    cfg = tmp_path / "extra.json"
-    obj = json.loads((SCENARIOS / "symmetric_riemann.json").read_text())
-    obj["wavelength"] = 550
+@pytest.mark.parametrize(
+    "scenario, where",
+    [
+        ("symmetric_riemann", ()),
+        ("symmetric_riemann", ("tolerances",)),
+        ("relativistic_riemann", ("flux",)),
+        ("spherical_converging_n3", ("outer",)),
+    ],
+    ids=["top-level", "tolerances", "flux", "field"],
+)
+def test_unknown_keys_are_refused(tmp_path, capsys, scenario, where):
+    # A run used to warn and ignore an unknown key, and exit 0; only --strict
+    # refused it. Now every run refuses it with the line --strict printed.
+    obj = json.loads((SCENARIOS / f"{scenario}.json").read_text())
+    holder = obj
+    for key in where:
+        holder = holder.setdefault(key, {})
+    holder["stray"] = 1
+    cfg = tmp_path / "stray.json"
     cfg.write_text(json.dumps(obj))
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "a"), "--strict"]) == 2
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
-    assert "wavelength" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    unknown = "Additional properties are not allowed ('stray' was unexpected)"
+    at = "/".join(where) or "<root>"
+    assert capsys.readouterr().err == f"scenario error: scenario schema violation at {at}: {unknown}\n"
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "report.json"]
 
 
 def test_tolerance_keys_are_read_or_refused(tmp_path, capsys):
     obj = json.loads((SCENARIOS / "asymmetric_riemann.json").read_text())
 
-    def run(tolerances, *flags):
+    def run(tolerances):
         cfg = tmp_path / "tol.json"
         cfg.write_text(json.dumps(dict(obj, tolerances=tolerances)))
-        return main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), *flags])
+        return main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
 
-    # A misspelt key used to fall back to the default: exit 0 even under --strict.
-    assert run({"mass_drfit": 1e-300}, "--strict") == 2
-    assert run({"mass_drfit": 1e-300}) == 0
+    # A misspelt key used to fall back to the default: exit 0 unless --strict.
+    assert run({"mass_drfit": 1e-300}) == 2
     assert "'mass_drfit' was unexpected" in capsys.readouterr().err
     # The real key is read: no drift passes a bound of 1e-300.
-    assert run({"mass_drift": 1e-300}, "--strict") == 4
+    assert run({"mass_drift": 1e-300}) == 4
 
 
 def test_rarefaction_data_exits_4_with_named_condition(tmp_path):
@@ -847,13 +863,9 @@ def test_riemann_needs_two_samples(tmp_path, capsys, samples):
     assert _run_message(tmp_path, dict(_RIEMANN_41_DOC, samples=int(samples))) == error
 
 
-def test_spherical_subcommand(tmp_path):
+def test_run_spherical_scenario(tmp_path):
     rc = main(
-        [
-            "spherical",
-            "--config", str(SCENARIOS / "spherical_converging_n3.json"),
-            "--out", str(tmp_path),
-        ]
+        ["run", "--config", str(SCENARIOS / "spherical_converging_n3.json"), "--out", str(tmp_path)]
     )
     assert rc == 0
     report = json.loads((tmp_path / "report.json").read_text())
@@ -863,12 +875,12 @@ def test_spherical_subcommand(tmp_path):
     assert np.all(np.diff(data[:, 1]) < 0.0)  # front converges inward
 
 
-def test_spherical_subcommand_rejects_nan_radius(tmp_path, capsys):
+def test_run_rejects_nan_radius(tmp_path, capsys):
     obj = json.loads((SCENARIOS / "spherical_converging_n3.json").read_text())
     obj["phi0"] = float("nan")
     cfg = tmp_path / "nan.json"
     cfg.write_text(json.dumps(obj))  # Python's json writes and reads the NaN token
-    assert main(["spherical", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert "finite" in capsys.readouterr().err
 
 
@@ -975,21 +987,19 @@ def test_run_rejects_a_literal_that_is_not_finite(tmp_path, capsys):
     assert json.loads((out / "report.json").read_text())["exit_code"] == 2
 
 
-def test_spherical_subcommand_rejects_other_kinds(tmp_path):
-    # The kind is checked inside the failure handler, so the refusal leaves
-    # a report like any other configuration error.
-    rc = main(
-        [
-            "spherical",
-            "--config", str(SCENARIOS / "symmetric_riemann.json"),
-            "--out", str(tmp_path),
-        ]
-    )
-    assert rc == 2
-    report = json.loads((tmp_path / "report.json").read_text())
-    assert report["error_class"] == "ScenarioError"
-    assert report["exit_code"] == 2
-    assert set(json.loads((tmp_path / "manifest.json").read_text())["files"]) == {"report.json"}
+def test_run_is_the_one_command_that_takes_a_config(tmp_path, capsys):
+    # `spherical` was `run` restricted to one kind, and `run --strict` the
+    # one mode that refused unknown keys; both are gone.
+    from dshock.cli import build_parser
+
+    subcommands = next(a.choices for a in build_parser()._actions if a.dest == "command")
+    assert sorted(subcommands) == ["oracle", "riemann", "run", "weakcheck"]
+    cfg = str(SCENARIOS / "spherical_converging_n3.json")
+    for argv in (["spherical"], ["run", "--strict"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--config", cfg, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
@@ -1014,21 +1024,20 @@ def test_runners_cover_exactly_the_scenario_kinds():
     assert sorted(_RUNNERS) == sorted(SCENARIO_KINDS)
 
 
-@pytest.mark.parametrize("strict", [False, True])
-def test_run_reports_an_unknown_key_inside_the_weakcheck_solution(tmp_path, capsys, strict):
+@pytest.mark.parametrize("planar", [False, True])
+def test_run_reports_an_unknown_key_inside_the_weakcheck_solution(tmp_path, capsys, planar):
+    # The embedded solution is checked against its own kind's schema.
     obj = json.loads((SCENARIOS / "weakcheck_asymmetric.json").read_text())
+    if planar:
+        obj["solution"] = json.loads((SCENARIOS / "planar_2d.json").read_text())
     obj["solution"]["stray"] = 1
     cfg = tmp_path / "weak.json"
     cfg.write_text(json.dumps(obj))
-    rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")] + ["--strict"] * strict)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
     unknown = "Additional properties are not allowed ('stray' was unexpected)"
-    err = capsys.readouterr().err
-    if strict:
-        assert rc == 2
-        assert err == f"scenario error: scenario schema violation at solution: {unknown}\n"
-    else:
-        assert rc == 0
-        assert err == f"warning: ignoring unknown keys at solution: {unknown}\n"
+    assert capsys.readouterr().err == f"scenario error: scenario schema violation at solution: {unknown}\n"
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "report.json"]
 
 
 def test_weakcheck_subcommand(tmp_path):
@@ -1199,6 +1208,37 @@ def test_riemann_subcommand_keeps_a_tiny_initial_atom(tmp_path):
     names, data = _read_csv(out)
     assert data[0, names.index("e")] == 5e-273
     assert np.all(np.isfinite(data))
+
+
+def test_riemann_subcommand_keeps_a_huge_initial_atom(tmp_path):
+    # The exact atom path squared s = e0 + A t unscaled, so at 1e200 the
+    # front left its window at once (exit 3). Densities and mass ×1e200 keep
+    # phi and u_delta and scale e and the deficits.
+    def run(scale):
+        out = tmp_path / f"r{scale}.csv"
+        args = ["riemann", "--rho-l", f"4{scale}", "--rho-r", f"1{scale}", "--u-l", "1", "--u-r", "-1",
+                "--e0", f"5{scale}", "--u-delta0", "0.1", "--t-end", "1", "--out", str(out)]
+        assert _no_runtime_warnings(lambda: main(args)) == 0
+        return _read_csv(out)
+
+    names, unit = run("")
+    assert run("e200")[0] == names
+    huge = run("e200")[1]
+    np.testing.assert_allclose(huge[:, :3], unit[:, :3], rtol=0.0, atol=1e-15)
+    # 4.7e-16 measured: 4e200 is not 4 times a power of two.
+    np.testing.assert_allclose(huge[:, 3:] / 1e200, unit[:, 3:], rtol=1e-15, atol=1e-15)
+
+
+def test_the_atom_ode_path_fails_with_one_line(tmp_path, capsys):
+    # solve_ivp's step control and the right-hand side's q / e warned nine
+    # times on stderr before the exit-3 line.
+    out = tmp_path / "x.csv"
+    args = ["riemann", "--rho-l", "4", "--rho-r", "1", "--u-l", "1", "--u-r", "-1",
+            "--flux", "relativistic", "--c0", "1", "--e0", "0.4", "--u-delta0", "0.3",
+            "--t-end", "1e308", "--out", str(out)]
+    assert _no_runtime_warnings(lambda: main(args)) == 3
+    assert capsys.readouterr().err == "numerical failure: x.csv: column 'phi' holds -inf in data row 61\n"
+    assert not out.exists()
 
 
 @st.composite

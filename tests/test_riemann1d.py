@@ -392,7 +392,7 @@ def _deviation(got, want, data, u_delta, speed=0.0):
 
 
 @settings(max_examples=80, deadline=None)
-@given(data=_admissible(), log_c=st.floats(-250.0, 150.0))
+@given(data=_admissible(), log_c=st.floats(-250.0, 200.0))
 def test_density_scaling(data, log_c):
     # (rho, e) -> (c rho, c e) leaves phi and u_delta alone and scales e,
     # whatever the unit of density. With x0 = 0 the displacement itself is
@@ -400,7 +400,8 @@ def test_density_scaling(data, log_c):
     # refused data at c = 1e-100 or took a relativistic atom for a standard
     # one; the exact atom path was off by up to 0.04 in these units, and the
     # ODE path by 1e-6 unscaled through its absolute atol. Above c = 1e150
-    # the atom path's s^2 overflows: a run then fails, with exit 3.
+    # the exact atom path's s^2 overflowed, until it took its masses and
+    # jumps in units of the data.
     data = dict(data, x0=0.0)
     kind, base = _solve(data)
     c = 10.0**log_c

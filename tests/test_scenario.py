@@ -34,13 +34,13 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 def test_load_scenario_reads_bundled_files():
     obj = load_scenario(SCENARIOS / "symmetric_riemann.json")
     assert obj["kind"] == "riemann1d"
-    assert validate_scenario(obj) == []
+    validate_scenario(obj)
 
 
 def test_all_bundled_scenarios_validate_strictly():
     for path in sorted(SCENARIOS.glob("*.json")):
         obj = load_scenario(path)
-        assert validate_scenario(obj, strict=True) == [], path.name
+        validate_scenario(obj)
 
 
 def test_load_scenario_errors(tmp_path):
@@ -56,6 +56,9 @@ def test_load_scenario_errors(tmp_path):
         load_scenario(arr)
 
 
+_RIEMANN_DOC = {"kind": "riemann1d", "rho_l": 1.0, "rho_r": 1.0, "u_l": 1.0, "u_r": -1.0, "t_end": 1.0}
+
+
 def test_validate_rejects_bad_kind_and_missing_keys():
     with pytest.raises(ScenarioError):
         validate_scenario({"kind": "warp-drive"})
@@ -63,20 +66,11 @@ def test_validate_rejects_bad_kind_and_missing_keys():
         validate_scenario({"kind": "riemann1d", "rho_l": 1.0})  # missing fields
 
 
-def test_validate_unknown_keys_strict_vs_lenient():
-    obj = {
-        "kind": "riemann1d",
-        "rho_l": 1.0,
-        "rho_r": 1.0,
-        "u_l": 1.0,
-        "u_r": -1.0,
-        "t_end": 1.0,
-        "colour": "blue",
-    }
-    with pytest.raises(ScenarioError):
-        validate_scenario(obj, strict=True)
-    warnings = validate_scenario(obj, strict=False)
-    assert len(warnings) == 1 and "colour" in warnings[0]
+def test_validate_refuses_unknown_keys():
+    # An unknown key used to be a warning unless strict=True asked to refuse it.
+    unknown = "Additional properties are not allowed ('colour' was unexpected)"
+    with pytest.raises(ScenarioError, match=re.escape(f"at <root>: {unknown}")):
+        validate_scenario(dict(_RIEMANN_DOC, colour="blue"))
 
 
 # Each kind's tolerance keys: the ones its runner reads, on a bundled scenario.
@@ -98,14 +92,12 @@ def test_tolerance_keys_are_checked(kind):
     if name is not None:
         obj = json.loads((SCENARIOS / f"{name}.json").read_text())
     obj["tolerances"] = {key: 0.5 for key in keys}
-    assert validate_scenario(obj, strict=True) == []
+    validate_scenario(obj)
     obj["tolerances"]["mass_drfit"] = 1e-300
     unknown = "Additional properties are not allowed ('mass_drfit' was unexpected)"
     with pytest.raises(ScenarioError, match=re.escape(f"at tolerances: {unknown}")):
-        validate_scenario(obj, strict=True)
-    assert validate_scenario(obj, strict=False) == [f"ignoring unknown keys at tolerances: {unknown}"]
-    for strict in (True, False):
-        assert _outcome(validate_scenario, obj, strict) == _outcome(_jsonschema_validate, obj, strict)
+        validate_scenario(obj)
+    assert _outcome(validate_scenario, obj) == _outcome(_jsonschema_validate, obj)
 
 
 def _weakcheck_of(name: str, **changes) -> dict:
@@ -122,19 +114,17 @@ _UNKNOWN_STRAY = "Additional properties are not allowed ('stray' was unexpected)
 @pytest.mark.parametrize("name", ["asymmetric_riemann", "planar_2d"])
 def test_weakcheck_solution_is_part_of_the_document(name):
     # The embedded solution was checked on its own, so its paths lost the
-    # "solution/" prefix and a lenient run dropped its unknown-key warning.
+    # "solution/" prefix.
     stray = _weakcheck_of(name, stray=1)
-    assert validate_scenario(stray, strict=False) == [f"ignoring unknown keys at solution: {_UNKNOWN_STRAY}"]
     with pytest.raises(ScenarioError, match=re.escape(f"at solution: {_UNKNOWN_STRAY}")):
-        validate_scenario(stray, strict=True)
+        validate_scenario(stray)
     key = "rho_l" if name == "asymmetric_riemann" else "rho_minus"
     negative = _weakcheck_of(name, **{key: -1.0})
     with pytest.raises(ScenarioError, match=f"at solution/{key}: -1.0 is less than the minimum of 0$"):
-        validate_scenario(negative, strict=False)
+        validate_scenario(negative)
     cases = [stray, negative, _weakcheck_of(name, t_end="1"), _weakcheck_of(name, kind=None)]
     for obj in cases:
-        for strict in (True, False):
-            assert _outcome(validate_scenario, obj, strict) == _outcome(_jsonschema_validate, obj, strict)
+        assert _outcome(validate_scenario, obj) == _outcome(_jsonschema_validate, obj)
 
 
 @pytest.mark.parametrize(
@@ -149,22 +139,15 @@ def test_weakcheck_solution_is_part_of_the_document(name):
 def test_weakcheck_solution_kind_picks_its_schema(solution, message):
     obj = {"kind": "weakcheck", "solution": solution}
     with pytest.raises(ScenarioError, match=re.escape(message)):
-        validate_scenario(obj, strict=False)
-    for strict in (True, False):
-        assert _outcome(validate_scenario, obj, strict) == _outcome(_jsonschema_validate, obj, strict)
+        validate_scenario(obj)
+    assert _outcome(validate_scenario, obj) == _outcome(_jsonschema_validate, obj)
 
 
 def test_validate_type_errors_raise_even_lenient():
-    obj = {
-        "kind": "riemann1d",
-        "rho_l": -1.0,
-        "rho_r": 1.0,
-        "u_l": 1.0,
-        "u_r": -1.0,
-        "t_end": 1.0,
-    }
-    with pytest.raises(ScenarioError):
-        validate_scenario(obj, strict=False)
+    # A bad value raised even when unknown keys were only warned about; now
+    # every violation raises.
+    with pytest.raises(ScenarioError, match="at rho_l: -1.0 is less than the minimum of 0$"):
+        validate_scenario(dict(_RIEMANN_DOC, rho_l=-1.0))
 
 
 # The keywords scenario._violations implements; it reads "then" with "if".
@@ -199,7 +182,7 @@ def test_schemas_use_only_checked_keywords(kind):
             assert isinstance(value, (str, int, float)), value
 
 
-def _jsonschema_validate(obj: dict, strict: bool) -> list[str]:
+def _jsonschema_validate(obj: dict) -> None:
     """validate_scenario as written on jsonschema, the reference for the checker."""
     jsonschema = pytest.importorskip("jsonschema")
     if not isinstance(obj, dict):
@@ -208,19 +191,14 @@ def _jsonschema_validate(obj: dict, strict: bool) -> list[str]:
     if kind not in SCENARIO_KINDS:
         raise ScenarioError(f"scenario kind must be one of {list(SCENARIO_KINDS)}, got {kind!r}")
     validator = jsonschema.Draft202012Validator(_KIND_SCHEMAS[kind])
-    warnings = []
     for err in sorted(validator.iter_errors(obj), key=lambda e: str(e.absolute_path)):
         where = "/".join(str(p) for p in err.absolute_path) or "<root>"
-        if err.validator == "additionalProperties" and not strict:
-            warnings.append(f"ignoring unknown keys at {where}: {err.message}")
-            continue
         raise ScenarioError(f"scenario schema violation at {where}: {err.message}")
-    return warnings
 
 
-def _outcome(validate, obj, strict):
+def _outcome(validate, obj):
     try:
-        return "ok", validate(obj, strict)
+        return "ok", validate(obj)
     except ScenarioError as exc:
         return "error", str(exc)
 
@@ -313,10 +291,10 @@ def _mutated(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(obj=_mutated(), strict=st.booleans())
-def test_checker_matches_jsonschema(obj, strict):
-    # The same verdict, warnings and message as Draft202012Validator.
-    assert _outcome(validate_scenario, obj, strict) == _outcome(_jsonschema_validate, obj, strict)
+@given(obj=_mutated())
+def test_checker_matches_jsonschema(obj):
+    # The same verdict and message as Draft202012Validator.
+    assert _outcome(validate_scenario, obj) == _outcome(_jsonschema_validate, obj)
 
 
 def test_flux_from_spec_branches():

@@ -359,6 +359,61 @@ def test_front_into_steady_inflow_matches_its_closed_form(n, phi0, e0, u0, t_end
     assert np.max(np.abs(traj.u_delta - (c / m - 1.0))) <= 1e-10
 
 
+_SCALING_TIMES = np.linspace(0.0, 0.3, 13)
+
+
+@st.composite
+def _constant_fronts(draw):
+    """A front between constant states, massless or with mass, that runs to t = 0.3."""
+    u_o = draw(st.floats(-2.0, 1.0))
+    u_i = u_o + draw(st.floats(0.2, 2.0))
+    rho_i, rho_o = (10.0 ** draw(st.floats(-1.0, 1.0)) for _ in range(2))
+    e0 = draw(st.one_of(st.just(0.0), st.floats(-2.0, 0.0).map(lambda v: 10.0**v)))
+    u0 = u_o + draw(st.floats(0.1, 0.9)) * (u_i - u_o)
+    return dict(rho_i=rho_i, u_i=u_i, rho_o=rho_o, u_o=u_o, phi0=draw(st.floats(1.0, 2.0)), e0=e0, u0=u0)
+
+
+def _front_rows(front, n, lam=1.0, c=1.0):
+    """(phi, e, u_delta) at lam * _SCALING_TIMES of ``front`` with r, t, e -> lam r, lam t, lam e
+    and rho, e -> c rho, c e; phi and e divided by their scale."""
+    inner = constant_field(c * front["rho_i"], front["u_i"])
+    outer = constant_field(c * front["rho_o"], front["u_o"])
+    init = SphericalFrontState(0.0, lam * front["phi0"], lam * c * front["e0"], front["u0"])
+    # atol in the units of e, so that it never outweighs rtol as the data scale.
+    traj = integrate_front(
+        inner, outer, init, n=n, t_end=lam * 0.3, rtol=1e-12, atol=1e-15 * lam * min(c, 1.0)
+    )
+    assert traj.t_stop == lam * 0.3
+    t = lam * _SCALING_TIMES
+    return np.array([traj.phi_at(t) / lam, traj.e_at(t) / (lam * c), traj.u_delta_at(t)])
+
+
+def _relative_rows(got, want, front):
+    """Largest error of each row of ``got``: phi and e against their largest value, u_delta
+    against the velocity scale."""
+    scale = [np.max(np.abs(want[0])), np.max(want[1]), abs(front["u_i"]) + abs(front["u_o"])]
+    return max(float(np.max(np.abs(g - w))) / s for g, w, s in zip(got, want, scale))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    front=_constant_fronts(),
+    n=st.integers(1, 4),
+    log_lam=st.floats(-2.0, 2.0),
+    log_c=st.floats(-2.0, 2.0),
+)
+def test_front_scaling_symmetries(front, n, log_lam, log_c):
+    # (r, t, e) -> (lam r, lam t, lam e) and (rho, e) -> (c rho, c e) map
+    # solutions to solutions: curvature (n - 1) / phi and e shrink together,
+    # and each density term is linear. A rescaled run takes its own steps, so
+    # the floor is the global error of RK45 at rtol 1e-12. Largest found over
+    # 4,000 hypothesis draws: 3.4e-9 for space-time (at n = 1) and 3.2e-10
+    # for density.
+    base = _front_rows(front, n)
+    assert _relative_rows(_front_rows(front, n, lam=10.0**log_lam), base, front) <= 1e-8
+    assert _relative_rows(_front_rows(front, n, c=10.0**log_c), base, front) <= 1e-8
+
+
 def test_front_moving_out_of_an_inner_vacuum_is_refused():
     # Overcompression needs u_delta below the vacuum's 0, so u0 > 0 is refused.
     init = SphericalFrontState(0.0, 1.0, 0.5, 0.1)

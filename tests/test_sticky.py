@@ -751,6 +751,33 @@ def test_cluster_estimate_holds_at_most_eight_particle_arrays(mode):
     assert peak <= 8 * N * 8
 
 
+
+@pytest.mark.parametrize("two_sided", [False, True])
+def test_radial_shells_hold_at_most_six_shell_arrays(two_sided):
+    # The floor is 6 arrays of N floats: the three filled buffers and the
+    # system's copies of them. The shells used to be built per side, with
+    # each side's state, its filtered copies, their concatenation and the
+    # seeded copies alive at once: 12.3 arrays (11.8 two-sided). Measured:
+    # 6.08 and 6.07; the fields' temporaries stay one chunk of radii long.
+    import tracemalloc
+
+    from dshock.spherical import constant_field
+
+    N = 200_000
+    inner = constant_field(0.5, 0.2, (1.0, 1.6)) if two_sided else None
+    args = dict(n=3, N=N, annulus=(1.0, 3.5), front_seed=(1.7, 0.01, -0.5))
+    if two_sided:
+        args["boundary"] = 1.5
+    outer = steady_converging_field(3, (1.0, 3.5))
+    tracemalloc.start()
+    try:
+        ps = radial_shells(inner, outer, **args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ps.count == N + 1
+    assert peak <= 6.1 * N * 8
+
 @pytest.mark.parametrize("times", [None, [0.2, 0.5, 1.0], [0.2, 0.5, 0.8]])
 def test_cluster_estimate_solves_once_per_query_time(monkeypatch, times):
     lengths = _record_regression_lengths(monkeypatch)

@@ -282,3 +282,41 @@ def test_identity_value_matches_scalar_reference(sol, seed, member, level):
     for kind in kinds:
         ref, scale = _reference_value(sol, bump, kind, level)
         assert abs(identity_value(sol, bump, kind, level) - ref) <= 1e-13 * (1.0 + scale), kind
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["constant", "relativistic", "atom", "atom-ode"]),
+    rho=st.tuples(st.floats(-1.3, 1.3), st.floats(-1.3, 1.3)),
+    u_r=st.floats(-3.0, 3.0),
+    jump=st.floats(0.05, 4.0),
+    c0=st.floats(0.5, 5.0),
+    e0=st.floats(-3.0, 0.0),
+    where=st.floats(0.05, 0.95),
+    k=st.integers(-600, 600),
+)
+def test_density_scaling_scales_the_residual_table(kind, rho, u_r, jump, c0, e0, where, k):
+    # The weak identities are linear in (rho, e), so (rho, e) -> (c rho, c e)
+    # scales every residual by c. For c a power of two no product rounds
+    # differently, so the table scales exactly, on every solver path.
+    u_l = u_r + jump
+    data = {"rho_l": 10.0 ** rho[0], "rho_r": 10.0 ** rho[1], "u_l": u_l, "u_r": u_r}
+    if kind in ("relativistic", "atom-ode"):
+        data["flux"] = relativistic_flux(1, c0)
+    if kind in ("atom", "atom-ode"):
+        data["e0"] = 10.0**e0
+        data["u_delta0"] = u_r + where * (u_l - u_r)
+    try:
+        sol = solve_constant_states(RiemannData1D(**data), 1.0)
+    except DShockError:  # a relativistic pair with no overcompressive speed
+        assume(False)
+    phi = sol.phi(np.linspace(0.0, 1.0, 9))
+    battery = make_battery([(phi.min() - 1.0, phi.max() + 1.0), (0.0, 1.0 - 1e-9)], 4, seed=3)
+    c = 2.0**k
+    scaled = dict(data, rho_l=c * data["rho_l"], rho_r=c * data["rho_r"])
+    if "e0" in data:
+        scaled["e0"] = c * data["e0"]
+    res = evaluate_identities(sol, battery, levels=(0, 1, 2))
+    res_c = evaluate_identities(solve_constant_states(RiemannData1D(**scaled), 1.0), battery, levels=(0, 1, 2))
+    np.testing.assert_array_equal(res_c.table, c * res.table)
+    assert res_c.quadrature_nodes == res.quadrature_nodes
