@@ -37,7 +37,8 @@ for x in np.linspace(-2.0, 2.0, 9):
     print(f"{x:5.1f}  {sol.rho(x, 1.5):5.1f}  {sol.u(x, 1.5):4.1f}")
 
 # The same machinery accepts an initial point mass riding between the
-# states; the front then relaxes toward the constant-speed root.
+# states. Its velocity then moves monotonically to the constant-speed root,
+# along the closed form that the "atom-exact" path takes for every flux.
 seeded = RiemannData1D(4.0, 1.0, 1.0, -1.0, e0=0.5, u_delta0=0.9)
 ssol = solve_constant_states(seeded, t_end=6.0)
 print(f"\nseeded atom ({ssol.detail['kind']} path): u_delta(t) ->",

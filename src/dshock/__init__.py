@@ -3,10 +3,10 @@
 The package solves zero-pressure conservation systems whose Riemann
 problems concentrate mass on moving discontinuity surfaces: it provides
 the jump conditions and entropy test on arbitrary level-set fronts, exact
-and integrated 1-D front paths for standard, relativistic and tabulated
-velocity fluxes, spherically symmetric front ODEs in any dimension, an
-independent sticky-particle oracle, global balance audits, and a weak-form
-residual checker. The ``dshock`` console script drives JSON scenarios.
+1-D front paths for standard, relativistic and tabulated velocity fluxes,
+spherically symmetric front ODEs in any dimension, an independent
+sticky-particle oracle, global balance audits, and a weak-form residual
+checker. The ``dshock`` console script drives JSON scenarios.
 """
 
 import gc

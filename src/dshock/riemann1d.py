@@ -1,8 +1,7 @@
 """Riemann problems whose solution is a single mass-carrying front.
 
 ``solve_constant_states`` returns that solution, a ``DeltaShockSolution1D``
-whose ``detail`` names the path taken: "constant-speed", "atom-exact" or
-"atom-ode".
+whose ``detail`` names the path taken: "constant-speed" or "atom-exact".
 
 Zero-pressure systems cannot resolve overcompressive data (u_l > u_r) with
 a classical shock: a bounded jump between the constant states balances mass
@@ -16,21 +15,24 @@ Orientation: the level set is S = x - phi(t), so the left state is the
 For constant side states the front balance reduces to
 
     de/dt            = A - B u_delta,      A = [rho F],  B = [rho],
-    d(e u_delta)/dt  = C - D u_delta,      C = [rho N],  D = [rho u].
+    d(e u_delta)/dt  = C - D u_delta,      C = [rho N],  D = [rho u],
 
-* e(0) = 0: a constant-speed front requires the quadratic
-  B s^2 - (A + D) s + C = 0; the admissible root is the one between u_r and
-  u_l (for the standard flux it is the density-weighted mean
-  (sqrt(rho_l) u_l + sqrt(rho_r) u_r) / (sqrt(rho_l) + sqrt(rho_r))), and
-  e(t) = (A - B u_delta) t.
-* e(0) = e0 > 0: the speed is no longer constant. For the standard flux
-  (A = D) the displacement X = phi(t) - phi(0) satisfies the algebraic
-  equation (B/2) X^2 - (e0 + A t) X + (C/2) t^2 + q0 t = 0 with
-  q0 = e0 u_delta0, obtained by integrating e dX/dt = q0 + C t - D X, so
-  X = (s - r) / B = (C t^2 + 2 q0 t) / (s + r), s = e0 + A t,
-  r = sqrt(s^2 - B (C t^2 + 2 q0 t)), and the mass is e = r; e and
-  e u_delta are affine in (t, X) and exact. Generic fluxes fall back to a
-  tight adaptive ODE solve over [0, t_end].
+so e du_delta/dt = P(u_delta) with P(u) = B u^2 - (A + D) u + C.
+
+* e(0) = 0: the front moves at the root s of P between u_r and u_l, and
+  e(t) = (A - B s) t. For the standard flux s is the density-weighted mean
+  (sqrt(rho_l) u_l + sqrt(rho_r) u_r) / (sqrt(rho_l) + sqrt(rho_r)).
+* e(0) = e0 > 0, for any flux: u_delta moves monotonically from u0 to the
+  root s that attracts it (P'(s) < 0). In ell = log((u_delta - s)/(u0 - s))
+  <= 0, with g = (A - B s)/P'(s), k = 1 + g, m = B (u0 + s) - (A + D),
+  L = log1p(expm1(ell) B (u0 - s)/m) and z = ell - L,
+
+      e - e0 = e0 expm1(g ell - k L),
+      Y = X - s t = e0 (u0 - s) z exprel(k z) / P'(s),
+      t = (e - e0 + B Y) / (A - B s) = (e0 m z exprel(g z) / P'(s) - B Y) / P'(s),
+
+  where X = phi(t) - phi(0) and exprel(x) = expm1(x)/x. Each time asked is
+  solved for ell by Newton's method.
 """
 
 from __future__ import annotations
@@ -101,31 +103,30 @@ def classical_shock_feasible(d: RiemannData1D) -> bool:
     return abs(d.rho_l * d.rho_r * (d.u_l - d.u_r) ** 2) <= 1e-14
 
 
-def admissible_front_speed(d: RiemannData1D) -> float:
-    """Root of B s^2 - (A+D) s + C = 0 satisfying u_r < s < u_l (strict)."""
+def _speed_roots(d: RiemannData1D) -> list[float]:
+    """The real roots of the front-speed quadratic P(s) = B s^2 - (A+D) s + C."""
     # Jumps in units of a power of two near rho_l + rho_r, exact, so the roots
     # keep their bits and no square under- or overflows, whatever the units.
     unit = math.ldexp(1.0, -max(math.frexp(abs(d.rho_l) + abs(d.rho_r))[1], -1000))
     a_, b_, c_, d_ = (unit * jump for jump in jumps_1d(d))
     scale = unit * (abs(d.rho_l) + abs(d.rho_r))
-    roots: list[float]
     if abs(b_) <= 1e-13 * scale:
         lin = a_ + d_
         if abs(lin) <= 1e-13 * scale * (1.0 + abs(d.u_l) + abs(d.u_r)):
             raise NoDeltaShockError("data carry no jump; nothing concentrates")
-        roots = [c_ / lin]
-    else:
-        bb = -(a_ + d_)
-        disc = bb * bb - 4.0 * b_ * c_
-        if disc < 0.0:
-            raise NoDeltaShockError("front speed equation has no real root")
-        sq = np.sqrt(disc)
-        q = -0.5 * (bb + np.copysign(sq, bb)) if bb != 0.0 else 0.5 * sq
-        if q == 0.0:
-            roots = [0.0, 0.0]
-        else:
-            roots = [q / b_, c_ / q]
-    admissible = sorted({r for r in roots if d.u_r < r < d.u_l})
+        return [c_ / lin]
+    bb = -(a_ + d_)
+    disc = bb * bb - 4.0 * b_ * c_
+    if disc < 0.0:
+        raise NoDeltaShockError("front speed equation has no real root")
+    sq = np.sqrt(disc)
+    q = -0.5 * (bb + np.copysign(sq, bb)) if bb != 0.0 else 0.5 * sq
+    return [0.0, 0.0] if q == 0.0 else [q / b_, c_ / q]
+
+
+def admissible_front_speed(d: RiemannData1D) -> float:
+    """Root of B s^2 - (A+D) s + C = 0 satisfying u_r < s < u_l (strict)."""
+    admissible = sorted({r for r in _speed_roots(d) if d.u_r < r < d.u_l})
     if len(admissible) == 0:
         raise NoDeltaShockError(
             "no front speed satisfies the overcompression condition "
@@ -137,7 +138,7 @@ def admissible_front_speed(d: RiemannData1D) -> float:
 
 
 def _quiet(f: Callable) -> Callable:
-    """f of a float array of times, with numpy's floating-point warnings off.
+    """f of a float array of times (a float at one time), with numpy's warnings off.
 
     At extreme finite data a path overflows or divides by zero to inf or
     nan, which the solution's support check and the CLI writers refuse;
@@ -146,7 +147,8 @@ def _quiet(f: Callable) -> Callable:
 
     def at(t):
         with np.errstate(all="ignore"):
-            return f(np.asarray(t, dtype=float))
+            out = f(np.asarray(t, dtype=float))
+        return out if np.ndim(out) else float(out)
 
     return at
 
@@ -159,102 +161,102 @@ def _path_constant_speed(d: RiemannData1D, s: float) -> tuple:
     if alpha < -1e-12 * (abs(a_) + abs(b_ * s) + 1.0):
         raise NoDeltaShockError("admissible speed would produce negative front mass")
     alpha = max(alpha, 0.0)
-
-    def as_like(t, value):
-        t = np.asarray(t, dtype=float)
-        out = np.full(t.shape, value)
-        return out if out.shape else float(value)
-
     return (
         _quiet(lambda t: d.x0 + s * t),
-        lambda t: as_like(t, s),
+        _quiet(lambda t: np.full(t.shape, s)),
         _quiet(lambda t: alpha * t),
         {"kind": "constant-speed", "speed": s, "growth": alpha},
     )
 
 
-def _path_standard_atom(d: RiemannData1D) -> tuple:
+def _exprel(c, x):
+    """c expm1(x) / x, and c at x = 0: as c expm1(x/2) (exp(x/2) + 1) / x, so
+    that a small c brings a large exp(x) down before it overflows."""
+    half = 0.5 * x
+    return c * np.where(half == 0.0, 1.0, np.expm1(half) / half) * (0.5 * np.exp(half) + 0.5)
+
+
+def _path_atom(d: RiemannData1D) -> tuple:
     # Masses and jumps in units of a power of two near rho_l + rho_r + e0
-    # (exact), so the displacement keeps its bits and no square overflows,
-    # whatever the unit of density. e and e u_delta are scaled back.
+    # (exact), so no product overflows, whatever the unit of density.
     scale = math.ldexp(1.0, max(math.frexp(abs(d.rho_l) + abs(d.rho_r) + d.e0)[1], -1000))
-    a_, b_, c_, _ = (jump / scale for jump in jumps_1d(d))  # standard flux: A == D
-    e0 = d.e0 / scale
-    q0 = e0 * float(d.u_delta0)
+    a_, b_, _, d_ = (jump / scale for jump in jumps_1d(d))
+    e0, u0 = d.e0 / scale, float(d.u_delta0)
+    # s attracts u0 where P'(s) < 0 and u0 lies on the near side of the other
+    # root: m = P(u0) / (u0 - s) < 0.
+    ahead = [r for r in _speed_roots(d) if max(2.0 * b_ * r, b_ * (u0 + r)) < a_ + d_]
+    if len(ahead) != 1:
+        raise NoDeltaShockError(f"no single front speed lies ahead of u_delta0={u0}")
+    s = float(ahead[0])
+    slope, m, grow = 2.0 * b_ * s - (a_ + d_), b_ * (u0 + s) - (a_ + d_), a_ - b_ * s
+    g, w = grow / slope, b_ * (u0 - s) / m
+    # The two forms of t cancel on different data: take the one that cancels less.
+    cancels = (abs(a_ - b_ * u0) + abs(b_ * (u0 - s))) / abs(grow)
+    first = cancels <= (abs(m) + abs(b_ * (u0 - s))) / abs(slope)
 
-    def displacement(t):
-        # X = (s - sqrt(disc)) / B = lin / (s + sqrt(disc)): the form without
-        # cancellation is chosen by the sign of s, which turns negative only
-        # where A < 0, so B is far from 0 there. Below |s| = 1/2, disc is in units
-        # of a power of two near s (exact), so a small mass does not underflow.
-        s = e0 + a_ * t
-        lin = c_ * t * t + 2.0 * q0 * t
-        unit = np.ldexp(1.0, np.clip(-np.frexp(s)[1], 0, 1000))
-        disc = (s * unit) ** 2 - (b_ * unit) * (lin * unit)
-        if np.any(disc < -1e-12 * (e0 * e0 + 1.0) * unit**2):
-            raise NoDeltaShockError("front mass would vanish inside the requested window")
-        root = np.sqrt(np.maximum(disc, 0.0)) / unit
-        return np.where(s > 0.0, lin / (s + root), (s - root) / b_)
+    def closed(ell):
+        """(t, e - e0, Y = X - s t) at ell."""
+        big_l = np.log1p(np.expm1(ell) * w)
+        z, power = ell - big_l, g * ell - (1.0 + g) * big_l
+        de, y = _exprel(e0 * power, power), _exprel(e0 * (u0 - s) * z / slope, (1.0 + g) * z)
+        if first:
+            return (de + b_ * y) / grow, de, y
+        return (_exprel(e0 * m * z / slope, g * z) - b_ * y) / slope, de, y
 
-    def e_of(t):
-        return e0 + a_ * t - b_ * displacement(t)
+    def solve(t):
+        """ell with t(ell) = t at each finite t >= 0; nan at other t."""
+        live = (0.0 < t) & (t < np.inf)
+        target = np.where(live, t, 1.0)
+        # First guess: t(ell) as if L = 0, exact to first order at t = 0 and
+        # exponential in ell where the mass grows, as t(ell) is; where it
+        # decays, the tangent at t = 0. In logs and clipped, it stays finite.
+        grown = np.logaddexp(0.0, np.log(g * m / e0) + np.log(target)) / g
+        lo = np.clip(np.fmax(m * target / e0, grown), -(2.0**1000), -1e-300)
+        # Open a bracket [lo, hi] with t(hi) < t <= t(lo) by doubling ell,
+        # with no floor: a slow front is not refused.
+        hi, t_lo = np.zeros_like(t), closed(lo)[0]
+        short = live & (t_lo < target)
+        while short.any():
+            t_was, hi, lo = t_lo, np.where(short, lo, hi), np.where(short, 2.0 * lo, lo)
+            t_lo = np.where(short, closed(lo)[0], t_lo)
+            if np.any(short & (t_lo <= t_was)):
+                raise NoDeltaShockError("front mass vanishes before the requested time")
+            short &= t_lo < target
+        # Newton on log t in the bracket, from its end below t unless that is 0.
+        # Each time stops on its own test, so the others asked do not move it.
+        ell = np.where(live, np.where(hi < 0.0, hi, lo), np.where(t == 0.0, 0.0, np.nan))
+        while live.any():
+            t_at, de, _ = closed(ell)
+            far = ~(t_at < target)
+            lo, hi = np.where(live & far, ell, lo), np.where(live & ~far, ell, hi)
+            rate = (e0 + de) / (slope + b_ * np.exp(ell) * (u0 - s))  # dt/dell
+            new = ell - np.log(t_at / target) * (t_at / rate)
+            done = np.abs(new - ell) <= 1e-10 * np.abs(ell)
+            new = np.where(done | ((lo < new) & (new < hi)), new, 0.5 * (lo + hi))
+            done |= (new == lo) | (new == hi)
+            ell, live = np.where(live, new, ell), live & ~done
+        return ell
 
-    def q_of(t):
-        return q0 + c_ * t - a_ * displacement(t)
+    # phi, u_delta and e are asked at the same times: keep the last ell and Y.
+    last = {"t": np.nan}
 
+    def at_solved(f):
+        def of(t):
+            if not np.array_equal(last["t"], t):
+                ell = solve(t.reshape(-1)).reshape(t.shape)
+                last.update(t=t.copy(), ell=ell, y=closed(ell)[2])
+            return f(last["ell"], last["y"], t)
+
+        return _quiet(of)
+
+    # X = Y + s t and e = e0 + (A - B s) t - B Y at the time asked: ell fixes t
+    # to a few ulps (hundreds where t(ell) grows exponentially), Y barely moves
+    # with ell. u never passes s, and is u0 itself at t = 0.
     return (
-        _quiet(lambda t: d.x0 + displacement(t)),
-        _quiet(lambda t: q_of(t) / e_of(t)),
-        _quiet(lambda t: e_of(t) * scale),
-        {"kind": "atom-exact", "e0": d.e0, "u_delta0": float(d.u_delta0)},
-    )
-
-
-def _path_generic_atom(d: RiemannData1D, t_end: float) -> tuple:
-    from scipy.integrate import solve_ivp
-
-    # The solution checks t_end too, but after the path: on a nan or infinite
-    # span solve_ivp would never return.
-    if not 0.0 < t_end < np.inf:
-        raise InvalidParameterError(f"t_end must be positive and finite, got {t_end}")
-    a_, b_, c_, d_ = jumps_1d(d)
-    q0 = d.e0 * float(d.u_delta0)
-
-    def rhs(t, y):
-        _, e, q = y
-        u = q / e
-        return [u, a_ - b_ * u, c_ - d_ * u]
-
-    # At a huge t_end the steps overflow to inf and nan, which the solution's
-    # support check and the CLI writers refuse; numpy need not warn first.
-    with np.errstate(all="ignore"):
-        sol = solve_ivp(
-            rhs,
-            (0.0, float(t_end)),
-            [0.0, d.e0, q0],
-            method="DOP853",
-            rtol=1e-12,
-            # e and q in units of e0: an absolute floor would swamp a small atom.
-            atol=1e-14 * np.array([1.0, d.e0, d.e0 * (abs(d.u_l) + abs(d.u_r))]),
-            dense_output=True,
-        )
-    if not sol.success:
-        raise NoDeltaShockError(f"front ODE integration failed: {sol.message}")
-
-    def component(i):
-        def f(t):
-            t = np.asarray(t, dtype=float)
-            out = sol.sol(t.reshape(-1))[i].reshape(t.shape)
-            return out if out.shape else float(out)
-
-        return f
-
-    x_of, e_of, q_of = component(0), component(1), component(2)
-    return (
-        _quiet(lambda t: d.x0 + np.asarray(x_of(t))),
-        _quiet(lambda t: q_of(t) / e_of(t)),
-        _quiet(e_of),
-        {"kind": "atom-ode", "t_end": float(t_end)},
+        at_solved(lambda ell, y, t: d.x0 + (y + s * t)),
+        at_solved(lambda ell, y, t: np.where(ell == 0.0, u0, s + np.exp(ell) * (u0 - s))),
+        at_solved(lambda ell, y, t: (e0 + (grow * t - b_ * y)) * scale),
+        {"kind": "atom-exact", "e0": d.e0, "u_delta0": u0, "speed": s},
     )
 
 
@@ -264,7 +266,8 @@ def solve_constant_states(
     """The solution of ``d`` on 0 <= t <= t_end, truncated to ``support0`` if given.
 
     Raises if the data are not overcompressive, if no real front speed
-    exists, or (defensively) if both speeds are admissible; the solution
+    exists, or (defensively) if both speeds are admissible; for an atom, if
+    no front speed attracts u_delta0 or its mass vanishes. The solution
     itself refuses a bad ``t_end`` or a front that leaves ``support0``.
     """
     if d.e0 == 0.0:
@@ -275,11 +278,7 @@ def solve_constant_states(
             f"u_r < u_delta0 < u_l for u_delta0={d.u_delta0}"
         )
     else:
-        a_, _, _, d_ = jumps_1d(d)
-        if abs(a_ - d_) <= 1e-13 * (abs(a_) + abs(d_)):
-            path = _path_standard_atom(d)
-        else:
-            path = _path_generic_atom(d, t_end)
+        path = _path_atom(d)
     phi, u_delta, e, detail = path
     return DeltaShockSolution1D(
         flux=d.flux, rho_l=d.rho_l, rho_r=d.rho_r, u_l=d.u_l, u_r=d.u_r,

@@ -194,7 +194,10 @@ class PlanarSolution:
     ``base`` posed in the coordinate s = nu . x, while any tangential
     velocity jump is a standing data constraint: the front cannot absorb
     tangential momentum, and the corresponding deficit is reported, not
-    solved. Standard flux only; a generalized flux couples the normal and
+    solved. A balance audit of ``base`` therefore checks the normal
+    direction only: the bundled ``planar_2d`` passes it with a tangential
+    deficit of 0.247, while its weak ``momentum_1`` residual stalls at
+    1.1e-2. Standard flux only; a generalized flux couples the normal and
     tangential components and does not reduce.
 
     ``frame`` is orthonormal with rows (nu, tau_1, ..., tau_{n-1});

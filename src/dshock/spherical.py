@@ -92,9 +92,9 @@ class RadialField:
 
     def state(self, r, t):
         r, t = np.asarray(r, dtype=float), np.asarray(t, dtype=float)
+        lo, hi = self.support(t)  # before t is spread over r: one time gives two numbers
         if r.shape != t.shape:  # skips about 3 us of broadcasting per front-ODE side
             r, t = np.broadcast_arrays(r, t)
-        lo, hi = self.support(t)
         inside = np.array((r >= lo) & (r <= hi))
         rho, u = np.zeros(r.shape), np.zeros(r.shape)
         if inside.any():

@@ -400,8 +400,9 @@ def test_riemann_subcommand_rejects_non_finite_t_end(tmp_path, capsys, t_end):
 
 @pytest.mark.parametrize("t_end", ["inf", "nan"])
 def test_riemann_subcommand_rejects_non_finite_t_end_on_the_ode_path(tmp_path, capsys, t_end):
-    # A relativistic atom is integrated over [0, t_end]; solve_ivp never
-    # returned on a nan or infinite span.
+    # A relativistic atom was once integrated by an ODE solver over
+    # [0, t_end], which never returned on a nan or infinite span. Its closed
+    # form is refused the same way.
     out = tmp_path / "r.csv"
     atom = ["--flux", "relativistic", "--c0", "1", "--e0", "0.4", "--u-delta0", "0.3"]
     assert main(_RIEMANN_41 + atom + ["--t-end", t_end, "--out", str(out)]) == 2
@@ -679,7 +680,7 @@ def test_a_table_that_cannot_be_written_takes_the_others_along(tmp_path, capsys,
         (
             "seeded_atom_riemann",
             {"t_end": 1e308},
-            "front leaves the support window at t=3.125e+306: 3.125e+306 .. nan .. -3.125e+306",
+            "front leaves the support window at t=3.125e+306: 3.125e+306 .. 1.0416666666666666e+306 .. -3.125e+306",
         ),
         (
             "symmetric_riemann",
@@ -690,8 +691,9 @@ def test_a_table_that_cannot_be_written_takes_the_others_along(tmp_path, capsys,
     ids=["atom-late", "dense"],
 )
 def test_extreme_finite_data_fail_quietly_with_a_report(tmp_path, capsys, scenario, changes, error):
-    # The atom path and the 1-D audit overflow; numpy used to warn on stderr
-    # before the failure, and the audit computed its drifts on inf.
+    # The support window closes on the atom, and the 1-D audit overflows;
+    # numpy used to warn on stderr before the failure, and the audit computed
+    # its drifts on inf. The atom's phi = s t + Y stays finite (it was nan).
     obj = dict(json.loads((SCENARIOS / f"{scenario}.json").read_text()), **changes)
     cfg = tmp_path / "extreme.json"
     cfg.write_text(json.dumps(obj))
@@ -704,14 +706,15 @@ def test_extreme_finite_data_fail_quietly_with_a_report(tmp_path, capsys, scenar
 
 
 def test_riemann_subcommand_atom_at_the_top_of_the_float_range(tmp_path, capsys):
+    # e = 4 t + 0.5 - 3 Y overflows first, in row 46 (t = 4.5e307); no
+    # intermediate may overflow before it. Once phi went nan at row 12.
     out = tmp_path / "r.csv"
     args = [
         "riemann", "--rho-l", "4", "--rho-r", "1", "--u-l", "1", "--u-r", "-1",
         "--e0", "0.5", "--u-delta0", "0", "--t-end", "1e308", "--out", str(out),
     ]
     assert _no_runtime_warnings(lambda: main(args)) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("numerical failure: front leaves the support window") and err.count("\n") == 1
+    assert capsys.readouterr().err == "numerical failure: r.csv: column 'e' holds inf in data row 46\n"
     assert not out.exists()
 
 
@@ -1229,15 +1232,17 @@ def test_riemann_subcommand_keeps_a_huge_initial_atom(tmp_path):
     np.testing.assert_allclose(huge[:, 3:] / 1e200, unit[:, 3:], rtol=1e-15, atol=1e-15)
 
 
-def test_the_atom_ode_path_fails_with_one_line(tmp_path, capsys):
-    # solve_ivp's step control and the right-hand side's q / e warned nine
-    # times on stderr before the exit-3 line.
+def test_the_relativistic_atom_fails_with_one_line(tmp_path, capsys):
+    # The first output that overflows is e = (A - B s) t + ..., about 2.71 t,
+    # in row 68 (t = 6.7e307); phi, e and their intermediates stay finite
+    # before it. An ODE solve of this atom warned nine times on stderr before
+    # the exit-3 line, and its phi went -inf at row 61.
     out = tmp_path / "x.csv"
     args = ["riemann", "--rho-l", "4", "--rho-r", "1", "--u-l", "1", "--u-r", "-1",
             "--flux", "relativistic", "--c0", "1", "--e0", "0.4", "--u-delta0", "0.3",
             "--t-end", "1e308", "--out", str(out)]
     assert _no_runtime_warnings(lambda: main(args)) == 3
-    assert capsys.readouterr().err == "numerical failure: x.csv: column 'phi' holds -inf in data row 61\n"
+    assert capsys.readouterr().err == "numerical failure: x.csv: column 'e' holds inf in data row 68\n"
     assert not out.exists()
 
 

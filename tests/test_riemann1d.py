@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dshock import (
@@ -20,6 +20,7 @@ from dshock import (
     standard_flux,
     tabulated_flux,
 )
+from dshock.rh import jumps_1d
 
 # Independently computed front speed for the relativistic flux with
 # c0 = 1 and data (4, 1, 1, -1): root of the jump quadratic in u_delta,
@@ -178,23 +179,9 @@ def test_atom_entropy_violating_seed_raises():
         solve_constant_states(RiemannData1D(1.0, 1.0, 1.0, -1.0, e0=0.1, u_delta0=2.0), t_end=1.0)
 
 
-def test_generic_atom_ode_matches_closed_form():
-    # The ODE fallback for seeded atoms reproduces the closed-form
-    # standard-flux path when run on the same data.
-    from dshock.riemann1d import _path_generic_atom, _path_standard_atom
-
-    d = RiemannData1D(2.0, 1.0, 0.8, -0.6, e0=0.3, u_delta0=0.5)
-    phi_std, u_std, e_std, _ = _path_standard_atom(d)
-    phi_ode, u_ode, e_ode, _ = _path_generic_atom(d, t_end=1.5)
-    for t in (0.3, 0.9, 1.5):
-        assert phi_ode(t) == pytest.approx(phi_std(t), abs=1e-9)
-        assert e_ode(t) == pytest.approx(e_std(t), rel=1e-9)
-        assert u_ode(t) == pytest.approx(u_std(t), abs=1e-9)
-
-
 def test_relativistic_atom_path():
-    # Non-standard flux with a seed takes the ODE route over [0, t_end];
-    # the balance laws hold along it.
+    # A non-standard flux with a seed takes the same closed form as the
+    # standard flux; the balance laws hold along it.
     d = RiemannData1D(4.0, 1.0, 1.0, -1.0, flux=relativistic_flux(1, 1.0), e0=0.4, u_delta0=0.6)
     sol = solve_constant_states(d, t_end=2.0)
     _assert_rates_are_deficits(sol, (0.5, 1.5))
@@ -206,7 +193,7 @@ def test_relativistic_atom_path():
     [
         ({}, standard_flux(1), "constant-speed"),
         ({"e0": 0.5, "u_delta0": 0.9}, standard_flux(1), "atom-exact"),
-        ({"e0": 0.4, "u_delta0": 0.6}, relativistic_flux(1, 1.0), "atom-ode"),
+        ({"e0": 0.4, "u_delta0": 0.6}, relativistic_flux(1, 1.0), "atom-exact"),
     ],
 )
 def test_solution_detail_names_its_path(atom, flux, kind):
@@ -242,18 +229,17 @@ def test_non_finite_data_rejected(kw):
 
 
 def _atom_reference_error(mp, data, times):
-    """Largest error of the exact atom path at ``times`` against 50-digit arithmetic.
+    """Largest error of a standard-flux atom at ``times`` against 50-digit arithmetic.
 
-    The reference takes the same closed form on the float data it was
-    given, each root in its form without cancellation. Each quantity is
-    measured against the size of the terms it sums, since the displacement
-    crosses zero and A, C and e = e0 + A t - B X may cancel.
+    For the standard flux (A = D) the displacement solves a quadratic, so the
+    reference takes that closed form on the float data it was given, each
+    root in its form without cancellation. Each quantity is measured against
+    the size of the terms it sums, since the displacement crosses zero and
+    A, C and e = e0 + A t - B X may cancel.
     """
-    from dshock.riemann1d import _path_standard_atom
-
     rho_l, rho_r, u_l, u_r, e0 = (data[k] for k in ("rho_l", "rho_r", "u_l", "u_r", "e0"))
-    phi, u_delta, e_of, _ = _path_standard_atom(RiemannData1D(**data))
-    x, e, u = phi(times), e_of(times), u_delta(times)
+    sol = solve_constant_states(RiemannData1D(**data), t_end=float(np.max(times)))
+    x, e, u = sol.phi(times), sol.e(times), sol.u_delta(times)
     # The sizes of the terms of A, B and C.
     A_, B_, C_ = rho_l * abs(u_l) + rho_r * abs(u_r), rho_l + rho_r, rho_l * u_l**2 + rho_r * u_r**2
     rl, rr, ul, ur, E0, ud0 = map(mp.mpf, (rho_l, rho_r, u_l, u_r, e0, data["u_delta0"]))
@@ -331,14 +317,191 @@ def test_atom_path_where_s_turns_negative():
     assert _atom_reference_error(mp, data, np.linspace(0.0, 1.0, 41)[1:]) <= 1e-13
 
 
+def _attracting_atom_50(mp, d, times):
+    """(phi, u_delta, e) of the atom of ``d`` at 0 and ``times[1:] > 0`` in 50-digit arithmetic.
+
+    The jumps are the float jumps of the data, taken as exact. u_delta moves
+    to the root s of P(u) = B u^2 - (A + D) u + C with P'(s) < 0 whose side
+    of the other root holds u0. With ell = log((u - s) / (u0 - s)), the front
+    is the closed form below; each time is solved for ell by Newton's method.
+    Returns None where no root attracts u0 or the mass vanishes before the
+    last time. Asserts that the closed form
+    solves the front's ODE: X' = u, e' = A - B u and (e u)' = C - D u, as
+    derivatives in ell by ``mpmath.diff``, to 1e-30 of their terms.
+    """
+    A, B, C, D = map(mp.mpf, jumps_1d(d))
+    e0, u0 = mp.mpf(d.e0), mp.mpf(d.u_delta0)
+    disc = (A + D) ** 2 - 4 * B * C
+    if B == 0:
+        roots = [C / (A + D)]
+    else:
+        roots = [(A + D + sign * mp.sqrt(disc)) / (2 * B) for sign in (1, -1)] if disc >= 0 else []
+    ahead = [r for r in roots if 2 * B * r < A + D and B * (u0 + r) < A + D]
+    if not ahead:
+        return None
+    (s,) = ahead
+    slope, m = 2 * B * s - (A + D), B * (u0 + s) - (A + D)
+    g = (A - B * s) / slope
+    w = B * (u0 - s) / m
+
+    def front(ell):
+        """(t, X, e, u) at ell."""
+        big_l = mp.log1p(mp.expm1(ell) * w)
+        e = e0 * mp.exp(g * ell - (1 + g) * big_l)
+        y = e0 * (u0 - s) / slope * mp.expm1((1 + g) * (ell - big_l)) / (1 + g)
+        t = (e - e0 + B * y) / (A - B * s)
+        return t, y + s * t, e, s + mp.exp(ell) * (u0 - s)
+
+    rows = [(d.x0, u0, e0)]
+    for t_asked in map(mp.mpf, times[1:]):
+        ell = mp.mpf(-1)
+        while front(ell)[0] < t_asked:
+            if front(2 * ell)[0] <= front(ell)[0]:  # t stops growing: the mass vanishes first
+                return None
+            ell *= 2
+        while front(ell)[0] >= t_asked:
+            ell /= 2
+        for _ in range(100):  # Newton on log t, from below
+            t, _, e, u = front(ell)
+            step = mp.log(t / t_asked) * t * (slope + B * (u - s)) / e
+            ell -= step
+            if abs(step) <= mp.mpf(10) ** -45 * abs(ell):
+                break
+        t, x, e, u = front(ell)
+        assert abs(t - t_asked) <= mp.mpf(10) ** -30 * t_asked
+        dt = mp.diff(lambda v: front(v)[0], ell)
+        for rate, of in ((u, lambda v: front(v)[1]), (A - B * u, lambda v: front(v)[2]),
+                         (C - D * u, lambda v: front(v)[2] * front(v)[3])):
+            residual = mp.diff(of, ell) - rate * dt
+            assert abs(residual) <= mp.mpf(10) ** -30 * (abs(rate * dt) + e0 * (1 + abs(u)))
+        rows.append((d.x0 + x, u, e))
+    return rows
+
+
+@st.composite
+def _atoms_of_other_fluxes(draw):
+    """Seeded data of the relativistic flux, or of a tabulated flux with N != u F."""
+    rho_l, rho_r = (10.0 ** draw(st.floats(-2.0, 2.0)) for _ in "lr")
+    u_r = draw(st.floats(-5.0, 5.0))
+    u_l = u_r + draw(st.floats(0.05, 5.0))
+    if draw(st.booleans()):
+        flux = relativistic_flux(1, 10.0 ** draw(st.floats(-1.0, 1.0)))
+    else:
+        a, b = draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5).filter(lambda b: abs(b) > 1e-3))
+        u = np.linspace(-11.0, 11.0, 45)
+        flux = tabulated_flux(u, u + a * np.sin(u), u * (u + a * np.sin(u)) + b * np.cos(u))
+    return RiemannData1D(
+        rho_l, rho_r, u_l, u_r, flux=flux, x0=draw(st.floats(-2.0, 2.0)),
+        e0=10.0 ** draw(st.floats(-3.0, 1.0)), u_delta0=u_r + draw(st.floats(0.05, 0.95)) * (u_l - u_r),
+    )
+
+
+_ATOM_TIMES = np.array([0.0, 1e-4, 1e-2, 0.1, 0.5, 1.0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=_atoms_of_other_fluxes())
+@example(  # no admissible speed: u_delta leaves (u_r, u_l) for s = 1.2
+    d=RiemannData1D(1.0, 1.0, 3.0, 2.0, flux=relativistic_flux(1, 1.0), e0=0.5, u_delta0=2.5)
+)
+def test_atoms_of_other_fluxes_match_a_50_digit_closed_form(d):
+    # An ODE solve (DOP853 at rtol 1e-12) of these atoms was off by up to
+    # 8.1e-11 of scale against this reference.
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    rows = _attracting_atom_50(mp, d, _ATOM_TIMES)
+    if rows is None:
+        with pytest.raises(NoDeltaShockError):
+            solve_constant_states(d, t_end=1.0)
+        return
+    sol = solve_constant_states(d, t_end=1.0)
+    got = np.array([sol.phi(_ATOM_TIMES), sol.u_delta(_ATOM_TIMES), sol.e(_ATOM_TIMES)])
+    U = abs(d.u_l) + abs(d.u_r) + abs(d.u_delta0)
+    scales = (abs(d.x0) + U * _ATOM_TIMES, U, d.e0 + (d.rho_l + d.rho_r) * U * _ATOM_TIMES)
+    worst = max(
+        float(abs(got[i, j] - rows[j][i])) / np.broadcast_to(scales[i], _ATOM_TIMES.shape)[j]
+        for i in range(3) for j in range(1, _ATOM_TIMES.size)
+    )
+    assert worst <= 1e-14
+    assert tuple(got[:, 0]) == (d.x0, d.u_delta0, d.e0)
+    # u_delta moves monotonically to s, which it never passes.
+    s, u = sol.detail["speed"], got[1]
+    assert np.all((u[:-1] - u[1:]) * (d.u_delta0 - s) >= 0.0)
+    assert np.all((u - s) * (d.u_delta0 - s) >= 0.0)
+
+
+def test_an_atom_seeded_at_its_front_speed_keeps_it():
+    for flux in (standard_flux(1), relativistic_flux(1, 1.0)):
+        d = RiemannData1D(4.0, 1.0, 1.0, -1.0, flux=flux)
+        s = admissible_front_speed(d)
+        sol = solve_constant_states(dataclasses.replace(d, e0=0.5, u_delta0=s), t_end=1.0)
+        times = np.linspace(0.0, 1.0, 11)
+        np.testing.assert_array_equal(sol.u_delta(times), np.full(times.size, s))
+        np.testing.assert_allclose(sol.phi(times), s * times, rtol=1e-15, atol=0.0)
+        rate, _ = sol.deficits(0.0)
+        np.testing.assert_allclose(sol.e(times), 0.5 + rate * times, rtol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "rho_l, f, n, why",
+    [
+        (1.0, lambda u: -u, lambda u: -(u**2), "data carry no jump"),  # P = 0
+        (1.0, lambda u: -2.0 * u, lambda u: u**2, "no single front speed"),  # P = 2 u repels
+        (2.0, lambda u: u, lambda u: u**2 + 2.0 * u + 2.0, "no single front speed"),  # P = (u - 3)^2
+        (2.0, lambda u: u, lambda u: u**2 + 5.0 * u + 5.0, "no real root"),  # P = u^2 - 6 u + 21
+    ],
+    ids=["P-vanishes", "repelling-root", "double-root", "no-real-root"],
+)
+def test_an_atom_with_no_attracting_front_speed_is_refused(rho_l, f, n, why):
+    # A tabulated flux can leave u_delta no root of P(u) = B u^2 - (A + D) u
+    # + C to move to. An ODE solve ran these: the first exited 3 with "front
+    # mass negative at t=0.265625".
+    u = np.linspace(-2.0, 2.0, 9)
+    d = RiemannData1D(rho_l, 1.0, 1.0, -1.0, flux=tabulated_flux(u, f(u), n(u)), e0=0.5, u_delta0=0.2)
+    with pytest.raises(NoDeltaShockError, match=why):
+        solve_constant_states(d, t_end=0.5)
+
+
+def test_relativistic_atom_tends_to_the_standard_atom_at_order_c0_squared():
+    # |C(u) - u| <= |u|^3 / (2 c0^2), so each doubling of c0 quarters the gap.
+    times = np.linspace(0.0, 1.0, 11)
+
+    def curves(flux):
+        sol = solve_constant_states(RiemannData1D(4.0, 1.0, 1.0, -1.0, flux=flux, e0=0.5, u_delta0=0.1), 1.0)
+        return np.array([sol.phi(times), sol.u_delta(times), sol.e(times)])
+
+    standard = curves(standard_flux(1))
+    gaps = np.array([np.max(np.abs(curves(relativistic_flux(1, c0)) - standard)) for c0 in (10, 20, 40, 80)])
+    # Measured: 3.977, 3.994 and 3.999.
+    np.testing.assert_allclose(gaps[:-1] / gaps[1:], 4.0, rtol=0.01)
+
+
+def test_atoms_need_no_ode_solver(monkeypatch, tmp_path):
+    import scipy.integrate
+
+    from dshock.cli import main
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a 1-D atom called solve_ivp")
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", refuse)
+    u = np.linspace(-2.0, 2.0, 9)
+    for flux in (standard_flux(1), relativistic_flux(1, 1.0), tabulated_flux(u, u, u**2 + 0.1 * np.cos(u))):
+        d = RiemannData1D(4.0, 1.0, 1.0, -1.0, flux=flux, e0=0.4, u_delta0=0.3)
+        assert np.all(np.isfinite(solve_constant_states(d, t_end=1.0).phi(np.linspace(0.0, 1.0, 5))))
+    args = ["riemann", "--rho-l", "4", "--rho-r", "1", "--u-l", "1", "--u-r", "-1", "--flux", "relativistic",
+            "--c0", "1", "--e0", "0.4", "--u-delta0", "0.3", "--t-end", "1", "--out", str(tmp_path / "r.csv")]
+    assert main(args) == 0
+
+
 # Admissible two-state data for each path kind: "constant" and
-# "relativistic" start without an atom, "atom" takes the exact standard-flux
-# path and "atom-ode" the ODE fallback of the relativistic flux.
+# "relativistic" start without an atom, "atom" and "relativistic-atom" seed
+# one with the standard and the relativistic flux.
 _PATH_KINDS = {
     "constant": "constant-speed",
     "relativistic": "constant-speed",
     "atom": "atom-exact",
-    "atom-ode": "atom-ode",
+    "relativistic-atom": "atom-exact",
 }
 
 
@@ -350,9 +513,9 @@ def _admissible(draw, kinds=tuple(_PATH_KINDS)):
     u_r = draw(st.floats(-3.0, 3.0))
     u_l = u_r + draw(st.floats(0.05, 4.0))
     data = {"rho_l": rho_l, "rho_r": rho_r, "u_l": u_l, "u_r": u_r, "x0": draw(st.floats(-2.0, 2.0))}
-    if kind in ("relativistic", "atom-ode"):
+    if kind in ("relativistic", "relativistic-atom"):
         data["flux"] = relativistic_flux(1, draw(st.floats(0.5, 5.0)))
-    if kind in ("atom", "atom-ode"):
+    if kind in ("atom", "relativistic-atom"):
         data["e0"] = 10.0 ** draw(st.floats(-8.0, 1.0))
         data["u_delta0"] = u_r + draw(st.floats(0.05, 0.95)) * (u_l - u_r)
     try:
@@ -398,10 +561,10 @@ def test_density_scaling(data, log_c):
     # whatever the unit of density. With x0 = 0 the displacement itself is
     # compared. Before, an absolute floor in the front-speed and flux tests
     # refused data at c = 1e-100 or took a relativistic atom for a standard
-    # one; the exact atom path was off by up to 0.04 in these units, and the
-    # ODE path by 1e-6 unscaled through its absolute atol. Above c = 1e150
-    # the exact atom path's s^2 overflowed, until it took its masses and
-    # jumps in units of the data.
+    # one; the standard atom path was off by up to 0.04 in these units, and
+    # an ODE solve of the relativistic atom by 1e-6 unscaled through its
+    # absolute atol. Above c = 1e150 the standard atom path's s^2 overflowed,
+    # until it took its masses and jumps in units of the data.
     data = dict(data, x0=0.0)
     kind, base = _solve(data)
     c = 10.0**log_c
@@ -411,9 +574,10 @@ def test_density_scaling(data, log_c):
     kind_c, curves = _solve(scaled)
     assert kind_c == kind
     curves[2] /= c
-    # Largest found by a targeted search: 3.7e-16 on the closed forms and
-    # 4.5e-12 through the ODE, whose steps move with the rounding.
-    assert _deviation(curves, base, data, base[1]) <= (1e-10 if kind == "atom-ode" else 1e-14)
+    # Largest found by a targeted search: 3.7e-16 on the closed forms. An ODE
+    # solve of the relativistic atom reached 4.5e-12, as its steps moved with
+    # the rounding.
+    assert _deviation(curves, base, data, base[1]) <= 1e-14
 
 
 @settings(max_examples=80, deadline=None)
@@ -429,6 +593,20 @@ def test_reflection_is_exact(data):
     kind_m, curves = _solve(mirrored)
     assert kind_m == kind
     np.testing.assert_array_equal(curves, np.array([-phi, -u_delta, e]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=_admissible(kinds=("atom", "relativistic-atom")),
+    log_t=st.lists(st.floats(-6.0, 0.0), min_size=2, max_size=8),
+)
+def test_each_time_of_an_array_gets_its_own_answer(data, log_t):
+    # Each time stops its Newton iteration on its own test, so the times asked
+    # with it leave its bits alone: the array equals the per-time loop.
+    sol = solve_constant_states(RiemannData1D(**data), t_end=1.0)
+    times = 10.0 ** np.array(log_t)
+    for f in (sol.phi, sol.u_delta, sol.e):
+        np.testing.assert_array_equal(f(times), [f(t) for t in times])
 
 
 @settings(max_examples=80, deadline=None)

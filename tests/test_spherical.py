@@ -72,6 +72,29 @@ def test_side_states_are_vacuum_where_density_is_not_positive():
     assert _side(None, 1.0, 0.0) == (0.0, 0.0)
 
 
+@pytest.mark.parametrize("support, arrays", [(None, 5.26), ((0.5, 2.5), 4.22)])
+def test_state_at_one_time_holds_few_arrays_of_its_radii(support, arrays):
+    # At one time the support window is two numbers, not two arrays of r's
+    # shape. state(r, 0.0) on 200k radii peaks at 5.25 and 4.22 arrays of
+    # them (measured); it peaked at 7.25 and 6.22 while t was spread over r
+    # first. The window keeps 2/3 of the radii inside.
+    import tracemalloc
+
+    f = constant_field(1.0, -1.0, support0=support)
+    r = np.linspace(0.01, 3.0, 200_000)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        rho, u = f.state(r, 0.0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= arrays * r.nbytes
+    np.testing.assert_array_equal(rho, 1.0 if support is None else 1.0 * ((r >= 0.5) & (r <= 2.5)))
+    assert [f.state(rk, 0.0) for rk in r[::20_000]] == list(zip(rho[::20_000], u[::20_000]))
+
+
 def test_steady_converging_field_solves_radial_system():
     for n in (2, 3):
         f = steady_converging_field(n)

@@ -286,7 +286,7 @@ def test_identity_value_matches_scalar_reference(sol, seed, member, level):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    kind=st.sampled_from(["constant", "relativistic", "atom", "atom-ode"]),
+    kind=st.sampled_from(["constant", "relativistic", "atom", "relativistic-atom"]),
     rho=st.tuples(st.floats(-1.3, 1.3), st.floats(-1.3, 1.3)),
     u_r=st.floats(-3.0, 3.0),
     jump=st.floats(0.05, 4.0),
@@ -301,9 +301,9 @@ def test_density_scaling_scales_the_residual_table(kind, rho, u_r, jump, c0, e0,
     # differently, so the table scales exactly, on every solver path.
     u_l = u_r + jump
     data = {"rho_l": 10.0 ** rho[0], "rho_r": 10.0 ** rho[1], "u_l": u_l, "u_r": u_r}
-    if kind in ("relativistic", "atom-ode"):
+    if kind in ("relativistic", "relativistic-atom"):
         data["flux"] = relativistic_flux(1, c0)
-    if kind in ("atom", "atom-ode"):
+    if kind in ("atom", "relativistic-atom"):
         data["e0"] = 10.0**e0
         data["u_delta0"] = u_r + where * (u_l - u_r)
     try:
