@@ -24,11 +24,11 @@ outer = steady_converging_field(n, (1.0, 3.5))
 init = SphericalFrontState(t=0.0, phi=1.0, e=0.01, u_delta=-0.5)
 traj = integrate_front(None, outer, init, n=n, t_end=1.5, r_min=0.05)
 
-print(f"stopped at t = {traj.t_stop:.4f}  focused = {traj.focused}")
+print(f"stopped at t = {traj.t_end:.4f}  focused = {traj.focused}")
 area = unit_sphere_area(n)
 print("\n   t      phi      u_delta      e         m = e |S^2| phi^2")
-for t in np.linspace(0.0, traj.t_stop, 9):
-    phi, ud, e = traj.phi_at(t), traj.u_delta_at(t), traj.e_at(t)
+for t in np.linspace(0.0, traj.t_end, 9):
+    phi, ud, e = traj.phi(t), traj.u_delta(t), traj.e(t)
     print(f"{t:5.2f}  {phi:7.4f}  {ud:+9.4f}  {e:9.5f}  {e * area * phi**2:10.5f}")
 
 # Entropy (overcompression) holds throughout: the outer gas at u = -1
@@ -37,6 +37,6 @@ print("\nfront stays overcompressive:", not traj.entropy_violated)
 
 # A mass audit over an annulus confirms that whatever the bulk loses,
 # the shell gains, up to the integrator tolerance.
-times = np.linspace(0.0, traj.t_stop, 13)
-rep = audit(traj, times, outer=outer, annulus=(0.0, 3.6))
+times = np.linspace(0.0, traj.t_end, 13)
+rep = audit(traj, times, box=(0.0, 3.6))
 print(f"max |(M+m)(t) - (M+m)(0)| over the run: {rep.mass_drift:.2e}")

@@ -34,13 +34,7 @@ from .errors import AuditInvalidError, InvalidParameterError, NonFiniteOutputErr
 from .geometry.quadrature import gauss_panels
 from .rh import FrontState, SideStates
 from .solutions import DeltaShockSolution1D
-from .spherical import (
-    RadialField,
-    SphericalTrajectory,
-    _side,
-    radial_moment_integral,
-    unit_sphere_area,
-)
+from .spherical import SphericalTrajectory, _side, radial_moment_integral, unit_sphere_area
 from .weakcheck import identity_value, make_battery
 
 __all__ = [
@@ -157,29 +151,32 @@ class BalanceReport:
         return names, data
 
 
-def audit(
-    solution,
-    times=None,
-    *,
-    box=None,
-    inner: RadialField | None = None,
-    outer: RadialField | None = None,
-    annulus=None,
-) -> BalanceReport:
-    """Balance audit of a 1-D solution or a spherical trajectory.
+def audit(solution, times=None, *, box=None) -> BalanceReport:
+    """Balance audit of a 1-D solution or a spherical trajectory over ``box``.
 
-    1-D solutions must be compactly supported; the audit box defaults to
-    1.2x the support bounding box and the support must stay strictly
-    inside it. Spherical trajectories additionally need the side fields
-    and an annulus that contains their supports.
+    A ``box`` given is an interval (a, b), finite and increasing. For a 1-D
+    solution it is the audit box, by default 1.2x the support bounding box,
+    and the compact support must stay strictly inside it. For a spherical trajectory
+    it is the annulus a <= r <= b, which is required and must contain the
+    supports of the side fields the trajectory carries.
     """
+    if box is not None:
+        box = _domain(box)
     if isinstance(solution, DeltaShockSolution1D):
         return _audit_1d(solution, times, box)
     if isinstance(solution, SphericalTrajectory):
-        if annulus is None:
+        if box is None:
             raise AuditInvalidError("spherical audits need an annulus")
-        return _audit_spherical(solution, inner, outer, annulus, times)
+        return _audit_spherical(solution, times, box)
     raise InvalidParameterError(f"cannot audit {type(solution).__name__}")
+
+
+def _domain(box) -> tuple[float, float]:
+    """The edges (a, b) of an audit box or annulus, refused unless finite and increasing."""
+    a, b = map(float, box)
+    if not (np.isfinite(a) and np.isfinite(b) and a < b):
+        raise InvalidParameterError(f"audit box must be finite and increasing, got ({a}, {b})")
+    return a, b
 
 
 def _audit_1d(sol: DeltaShockSolution1D, times, box) -> BalanceReport:
@@ -190,9 +187,7 @@ def _audit_1d(sol: DeltaShockSolution1D, times, box) -> BalanceReport:
     if times is None:
         times = np.linspace(0.0, sol.t_end, 41)
     times = np.asarray(times, dtype=float)
-    if box is None:
-        box = sol.spatial_bounds(0.2)
-    a, b = map(float, box)
+    a, b = sol.spatial_bounds(0.2) if box is None else box
     lo, pos, hi = sol.edge_l(times), sol.phi(times), sol.edge_r(times)
     bad = np.flatnonzero(~((a < lo) & (hi < b)))
     if bad.size:
@@ -228,7 +223,7 @@ def _audit_1d(sol: DeltaShockSolution1D, times, box) -> BalanceReport:
     )
 
 
-def _audit_spherical(traj, inner, outer, annulus, times) -> BalanceReport:
+def _audit_spherical(traj, times, box) -> BalanceReport:
     """Spherical audit sampled at the array ``times``, all samples at once.
 
     The hypotheses are masks over the samples: the first failing sample
@@ -238,14 +233,12 @@ def _audit_spherical(traj, inner, outer, annulus, times) -> BalanceReport:
     every sample interval at once. The bulk rule has 24 panels of 10
     Gauss nodes per side.
     """
-    a, b = map(float, annulus)
-    if not (np.isfinite(a) and np.isfinite(b)):
-        raise InvalidParameterError(f"annulus edges must be finite, got ({a}, {b})")
-    n = traj.n
+    a, b = box
+    n, inner, outer = traj.n, traj.inner, traj.outer
     if n >= 2 and a < 0.0:
         raise AuditInvalidError("annulus must not include negative radii for n >= 2")
     if times is None:
-        times = np.linspace(0.0, traj.t_stop, 25)
+        times = np.linspace(0.0, traj.t_end, 25)
     times = np.asarray(times, dtype=float)
     area = unit_sphere_area(n) if n >= 2 else 1.0
 

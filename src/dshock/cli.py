@@ -253,14 +253,14 @@ def _run_riemann1d(obj: dict, seed: int):
 def _run_spherical(obj: dict, seed: int):
     inner, outer, init, kwargs = spherical_setup_from_spec(obj)
     traj = integrate_front(inner, outer, init, **kwargs)
-    times = np.linspace(0.0, traj.t_stop, int(obj.get("samples", 25)))
-    rep = audit(traj, times, inner=inner, outer=outer, annulus=tuple(obj["annulus"]))
+    times = np.linspace(0.0, traj.t_end, int(obj.get("samples", 25)))
+    rep = audit(traj, times, box=obj["annulus"])
     rows = np.column_stack(
         [
             times,
-            traj.phi_at(times),
-            traj.u_delta_at(times),
-            traj.e_at(times),
+            traj.phi(times),
+            traj.u_delta(times),
+            traj.e(times),
             rep.m,
             rep.M,
             rep.sum_mass,
@@ -275,7 +275,7 @@ def _run_spherical(obj: dict, seed: int):
     strict_all = bool(np.all(rep.entropy_strict))
     checks["concentration"] = rep.concentration_holds() if strict_all else None
     payload = {
-        "t_stop": traj.t_stop,
+        "t_stop": traj.t_end,
         "focused": traj.focused,
         "entropy_violated": traj.entropy_violated,
         "passive": traj.passive,
@@ -359,7 +359,7 @@ def _run_oracle(obj: dict, seed: int):
             steady_converging_field(3, (1.0, 3.5)),
             n=3,
             N=2000 if N is None else N,
-            annulus=(1.0, 3.5),
+            box=(1.0, 3.5),
             front_seed=(1.0, 0.01, -0.5),
             r_min=1e-3,
         )

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -306,77 +306,66 @@ def _side(fieldobj: RadialField | None, r, t):
     return (0.0, 0.0) if zero.ndim == 0 else (zero, zero.copy())
 
 
-@dataclass
-class SphericalTrajectory:
-    """Accepted-step history of the front plus dense evaluators and flags.
+class FrontSteps(NamedTuple):
+    """The accepted steps of a front integration, from its initial state on."""
 
-    ``phi_at``, ``e_at``, ``u_delta_at`` and ``m_at`` take a scalar time
-    (returning a float) or an array of times (returning an array of the same
-    length); one call evaluates the whole array in one pass.
-    """
-
-    n: int
-    r_min: float
     t: np.ndarray
     phi: np.ndarray
     e: np.ndarray
     u_delta: np.ndarray
-    t_stop: float
+
+
+@dataclass
+class SphericalTrajectory:
+    """A front integrated up to ``t_end``, with the side fields it ran in.
+
+    ``phi``, ``u_delta``, ``e`` and ``m`` are the callables of the 1-D
+    front: a time gives a float, an array of times an array of its shape,
+    evaluated in one pass by ``_dense``, which maps a 1-D array of times to
+    the rows (phi, e, u_delta). ``steps`` holds the accepted steps from the
+    initial state on; ``inner`` and ``outer`` (None for vacuum) are the
+    fields the front ran in, which ``balance.audit`` integrates.
+    """
+
+    n: int
+    r_min: float
+    inner: RadialField | None
+    outer: RadialField | None
+    steps: FrontSteps
+    t_end: float
     focused: bool = False
     entropy_violated: bool = False
     passive: bool = False
     _dense: Callable | None = field(default=None, repr=False)
-    _boot: tuple | None = field(default=None, repr=False)
 
     def _eval(self, t):
-        """Rows (phi, e, u_delta, m) at the times ``t``: shape (4,) or (4, k).
+        """(phi, e, u_delta, m) at the times ``t``: floats, or arrays of t's shape.
 
-        Times up to the bootstrap end take its closed form; the others go to
-        the dense output in one call. Times before the start time are
-        rejected.
+        The dense evaluator takes all times in one call; times outside the
+        integrated window are rejected.
         """
         t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        t0 = self.t[0] if self._boot is None else self._boot[0]
-        if np.any(t < t0 - 1e-12) or np.any(t > self.t_stop + 1e-12):
+        flat, t0 = t.ravel(), self.steps.t[0]
+        if np.any(flat < t0 - 1e-12) or np.any(flat > self.t_end + 1e-12):
             raise InvalidParameterError("query time outside the integrated window")
-        t = np.clip(t, t0, self.t_stop)
-        out = np.empty((4, t.size))
-        boot = np.zeros(t.size, dtype=bool)
-        if self._boot is not None:
-            _, t_eps, phi0, s, alpha = self._boot
-            boot = t <= t_eps
-            out[0, boot] = phi0 + s * (t[boot] - t0)
-            out[1, boot] = alpha * (t[boot] - t0)
-            out[2, boot] = s
-        if not np.all(boot):
-            phi, e, q = self._dense(t[~boot])
-            out[0, ~boot] = phi
-            out[1, ~boot] = e
-            out[2, ~boot] = np.divide(q, e, out=q.copy(), where=e > 0.0)
-        if self.n == 1:
-            out[3] = out[1]
-        else:
-            out[3] = out[1] * unit_sphere_area(self.n) * out[0] ** (self.n - 1)
-        return out[:, 0] if scalar else out
+        phi, e, u_delta = self._dense(np.clip(flat, t0, self.t_end))
+        m = e if self.n == 1 else e * unit_sphere_area(self.n) * phi ** (self.n - 1)
+        if t.ndim == 0:
+            return tuple(float(v[0]) for v in (phi, e, u_delta, m))
+        return tuple(v.reshape(t.shape) for v in (phi, e, u_delta, m))
 
-    def _row(self, t, k: int):
-        v = self._eval(t)
-        return float(v[k]) if v.ndim == 1 else v[k]
+    def phi(self, t):
+        return self._eval(t)[0]
 
-    def phi_at(self, t):
-        return self._row(t, 0)
+    def e(self, t):
+        return self._eval(t)[1]
 
-    def e_at(self, t):
-        return self._row(t, 1)
+    def u_delta(self, t):
+        return self._eval(t)[2]
 
-    def u_delta_at(self, t):
-        return self._row(t, 2)
-
-    def m_at(self, t):
+    def m(self, t):
         """Total front mass: e |S^{n-1}| phi^{n-1} for n >= 2, plain e in 1-D."""
-        return self._row(t, 3)
+        return self._eval(t)[3]
 
 
 def _local_front_speed(inner, outer, phi: float, t: float) -> tuple[float, float]:
@@ -421,7 +410,8 @@ def integrate_front(
 
     Stops early (with a flag, not an exception) when the front reaches
     r_min or the overcompression condition fails. A massless front over
-    locally equal velocities is advected passively with e = 0.
+    locally equal velocities is advected passively with e = 0. ``rtol`` must
+    lie in [100 eps, 1): RK45 raises a smaller one to 100 eps.
 
     An initial state with e > 0 that violates overcompression raises
     ``NoDeltaShockError``. A vacuum side counts as velocity 0, so over an
@@ -432,6 +422,8 @@ def integrate_front(
         raise InvalidDimensionError("dimension must be >= 1")
     if not (math.isfinite(t_end) and t_end > init.t):
         raise InvalidParameterError("t_end must be finite and exceed the initial time")
+    if not 100.0 * _EPS <= rtol < 1.0:
+        raise InvalidParameterError(f"rtol must lie in [{100.0 * _EPS:.3g}, 1), got {rtol}")
     if r_min is None:
         r_min = 1e-3 * init.phi
     if init.phi <= r_min:
@@ -460,7 +452,7 @@ def integrate_front(
         # atol + rtol |y|; one that is not finite in those units leaves no
         # step size to choose, so stop here rather than inside the solver.
         for name, fk, yk in zip(("dphi/dt", "de/dt", "dq/dt"), f, y):
-            if not abs(fk) <= big * (atol + rtol * abs(yk)):
+            if not abs(fk) / big <= atol + rtol * abs(yk):
                 raise StiffnessError(
                     f"front ODE right-hand side out of range at t = {t:.6g}: "
                     f"{name} = {fk:.6g} is not finite in units of the tolerance "
@@ -468,16 +460,15 @@ def integrate_front(
                 )
         return f
 
-    boot = None
-    t0 = float(init.t)
+    t0, t_eps = float(init.t), -np.inf
     if init.e == 0.0:
+        # A massless front starts at the local 1-D speed s and gains mass at
+        # the rate alpha: that closed form holds up to t_eps, the ODE after.
         s, alpha = _local_front_speed(inner, outer, init.phi, t0)
         if alpha <= 0.0:
             return _integrate_passive(inner, outer, init, n, t_end, r_min, rtol, atol)
         t_eps = t0 + 1e-8 * (t_end - t0)
         y0 = [init.phi + s * (t_eps - t0), alpha * (t_eps - t0), alpha * (t_eps - t0) * s]
-        boot = (t0, t_eps, init.phi, s, alpha)
-        t_start = t_eps
     else:
         margin = entropy_margin(init.phi, t0, init.u_delta)
         if margin <= 0.0:
@@ -486,11 +477,10 @@ def integrate_front(
                 f"(margin {margin})"
             )
         y0 = [init.phi, init.e, init.e * init.u_delta]
-        t_start = t0
 
     sol = solve_ivp(
         rhs,
-        (t_start, float(t_end)),
+        (max(t0, t_eps), float(t_end)),
         y0,
         method="RK45",
         rtol=rtol,
@@ -507,23 +497,37 @@ def integrate_front(
             raise StiffnessError(f"front integration stalled: {sol.message}")
         raise StiffnessError(f"front integration failed: {sol.message}")
 
-    ts = sol.t
+    def dense(t):
+        """Rows (phi, e, u_delta) at the times t: the closed form up to t_eps, the ODE after."""
+        rows = np.empty((3, t.size))
+        early = t <= t_eps
+        if early.any():
+            rows[0, early] = init.phi + s * (t[early] - t0)
+            rows[1, early] = alpha * (t[early] - t0)
+            rows[2, early] = s
+        if not early.all():
+            phi, e, q = sol.sol(t[~early])
+            rows[:, ~early] = phi, e, np.divide(q, e, out=q.copy(), where=e > 0.0)
+        return rows
+
     phis, es, qs = sol.y
     if np.any(es < -atol):
         raise StiffnessError("negative front mass along the trajectory")
-    u_ds = np.where(es > 0.0, qs / np.where(es > 0.0, es, 1.0), 0.0)
+    steps = FrontSteps(
+        sol.t, phis, np.maximum(es, 0.0), np.where(es > 0.0, qs / np.where(es > 0.0, es, 1.0), 0.0)
+    )
+    if t_eps > t0:  # the steps start from the initial state, not from t_eps
+        steps = FrontSteps(*(np.insert(v, 0, v0) for v, v0 in zip(steps, (t0, init.phi, 0.0, s))))
     return SphericalTrajectory(
         n=n,
         r_min=r_min,
-        t=ts,
-        phi=phis,
-        e=np.maximum(es, 0.0),
-        u_delta=u_ds,
-        t_stop=float(ts[-1]),
+        inner=inner,
+        outer=outer,
+        steps=steps,
+        t_end=float(sol.t[-1]),
         focused=len(sol.t_events[0]) > 0,
         entropy_violated=len(sol.t_events[1]) > 0 or len(sol.t_events[2]) > 0,
-        _dense=sol.sol,
-        _boot=boot,
+        _dense=dense,
     )
 
 
@@ -545,22 +549,19 @@ def _integrate_passive(inner, outer, init, n, t_end, r_min, rtol, atol):
     )
     if not sol.success:
         raise StiffnessError(f"passive front integration failed: {sol.message}")
-    ts = sol.t
-    base = sol.sol
 
     def dense(t):
-        # With e = 0 the third row is read as u_delta itself: the flow speed.
-        phi = base(t)[0]
+        phi = sol.sol(t)[0]
         return np.stack([phi, np.zeros_like(phi), speed(phi, t)])
 
+    ts, phis = sol.t, sol.y[0]
     return SphericalTrajectory(
         n=n,
         r_min=r_min,
-        t=ts,
-        phi=sol.y[0],
-        e=np.zeros_like(ts),
-        u_delta=speed(sol.y[0], ts),
-        t_stop=float(ts[-1]),
+        inner=inner,
+        outer=outer,
+        steps=FrontSteps(ts, phis, np.zeros_like(ts), speed(phis, ts)),
+        t_end=float(ts[-1]),
         focused=len(sol.t_events[0]) > 0,
         passive=True,
         _dense=dense,

@@ -487,12 +487,12 @@ def radial_shells(
     outer,
     n: int,
     N: int,
-    annulus: tuple[float, float],
+    box: tuple[float, float],
     boundary: float | None = None,
     front_seed: tuple[float, float, float] | None = None,
     r_min: float = 0.0,
 ) -> ParticleSystem:
-    """Spherical-shell discretization of radial data on an annulus.
+    """Spherical-shell discretization of radial data on the annulus ``box`` = (r_lo, r_hi).
 
     ``inner``/``outer`` provide densities and radial velocities via
     ``.state(r, t)`` at t=0 (``None`` means vacuum), split
@@ -506,7 +506,7 @@ def radial_shells(
         raise UndersamplingError("need at least 100 shells to resolve a front")
     if N > MAX_PARTICLES:
         raise InvalidParameterError(f"at most {MAX_PARTICLES} shells, got N = {N}")
-    r_lo, r_hi = float(annulus[0]), float(annulus[1])
+    r_lo, r_hi = float(box[0]), float(box[1])
     if not (0.0 <= r_min <= r_lo < r_hi):
         raise InvalidParameterError("annulus must satisfy 0 <= r_min <= r_lo < r_hi")
     if boundary is None:

@@ -78,8 +78,8 @@ def audited():
         elif kind == "spherical":
             inner, outer, init, kwargs = spherical_setup_from_spec(obj)
             traj = integrate_front(inner, outer, init, **kwargs)
-            times = np.linspace(0.0, traj.t_stop, int(obj.get("samples", 25)))
-            rep = audit(traj, times, inner=inner, outer=outer, annulus=tuple(obj["annulus"]))
+            times = np.linspace(0.0, traj.t_end, int(obj.get("samples", 25)))
+            rep = audit(traj, times, box=obj["annulus"])
         else:
             continue
         reports[path.stem] = rep
@@ -287,9 +287,9 @@ def test_criterion_08_spherical_consistency():
     )
     err1d = max(
         max(
-            abs(traj1.phi_at(t) - 10.0 - float(path.phi(t))),
-            abs(traj1.e_at(t) - float(path.e(t))),
-            abs(traj1.u_delta_at(t) - 1.0 / 3.0),
+            abs(traj1.phi(t) - 10.0 - float(path.phi(t))),
+            abs(traj1.e(t) - float(path.e(t))),
+            abs(traj1.u_delta(t) - 1.0 / 3.0),
         )
         for t in np.linspace(0.05, 0.5, 10)
     )
@@ -304,16 +304,16 @@ def test_criterion_08_spherical_consistency():
         t_end=1.5,
         r_min=r_min,
     )
-    ts = np.linspace(0.0, traj.t_stop, 40)
-    phis = np.array([traj.phi_at(t) for t in ts])
+    ts = np.linspace(0.0, traj.t_end, 40)
+    phis = np.array([traj.phi(t) for t in ts])
     keep = phis >= 2.0 * r_min  # compare until the front nears focusing
     ts, phis = ts[keep], phis[keep]
     area = unit_sphere_area(n)
-    masses = np.array([traj.e_at(t) * area * traj.phi_at(t) ** (n - 1) for t in ts])
+    masses = np.array([traj.e(t) * area * traj.phi(t) ** (n - 1) for t in ts])
     # Early-time mass error is one shell of granularity over the cluster
     # mass, ~ total/(N m(t)); 2e4 shells keep it a few tenths of a percent.
     ps = radial_shells(
-        None, outer, n=n, N=20000, annulus=(1.0, 3.5), front_seed=(1.0, 0.01, -0.5), r_min=1e-3
+        None, outer, n=n, N=20000, box=(1.0, 3.5), front_seed=(1.0, 0.01, -0.5), r_min=1e-3
     )
     est = delta_cluster_estimate(ps, float(ts[-1]), times=ts)
     phi_err = float(np.max(np.abs(est.position_history - phis) / phis))

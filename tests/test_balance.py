@@ -119,7 +119,7 @@ def test_audit_spherical_trajectory():
     outer = steady_converging_field(n, support0=(1.0, 3.5))
     init = SphericalFrontState(0.0, 1.0, 0.01, -0.5)
     traj = integrate_front(None, outer, init, n=n, t_end=0.5, r_min=1e-3)
-    rep = audit(traj, outer=outer, annulus=(0.0, 3.6))
+    rep = audit(traj, box=(0.0, 3.6))
     assert not rep.closed_form
     assert rep.mass_conserved()
     assert rep.concentration_holds()
@@ -138,7 +138,7 @@ def test_audit_spherical_unbounded_support_leaks():
     outer = steady_converging_field(3)
     init = SphericalFrontState(0.0, 1.0, 0.01, -0.5)
     traj = integrate_front(None, outer, init, n=3, t_end=0.3, r_min=1e-3)
-    rep = audit(traj, outer=outer, annulus=(0.0, 3.6))
+    rep = audit(traj, box=(0.0, 3.6))
     assert not rep.mass_conserved()  # inflow at r = 3.6 is real mass
 
 
@@ -149,7 +149,7 @@ def test_audit_boundary_inflow_both_edges():
     inner, outer = constant_field(4.0, 1.0), constant_field(1.0, -1.0)
     init = SphericalFrontState(0.0, 10.0, 0.0, 0.0)
     traj = integrate_front(inner, outer, init, n=1, t_end=0.5)
-    rep = audit(traj, inner=inner, outer=outer, annulus=(5.0, 15.0))
+    rep = audit(traj, box=(5.0, 15.0))
     np.testing.assert_allclose(rep.boundary, 5.0 * rep.t, rtol=1e-12, atol=1e-14)
     total = rep.sum_mass - rep.boundary
     np.testing.assert_allclose(total, total[0], rtol=1e-9)
@@ -161,7 +161,7 @@ def test_audit_spherical_needs_annulus():
     init = SphericalFrontState(0.0, 1.0, 0.01, -0.5)
     traj = integrate_front(None, outer, init, n=3, t_end=0.3, r_min=1e-3)
     with pytest.raises(AuditInvalidError):
-        audit(traj, outer=outer)
+        audit(traj)
 
 
 def test_balance_report_columns_shape():

@@ -899,6 +899,30 @@ def test_run_rejects_non_finite_annulus(tmp_path, capsys, edge):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("annulus", [[3.6, 0.0], [1.0, 1.0]])
+def test_run_refuses_a_reversed_or_empty_annulus(tmp_path, annulus):
+    # Both used to exit 3, blaming the front for leaving the annulus at t = 0.
+    obj = json.loads((SCENARIOS / "spherical_converging_n3.json").read_text())
+    obj["annulus"] = annulus
+    a, b = map(float, annulus)
+    assert _run_message(tmp_path, obj) == (
+        f"invalid configuration: audit box must be finite and increasing, got ({a}, {b})"
+    )
+    assert json.loads((tmp_path / "doc" / "report.json").read_text())["exit_code"] == 2
+
+
+@pytest.mark.parametrize("rtol", [1e-20, 1.0])
+def test_run_refuses_an_rtol_outside_the_solvers_range(tmp_path, rtol):
+    # 1e-20 used to run at scipy's floor of 100 eps behind a UserWarning
+    # (exit 0); 1.0 failed the mass and energy checks (exit 4).
+    obj = json.loads((SCENARIOS / "spherical_converging_n3.json").read_text())
+    obj["rtol"] = rtol
+    assert _run_message(tmp_path, obj) == (
+        f"invalid configuration: rtol must lie in [2.22e-14, 1), got {rtol}"
+    )
+    assert json.loads((tmp_path / "doc" / "report.json").read_text())["exit_code"] == 2
+
+
 @pytest.mark.parametrize("key, value", [("rho", float("nan")), ("u", float("inf"))])
 def test_run_rejects_non_finite_constant_field(tmp_path, capsys, key, value):
     # A NaN density used to pass the sign check and stall the front ODE for

@@ -43,7 +43,7 @@ from dshock import (
 from dshock.cli import _battery_box
 from dshock.geometry.quadrature import gauss_panels
 from dshock.scenario import solution_from_spec
-from dshock.spherical import _side, expression_field, radial_moment_integral
+from dshock.spherical import _local_front_speed, _side, expression_field, radial_moment_integral
 from dshock.weakcheck import _time_segments
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -54,19 +54,24 @@ DENSE_RTOL = 16 * np.finfo(float).eps
 # Spherical front -----------------------------------------------------------
 
 
+def _closed_form_end(traj):
+    """t_eps, where the ODE takes over from the massless closed form, or None."""
+    steps = traj.steps
+    return steps.t[1] if steps.e[0] == 0.0 and not traj.passive else None
+
+
 def _ref_front_rows(traj, times):
     """(phi, e, u_delta, m) rows and a bootstrap mask, one time at a time."""
     rows, boot = [], []
+    t0, phi0, t_eps = traj.steps.t[0], traj.steps.phi[0], _closed_form_end(traj)
     for t in times:
-        t = min(max(float(t), 0.0), traj.t_stop)
-        if traj._boot is not None and t <= traj._boot[1]:
-            t0, t_eps, phi0, s, alpha = traj._boot
+        t = min(max(float(t), 0.0), traj.t_end)
+        if t_eps is not None and t <= t_eps:
+            s, alpha = _local_front_speed(traj.inner, traj.outer, phi0, t0)
             phi, e, ud = phi0 + s * (t - t0), alpha * (t - t0), s
             boot.append(True)
         else:
-            y = traj._dense(t)
-            phi, e = float(y[0]), float(y[1])
-            ud = float(y[2]) / e if e > 0.0 else float(y[2])
+            phi, e, ud = (float(v[0]) for v in traj._dense(np.array([t])))
             boot.append(False)
         m = e if traj.n == 1 else e * unit_sphere_area(traj.n) * np.asarray(phi) ** (traj.n - 1)
         rows.append((phi, e, ud, float(m)))
@@ -94,7 +99,7 @@ def _trajectories(draw):
         outer = constant_field(draw(st.floats(0.2, 5.0)), u)
         init = SphericalFrontState(0.0, phi0, 0.0, u)
     traj = integrate_front(inner, outer, init, n=n, t_end=draw(st.floats(0.1, 0.6)))
-    assert (traj._boot is not None) == (kind == "bootstrap")
+    assert (_closed_form_end(traj) is not None) == (kind == "bootstrap")
     assert traj.passive == (kind == "passive")
     return traj
 
@@ -114,20 +119,18 @@ _BOOT_EDGE = integrate_front(
 @given(traj=_trajectories(), fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
 @example(traj=_BOOT_EDGE, fracs=[0.5])
 def test_front_evaluators_match_per_time_loop(traj, fracs):
-    times = np.array(fracs) * traj.t_stop
-    if traj._boot is not None:
+    times = np.array(fracs) * traj.t_end
+    t_eps = _closed_form_end(traj)
+    if t_eps is not None:
         # Both sides of the bootstrap end, and the end itself.
-        t_eps = traj._boot[1]
         times = np.concatenate([times, [0.0, 0.5 * t_eps, t_eps, 2.0 * t_eps]])
     ref, boot = _ref_front_rows(traj, times)
-    got = np.array(
-        [traj.phi_at(times), traj.e_at(times), traj.u_delta_at(times), traj.m_at(times)]
-    )
+    got = np.array([traj.phi(times), traj.e(times), traj.u_delta(times), traj.m(times)])
     np.testing.assert_array_equal(got[:, boot], ref[:, boot])
     np.testing.assert_allclose(got[:, ~boot], ref[:, ~boot], rtol=DENSE_RTOL, atol=0.0)
     for k in (0, times.size - 1):
         t = times[k]
-        one = [traj.phi_at(t), traj.e_at(t), traj.u_delta_at(t), traj.m_at(t)]
+        one = [traj.phi(t), traj.e(t), traj.u_delta(t), traj.m(t)]
         assert all(type(v) is float for v in one)
         np.testing.assert_allclose(one, ref[:, k], rtol=DENSE_RTOL, atol=0.0)
 
@@ -222,10 +225,11 @@ def test_audit_1d_matches_per_time_loop(sol, times, pad):
 # Spherical audit -----------------------------------------------------------
 
 
-def _ref_audit_spherical(traj, inner, outer, annulus, times, panels=24, nodes=10):
+def _ref_audit_spherical(traj, box, times, panels=24, nodes=10):
     """Rows (M, m, boundary, W, w) and the strict flags of the spherical audit,
     one time at a time, or the message of the first check that fails."""
-    a, b = annulus
+    a, b = box
+    inner, outer = traj.inner, traj.outer
     n = traj.n
     area = unit_sphere_area(n) if n >= 2 else 1.0
 
@@ -311,11 +315,11 @@ def _spherical_audits(draw):
         traj = integrate_front(inner, outer, init, n=n, t_end=draw(st.floats(0.1, 0.6)))
     except DShockError:
         assume(False)
-    return kind, traj, inner, outer
+    return kind, traj
 
 
 def _case(kind, inner, outer, init, n, t_end):
-    return kind, integrate_front(inner, outer, init, n=n, t_end=t_end), inner, outer
+    return kind, integrate_front(inner, outer, init, n=n, t_end=t_end)
 
 
 # A converging front that falls below r = 0.6 before t = 0.3.
@@ -336,23 +340,23 @@ _BOTH_CUT = _case(
 @settings(max_examples=60, deadline=None)
 @given(
     case=_spherical_audits(),
-    annulus=st.tuples(st.sampled_from([0.0, 0.2, 0.6]), st.sampled_from([2.9, 3.3, 3.6])),
+    box=st.tuples(st.sampled_from([0.0, 0.2, 0.6]), st.sampled_from([2.9, 3.3, 3.6])),
     fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30, unique=True),
 )
-@example(case=_FOCUSING, annulus=(0.6, 3.6), fracs=[0.0, 0.25, 0.75, 1.0])
-@example(case=_BOTH_CUT, annulus=(0.2, 2.9), fracs=[0.0, 1.0])
-def test_audit_spherical_matches_per_time_loop(case, annulus, fracs):
-    kind, traj, inner, outer = case
-    times = np.sort(fracs) * traj.t_stop
+@example(case=_FOCUSING, box=(0.6, 3.6), fracs=[0.0, 0.25, 0.75, 1.0])
+@example(case=_BOTH_CUT, box=(0.2, 2.9), fracs=[0.0, 1.0])
+def test_audit_spherical_matches_per_time_loop(case, box, fracs):
+    kind, traj = case
+    times = np.sort(fracs) * traj.t_end
     assume(np.all(np.diff(times) > 0.0))
-    ref = _ref_audit_spherical(traj, inner, outer, annulus, times)
+    ref = _ref_audit_spherical(traj, box, times)
     if isinstance(ref, str):
         with pytest.raises(AuditInvalidError) as info:
-            audit(traj, times, inner=inner, outer=outer, annulus=annulus)
+            audit(traj, times, box=box)
         assert str(info.value) == ref
         return
     rows, strict = ref
-    rep = audit(traj, times, inner=inner, outer=outer, annulus=annulus)
+    rep = audit(traj, times, box=box)
     got = np.array([rep.M, rep.m, rep.boundary, rep.W, rep.w])
     np.testing.assert_array_equal(rep.entropy_strict, strict)
     if kind == "expression":

@@ -386,4 +386,4 @@ def test_spherical_setup_from_spec_runs():
     assert init.phi == obj["phi0"]
     assert kwargs["n"] == obj["n"]
     rep = integrate_front(inner, outer, init, **kwargs)
-    assert rep.phi[-1] < init.phi
+    assert rep.steps.phi[-1] < init.phi

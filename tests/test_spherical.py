@@ -277,9 +277,29 @@ def test_one_dimensional_front_matches_riemann():
     init = SphericalFrontState(0.0, 10.0, 0.0, 0.0)
     traj = integrate_front(inner, outer, init, n=1, t_end=0.5)
     for t in (0.1, 0.3, 0.5):
-        assert traj.phi_at(t) == pytest.approx(10.0 + float(path.phi(t)), abs=1e-10)
-        assert traj.e_at(t) == pytest.approx(float(path.e(t)), abs=1e-10)
-        assert traj.u_delta_at(t) == pytest.approx(1.0 / 3.0, abs=1e-10)
+        assert traj.phi(t) == pytest.approx(10.0 + float(path.phi(t)), abs=1e-10)
+        assert traj.e(t) == pytest.approx(float(path.e(t)), abs=1e-10)
+        assert traj.u_delta(t) == pytest.approx(1.0 / 3.0, abs=1e-10)
+
+
+def test_1d_and_spherical_fronts_answer_to_the_same_names():
+    # phi, u_delta and e take an array of times and give arrays of its shape,
+    # and the end is a float t_end, on both fronts.
+    times = np.linspace(0.0, 0.5, 6).reshape(2, 3)
+    sol = solve_constant_states(RiemannData1D(4.0, 1.0, 1.0, -1.0), t_end=0.5)
+    traj = integrate_front(
+        constant_field(4.0, 1.0),
+        constant_field(1.0, -1.0),
+        SphericalFrontState(0.0, 10.0, 0.0, 0.0),
+        n=1,
+        t_end=0.5,
+    )
+    for front in (sol, traj):
+        assert isinstance(front.t_end, float) and front.t_end == 0.5
+        for name in ("phi", "u_delta", "e"):
+            assert getattr(front, name)(times).shape == times.shape
+    np.testing.assert_allclose(traj.phi(times) - 10.0, sol.phi(times), atol=1e-10)
+    np.testing.assert_allclose(traj.e(times), sol.e(times), atol=1e-10)
 
 
 @settings(max_examples=40, deadline=None)
@@ -298,26 +318,28 @@ def test_massless_front_matches_riemann_speed(rho_l, rho_r, u_r, gap):
     traj = integrate_front(
         constant_field(rho_l, u_l), constant_field(rho_r, u_r), init, n=1, t_end=0.5
     )
-    assert traj.t_stop == 0.5
+    assert traj.t_end == 0.5
     # The bootstrap speed is the Riemann root itself; the ODE then keeps it.
-    assert traj.u_delta_at(0.0) == pytest.approx(float(path.u_delta(0.0)), rel=1e-12, abs=1e-12)
+    assert traj.u_delta(0.0) == pytest.approx(float(path.u_delta(0.0)), rel=1e-12, abs=1e-12)
     for t in (0.1, 0.3, 0.5):
-        assert traj.phi_at(t) == pytest.approx(10.0 + float(path.phi(t)), rel=1e-9, abs=1e-9)
-        assert traj.e_at(t) == pytest.approx(float(path.e(t)), rel=1e-9, abs=1e-9)
+        assert traj.phi(t) == pytest.approx(10.0 + float(path.phi(t)), rel=1e-9, abs=1e-9)
+        assert traj.e(t) == pytest.approx(float(path.e(t)), rel=1e-9, abs=1e-9)
 
 
-def test_massless_front_started_late_bootstraps_from_its_start_time():
-    # The bootstrap closed form runs from the start time t0 = 0.5, not from 0.
+def test_massless_front_started_late_takes_its_closed_form_from_its_start_time():
+    # The massless closed form runs from the start time t0 = 0.5, not from 0,
+    # up to t_eps, where the ODE takes over: the steps' second time.
     init = SphericalFrontState(0.5, 1.0, 0.0, 0.0)
     traj = integrate_front(
         constant_field(2.0, 1.0), constant_field(1.0, -1.0), init, n=2, t_end=1.0
     )
-    assert traj.phi_at(0.5) == 1.0
-    assert traj.e_at(0.5) == 0.0
-    t_eps = traj._boot[1]
-    assert abs(traj.phi_at(np.nextafter(t_eps, 1.0)) - traj.phi_at(t_eps)) <= 1e-8
+    assert traj.phi(0.5) == 1.0
+    assert traj.e(0.5) == 0.0
+    assert traj.steps.t[0] == 0.5 and traj.steps.e[0] == 0.0
+    t_eps = traj.steps.t[1]
+    assert abs(traj.phi(np.nextafter(t_eps, 1.0)) - traj.phi(t_eps)) <= 1e-8
     with pytest.raises(InvalidParameterError):
-        traj.phi_at(0.2)
+        traj.phi(0.2)
 
 
 def test_front_ode_reads_each_side_window_once(monkeypatch):
@@ -346,14 +368,14 @@ def test_steady_converging_front_n3():
     traj = integrate_front(None, outer, init, n=n, t_end=0.6, r_min=1e-3)
     # The front keeps converging, faster than free fall but entropy-wise
     # between the (vacuum) inner and the u = -1 outer characteristics.
-    phis = traj.phi
+    phis = traj.steps.phi
     assert np.all(np.diff(phis) < 0.0)
-    assert np.all(traj.u_delta < 0.0)
-    us = traj.u_delta
+    assert np.all(traj.steps.u_delta < 0.0)
+    us = traj.steps.u_delta
     assert np.all((-1.0 < us) & (us < 0.0))
     assert not traj.entropy_violated
     # Front mass m = e |S^2| phi^2 grows as the shell sweeps mass up.
-    ms = [traj.m_at(t) for t in np.linspace(0.0, traj.t_stop, 9)]
+    ms = [traj.m(t) for t in np.linspace(0.0, traj.t_end, 9)]
     assert np.all(np.diff(ms) > 0.0)
 
 
@@ -374,12 +396,13 @@ def test_front_into_steady_inflow_matches_its_closed_form(n, phi0, e0, u0, t_end
     traj = integrate_front(
         None, steady_converging_field(n), init, n=n, t_end=t_end, rtol=1e-12, atol=1e-14
     )
-    assert traj.t_stop == t_end and not (traj.focused or traj.entropy_violated)
+    assert traj.t_end == t_end and not (traj.focused or traj.entropy_violated)
     m0 = phi0 ** (n - 1) * e0
     c = m0 * (1.0 + u0)
-    m = np.sqrt(m0**2 + 2.0 * c * traj.t)
-    assert np.max(np.abs(traj.phi - (phi0 - traj.t + m - m0))) <= 1e-10
-    assert np.max(np.abs(traj.u_delta - (c / m - 1.0))) <= 1e-10
+    steps = traj.steps
+    m = np.sqrt(m0**2 + 2.0 * c * steps.t)
+    assert np.max(np.abs(steps.phi - (phi0 - steps.t + m - m0))) <= 1e-10
+    assert np.max(np.abs(steps.u_delta - (c / m - 1.0))) <= 1e-10
 
 
 _SCALING_TIMES = np.linspace(0.0, 0.3, 13)
@@ -406,9 +429,9 @@ def _front_rows(front, n, lam=1.0, c=1.0):
     traj = integrate_front(
         inner, outer, init, n=n, t_end=lam * 0.3, rtol=1e-12, atol=1e-15 * lam * min(c, 1.0)
     )
-    assert traj.t_stop == lam * 0.3
+    assert traj.t_end == lam * 0.3
     t = lam * _SCALING_TIMES
-    return np.array([traj.phi_at(t) / lam, traj.e_at(t) / (lam * c), traj.u_delta_at(t)])
+    return np.array([traj.phi(t) / lam, traj.e(t) / (lam * c), traj.u_delta(t)])
 
 
 def _relative_rows(got, want, front):
@@ -444,13 +467,41 @@ def test_front_moving_out_of_an_inner_vacuum_is_refused():
         integrate_front(None, steady_converging_field(3), init, n=3, t_end=0.5)
 
 
+def test_front_far_from_the_origin_runs_without_overflow():
+    # spherical_converging_n3 scaled by L = 1e10, e0 by 1 / L: there
+    # atol + rtol |y| exceeds 1, and the range check of the right-hand side
+    # used to overflow (a RuntimeWarning) on every call.
+    L = 1e10
+    outer = steady_converging_field(3, (L, 3.5 * L))
+    init = SphericalFrontState(0.0, L, 0.01 / L, -0.5)
+    traj = integrate_front(None, outer, init, n=3, t_end=0.6 * L, r_min=1e-3)
+    assert traj.t_end == 0.6 * L and not (traj.focused or traj.entropy_violated)
+    assert audit(traj, box=(0.0, 3.6 * L)).mass_conserved()
+
+
+@pytest.mark.parametrize("rtol", [0.99 * 100.0 * np.finfo(float).eps, 1.0, float("nan")])
+def test_rtol_outside_the_solvers_range_is_refused(rtol):
+    init = SphericalFrontState(0.0, 1.0, 0.01, -0.5)
+    with pytest.raises(InvalidParameterError, match="rtol must lie in"):
+        integrate_front(None, steady_converging_field(3), init, n=3, t_end=0.1, rtol=rtol)
+
+
+def test_rtol_at_the_solvers_floor_runs():
+    # scipy raises an rtol below 100 eps to it, with a UserWarning.
+    init = SphericalFrontState(0.0, 1.0, 0.01, -0.5)
+    traj = integrate_front(
+        None, steady_converging_field(3), init, n=3, t_end=0.01, rtol=100.0 * np.finfo(float).eps
+    )
+    assert traj.t_end == 0.01
+
+
 def test_focusing_stops_at_r_min():
     outer = steady_converging_field(3)
     init = SphericalFrontState(0.0, 1.0, 0.01, -0.5)
     traj = integrate_front(None, outer, init, n=3, t_end=10.0, r_min=0.05)
     assert traj.focused
-    assert traj.t_stop < 10.0
-    assert traj.phi_at(traj.t_stop) == pytest.approx(0.05, abs=1e-6)
+    assert traj.t_end < 10.0
+    assert traj.phi(traj.t_end) == pytest.approx(0.05, abs=1e-6)
 
 
 def test_passive_advection_of_massless_front():
@@ -461,8 +512,8 @@ def test_passive_advection_of_massless_front():
     init = SphericalFrontState(0.0, 2.0, 0.0, -0.3)
     traj = integrate_front(inner, outer, init, n=3, t_end=1.0)
     assert traj.passive
-    assert traj.e_at(1.0) == 0.0
-    assert traj.phi_at(1.0) == pytest.approx(2.0 - 0.3, abs=1e-9)
+    assert traj.e(1.0) == 0.0
+    assert traj.phi(1.0) == pytest.approx(2.0 - 0.3, abs=1e-9)
 
 
 def test_passive_front_reports_its_velocity():
@@ -472,11 +523,11 @@ def test_passive_front_reports_its_velocity():
     outer = constant_field(2.0, -0.5)
     traj = integrate_front(inner, outer, SphericalFrontState(0.0, 1.0, 0.0, 0.0), n=3, t_end=1.0)
     assert traj.passive
-    np.testing.assert_array_equal(traj.u_delta, -0.5)
-    np.testing.assert_array_equal(traj.u_delta_at(traj.t), traj.u_delta)
-    assert traj.u_delta_at(0.37) == -0.5
-    assert traj.phi_at(1.0) == pytest.approx(0.5, abs=1e-9)
-    rep = audit(traj, np.linspace(0.0, 1.0, 5), inner=inner, outer=outer, annulus=(0.0, 5.0))
+    np.testing.assert_array_equal(traj.steps.u_delta, -0.5)
+    np.testing.assert_array_equal(traj.u_delta(traj.steps.t), traj.steps.u_delta)
+    assert traj.u_delta(0.37) == -0.5
+    assert traj.phi(1.0) == pytest.approx(0.5, abs=1e-9)
+    rep = audit(traj, np.linspace(0.0, 1.0, 5), box=(0.0, 5.0))
     assert not rep.entropy_strict.any()
 
 
@@ -490,10 +541,10 @@ def test_entropy_violation_stops_integration():
     traj = integrate_front(None, outer, init, n=3, t_end=2.0, r_min=1e-3)
     assert traj.entropy_violated
     assert not traj.focused
-    assert traj.t_stop < 2.0
+    assert traj.t_end < 2.0
     # At the stop time the lower entropy margin has closed.
-    u_stop = traj.u_delta_at(traj.t_stop)
-    assert u_stop == pytest.approx(0.8 * traj.t_stop - 0.6, abs=1e-6)
+    u_stop = traj.u_delta(traj.t_end)
+    assert u_stop == pytest.approx(0.8 * traj.t_end - 0.6, abs=1e-6)
 
 
 def test_initial_entropy_violation_raises():
@@ -540,7 +591,7 @@ def test_mass_audit_conserves_total():
     outer = steady_converging_field(n)
     init = SphericalFrontState(0.0, 1.0, 0.01, -0.5)
     traj = integrate_front(None, outer, init, n=n, t_end=0.5, r_min=1e-3)
-    rep = audit(traj, outer=outer, annulus=(0.0, 3.6))
+    rep = audit(traj, box=(0.0, 3.6))
     # The boundary term accounts for inflow at the outer edge; the
     # corrected total stays put at ODE accuracy.
     total = rep.sum_mass - rep.boundary
@@ -555,6 +606,6 @@ def test_mass_audit_rejects_escaping_front():
     init = SphericalFrontState(0.0, 1.0, 0.01, -0.5)
     traj = integrate_front(None, outer, init, n=3, t_end=0.5, r_min=1e-3)
     with pytest.raises(AuditInvalidError):
-        audit(traj, outer=outer, annulus=(0.9, 3.6))
+        audit(traj, box=(0.9, 3.6))
     with pytest.raises(AuditInvalidError):
-        audit(traj, outer=outer, annulus=(-1.0, 3.6))
+        audit(traj, box=(-1.0, 3.6))

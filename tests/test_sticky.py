@@ -273,18 +273,18 @@ def test_radial_shells_mass_budget():
     # area * dr of mass, so the total is area * (b - a) plus the seed.
     n = 3
     outer = steady_converging_field(n)
-    ps = radial_shells(None, outer, n=n, N=400, annulus=(1.0, 3.0), front_seed=(1.0, 0.01, -0.5))
+    ps = radial_shells(None, outer, n=n, N=400, box=(1.0, 3.0), front_seed=(1.0, 0.01, -0.5))
     area = unit_sphere_area(n)
     assert ps.total_mass() == pytest.approx(area * 2.0 + 0.01 * area, rel=1e-12)
     with pytest.raises(UndersamplingError):
-        radial_shells(None, outer, n=n, N=50, annulus=(1.0, 3.0))
+        radial_shells(None, outer, n=n, N=50, box=(1.0, 3.0))
 
 
 def test_radial_shells_truncation_flag():
     # All shells drift inward at speed 1; the innermost reaches r_min and
     # trips the truncation flag.
     outer = steady_converging_field(3)
-    ps = radial_shells(None, outer, n=3, N=150, annulus=(1.0, 2.0), r_min=0.5)
+    ps = radial_shells(None, outer, n=3, N=150, box=(1.0, 2.0), r_min=0.5)
     ps.run_until(0.2)
     assert not ps.truncated
     ps.run_until(0.6)
@@ -294,9 +294,9 @@ def test_radial_shells_truncation_flag():
 def test_radial_shells_validation():
     outer = steady_converging_field(3)
     with pytest.raises(InvalidParameterError):
-        radial_shells(None, outer, n=3, N=200, annulus=(2.0, 1.0))
+        radial_shells(None, outer, n=3, N=200, box=(2.0, 1.0))
     with pytest.raises(InvalidParameterError):
-        radial_shells(None, None, n=3, N=200, annulus=(1.0, 2.0))
+        radial_shells(None, None, n=3, N=200, box=(1.0, 2.0))
 
 
 # -- reference for the samplers' ordering ------------------------------------
@@ -327,8 +327,8 @@ def _argsort_riemann(d, L, N, mode="midpoint", seed=None):
     return x[order], np.concatenate(vs)[order], np.concatenate(ms)[order]
 
 
-def _argsort_shells(inner, outer, n, N, annulus, boundary, front_seed):
-    r_lo, r_hi = annulus
+def _argsort_shells(inner, outer, n, N, box, boundary, front_seed):
+    r_lo, r_hi = box
     area = unit_sphere_area(n)
     dr = (r_hi - r_lo) / N
     r = r_lo + (np.arange(N) + 0.5) * dr
@@ -399,7 +399,7 @@ def test_radial_shells_equal_argsort_construction(phi0, e0):
 
     inner = constant_field(0.5, 0.2, (1.0, 1.6))
     outer = steady_converging_field(3, (1.0, 3.5))
-    args = dict(n=3, N=400, annulus=(1.0, 3.0), boundary=1.5, front_seed=(phi0, e0, -0.5))
+    args = dict(n=3, N=400, box=(1.0, 3.0), boundary=1.5, front_seed=(phi0, e0, -0.5))
     # 1.7125 is a shell radius; (None, None) leaves only the front shell.
     for fields in ((inner, outer), (None, outer), (inner, None), (None, None)):
         if fields == (None, None) and e0 == 0.0:
@@ -502,7 +502,7 @@ def _oracle_cases():
 
     def shells():
         return radial_shells(
-            None, outer, n=3, N=2000, annulus=(1.0, 3.5),
+            None, outer, n=3, N=2000, box=(1.0, 3.5),
             front_seed=(1.0, 0.01, -0.5), r_min=0.9,
         )
 
@@ -599,7 +599,7 @@ def _oracle_inputs(draw):
         T = min(T, 1.0)
         ps = radial_shells(
             None, steady_converging_field(3, (1.0, 3.5)), n=3, N=draw(st.integers(400, 3000)),
-            annulus=(1.0, 3.5), front_seed=(draw(st.floats(1.0, 3.5)), 0.01, -0.5),
+            box=(1.0, 3.5), front_seed=(draw(st.floats(1.0, 3.5)), 0.01, -0.5),
             r_min=draw(st.floats(0.0, 1.0)),
         )
     grid = draw(st.sampled_from(["default", "random", "before_T", "from_below_zero", "early"]))
@@ -765,7 +765,7 @@ def test_radial_shells_hold_at_most_six_shell_arrays(two_sided):
 
     N = 200_000
     inner = constant_field(0.5, 0.2, (1.0, 1.6)) if two_sided else None
-    args = dict(n=3, N=N, annulus=(1.0, 3.5), front_seed=(1.7, 0.01, -0.5))
+    args = dict(n=3, N=N, box=(1.0, 3.5), front_seed=(1.7, 0.01, -0.5))
     if two_sided:
         args["boundary"] = 1.5
     outer = steady_converging_field(3, (1.0, 3.5))
