@@ -188,7 +188,8 @@ def _audit_1d(sol: DeltaShockSolution1D, times, box) -> BalanceReport:
         times = np.linspace(0.0, sol.t_end, 41)
     times = np.asarray(times, dtype=float)
     a, b = sol.spatial_bounds(0.2) if box is None else box
-    lo, pos, hi = sol.edge_l(times), sol.phi(times), sol.edge_r(times)
+    lo, hi = sol.edge_l(times), sol.edge_r(times)
+    pos, e, ud, _ = sol.at(times)
     bad = np.flatnonzero(~((a < lo) & (hi < b)))
     if bad.size:
         k = bad[0]
@@ -196,7 +197,6 @@ def _audit_1d(sol: DeltaShockSolution1D, times, box) -> BalanceReport:
             f"support [{float(lo[k])}, {float(hi[k])}] touches the audit box [{a}, {b}] "
             f"at t={times[k]}"
         )
-    ud, e = sol.u_delta(times), sol.e(times)
     # Extreme finite data overflow here; the check below refuses the result.
     with np.errstate(over="ignore", invalid="ignore"):
         ll, lr = pos - lo, hi - pos
@@ -245,7 +245,7 @@ def _audit_spherical(traj, times, box) -> BalanceReport:
     def weight(r):
         return area * np.asarray(r, dtype=float) ** (n - 1)
 
-    phis, _, uds, m = traj._eval(times)
+    phis, _, uds, m = traj.at(times)
     fails = [(~((a < phis) & (phis < b)), "front radius {phi} leaves the annulus at t={t}")]
     if inner is not None:
         lo = inner.support(times)[0]

@@ -1,7 +1,9 @@
 """Riemann problems whose solution is a single mass-carrying front.
 
 ``solve_constant_states`` returns that solution, a ``DeltaShockSolution1D``
-whose ``detail`` names the path taken: "constant-speed" or "atom-exact".
+whose ``detail`` names the path taken, "constant-speed" or "atom-exact", and
+whose ``rows`` evaluates that path: the rows (phi, e, u_delta) at a 1-D array
+of times, all from one pass.
 
 Zero-pressure systems cannot resolve overcompressive data (u_l > u_r) with
 a classical shock: a bounded jump between the constant states balances mass
@@ -31,15 +33,15 @@ so e du_delta/dt = P(u_delta) with P(u) = B u^2 - (A + D) u + C.
       Y = X - s t = e0 (u0 - s) z exprel(k z) / P'(s),
       t = (e - e0 + B Y) / (A - B s) = (e0 m z exprel(g z) / P'(s) - B Y) / P'(s),
 
-  where X = phi(t) - phi(0) and exprel(x) = expm1(x)/x. Each time asked is
-  solved for ell by Newton's method.
+  where X = phi(t) - phi(0) and exprel(x) = expm1(x)/x. Each evaluation
+  solves ell once for all its times by Newton's method, each time on its
+  own stopping test.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -137,36 +139,19 @@ def admissible_front_speed(d: RiemannData1D) -> float:
     return float(admissible[0])
 
 
-def _quiet(f: Callable) -> Callable:
-    """f of a float array of times (a float at one time), with numpy's warnings off.
-
-    At extreme finite data a path overflows or divides by zero to inf or
-    nan, which the solution's support check and the CLI writers refuse;
-    numpy need not warn about it first.
-    """
-
-    def at(t):
-        with np.errstate(all="ignore"):
-            out = f(np.asarray(t, dtype=float))
-        return out if np.ndim(out) else float(out)
-
-    return at
-
-
-# Each _path_* helper returns (phi, u_delta, e, detail): callables of scalar
-# or array times, and how they were found.
+# Each _path_* helper returns (rows, detail): the front's evaluator, from a
+# 1-D array of times to the rows (phi, e, u_delta), and how it was found.
 def _path_constant_speed(d: RiemannData1D, s: float) -> tuple:
     a_, b_, _, _ = jumps_1d(d)
     alpha = a_ - b_ * s
     if alpha < -1e-12 * (abs(a_) + abs(b_ * s) + 1.0):
         raise NoDeltaShockError("admissible speed would produce negative front mass")
     alpha = max(alpha, 0.0)
-    return (
-        _quiet(lambda t: d.x0 + s * t),
-        _quiet(lambda t: np.full(t.shape, s)),
-        _quiet(lambda t: alpha * t),
-        {"kind": "constant-speed", "speed": s, "growth": alpha},
-    )
+
+    def rows(t):
+        return d.x0 + s * t, alpha * t, np.full(t.shape, s)
+
+    return rows, {"kind": "constant-speed", "speed": s, "growth": alpha}
 
 
 def _exprel(c, x):
@@ -237,27 +222,19 @@ def _path_atom(d: RiemannData1D) -> tuple:
             ell, live = np.where(live, new, ell), live & ~done
         return ell
 
-    # phi, u_delta and e are asked at the same times: keep the last ell and Y.
-    last = {"t": np.nan}
+    def rows(t):
+        # X = Y + s t and e = e0 + (A - B s) t - B Y at the time asked: ell fixes
+        # t to a few ulps (hundreds where t(ell) grows exponentially), Y barely
+        # moves with ell. u never passes s, and is u0 itself at t = 0.
+        ell = solve(t)
+        y = closed(ell)[2]
+        return (
+            d.x0 + (y + s * t),
+            (e0 + (grow * t - b_ * y)) * scale,
+            np.where(ell == 0.0, u0, s + np.exp(ell) * (u0 - s)),
+        )
 
-    def at_solved(f):
-        def of(t):
-            if not np.array_equal(last["t"], t):
-                ell = solve(t.reshape(-1)).reshape(t.shape)
-                last.update(t=t.copy(), ell=ell, y=closed(ell)[2])
-            return f(last["ell"], last["y"], t)
-
-        return _quiet(of)
-
-    # X = Y + s t and e = e0 + (A - B s) t - B Y at the time asked: ell fixes t
-    # to a few ulps (hundreds where t(ell) grows exponentially), Y barely moves
-    # with ell. u never passes s, and is u0 itself at t = 0.
-    return (
-        at_solved(lambda ell, y, t: d.x0 + (y + s * t)),
-        at_solved(lambda ell, y, t: np.where(ell == 0.0, u0, s + np.exp(ell) * (u0 - s))),
-        at_solved(lambda ell, y, t: (e0 + (grow * t - b_ * y)) * scale),
-        {"kind": "atom-exact", "e0": d.e0, "u_delta0": u0, "speed": s},
-    )
+    return rows, {"kind": "atom-exact", "e0": d.e0, "u_delta0": u0, "speed": s}
 
 
 def solve_constant_states(
@@ -271,17 +248,16 @@ def solve_constant_states(
     itself refuses a bad ``t_end`` or a front that leaves ``support0``.
     """
     if d.e0 == 0.0:
-        path = _path_constant_speed(d, admissible_front_speed(d))
+        rows, detail = _path_constant_speed(d, admissible_front_speed(d))
     elif not (d.u_r < float(d.u_delta0) < d.u_l):
         raise NoDeltaShockError(
             "initial atom velocity violates the overcompression condition "
             f"u_r < u_delta0 < u_l for u_delta0={d.u_delta0}"
         )
     else:
-        path = _path_atom(d)
-    phi, u_delta, e, detail = path
+        rows, detail = _path_atom(d)
     return DeltaShockSolution1D(
         flux=d.flux, rho_l=d.rho_l, rho_r=d.rho_r, u_l=d.u_l, u_r=d.u_r,
-        phi=phi, u_delta=u_delta, e=e, t_end=t_end, support0=support0, detail=detail,
+        rows=rows, t_end=t_end, support0=support0, detail=detail,
     )
 

@@ -121,6 +121,10 @@ _FIELD_SCHEMA = {
 
 _PAIR = {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2}
 _SAMPLES = {"type": "integer", "minimum": 2, "maximum": MAX_SAMPLES}
+# Most members of a weakcheck battery and most radii of a geom-suite. Both are
+# built before any is checked, so a billion would fill memory first; at 1,000
+# a battery at six levels runs in about 13 s, the radii add about 0.5 s (2 cores).
+MAX_BATTERY = MAX_RADII = 1_000
 
 _COMMON = {
     "name": {"type": "string"},
@@ -234,7 +238,7 @@ _KIND_SCHEMAS = {
             "battery": {
                 "type": "object",
                 "properties": {
-                    "count": {"type": "integer", "minimum": 1},
+                    "count": {"type": "integer", "minimum": 1, "maximum": MAX_BATTERY},
                     "seed": _SEED,
                     "nonneg": {"type": "integer", "minimum": 0},
                 },
@@ -250,7 +254,7 @@ _KIND_SCHEMAS = {
         "type": "object",
         "properties": {
             "kind": {"const": "geom-suite"},
-            "radii": {"type": "array", "items": _POS, "minItems": 1},
+            "radii": {"type": "array", "items": _POS, "minItems": 1, "maxItems": MAX_RADII},
             "dims": {"type": "array", "items": {"enum": [2, 3]}, "minItems": 1},
             "level": {"type": "integer", "minimum": 0, "maximum": 5},
             "tolerances": _tolerances("curvature", "transport_order", "ibp_residual"),

@@ -1,11 +1,16 @@
 """Complete 1-D solutions: a mass-carrying front between piecewise data.
 
-A solution bundles two constant side states, the front trajectory (phi,
-u_delta, e), and an optional compact support window whose edges ride along
-with the adjacent side velocity. An edge moving at exactly the local
-particle speed against vacuum is itself a weak discontinuity with no
-concentration, so truncating the data this way keeps every integral
-identity exact while making totals finite.
+Every front, this module's and ``spherical.SphericalTrajectory``, is read
+through one evaluator: a function ``rows`` from a 1-D array of times to the
+rows (phi, e, u_delta). ``_Front.at(t)`` evaluates it once and adds the total
+front mass m; the ``phi``, ``e``, ``u_delta`` and ``m`` methods pick one of
+the four.
+
+A solution bundles two constant side states, that evaluator, and an optional
+compact support window whose edges ride along with the adjacent side
+velocity. An edge moving at exactly the local particle speed against vacuum
+is itself a weak discontinuity with no concentration, so truncating the data
+this way keeps every integral identity exact while making totals finite.
 
 ``time_reversed`` produces the companion non-admissible weak solution used
 to exercise entropy and energy checks: it solves the same equations (the
@@ -34,13 +39,47 @@ __all__ = [
 ]
 
 
+class _Front:
+    """(phi, e, u_delta, m) of a front, all from one pass of its evaluator.
+
+    A subclass supplies ``_evaluate``, which maps a 1-D array of times to the
+    rows (phi, e, u_delta), and may override ``_mass(phi, e)``.
+    """
+
+    def _mass(self, phi, e):
+        return e
+
+    def at(self, t):
+        """(phi, e, u_delta, m) at the times ``t``: floats at one time, arrays of t's shape."""
+        t = np.asarray(t, dtype=float)
+        phi, e, u_delta = self._evaluate(t.ravel())
+        values = (phi, e, u_delta, self._mass(phi, e))
+        if t.ndim == 0:
+            return tuple(float(v[0]) for v in values)
+        return tuple(v.reshape(t.shape) for v in values)
+
+    def phi(self, t):
+        return self.at(t)[0]
+
+    def e(self, t):
+        return self.at(t)[1]
+
+    def u_delta(self, t):
+        return self.at(t)[2]
+
+    def m(self, t):
+        """Total front mass: e |S^{n-1}| phi^{n-1} on a sphere, plain e in 1-D."""
+        return self.at(t)[3]
+
+
 @dataclass(frozen=True)
-class DeltaShockSolution1D:
+class DeltaShockSolution1D(_Front):
     """Piecewise-constant fields around a single front on 0 <= t <= t_end.
 
     ``solve_constant_states`` builds one from Riemann data; ``detail``
-    names the path it took and takes no part in comparisons. ``phi``,
-    ``u_delta`` and ``e`` accept scalars or numpy arrays of times.
+    names the path it took and takes no part in comparisons. ``rows`` is the
+    front's evaluator; ``at``, ``phi``, ``e``, ``u_delta`` and ``m`` accept a
+    time or an array of times.
 
     ``support0`` gives the initial truncation window (vacuum outside). A
     vacuum-contact edge is itself a jump, and its speed from the mass jump
@@ -56,9 +95,7 @@ class DeltaShockSolution1D:
     rho_r: float
     u_l: float
     u_r: float
-    phi: Callable
-    u_delta: Callable
-    e: Callable
+    rows: Callable
     t_end: float
     support0: tuple[float, float] | None = None
     detail: dict = field(default_factory=dict, compare=False)
@@ -77,10 +114,8 @@ class DeltaShockSolution1D:
                         f"off by {mismatch} at u={u}"
                     )
         ts = np.linspace(0.0, self.t_end, 33)
-        lo, pos, hi, e = (
-            np.broadcast_to(np.asarray(v, dtype=float), ts.shape)
-            for v in (self.edge_l(ts), self.phi(ts), self.edge_r(ts), self.e(ts))
-        )
+        pos, e, _, _ = self.at(ts)
+        lo, hi = (np.broadcast_to(edge(ts), ts.shape) for edge in (self.edge_l, self.edge_r))
         outside = ~((lo <= pos) & (pos <= hi))
         bad = np.flatnonzero(outside | (e < -1e-12))
         if bad.size:
@@ -91,6 +126,13 @@ class DeltaShockSolution1D:
                     f"{lo[k]} .. {pos[k]} .. {hi[k]}"
                 )
             raise SupportViolationError(f"front mass negative at t={ts[k]}")
+
+    def _evaluate(self, t):
+        # At extreme finite data a path overflows or divides by zero to inf or
+        # nan, which the support check and the CLI writers refuse; numpy need
+        # not warn about it first.
+        with np.errstate(all="ignore"):
+            return self.rows(t)
 
     @cached_property
     def edge_speed_l(self) -> float:
@@ -174,15 +216,12 @@ def time_reversed(sol: DeltaShockSolution1D) -> DeltaShockSolution1D:
             sol.support0[0] + sol.edge_speed_l * T,
             sol.support0[1] + sol.edge_speed_r * T,
         )
-    return replace(
-        sol,
-        u_l=-ul,
-        u_r=-ur,
-        phi=lambda t: sol.phi(T - np.asarray(t, dtype=float)),
-        u_delta=lambda t: -np.asarray(sol.u_delta(T - np.asarray(t, dtype=float))),
-        e=lambda t: sol.e(T - np.asarray(t, dtype=float)),
-        support0=support0,
-    )
+
+    def rows(t):
+        phi, e, u_delta = sol.rows(T - t)
+        return phi, e, -u_delta
+
+    return replace(sol, u_l=-ul, u_r=-ur, rows=rows, support0=support0)
 
 
 @dataclass(frozen=True)
@@ -249,9 +288,8 @@ class PlanarSolution:
     def front_state(self, t: float):
         from .rh import FrontState
 
-        return FrontState(
-            e=float(self.base.e(t)), nu=self.frame[0], G=float(self.base.u_delta(t)), K=0.0
-        )
+        _, e, u_delta, _ = self.base.at(t)
+        return FrontState(e=e, nu=self.frame[0], G=u_delta, K=0.0)
 
     def tangential_deficit(self, t) -> np.ndarray:
         """[rho U_tan (U . nu)] - [rho U_tan] G per tangential direction.
@@ -282,8 +320,9 @@ def with_front_speed_offset(sol: DeltaShockSolution1D, du: float) -> DeltaShockS
     The result is not a weak solution; it exists so that residual checks
     can demonstrate sensitivity to a wrong front trajectory.
     """
-    return replace(
-        sol,
-        phi=lambda t: np.asarray(sol.phi(t)) + du * np.asarray(t, dtype=float),
-        u_delta=lambda t: np.asarray(sol.u_delta(t)) + du,
-    )
+
+    def rows(t):
+        phi, e, u_delta = sol.rows(t)
+        return phi + du * t, e, u_delta + du
+
+    return replace(sol, rows=rows)

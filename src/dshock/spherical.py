@@ -53,6 +53,7 @@ from .expressions import parse_expression
 from .geometry.fronts import _number, _of_time, _time_law
 from .geometry.quadrature import gauss_panels
 from .riemann1d import RiemannData1D, admissible_front_speed
+from .solutions import _Front
 from .sticky_oracle import unit_sphere_area
 
 __all__ = [
@@ -316,14 +317,14 @@ class FrontSteps(NamedTuple):
 
 
 @dataclass
-class SphericalTrajectory:
+class SphericalTrajectory(_Front):
     """A front integrated up to ``t_end``, with the side fields it ran in.
 
-    ``phi``, ``u_delta``, ``e`` and ``m`` are the callables of the 1-D
-    front: a time gives a float, an array of times an array of its shape,
-    evaluated in one pass by ``_dense``, which maps a 1-D array of times to
-    the rows (phi, e, u_delta). ``steps`` holds the accepted steps from the
-    initial state on; ``inner`` and ``outer`` (None for vacuum) are the
+    It answers to the 1-D front's names: ``at``, ``phi``, ``e``, ``u_delta``
+    and ``m`` take a time or an array of times in ``[steps.t[0], t_end]``
+    and evaluate ``rows``, the dense evaluator from a 1-D array of times to
+    the rows (phi, e, u_delta), once. ``steps`` holds the accepted steps from
+    the initial state on; ``inner`` and ``outer`` (None for vacuum) are the
     fields the front ran in, which ``balance.audit`` integrates.
     """
 
@@ -336,36 +337,16 @@ class SphericalTrajectory:
     focused: bool = False
     entropy_violated: bool = False
     passive: bool = False
-    _dense: Callable | None = field(default=None, repr=False)
+    rows: Callable | None = field(default=None, repr=False)
 
-    def _eval(self, t):
-        """(phi, e, u_delta, m) at the times ``t``: floats, or arrays of t's shape.
-
-        The dense evaluator takes all times in one call; times outside the
-        integrated window are rejected.
-        """
-        t = np.asarray(t, dtype=float)
-        flat, t0 = t.ravel(), self.steps.t[0]
-        if np.any(flat < t0 - 1e-12) or np.any(flat > self.t_end + 1e-12):
+    def _evaluate(self, t):
+        t0 = self.steps.t[0]
+        if np.any(t < t0 - 1e-12) or np.any(t > self.t_end + 1e-12):
             raise InvalidParameterError("query time outside the integrated window")
-        phi, e, u_delta = self._dense(np.clip(flat, t0, self.t_end))
-        m = e if self.n == 1 else e * unit_sphere_area(self.n) * phi ** (self.n - 1)
-        if t.ndim == 0:
-            return tuple(float(v[0]) for v in (phi, e, u_delta, m))
-        return tuple(v.reshape(t.shape) for v in (phi, e, u_delta, m))
+        return self.rows(np.clip(t, t0, self.t_end))
 
-    def phi(self, t):
-        return self._eval(t)[0]
-
-    def e(self, t):
-        return self._eval(t)[1]
-
-    def u_delta(self, t):
-        return self._eval(t)[2]
-
-    def m(self, t):
-        """Total front mass: e |S^{n-1}| phi^{n-1} for n >= 2, plain e in 1-D."""
-        return self._eval(t)[3]
+    def _mass(self, phi, e):
+        return e if self.n == 1 else e * unit_sphere_area(self.n) * phi ** (self.n - 1)
 
 
 def _local_front_speed(inner, outer, phi: float, t: float) -> tuple[float, float]:
@@ -417,9 +398,12 @@ def integrate_front(
     ``NoDeltaShockError``. A vacuum side counts as velocity 0, so over an
     inner vacuum the front must start with u_delta < 0; u_delta >= 0 is
     refused by the margin against that vacuum.
+
+    ``n`` lies in 1 .. 343 (``unit_sphere_area``). Near the top the front mass
+    e |S^{n-1}| phi^{n-1} underflows as a shell converges: at n = 340 the
+    shell of ``spherical_converging_n3`` fails its mass audit.
     """
-    if n < 1:
-        raise InvalidDimensionError("dimension must be >= 1")
+    unit_sphere_area(n)  # refuses a dimension out of range before any work
     if not (math.isfinite(t_end) and t_end > init.t):
         raise InvalidParameterError("t_end must be finite and exceed the initial time")
     if not 100.0 * _EPS <= rtol < 1.0:
@@ -527,7 +511,7 @@ def integrate_front(
         t_end=float(sol.t[-1]),
         focused=len(sol.t_events[0]) > 0,
         entropy_violated=len(sol.t_events[1]) > 0 or len(sol.t_events[2]) > 0,
-        _dense=dense,
+        rows=dense,
     )
 
 
@@ -564,7 +548,7 @@ def _integrate_passive(inner, outer, init, n, t_end, r_min, rtol, atol):
         t_end=float(ts[-1]),
         focused=len(sol.t_events[0]) > 0,
         passive=True,
-        _dense=dense,
+        rows=dense,
     )
 
 

@@ -98,8 +98,8 @@ _SHELL_CHUNK = 1 << 14
 
 def unit_sphere_area(n: int) -> float:
     """|S^{n-1}|: 2 for n=1 (two points), 2*pi for n=2, 4*pi for n=3."""
-    if n < 1:
-        raise InvalidDimensionError("dimension must be >= 1")
+    if not 1 <= n < 344:  # from n = 344 on, Gamma(n/2) overflows a float
+        raise InvalidDimensionError(f"dimension must lie in 1 .. 343, got {n}")
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
@@ -502,6 +502,7 @@ def radial_shells(
     """
     if n < 2:
         raise InvalidDimensionError("radial shells need dimension n >= 2")
+    area = unit_sphere_area(n)
     if N < 100:
         raise UndersamplingError("need at least 100 shells to resolve a front")
     if N > MAX_PARTICLES:
@@ -511,7 +512,6 @@ def radial_shells(
         raise InvalidParameterError("annulus must satisfy 0 <= r_min <= r_lo < r_hi")
     if boundary is None:
         boundary = r_lo if inner is None else 0.5 * (r_lo + r_hi)
-    area = unit_sphere_area(n)
     dr = (r_hi - r_lo) / N
     # The shells with mass go straight into one buffer per array, a chunk of
     # radii at a time, so the fields' temporaries never scale with N. The

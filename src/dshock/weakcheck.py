@@ -211,13 +211,11 @@ def _level_values(sol: DeltaShockSolution1D, bump: TensorBump, segments, level, 
     wk = (h * ref_w).ravel()
     factor, tf, amp = bump.space_factors[0], bump.time_factor, bump.amplitude
     xlo, xhi = factor.lo, factor.hi
-    pos = np.asarray(sol.phi(t), dtype=float)
+    pos, e, ud, _ = sol.at(t)
     a, b = _pieces(sol, t, pos, xlo, xhi)
     tv, td = amp * tf.value(t), amp * tf.deriv(t)
     bulk = _piece_integrals(factor, a, b, ref_x, ref_w) @ np.append(wk * td[:-1], tv[-1])
     flux = (factor.value(b) - factor.value(a)) @ np.append(wk * tv[:-1], 0.0)
-    ud = np.asarray(sol.u_delta(t), dtype=float)
-    e = np.asarray(sol.e(t), dtype=float)
     inside = (xlo < pos) & (pos < xhi)
     front = np.where(inside, td * factor.value(pos) + ud * (tv * factor.deriv(pos)), 0.0)
     front[-1] = tv[-1] * factor.value(pos[-1])

@@ -923,6 +923,18 @@ def test_run_refuses_an_rtol_outside_the_solvers_range(tmp_path, rtol):
     assert json.loads((tmp_path / "doc" / "report.json").read_text())["exit_code"] == 2
 
 
+@pytest.mark.parametrize("n", [350, 1000])
+def test_run_refuses_a_dimension_whose_sphere_area_overflows(tmp_path, n):
+    # n = 350 exited 3 with an OverflowError from math.gamma in the audit;
+    # n = 1000 leaked two RuntimeWarnings from the front ODE, then exited 3.
+    obj = json.loads((SCENARIOS / "spherical_converging_n3.json").read_text())
+    obj["n"] = n
+    message = _no_runtime_warnings(lambda: _run_message(tmp_path, obj))
+    assert message == f"invalid configuration: dimension must lie in 1 .. 343, got {n}"
+    report = json.loads((tmp_path / "doc" / "report.json").read_text())
+    assert (report["exit_code"], report["error_class"]) == (2, "InvalidDimensionError")
+
+
 @pytest.mark.parametrize("key, value", [("rho", float("nan")), ("u", float("inf"))])
 def test_run_rejects_non_finite_constant_field(tmp_path, capsys, key, value):
     # A NaN density used to pass the sign check and stall the front ODE for

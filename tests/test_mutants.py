@@ -47,15 +47,22 @@ _FREE_FLOW_N3 = {
     "annulus": [0.0, 3.6],
 }
 
-# Mass drift measured at each mutant, against its unmutated run:
-# front curvature 1.9e-2 (1.7e-10), free-flow area factor 0.53 (3.0e-11).
+
+def _scenario(name: str) -> dict:
+    return json.loads((SCENARIOS / f"{name}.json").read_text())
+
+
+# Measured at each mutant, against its unmutated run: the mass drift of front
+# curvature 1.9e-2 (1.7e-10), free-flow area factor 0.53 (3.0e-11) and atom
+# mass 1.8e-7 (1.4e-16); the largest weak residual of the initial terms 2.4
+# (4.5e-10) and of the swapped pieces 0.48 (4.5e-10).
 MUTANTS = [
     Mutant(
         "front ODE without its (n-1)/phi terms",
         "spherical.py",
         "curv = geom / phi * u_d",
         "curv = 0.0 * u_d",
-        json.loads((SCENARIOS / "spherical_converging_n3.json").read_text()),
+        _scenario("spherical_converging_n3"),
         "mass_conservation",
     ),
     Mutant(
@@ -65,6 +72,30 @@ MUTANTS = [
         "ratio = 1.0",
         _FREE_FLOW_N3,
         "mass_conservation",
+    ),
+    Mutant(
+        "atom mass e times (1 + 1e-6 t)",
+        "riemann1d.py",
+        "(e0 + (grow * t - b_ * y)) * scale,",
+        "(e0 + (grow * t - b_ * y)) * scale * (1.0 + 1e-6 * t),",
+        _scenario("seeded_atom_riemann"),
+        "mass_conservation",
+    ),
+    Mutant(
+        "weak identities without their t = 0 terms",
+        "weakcheck.py",
+        "tv, td = amp * tf.value(t), amp * tf.deriv(t)",
+        "tv, td = amp * tf.value(t) * (t > 0.0), amp * tf.deriv(t)",
+        _scenario("weakcheck_asymmetric"),
+        "weak_identities",
+    ),
+    Mutant(
+        "weak identities with the left and right pieces swapped",
+        "weakcheck.py",
+        "return a, np.where(b - a > _MIN_WIDTH, b, a)",
+        "return a[::-1], np.where(b - a > _MIN_WIDTH, b, a)[::-1]",
+        _scenario("weakcheck_asymmetric"),
+        "weak_identities",
     ),
 ]
 

@@ -71,7 +71,7 @@ def _ref_front_rows(traj, times):
             phi, e, ud = phi0 + s * (t - t0), alpha * (t - t0), s
             boot.append(True)
         else:
-            phi, e, ud = (float(v[0]) for v in traj._dense(np.array([t])))
+            phi, e, ud = (float(v[0]) for v in traj.rows(np.array([t])))
             boot.append(False)
         m = e if traj.n == 1 else e * unit_sphere_area(traj.n) * np.asarray(phi) ** (traj.n - 1)
         rows.append((phi, e, ud, float(m)))
@@ -244,7 +244,7 @@ def _ref_audit_spherical(traj, box, times, panels=24, nodes=10):
             rate += rho_i * u_i * weight(a)
         return float(rate)
 
-    phis, _, uds, m = traj._eval(times)
+    phis, _, uds, m = traj.at(times)
     M = np.empty(times.size)
     boundary = np.zeros(times.size)
     W = np.empty(times.size)

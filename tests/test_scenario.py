@@ -143,6 +143,22 @@ def test_weakcheck_solution_kind_picks_its_schema(solution, message):
     assert _outcome(validate_scenario, obj) == _outcome(_jsonschema_validate, obj)
 
 
+def test_the_battery_and_the_radii_are_bounded():
+    # Validation alone refuses them, before any member or radius is built:
+    # "count": 1e9 used to build a billion-member battery.
+    weak = load_scenario(SCENARIOS / "weakcheck_asymmetric.json")
+    weak["battery"]["count"] = 10**9
+    message = "at battery/count: 1000000000 is greater than the maximum of 1000"
+    with pytest.raises(ScenarioError, match=message):
+        validate_scenario(weak)
+    geom = {"kind": "geom-suite", "radii": [1.0] * 1001}
+    with pytest.raises(ScenarioError, match=r"at radii: \[1.0, .*\] is too long$"):
+        validate_scenario(geom)
+    weak["battery"]["count"], geom["radii"] = 1000, [1.0] * 1000
+    validate_scenario(weak)
+    validate_scenario(geom)
+
+
 def test_validate_type_errors_raise_even_lenient():
     # A bad value raised even when unknown keys were only warned about; now
     # every violation raises.

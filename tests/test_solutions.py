@@ -270,13 +270,12 @@ def _solution_fields(draw):
     # A shifted front speed can leave the window; a mass drain can go negative.
     du = draw(st.just(0.0) | st.floats(-3.0, 3.0))
     drain = draw(st.just(0.0) | st.floats(0.0, 10.0))
-    phi, e = sol.phi, sol.e
-    return {
-        **{f.name: getattr(sol, f.name) for f in fields(sol)},
-        "phi": lambda t: np.asarray(phi(t)) + du * np.asarray(t, dtype=float),
-        "e": lambda t: np.asarray(e(t)) - drain * np.asarray(t, dtype=float),
-        "support0": support,
-    }
+
+    def rows(t):
+        phi, e, u_delta = sol.rows(t)
+        return phi + du * t, e - drain * t, u_delta
+
+    return {**{f.name: getattr(sol, f.name) for f in fields(sol)}, "rows": rows, "support0": support}
 
 
 @settings(max_examples=80, deadline=None)

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from dshock import (
     AuditInvalidError,
     CausticError,
+    InvalidDimensionError,
     InvalidParameterError,
     NoDeltaShockError,
+    RadialField,
     RiemannData1D,
     SphericalFrontState,
     audit,
@@ -20,6 +22,7 @@ from dshock import (
     free_flow_field,
     integrate_front,
     radial_moment_integral,
+    radial_shells,
     solve_constant_states,
     steady_converging_field,
     unit_sphere_area,
@@ -300,6 +303,42 @@ def test_1d_and_spherical_fronts_answer_to_the_same_names():
             assert getattr(front, name)(times).shape == times.shape
     np.testing.assert_allclose(traj.phi(times) - 10.0, sol.phi(times), atol=1e-10)
     np.testing.assert_allclose(traj.e(times), sol.e(times), atol=1e-10)
+
+
+def test_at_is_phi_e_u_delta_and_m_of_one_evaluation():
+    # Both fronts evaluate one function of the times: at(t) gives what the
+    # four named methods give, bit for bit, arrays of t's shape or floats.
+    times = np.linspace(0.0, 0.5, 6).reshape(2, 3)
+    atom = solve_constant_states(RiemannData1D(4.0, 1.0, 1.0, -1.0, e0=0.5, u_delta0=0.1), 0.5)
+    shell = integrate_front(
+        None, steady_converging_field(3), SphericalFrontState(0.0, 1.0, 0.01, -0.5), n=3, t_end=0.5
+    )
+    for front in (atom, shell):
+        for t, kind in ((times, np.ndarray), (0.3, float)):
+            values = front.at(t)
+            named = (front.phi(t), front.e(t), front.u_delta(t), front.m(t))
+            for got, want in zip(values, named):
+                assert type(got) is type(want) is kind
+                np.testing.assert_array_equal(got, want, strict=True)
+                assert np.shape(got) == np.shape(t)
+    assert atom.at(0.3)[3] == atom.at(0.3)[1]  # m is e in 1-D
+    phi, e, _, m = shell.at(0.3)
+    assert m == e * unit_sphere_area(3) * phi**2
+
+
+def test_a_dimension_whose_sphere_area_overflows_is_refused_before_any_work(monkeypatch):
+    # From n = 344 on, Gamma(n/2) passes the largest float: math.gamma raised
+    # OverflowError in the audit, after the front ODE had run.
+    assert 0.0 < unit_sphere_area(343) < np.inf
+    with pytest.raises(InvalidDimensionError, match="dimension must lie in 1 .. 343, got 344"):
+        unit_sphere_area(344)
+    monkeypatch.setattr("dshock.spherical.solve_ivp", lambda *a, **k: pytest.fail("integrated"))
+    untouched = RadialField(raw=None, support=lambda t: pytest.fail("field evaluated"))
+    init = SphericalFrontState(0.0, 1.0, 0.01, -0.5)
+    with pytest.raises(InvalidDimensionError):
+        integrate_front(None, untouched, init, n=350, t_end=0.5)
+    with pytest.raises(InvalidDimensionError):
+        radial_shells(None, untouched, n=350, N=1000, box=(1.0, 3.5))
 
 
 @settings(max_examples=40, deadline=None)
