@@ -17,7 +17,8 @@ The schemas are JSON Schema (draft 2020-12) and are checked in-package by
 ``if``/``then``. It keeps the draft's semantics, and jsonschema's
 messages, for what JSON can carry: a bool is not a number, a float with an
 integral value is an integer, ``true`` does not equal ``1`` in ``enum`` and
-``const``, and NaN passes every bound. Violations are reported in
+``const``, and NaN passes every bound. An array of the wrong length is named
+by its length, not echoed as jsonschema does. Violations are reported in
 jsonschema's order, sorted by their path, so errors inside a property come
 before errors of the object that holds it.
 """
@@ -330,10 +331,10 @@ def _violations(value, schema: dict, path: tuple = ()):
                 message = f"{value!r} is less than or equal to the minimum of {rule!r}"
         elif key == "minItems":
             if is_array and len(value) < rule:
-                message = f"{value!r} {'should be non-empty' if rule == 1 else 'is too short'}"
+                message = f"an array of {len(value)} items is shorter than the minimum of {rule}"
         elif key == "maxItems":
             if is_array and len(value) > rule:
-                message = f"{value!r} {'is expected to be empty' if rule == 0 else 'is too long'}"
+                message = f"an array of {len(value)} items is longer than the maximum of {rule}"
         elif key == "items" and is_array:
             for index, item in enumerate(value):
                 yield from _violations(item, rule, path + (index,))

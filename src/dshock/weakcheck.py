@@ -17,7 +17,8 @@ the evaluation is laid out as arrays:
 
 * Time cuts, once per member. The time support is split where the front or
   a support edge crosses x = xlo or x = xhi, so the piece geometry is smooth
-  inside each segment. The cuts serve every level and every identity.
+  inside each segment. The cuts serve every level and every identity; each
+  comes from one division (edges) or a bisection (the front's monotone pieces).
 * One geometry pass per (member, level). The composite Gauss nodes of all
   segments form one array tk with weights wk, plus a node at t = 0 for the
   initial terms; phi, the support edges, e and u_delta are evaluated on it
@@ -47,7 +48,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .bumps import BumpFactor, TensorBump
 from .errors import InvalidBatteryError, InvalidParameterError, UnsupportedFrontError
@@ -145,35 +145,48 @@ def _random_poly(rng) -> tuple:
 # -- the geometry pass -----------------------------------------------------
 
 
-def _crossing_times(traj, c: float, t_lo: float, t_hi: float) -> list[float]:
-    ts = np.linspace(t_lo, t_hi, 65)
-    vals = np.asarray(traj(ts), dtype=float) - c
-    if not np.all(np.isfinite(vals)):
-        return []
-    va, vb = vals[:-1], vals[1:]
-    return ts[:-1][va == 0.0].tolist() + [
-        float(brentq(lambda s: float(traj(s)) - c, ts[k], ts[k + 1], xtol=1e-13))
-        for k in np.flatnonzero(va * vb < 0.0)
-    ]
+def _bisect(f, lo, hi, rising):
+    """Lower ends of the brackets [lo, hi], bisected to adjacent floats, in
+    which f (of an array of times) changes sign: upwards where ``rising``."""
+    while True:
+        mid = lo + 0.5 * (hi - lo)  # lo + hi could overflow
+        inner = (lo < mid) & (mid < hi)
+        if not inner.any():
+            return lo
+        below = (f(mid) < 0.0) == rising
+        lo, hi = np.where(inner & below, mid, lo), np.where(inner & ~below, mid, hi)
 
 
 def _time_segments(sol: DeltaShockSolution1D, bump: TensorBump):
-    """Segment ends (s0, s1) of the bump's time support, cut at box crossings."""
+    """Segment ends (s0, s1) of the bump's time support, cut at box crossings.
+
+    A support edge is affine in t, so its crossing is one division. The front's
+    slope u_delta is monotone in t on every path of ``riemann1d`` and under
+    ``time_reversed`` and ``with_front_speed_offset``, so the front turns at
+    most once and crosses a level at most once on each side of the turn. The
+    turn and the crossings are bisected only where end values change sign.
+    """
     if bump.dim != 1:
         raise InvalidParameterError("1-D weak identities need a bump with one space factor")
-    (xlo, xhi) = bump.space_box[0]
+    levels = np.array(bump.space_box[0])
     t_lo, t_hi = bump.t_support
     if t_lo < -1e-15:
         raise InvalidBatteryError("test function support intersects t < 0")
     if t_hi > sol.t_end + 1e-12:
         raise InvalidBatteryError("test function lives past the solution window")
-    cuts = {t_lo, t_hi}
-    trajs = [sol.phi]
+    knots = np.array([t_lo, t_hi])
+    pos, _, ud, _ = sol.at(knots)
+    if ud.min() < 0.0 < ud.max():
+        turn = _bisect(sol.u_delta, knots[:1], knots[1:], ud[:1] < 0.0)
+        knots, pos = np.insert(knots, 1, turn), np.insert(pos, 1, sol.phi(turn))
+    side = np.sign(pos[:, None] - levels)
+    j, k = np.nonzero(side[:-1] * side[1:] < 0.0)  # piece j crosses level k
+    front = _bisect(lambda t: sol.phi(t) - levels[k], knots[j], knots[j + 1], side[j, k] < 0.0)
+    cuts = {t_lo, t_hi, *front}
     if sol.support0 is not None:
-        trajs += [sol.edge_l, sol.edge_r]
-    for traj in trajs:
-        for c in (xlo, xhi):
-            cuts.update(_crossing_times(traj, c, t_lo, t_hi))
+        with np.errstate(all="ignore"):  # a resting or crawling edge: inf or nan, no cut
+            edge = (levels[:, None] - sol.support0) / [sol.edge_speed_l, sol.edge_speed_r]
+        cuts.update(edge[(t_lo < edge) & (edge < t_hi)])
     segs = np.array(sorted(cuts))
     keep = np.diff(segs) > _MIN_WIDTH
     return segs[:-1][keep], segs[1:][keep]

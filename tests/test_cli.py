@@ -935,6 +935,15 @@ def test_run_refuses_a_dimension_whose_sphere_area_overflows(tmp_path, n):
     assert (report["exit_code"], report["error_class"]) == (2, "InvalidDimensionError")
 
 
+def test_run_names_the_length_of_an_array_that_is_too_long(tmp_path):
+    # The message used to echo all 1,001 radii: a 5,070-byte stderr line.
+    message = _run_message(tmp_path, {"kind": "geom-suite", "radii": [1.0] * 1001})
+    assert len(message.encode()) < 200
+    assert message.endswith("at radii: an array of 1001 items is longer than the maximum of 1000")
+    report = json.loads((tmp_path / "doc" / "report.json").read_text())
+    assert report["exit_code"] == 2 and message.endswith(report["error"])
+
+
 @pytest.mark.parametrize("key, value", [("rho", float("nan")), ("u", float("inf"))])
 def test_run_rejects_non_finite_constant_field(tmp_path, capsys, key, value):
     # A NaN density used to pass the sign check and stall the front ODE for

@@ -34,12 +34,16 @@ from dshock import (
     constant_field,
     integrate_front,
     make_battery,
+    relativistic_flux,
     solve_constant_states,
+    standard_flux,
+    tabulated_flux,
     steady_converging_field,
     time_reversed,
     unit_sphere_area,
     with_front_speed_offset,
 )
+from dshock.bumps import BumpFactor, TensorBump
 from dshock.cli import _battery_box
 from dshock.geometry.quadrature import gauss_panels
 from dshock.scenario import solution_from_spec
@@ -368,43 +372,62 @@ def test_audit_spherical_matches_per_time_loop(case, box, fracs):
 # Weak-identity time cuts ---------------------------------------------------
 
 
-def _ref_crossings(traj, c, t_lo, t_hi):
-    ts = np.linspace(t_lo, t_hi, 65)
+def _ref_crossings(traj, c, ts):
+    """Sign changes of traj - c on the sample times ts: a sample at 0 between
+    opposite signs, or brentq's root between two samples of opposite sign."""
     vals = np.asarray(traj(ts), dtype=float) - c
     if not np.all(np.isfinite(vals)):
         return []
-    out = []
-    for k in range(ts.size - 1):
-        va, vb = vals[k], vals[k + 1]
-        if va == 0.0:
-            out.append(float(ts[k]))
-        elif va * vb < 0.0:
-            out.append(float(brentq(lambda s: float(traj(s)) - c, ts[k], ts[k + 1], xtol=1e-13)))
+    zeros = np.flatnonzero(vals[1:-1] == 0.0) + 1
+    out = [float(ts[k]) for k in zeros if vals[k - 1] * vals[k + 1] < 0.0]
+    for k in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
+        out.append(float(brentq(lambda s: float(traj(s)) - c, ts[k], ts[k + 1], xtol=1e-13)))
     return out
 
 
-def _ref_time_segments(sol, bump):
+def _ref_trajs(sol):
+    return [sol.phi] + ([sol.edge_l, sol.edge_r] if sol.support0 is not None else [])
+
+
+def _ref_time_segments(sol, bump, samples=65):
+    """The time cuts by a scan of ``samples`` times and brentq in each sign change."""
     (xlo, xhi), (t_lo, t_hi) = bump.space_box[0], bump.t_support
+    ts = np.linspace(t_lo, t_hi, samples)
     cuts = {t_lo, t_hi}
-    trajs = [sol.phi] + ([sol.edge_l, sol.edge_r] if sol.support0 is not None else [])
-    for traj in trajs:
+    for traj in _ref_trajs(sol):
         for c in (xlo, xhi):
-            cuts.update(_ref_crossings(traj, c, t_lo, t_hi))
+            cuts.update(_ref_crossings(traj, c, ts))
     segs = np.array(sorted(cuts))
     keep = np.diff(segs) > 1e-14
     return segs[:-1][keep], segs[1:][keep]
 
 
-def _assert_same_segments(sol, battery):
-    """Compare every member's segments; return the number of interior cuts."""
-    cuts = 0
-    for bump in battery.functions:
-        ref = _ref_time_segments(sol, bump)
-        got = _time_segments(sol, bump)
-        np.testing.assert_array_equal(got[0], ref[0])
-        np.testing.assert_array_equal(got[1], ref[1])
-        cuts += ref[0].size - 1
-    return cuts
+def _assert_cuts_match_scan(sol, bump, samples):
+    """Check the cuts against a scan of ``samples`` times; return its crossing count.
+
+    Each crossing the scan finds must equal a cut to 1e-13, plus the time a
+    rounding of the level moves it: the scan finds the root of the rounded
+    trajectory, which a slope v near 0 puts up to about eps |c| / |v| from the
+    true one. A cut the scan does not find (two crossings of one level inside
+    one sample interval show no sign change) must lie on a level.
+    """
+    (xlo, xhi), (t_lo, t_hi) = bump.space_box[0], bump.t_support
+    ts = np.linspace(t_lo, t_hi, samples)
+    got = np.unique(np.concatenate(_time_segments(sol, bump)))
+    slopes = [sol.u_delta, lambda t: sol.edge_speed_l, lambda t: sol.edge_speed_r]
+    found = []
+    for traj, slope in zip(_ref_trajs(sol), slopes):
+        for c in (xlo, xhi):
+            for t in _ref_crossings(traj, c, ts):
+                tol = 1e-13 + 8 * np.finfo(float).eps * (1.0 + abs(c)) / abs(float(slope(t)))
+                assert np.min(np.abs(got - t)) <= tol, (t, tol, got)
+                found.append(t)
+    found = np.array(found)
+    for g in got[1:-1]:
+        if found.size == 0 or np.min(np.abs(found - g)) > 1e-13:
+            gap = min(abs(float(traj(g)) - c) for traj in _ref_trajs(sol) for c in (xlo, xhi))
+            assert gap <= 1e-12 * (1.0 + abs(xlo) + abs(xhi)), (g, gap)
+    return found.size
 
 
 def test_time_segments_match_scan_on_real_crossings():
@@ -412,11 +435,82 @@ def test_time_segments_match_scan_on_real_crossings():
     # the support edges cross them; seed 5, the bundled weakcheck seed, does not.
     sol = solution_from_spec(json.loads((SCENARIOS / "asymmetric_riemann.json").read_text()))
     battery = make_battery(_battery_box(sol), count=6, seed=7, nonneg_count=2)
-    assert _assert_same_segments(sol, battery) > 0
+    assert sum(_assert_cuts_match_scan(sol, bump, 65) for bump in battery.functions) > 0
 
 
 @settings(max_examples=40, deadline=None)
 @given(sol=_solutions(st.sampled_from([None, (-5.0, 5.0)])), seed=st.integers(0, 2**16))
 def test_time_segments_match_scan(sol, seed):
-    battery = make_battery(_battery_box(sol), count=6, seed=seed)
-    _assert_same_segments(sol, battery)
+    for bump in make_battery(_battery_box(sol), count=6, seed=seed).functions:
+        _assert_cuts_match_scan(sol, bump, 65)
+
+
+def test_a_turning_front_crossing_twice_between_two_scan_samples_is_cut_twice():
+    # The atom starts right-moving and turns left at t* where u_delta = 0; a box
+    # edge just below the turning point is crossed at t* -/+ about 1e-4.
+    d = RiemannData1D(1.0, 4.0, 1.0, -1.0, e0=0.5, u_delta0=0.5)
+    sol = solve_constant_states(d, 1.0, support0=(-5.0, 5.0))
+    turn = brentq(lambda t: float(sol.u_delta(t)), 0.0, 1.0, xtol=1e-15)
+    # Time support [0, t_hi] puts t* in the middle of the scan's fifth interval.
+    t_hi = turn * 64 / 4.5
+    scan = np.linspace(0.0, t_hi, 65)
+    edge = float(sol.phi(turn)) - 1e-8
+    bump = TensorBump([BumpFactor(edge - 1.0, edge, (1.0,))], BumpFactor(0.0, t_hi, (1.0,)))
+    assert _ref_time_segments(sol, bump)[0].size == 1
+    cuts = _time_segments(sol, bump)[1][:-1]
+    assert cuts.size == 2 and scan[4] < cuts[0] < turn < cuts[1] < scan[5]
+    for cut in cuts:
+        after = np.nextafter(cut, 1.0)
+        assert (sol.phi(cut) - edge) * (sol.phi(after) - edge) <= 0.0
+
+
+@st.composite
+def _fronts_and_boxes(draw):
+    """A constant-speed or atom-exact front of the standard, relativistic or
+    tabulated flux, plain, time-reversed or with a speed offset, and a bump
+    whose box edges are levels its trajectories reach inside its time support."""
+    rho_l, rho_r = (10.0 ** draw(st.floats(-1.0, 1.0)) for _ in "lr")
+    u_r = draw(st.floats(-2.0, 1.0))
+    u_l = u_r + draw(st.floats(0.05, 3.0))
+    kind = draw(st.sampled_from(["standard", "relativistic", "tabulated"]))
+    support = None
+    if kind == "tabulated":
+        # Odd F and even N, so the front can be time-reversed; N != u F, so untruncated.
+        a, b = draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5))
+        u = np.linspace(-11.0, 11.0, 45)
+        flux = tabulated_flux(u, u + a * np.sin(u), u * (u + a * np.sin(u)) + b * np.cos(u))
+    else:
+        c0 = 10.0 ** draw(st.floats(-0.5, 1.0))
+        flux = standard_flux(1) if kind == "standard" else relativistic_flux(1, c0)
+        support = draw(st.sampled_from([None, (-5.0, 5.0)]))
+    atom = {}
+    if draw(st.booleans()):
+        u_delta0 = u_r + draw(st.floats(0.05, 0.95)) * (u_l - u_r)
+        atom = {"e0": 10.0 ** draw(st.floats(-2.0, 0.5)), "u_delta0": u_delta0}
+    variant = draw(st.sampled_from(["plain", "reversed", "offset"]))
+    t_lo = draw(st.floats(0.0, 0.9))
+    t_hi = t_lo + draw(st.floats(0.05, 1.0 - t_lo))
+    try:
+        data = RiemannData1D(rho_l, rho_r, u_l, u_r, flux=flux, **atom)
+        sol = solve_constant_states(data, 1.0, support)
+        if variant == "reversed":
+            sol = time_reversed(sol)
+        elif variant == "offset":
+            # Half the offsets stop the front inside the time support: an atom turns there.
+            du = -float(sol.u_delta(t_lo + draw(st.floats(0.0, 1.0)) * (t_hi - t_lo)))
+            sol = with_front_speed_offset(sol, draw(st.floats(-1.0, 1.0) | st.just(du)))
+    except DShockError:
+        assume(False)
+    trajs = _ref_trajs(sol)
+    xlo, xhi = sorted(
+        float(draw(st.sampled_from(trajs))(t_lo + draw(st.floats(0.0, 1.0)) * (t_hi - t_lo)))
+        for _ in "lh"
+    )
+    assume(xhi - xlo > 1e-3)
+    return sol, TensorBump([BumpFactor(xlo, xhi, (1.0,))], BumpFactor(t_lo, t_hi, (1.0,)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_fronts_and_boxes())
+def test_time_segments_match_a_fine_scan_for_every_flux_and_wrapper(case):
+    _assert_cuts_match_scan(*case, 4097)

@@ -4,9 +4,11 @@ The package imports its modules with the cyclic GC paused and then restores
 it; the CLI module freezes the import heap for the life of its process.
 Scenarios are validated in-package, so no CLI run imports jsonschema. Each
 case runs in a fresh interpreter, because this test process has imported
-dshock already. Nothing here is timed.
+dshock already. Nothing here is timed. Which modules import scipy when they
+load is read from their source.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -98,3 +100,33 @@ def test_cli_runs_never_import_jsonschema(tmp_path):
         "weakcheck_asymmetric": [0, False],
         "oracle": [0, False],
     }
+
+
+def _module_level_imports(tree: ast.Module):
+    """Top-level names each import statement run at module load brings in.
+
+    Statements under ``if``, ``try`` and ``with`` at module level count;
+    function and class bodies do not.
+    """
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                yield node.module.split(".")[0]
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_only_spherical_imports_scipy_when_it_loads():
+    # Everything else imports scipy inside the function that needs it, so a
+    # process that never integrates a spherical front could run without it.
+    package = SRC / "dshock"
+    importers = sorted(
+        str(path.relative_to(package))
+        for path in package.rglob("*.py")
+        if "scipy" in _module_level_imports(ast.parse(path.read_text()))
+    )
+    assert importers == ["spherical.py"]

@@ -21,6 +21,7 @@ from dshock import (
     steady_converging_field,
     unit_sphere_area,
 )
+from dshock import sticky_oracle
 
 
 def test_unit_sphere_area_values():
@@ -666,17 +667,19 @@ def test_restricted_regression_is_the_full_one_whatever_the_prior_clusters(n, se
 
 
 def _record_regression_lengths(monkeypatch) -> list:
-    """The length of every array passed to ``isotonic_regression`` from now on."""
-    import scipy.optimize
+    """The number of particles of every regression the oracle runs from now on.
 
+    Counted at ``sticky_oracle._fit`` (the length of its ``x0``), so whatever
+    kernel does the regression, these counts stay.
+    """
     lengths = []
-    solve = scipy.optimize.isotonic_regression
+    fit = sticky_oracle._fit
 
-    def counted(y, **kwargs):
-        lengths.append(len(y))
-        return solve(y, **kwargs)
+    def counted(x0, *args):
+        lengths.append(len(x0))
+        return fit(x0, *args)
 
-    monkeypatch.setattr(scipy.optimize, "isotonic_regression", counted)
+    monkeypatch.setattr(sticky_oracle, "_fit", counted)
     return lengths
 
 
@@ -708,9 +711,9 @@ def test_cluster_estimate_falls_back_where_free_neighbours_meet(monkeypatch, x, 
     lengths = _record_regression_lengths(monkeypatch)
     ps = _with_dominant_cluster(x, v, np.ones(3))
     _compare_with_reference(ps, 1.0, times)
-    # After the reference's three full solves: the regression at T, the one
-    # over the cluster and its guard at the earlier time, then all particles.
-    assert lengths[3:] == [23, 21, 23]
+    # The regression at T, the one over the cluster and its guard at the
+    # earlier time, then all particles.
+    assert lengths == [23, 21, 23]
 
 
 def test_cluster_estimate_reads_lone_particles_at_every_time():
