@@ -28,7 +28,7 @@ print(f"stopped at t = {traj.t_end:.4f}  focused = {traj.focused}")
 area = unit_sphere_area(n)
 print("\n   t      phi      u_delta      e         m = e |S^2| phi^2")
 for t in np.linspace(0.0, traj.t_end, 9):
-    phi, ud, e = traj.phi(t), traj.u_delta(t), traj.e(t)
+    phi, e, ud, _ = traj.at(t)
     print(f"{t:5.2f}  {phi:7.4f}  {ud:+9.4f}  {e:9.5f}  {e * area * phi**2:10.5f}")
 
 # Entropy (overcompression) holds throughout: the outer gas at u = -1

@@ -23,12 +23,13 @@ nu = sol.frame[0]
 print(f"unit normal nu = {np.round(nu, 3)}")
 print(f"normal two-state data: rho ({sol.base.rho_l}, {sol.base.rho_r}), "
       f"u ({sol.base.u_l:+.2f}, {sol.base.u_r:+.2f})")
-print(f"front normal speed u_delta = {sol.base.u_delta(1.0):+.6f}")
 
+# One evaluation of the front at t = 1; the deficit takes its normal speed G.
 f = sol.front_state(1.0)
+print(f"front normal speed u_delta = {f.G:+.6f}")
 print(f"front velocity vector U_delta = {np.round(f.U_delta, 6)}  (= G nu)")
 print(f"surface density e(1) = {f.e:.4f}")
-deficit = float(np.linalg.norm(np.atleast_1d(sol.tangential_deficit(1.0))))
+deficit = float(np.linalg.norm(sol.tangential_deficit(f.G)))
 print(f"tangential slip deficit = {deficit:+.6f}"
       "  (constant in time for constant states)")
 
@@ -43,5 +44,5 @@ rsol = planar_from_spec(robj)
 rf = rsol.front_state(1.0)
 print("\nafter a rigid 30 degree rotation:")
 print(f"  |R U_delta - U_delta'| = {np.max(np.abs(rot @ f.U_delta - rf.U_delta)):.2e}")
-rdeficit = float(np.linalg.norm(np.atleast_1d(rsol.tangential_deficit(1.0))))
+rdeficit = float(np.linalg.norm(rsol.tangential_deficit(rf.G)))
 print(f"  deficit unchanged to   {abs(deficit - rdeficit):.2e}")

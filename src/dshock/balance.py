@@ -15,13 +15,13 @@ compact support strictly inside.
 
 The audits here are closed-form for piecewise-constant 1-D solutions and
 quadrature-based for spherical trajectories (where P and p vanish by
-symmetry and the radial weight is |S^{n-1}| r^{n-1}). Both evaluate all
-sample times as arrays; the spherical audit hands the side fields (r, t)
-arrays, with one Gauss rule per sample. A spherical field whose support
-reaches an annulus edge carries mass across it; the report's ``boundary``
-column accumulates that net inflow, so M + m - boundary is the conserved
-total for any annulus. The 1-D audit requires the support strictly inside
-its box, so its boundary column is zero.
+symmetry and the radial weight is |S^{n-1}| r^{n-1}). Both read the front
+from one evaluation on all sample times, the caller's if it passes one; the
+spherical audit hands the side fields (r, t) arrays, with one Gauss rule per
+sample. A spherical field whose support reaches an annulus edge carries mass
+across it; the report's ``boundary`` column accumulates that net inflow, so
+M + m - boundary is the conserved total for any annulus. The 1-D audit
+requires the support strictly inside its box, so its boundary column is zero.
 """
 
 from __future__ import annotations
@@ -151,24 +151,31 @@ class BalanceReport:
         return names, data
 
 
-def audit(solution, times=None, *, box=None) -> BalanceReport:
+def audit(solution, times=None, *, box=None, front=None) -> BalanceReport:
     """Balance audit of a 1-D solution or a spherical trajectory over ``box``.
 
     A ``box`` given is an interval (a, b), finite and increasing. For a 1-D
     solution it is the audit box, by default 1.2x the support bounding box,
     and the compact support must stay strictly inside it. For a spherical trajectory
     it is the annulus a <= r <= b, which is required and must contain the
-    supports of the side fields the trajectory carries.
+    supports of the side fields the trajectory carries. ``front`` is
+    ``solution.at(times)`` from a caller that has it; without it the audit
+    evaluates the front once itself.
     """
     if box is not None:
         box = _domain(box)
     if isinstance(solution, DeltaShockSolution1D):
-        return _audit_1d(solution, times, box)
-    if isinstance(solution, SphericalTrajectory):
+        run, samples = _audit_1d, 41
+    elif isinstance(solution, SphericalTrajectory):
         if box is None:
             raise AuditInvalidError("spherical audits need an annulus")
-        return _audit_spherical(solution, times, box)
-    raise InvalidParameterError(f"cannot audit {type(solution).__name__}")
+        run, samples = _audit_spherical, 25
+    else:
+        raise InvalidParameterError(f"cannot audit {type(solution).__name__}")
+    times = np.asarray(np.linspace(0.0, solution.t_end, samples) if times is None else times, float)
+    if front is not None and [np.shape(v) for v in front] != [times.shape] * 4:
+        raise InvalidParameterError(f"front must be at(times): four arrays of shape {times.shape}")
+    return run(solution, times, box, front)
 
 
 def _domain(box) -> tuple[float, float]:
@@ -179,17 +186,14 @@ def _domain(box) -> tuple[float, float]:
     return a, b
 
 
-def _audit_1d(sol: DeltaShockSolution1D, times, box) -> BalanceReport:
+def _audit_1d(sol: DeltaShockSolution1D, times, box, front) -> BalanceReport:
     if sol.support0 is None:
         raise AuditInvalidError(
             "balance theorems assume compactly supported data; solution has none"
         )
-    if times is None:
-        times = np.linspace(0.0, sol.t_end, 41)
-    times = np.asarray(times, dtype=float)
     a, b = sol.spatial_bounds(0.2) if box is None else box
     lo, hi = sol.edge_l(times), sol.edge_r(times)
-    pos, e, ud, _ = sol.at(times)
+    pos, e, ud, _ = sol.at(times) if front is None else front
     bad = np.flatnonzero(~((a < lo) & (hi < b)))
     if bad.size:
         k = bad[0]
@@ -223,7 +227,7 @@ def _audit_1d(sol: DeltaShockSolution1D, times, box) -> BalanceReport:
     )
 
 
-def _audit_spherical(traj, times, box) -> BalanceReport:
+def _audit_spherical(traj, times, box, front) -> BalanceReport:
     """Spherical audit sampled at the array ``times``, all samples at once.
 
     The hypotheses are masks over the samples: the first failing sample
@@ -237,15 +241,12 @@ def _audit_spherical(traj, times, box) -> BalanceReport:
     n, inner, outer = traj.n, traj.inner, traj.outer
     if n >= 2 and a < 0.0:
         raise AuditInvalidError("annulus must not include negative radii for n >= 2")
-    if times is None:
-        times = np.linspace(0.0, traj.t_end, 25)
-    times = np.asarray(times, dtype=float)
     area = unit_sphere_area(n) if n >= 2 else 1.0
 
     def weight(r):
         return area * np.asarray(r, dtype=float) ** (n - 1)
 
-    phis, _, uds, m = traj.at(times)
+    phis, _, uds, m = traj.at(times) if front is None else front
     fails = [(~((a < phis) & (phis < b)), "front radius {phi} leaves the annulus at t={t}")]
     if inner is not None:
         lo = inner.support(times)[0]

@@ -228,14 +228,13 @@ _RIEMANN_COLUMNS = ["t", "phi", "u_delta", "e", "mass_deficit", "momentum_defici
 def _run_riemann1d(obj: dict, seed: int):
     sol = solution_from_spec(obj)
     times = np.linspace(0.0, sol.t_end, int(obj.get("samples", 41)))
-    phi, e, u_delta, _ = sol.at(times)
-    table = np.column_stack([times, phi, u_delta, e, *sol.deficits(times)])
+    phi, e, u_delta, _ = front = sol.at(times)
+    table = np.column_stack([times, phi, u_delta, e, *sol.deficits(u_delta)])
     files = {"riemann.csv": (_RIEMANN_COLUMNS, table)}
     checks: dict = {}
-    _, e_final, u_delta_final, _ = sol.at(sol.t_end)
-    payload = {"t_end": sol.t_end, "u_delta_final": u_delta_final, "e_final": e_final}
+    payload = {"t_end": sol.t_end, "u_delta_final": u_delta[-1], "e_final": e[-1]}
     if sol.support0 is not None:
-        rep = audit(sol, times)
+        rep = audit(sol, times, front=front)
         checks = _balance_checks(obj, rep, files)
         strict_all = bool(np.all(rep.entropy_strict))
         checks["concentration"] = rep.concentration_holds() if strict_all else None
@@ -250,8 +249,8 @@ def _run_spherical(obj: dict, seed: int):
     inner, outer, init, kwargs = spherical_setup_from_spec(obj)
     traj = integrate_front(inner, outer, init, **kwargs)
     times = np.linspace(0.0, traj.t_end, int(obj.get("samples", 25)))
-    rep = audit(traj, times, box=obj["annulus"])
-    phi, e, u_delta, _ = traj.at(times)
+    phi, e, u_delta, _ = front = traj.at(times)
+    rep = audit(traj, times, box=obj["annulus"], front=front)
     rows = np.column_stack(
         [times, phi, u_delta, e, rep.m, rep.M, rep.sum_mass, rep.entropy_strict.astype(float)]
     )
@@ -287,8 +286,8 @@ def _run_planar(obj: dict, seed: int):
     base = cand.base
     times = np.linspace(0.0, base.t_end, int(obj.get("samples", 41)))
     dim = cand.dim
-    tan = cand.tangential_deficit(times)
-    phi, e, u_delta, _ = base.at(times)
+    phi, e, u_delta, _ = front = base.at(times)
+    tan = cand.tangential_deficit(u_delta)
     rows = np.column_stack([times, phi, u_delta, e, np.linalg.norm(tan, axis=1), tan])
     names = ["t", "phi", "u_delta", "e", "tan_deficit"] + [
         f"tan_deficit_{j + 1}" for j in range(dim - 1)
@@ -298,10 +297,10 @@ def _run_planar(obj: dict, seed: int):
     payload = {
         "dim": dim,
         "frame": cand.frame,
-        "tangential_deficit_final": cand.tangential_deficit(base.t_end),
+        "tangential_deficit_final": tan[-1],
     }
     if base.support0 is not None:
-        checks = _balance_checks(obj, audit(base, times), files)
+        checks = _balance_checks(obj, audit(base, times, front=front), files)
     if obj.get("check_rotation", True):
         rot = _random_rotation(dim, seed)
         rotated_obj = dict(obj)
@@ -311,12 +310,12 @@ def _run_planar(obj: dict, seed: int):
         cand2 = planar_from_spec(rotated_obj)
         # Both fronts at every sample time after t = 0: U_delta = u_delta nu, e
         # and the size of the tangential deficit must agree up to the rotation.
-        (_, e1, g1, _), (_, e2, g2, _) = (c.base.at(times[1:]) for c in (cand, cand2))
-        tan1, tan2 = (c.tangential_deficit(times[1:]) for c in (cand, cand2))
+        _, e2, g2, _ = cand2.base.at(times[1:])
+        tan1, tan2 = tan[1:], cand2.tangential_deficit(g2)
         # A row's vecdot is the dot product norm takes of one vector: same bits.
         d1, d2 = (np.sqrt(np.vecdot(tan, tan)) for tan in (tan1, tan2))
-        turn = np.abs(np.outer(g1, cand.nu) @ rot.T - np.outer(g2, cand2.nu))
-        err = float(max(np.max(turn), np.max(np.abs(e1 - e2)), np.max(np.abs(d1 - d2))))
+        turn = np.abs(np.outer(u_delta[1:], cand.nu) @ rot.T - np.outer(g2, cand2.nu))
+        err = float(max(np.max(turn), np.max(np.abs(e[1:] - e2)), np.max(np.abs(d1 - d2))))
         checks["rotation_covariance"] = err <= _tol(obj, "rotation", 1e-12)
         payload["rotation_error"] = err
     return checks, payload, files

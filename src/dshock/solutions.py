@@ -4,7 +4,9 @@ Every front, this module's and ``spherical.SphericalTrajectory``, is read
 through one evaluator: a function ``rows`` from a 1-D array of times to the
 rows (phi, e, u_delta). ``_Front.at(t)`` evaluates it once and adds the total
 front mass m; the ``phi``, ``e``, ``u_delta`` and ``m`` methods pick one of
-the four.
+the four. What derives from the front takes those values, not a time
+(``deficits``, ``tangential_deficit`` and ``balance.audit``), so a caller
+evaluates its time grid once and hands the rows on.
 
 A solution bundles two constant side states, that evaluator, and an optional
 compact support window whose edges ride along with the adjacent side
@@ -29,7 +31,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, SupportViolationError
 from .fluxes import FluxModel
-from .rh import jumps_1d
+from .rh import FrontState, SideStates, jumps_1d
 
 __all__ = [
     "DeltaShockSolution1D",
@@ -99,6 +101,8 @@ class DeltaShockSolution1D(_Front):
     t_end: float
     support0: tuple[float, float] | None = None
     detail: dict = field(default_factory=dict, compare=False)
+    # The rows (phi, e, u_delta) at 0 and t_end, from the window scan.
+    _ends: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.t_end < np.inf:
@@ -114,7 +118,9 @@ class DeltaShockSolution1D(_Front):
                         f"off by {mismatch} at u={u}"
                     )
         ts = np.linspace(0.0, self.t_end, 33)
-        pos, e, _, _ = self.at(ts)
+        pos, e, u_delta, _ = self.at(ts)
+        ends = tuple((float(pos[k]), float(e[k]), float(u_delta[k])) for k in (0, -1))
+        object.__setattr__(self, "_ends", ends)
         lo, hi = (np.broadcast_to(edge(ts), ts.shape) for edge in (self.edge_l, self.edge_r))
         outside = ~((lo <= pos) & (pos <= hi))
         bad = np.flatnonzero(outside | (e < -1e-12))
@@ -152,13 +158,13 @@ class DeltaShockSolution1D(_Front):
             return np.inf
         return self.support0[1] + self.edge_speed_r * np.asarray(t, dtype=float)
 
-    def deficits(self, t):
-        """(A - B u_delta, C - D u_delta) at times ``t``, with the jumps of ``rh.jumps_1d``.
+    def deficits(self, u_delta):
+        """(A - B u_delta, C - D u_delta) at front velocities ``u_delta``.
 
-        Along an exact front these are the rates de/dt and d(e u_delta)/dt.
+        The jumps are those of ``rh.jumps_1d``. Along an exact front, at the
+        u_delta of ``at(t)``, these are the rates de/dt and d(e u_delta)/dt.
         """
         a_, b_, c_, d_ = jumps_1d(self)
-        u_delta = self.u_delta(t)
         return a_ - b_ * u_delta, c_ - d_ * u_delta
 
     def breakpoints(self, t: float) -> list[float]:
@@ -186,11 +192,9 @@ class DeltaShockSolution1D(_Front):
 
     def spatial_bounds(self, pad: float = 0.2) -> tuple[float, float]:
         """A box containing the support (or the front) for all t <= t_end."""
-        xs = []
-        for t in (0.0, self.t_end):
-            xs.append(float(self.phi(t)))
-            if self.support0 is not None:
-                xs += [float(self.edge_l(t)), float(self.edge_r(t))]
+        xs = [phi for phi, _, _ in self._ends]
+        if self.support0 is not None:
+            xs += [float(edge(t)) for t in (0.0, self.t_end) for edge in (self.edge_l, self.edge_r)]
         lo, hi = min(xs), max(xs)
         width = max(hi - lo, 1.0)
         return lo - pad * width, hi + pad * width
@@ -281,26 +285,22 @@ class PlanarSolution:
         return un * self.frame[0] + ut @ self.frame[1:]
 
     def side_states(self, t: float):
-        from .rh import SideStates
-
         return SideStates(self.base.rho_l, self.base.rho_r, self.U_side("l"), self.U_side("r"))
 
     def front_state(self, t: float):
-        from .rh import FrontState
-
         _, e, u_delta, _ = self.base.at(t)
         return FrontState(e=e, nu=self.frame[0], G=u_delta, K=0.0)
 
-    def tangential_deficit(self, t) -> np.ndarray:
-        """[rho U_tan (U . nu)] - [rho U_tan] G per tangential direction.
+    def tangential_deficit(self, u_delta) -> np.ndarray:
+        """[rho U_tan (U . nu)] - [rho U_tan] G per tangential direction, at G = ``u_delta``.
 
-        A scalar t gives shape (n-1,), an array of m times (m, n-1).
+        A scalar u_delta gives shape (n-1,), an array of m values (m, n-1).
         Nonzero values mean the data pump tangential momentum into a front
         that cannot carry it; the weak momentum identities then fail by
         exactly this amount.
         """
         b = self.base
-        g = np.asarray(b.u_delta(t), dtype=float)[..., None]
+        g = np.asarray(u_delta, dtype=float)[..., None]
         jm = b.rho_l * self.u_tan_l * b.u_l - b.rho_r * self.u_tan_r * b.u_r
         jd = b.rho_l * self.u_tan_l - b.rho_r * self.u_tan_r
         return jm - jd * g

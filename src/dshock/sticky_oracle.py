@@ -257,12 +257,12 @@ def _insert_seed(x, v, m, seed):
 def sample_riemann(
     d, L: float, N: int, mode: str = "midpoint", seed: int | None = None
 ) -> ParticleSystem:
-    """Discretize two-state Riemann data on [-L, L] into N particles.
+    """Discretize two-state Riemann data on [x0 - L, x0 + L] into N particles.
 
-    Each side gets N//2 equal-mass particles at cell midpoints (or at
-    sorted uniform positions in ``mode="random"``); total mass is
-    L (rho_l + rho_r) plus any initial atom, which becomes a seed particle
-    at x0.
+    The sides meet at x0, where the solver starts its front. Each gets N//2
+    equal-mass particles at cell midpoints (or at sorted uniform positions
+    in ``mode="random"``); total mass is L (rho_l + rho_r) plus any initial
+    atom, which becomes a seed particle at x0.
     """
     if N < 100:
         raise UndersamplingError("need at least 100 particles to resolve a front")
@@ -275,20 +275,20 @@ def sample_riemann(
     rng = np.random.default_rng(seed) if mode == "random" else None
     half = N // 2
 
-    def points(lo, hi):
+    def points(lo):
         if rng is None:
-            return lo + (np.arange(half) + 0.5) * (hi - lo) / half
-        return np.sort(rng.uniform(lo, hi, size=half))
+            return lo + (np.arange(half) + 0.5) * L / half
+        return np.sort(rng.uniform(lo, lo + L, size=half))
 
     sides = [
-        (lo, hi, rho, u)
-        for lo, hi, rho, u in ((-L, 0.0, d.rho_l, d.u_l), (0.0, L, d.rho_r, d.u_r))
+        (lo, rho, u)
+        for lo, rho, u in ((d.x0 - L, d.rho_l, d.u_l), (d.x0, d.rho_r, d.u_r))
         if rho > 0.0
     ]
     # Each side's block is in order and lies left of the next one.
-    x = np.concatenate([points(lo, hi) for lo, hi, _, _ in sides] or [np.empty(0)])
+    x = np.concatenate([points(lo) for lo, _, _ in sides] or [np.empty(0)])
     v = np.repeat([float(u) for *_, u in sides], half)
-    m = np.repeat([rho * (hi - lo) / half for lo, hi, rho, _ in sides], half)
+    m = np.repeat([rho * L / half for _, rho, _ in sides], half)
     atom = (d.x0, float(d.u_delta0), d.e0) if d.e0 > 0.0 else None
     return ParticleSystem(*_insert_seed(x, v, m, atom))
 

@@ -9,6 +9,7 @@ from dshock import (
     AuditInvalidError,
     DShockError,
     FrontState,
+    InvalidParameterError,
     RiemannData1D,
     SideStates,
     SphericalFrontState,
@@ -162,6 +163,15 @@ def test_audit_spherical_needs_annulus():
     traj = integrate_front(None, outer, init, n=3, t_end=0.3, r_min=1e-3)
     with pytest.raises(AuditInvalidError):
         audit(traj)
+
+
+def test_audit_refuses_rows_that_are_not_at_times():
+    sol = _solution()
+    times = np.linspace(0.0, 1.0, 41)
+    with pytest.raises(InvalidParameterError, match="shape"):
+        audit(sol, times, front=sol.at(times[1:]))
+    with pytest.raises(InvalidParameterError, match="four arrays"):
+        audit(sol, times, front=sol.at(times)[:3])
 
 
 def test_balance_report_columns_shape():

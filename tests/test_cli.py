@@ -1197,6 +1197,80 @@ def test_flag_commands_validate_their_document_once(tmp_path, monkeypatch):
     assert kinds == ["oracle"]
 
 
+def _count_front_evaluations(monkeypatch):
+    """The number of times in each call of a front's evaluator ``rows``, in call order.
+
+    Counts the evaluators of both 1-D paths and of the trajectory the
+    spherical runner integrates.
+    """
+    import dshock.cli
+    import dshock.riemann1d
+
+    sizes = []
+
+    def counted(rows):
+        def counted_rows(t):
+            sizes.append(t.size)
+            return rows(t)
+
+        return counted_rows
+
+    def counted_path(path):
+        def path_with_counted_rows(*args):
+            rows, detail = path(*args)
+            return counted(rows), detail
+
+        return path_with_counted_rows
+
+    for name in ("_path_constant_speed", "_path_atom"):
+        path = getattr(dshock.riemann1d, name)
+        monkeypatch.setattr(dshock.riemann1d, name, counted_path(path))
+    integrate = dshock.cli.integrate_front
+
+    def integrate_with_counted_rows(*args, **kwargs):
+        traj = integrate(*args, **kwargs)
+        traj.rows = counted(traj.rows)
+        return traj
+
+    monkeypatch.setattr(dshock.cli, "integrate_front", integrate_with_counted_rows)
+    return sizes
+
+
+# A solution evaluates 33 times in its support check; a run then evaluates
+# its output grid once and hands the rows to the table, the audit and the
+# report. A time-reversed solution checks its window and its source's; a
+# planar run evaluates its rotated copy on the grid after t = 0.
+@pytest.mark.parametrize(
+    "name, sizes",
+    [
+        ("asymmetric_riemann", [33, 41]),
+        ("relativistic_riemann", [33, 41]),
+        ("seeded_atom_riemann", [33, 41]),
+        ("symmetric_riemann", [33, 41]),
+        ("time_reversed_sanity", [33, 33, 41]),
+        ("planar_2d", [33, 41, 33, 40]),
+        ("spherical_converging_n3", [25]),
+        ("geom_suite", []),
+    ],
+)
+def test_a_run_evaluates_its_front_once_on_its_output_grid(tmp_path, monkeypatch, name, sizes):
+    counted = _count_front_evaluations(monkeypatch)
+    main(["run", "--config", str(SCENARIOS / f"{name}.json"), "--out", str(tmp_path)])
+    assert counted == sizes
+
+
+def test_the_weak_check_and_the_riemann_command_evaluate_no_single_time(tmp_path, monkeypatch):
+    # The spatial bounds of the battery box come from the support check's rows.
+    counted = _count_front_evaluations(monkeypatch)
+    config = str(SCENARIOS / "weakcheck_asymmetric.json")
+    assert main(["run", "--config", config, "--out", str(tmp_path / "w")]) == 0
+    assert counted[0] == 33 and 1 not in counted
+    counted.clear()
+    atom = ["--e0", "0.5", "--u-delta0", "0.1", "--t-end", "1"]
+    assert main(_RIEMANN_41 + atom + ["--out", str(tmp_path / "r.csv")]) == 0
+    assert counted == [33, 101]
+
+
 @pytest.mark.parametrize("preset", ["riemann", "spherical"])
 @pytest.mark.parametrize("mode", ["midpoint", "random"])
 def test_oracle_subcommand_writes_the_oracle_csv_of_run(tmp_path, preset, mode):
