@@ -192,7 +192,7 @@ def _audit_1d(sol: DeltaShockSolution1D, times, box, front) -> BalanceReport:
             "balance theorems assume compactly supported data; solution has none"
         )
     a, b = sol.spatial_bounds(0.2) if box is None else box
-    lo, hi = sol.edge_l(times), sol.edge_r(times)
+    lo, hi = sol.support(times)
     pos, e, ud, _ = sol.at(times) if front is None else front
     bad = np.flatnonzero(~((a < lo) & (hi < b)))
     if bad.size:

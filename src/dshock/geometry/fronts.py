@@ -89,6 +89,19 @@ def _of_time(fn, t):
     return np.broadcast_to(np.asarray(fn(t), dtype=float), t.shape)
 
 
+def _window(edges, law: Callable) -> Callable:
+    """support(t) -> (lo, hi) from a pair of edges, or None for (None, None).
+
+    An edge is None (unbounded) or follows ``law(edge)``, one time law of
+    ``_time_law``: an (x0, speed) pair or a callable of t.
+    """
+    lo, hi = (
+        _time_law(far if edge is None else law(edge))[0]
+        for edge, far in zip((None, None) if edges is None else edges, (-np.inf, np.inf))
+    )
+    return lambda t: (_of_time(lo, t), _of_time(hi, t))
+
+
 def _point_or_rows(rows_fn, x, t):
     """Evaluate ``rows_fn`` on (m, dim) rows; a (dim,) point is one row."""
     x = np.asarray(x, dtype=float)

@@ -116,7 +116,10 @@ def _speed_roots(d: RiemannData1D) -> list[float]:
         lin = a_ + d_
         if abs(lin) <= 1e-13 * scale * (1.0 + abs(d.u_l) + abs(d.u_r)):
             raise NoDeltaShockError("data carry no jump; nothing concentrates")
-        return [c_ / lin]
+        if b_ == 0.0:
+            return [c_ / lin]
+        # A tiny [rho] still bends P: its near root c/q below keeps the bits
+        # that c/(A+D) would lose.
     bb = -(a_ + d_)
     disc = bb * bb - 4.0 * b_ * c_
     if disc < 0.0:

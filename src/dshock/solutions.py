@@ -14,6 +14,11 @@ velocity. An edge moving at exactly the local particle speed against vacuum
 is itself a weak discontinuity with no concentration, so truncating the data
 this way keeps every integral identity exact while making totals finite.
 
+Support law: ``support(t) -> (lo, hi)`` is ``geometry.fronts._window`` of the
+edges (``support0`` entry, F(u) of its side), with a ``RadialField``'s contract.
+Time-cut contract: ``time_cuts`` needs u_delta monotone in t, as on every
+``riemann1d`` path and under ``time_reversed`` and ``with_front_speed_offset``.
+
 ``time_reversed`` produces the companion non-admissible weak solution used
 to exercise entropy and energy checks: it solves the same equations (the
 standard flux is odd in u and the momentum flux even) but expands a mass
@@ -31,6 +36,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, SupportViolationError
 from .fluxes import FluxModel
+from .geometry.fronts import _window
 from .rh import FrontState, SideStates, jumps_1d
 
 __all__ = [
@@ -39,6 +45,18 @@ __all__ = [
     "time_reversed",
     "with_front_speed_offset",
 ]
+
+
+def _bisect(f, lo, hi, rising):
+    """Lower ends of the brackets [lo, hi], bisected to adjacent floats, in
+    which f (of an array of times) changes sign: upwards where ``rising``."""
+    while True:
+        mid = lo + 0.5 * (hi - lo)  # lo + hi could overflow
+        inner = (lo < mid) & (mid < hi)
+        if not inner.any():
+            return lo
+        below = (f(mid) < 0.0) == rising
+        lo, hi = np.where(inner & below, mid, lo), np.where(inner & ~below, mid, hi)
 
 
 class _Front:
@@ -121,7 +139,7 @@ class DeltaShockSolution1D(_Front):
         pos, e, u_delta, _ = self.at(ts)
         ends = tuple((float(pos[k]), float(e[k]), float(u_delta[k])) for k in (0, -1))
         object.__setattr__(self, "_ends", ends)
-        lo, hi = (np.broadcast_to(edge(ts), ts.shape) for edge in (self.edge_l, self.edge_r))
+        lo, hi = self.support(ts)
         outside = ~((lo <= pos) & (pos <= hi))
         bad = np.flatnonzero(outside | (e < -1e-12))
         if bad.size:
@@ -148,15 +166,34 @@ class DeltaShockSolution1D(_Front):
     def edge_speed_r(self) -> float:
         return float(self.flux.f1(self.u_r))
 
-    def edge_l(self, t):
-        if self.support0 is None:
-            return -np.inf
-        return self.support0[0] + self.edge_speed_l * np.asarray(t, dtype=float)
+    @cached_property
+    def support(self) -> Callable:
+        """support(t) -> (lo, hi), by the support law above."""
+        edges = None
+        if self.support0 is not None:
+            edges = zip(self.support0, (self.edge_speed_l, self.edge_speed_r))
+        return _window(edges, lambda edge: edge)
 
-    def edge_r(self, t):
-        if self.support0 is None:
-            return np.inf
-        return self.support0[1] + self.edge_speed_r * np.asarray(t, dtype=float)
+    def time_cuts(self, levels, t_lo: float, t_hi: float) -> np.ndarray:
+        """Sorted times in [t_lo, t_hi], ends included, at which the front or a
+        support edge crosses one of the x ``levels`` (time-cut contract above):
+        an edge's by one division, the front's by bisection on each side of its
+        turn where end values change sign. The turn is not itself a cut."""
+        levels = np.asarray(levels, dtype=float)
+        knots = np.array([t_lo, t_hi])
+        pos, _, ud, _ = self.at(knots)
+        if ud.min() < 0.0 < ud.max():
+            turn = _bisect(self.u_delta, knots[:1], knots[1:], ud[:1] < 0.0)
+            knots, pos = np.insert(knots, 1, turn), np.insert(pos, 1, self.phi(turn))
+        side = np.sign(pos[:, None] - levels)
+        j, k = np.nonzero(side[:-1] * side[1:] < 0.0)  # piece j crosses level k
+        front = _bisect(lambda t: self.phi(t) - levels[k], knots[j], knots[j + 1], side[j, k] < 0.0)
+        cuts = {t_lo, t_hi, *front}
+        if self.support0 is not None:
+            with np.errstate(all="ignore"):
+                edge = (levels[:, None] - self.support0) / [self.edge_speed_l, self.edge_speed_r]
+            cuts.update(edge[(t_lo < edge) & (edge < t_hi)])
+        return np.array(sorted(cuts))
 
     def deficits(self, u_delta):
         """(A - B u_delta, C - D u_delta) at front velocities ``u_delta``.
@@ -171,30 +208,28 @@ class DeltaShockSolution1D(_Front):
         """Interior discontinuity locations at time t, sorted."""
         pts = [float(self.phi(t))]
         if self.support0 is not None:
-            pts += [float(self.edge_l(t)), float(self.edge_r(t))]
+            pts += self.support(t)
         return sorted(pts)
 
-    def rho(self, x, t):
+    def _piecewise(self, x, t, left, right):
         x = np.asarray(x, dtype=float)
-        out = np.where(x < float(self.phi(t)), self.rho_l, self.rho_r)
+        out = np.where(x < float(self.phi(t)), left, right)
         if self.support0 is not None:
-            inside = (x >= float(self.edge_l(t))) & (x <= float(self.edge_r(t)))
-            out = np.where(inside, out, 0.0)
+            lo, hi = self.support(t)
+            out = np.where((x >= lo) & (x <= hi), out, 0.0)
         return out if out.shape else float(out)
 
+    def rho(self, x, t):
+        return self._piecewise(x, t, self.rho_l, self.rho_r)
+
     def u(self, x, t):
-        x = np.asarray(x, dtype=float)
-        out = np.where(x < float(self.phi(t)), self.u_l, self.u_r)
-        if self.support0 is not None:
-            inside = (x >= float(self.edge_l(t))) & (x <= float(self.edge_r(t)))
-            out = np.where(inside, out, 0.0)
-        return out if out.shape else float(out)
+        return self._piecewise(x, t, self.u_l, self.u_r)
 
     def spatial_bounds(self, pad: float = 0.2) -> tuple[float, float]:
         """A box containing the support (or the front) for all t <= t_end."""
         xs = [phi for phi, _, _ in self._ends]
         if self.support0 is not None:
-            xs += [float(edge(t)) for t in (0.0, self.t_end) for edge in (self.edge_l, self.edge_r)]
+            xs += [*self.support(0.0), *self.support(self.t_end)]
         lo, hi = min(xs), max(xs)
         width = max(hi - lo, 1.0)
         return lo - pad * width, hi + pad * width
@@ -214,12 +249,7 @@ def time_reversed(sol: DeltaShockSolution1D) -> DeltaShockSolution1D:
         sol.flux.n1(-1.234) - sol.flux.n1(1.234)
     ) > 1e-12:
         raise InvalidParameterError("time reversal needs an odd F and even N")
-    support0 = None
-    if sol.support0 is not None:
-        support0 = (
-            sol.support0[0] + sol.edge_speed_l * T,
-            sol.support0[1] + sol.edge_speed_r * T,
-        )
+    support0 = None if sol.support0 is None else sol.support(T)
 
     def rows(t):
         phi, e, u_delta = sol.rows(T - t)

@@ -50,7 +50,7 @@ from .errors import (
     StiffnessError,
 )
 from .expressions import parse_expression
-from .geometry.fronts import _number, _of_time, _time_law
+from .geometry.fronts import _number, _window
 from .geometry.quadrature import gauss_panels
 from .riemann1d import RiemannData1D, admissible_front_speed
 from .solutions import _Front
@@ -109,19 +109,6 @@ class RadialField:
 def _uniform_speed(rho_of: Callable, u0: float) -> Callable:
     """Raw evaluator of a density law whose gas all moves at one speed u0."""
     return lambda r, t: (rho_of(r, t), lambda mass: np.full(np.count_nonzero(mass), u0))
-
-
-def _window(edges, law: Callable) -> Callable:
-    """support(t) -> (lo, hi) from a pair of edges, or None for (None, None).
-
-    An edge is None (unbounded) or follows ``law(edge)``, one time law of
-    ``_time_law``: an (x0, speed) pair or a callable of t.
-    """
-    lo, hi = (
-        _time_law(far if edge is None else law(edge))[0]
-        for edge, far in zip((None, None) if edges is None else edges, (-np.inf, np.inf))
-    )
-    return lambda t: (_of_time(lo, t), _of_time(hi, t))
 
 
 def constant_field(rho0: float, u0: float, support0=None) -> RadialField:
@@ -392,7 +379,9 @@ def integrate_front(
     Stops early (with a flag, not an exception) when the front reaches
     r_min or the overcompression condition fails. A massless front over
     locally equal velocities is advected passively with e = 0. ``rtol`` must
-    lie in [100 eps, 1): RK45 raises a smaller one to 100 eps.
+    lie in [100 eps, 1): RK45 raises a smaller one to 100 eps. ``atol`` must
+    lie in (0, 1e-3 phi0], with phi0 the initial radius: a larger one lets the
+    step control ignore the front's own state.
 
     An initial state with e > 0 that violates overcompression raises
     ``NoDeltaShockError``. A vacuum side counts as velocity 0, so over an
@@ -412,6 +401,10 @@ def integrate_front(
         r_min = 1e-3 * init.phi
     if init.phi <= r_min:
         raise InvalidParameterError("initial radius must exceed r_min")
+    if not 0.0 < atol <= 1e-3 * init.phi:
+        raise InvalidParameterError(
+            f"atol must lie in (0, 1e-3 phi0] = (0, {1e-3 * init.phi:.3g}], got {atol}"
+        )
 
     def sides(phi, t):
         return _side(inner, phi, t), _side(outer, phi, t)

@@ -17,19 +17,19 @@ the evaluation is laid out as arrays:
 
 * Time cuts, once per member. The time support is split where the front or
   a support edge crosses x = xlo or x = xhi, so the piece geometry is smooth
-  inside each segment. The cuts serve every level and every identity; each
-  comes from one division (edges) or a bisection (the front's monotone pieces).
+  inside each segment. The front's ``time_cuts`` finds them under the
+  contract stated there; they serve every level and every identity.
 * One geometry pass per (member, level). The composite Gauss nodes of all
   segments form one array tk with weights wk, plus a node at t = 0 for the
-  initial terms; phi, the support edges, e and u_delta are evaluated on it
-  once.
-* Clipped pieces per node. The left state fills [edge_l, phi] and the right
-  state [phi, edge_r], each clipped to [xlo, xhi]; a clipped-away piece has
-  zero width. The integral of X over each piece maps one reference panel
-  rule onto a (t-nodes x x-nodes) grid, built in blocks of time nodes so
-  its memory does not grow with the level. Every panel integrates a smooth
-  function, so a true solution's residual converges at the quadrature order
-  instead of stalling at O(h).
+  initial terms; the front (``at``) and its window (``support``) are
+  evaluated on it once.
+* Clipped pieces per node. With ``support(t)`` = (lo, hi), the left state
+  fills [lo, phi] and the right state [phi, hi], each clipped to [xlo, xhi];
+  a clipped-away piece has zero width. The integral of X over each piece
+  maps one reference panel rule onto a (t-nodes x x-nodes) grid, built in
+  blocks of time nodes so its memory does not grow with the level. Every
+  panel integrates a smooth function, so a true solution's residual
+  converges at the quadrature order instead of stalling at O(h).
 * Identities as contractions. The pass contracts A T'(t) int X and
   A T(t) [X] over each piece with wk into one number per piece (the line
   t = 0 adds A T(0) int X), and keeps the weighted front term
@@ -145,57 +145,24 @@ def _random_poly(rng) -> tuple:
 # -- the geometry pass -----------------------------------------------------
 
 
-def _bisect(f, lo, hi, rising):
-    """Lower ends of the brackets [lo, hi], bisected to adjacent floats, in
-    which f (of an array of times) changes sign: upwards where ``rising``."""
-    while True:
-        mid = lo + 0.5 * (hi - lo)  # lo + hi could overflow
-        inner = (lo < mid) & (mid < hi)
-        if not inner.any():
-            return lo
-        below = (f(mid) < 0.0) == rising
-        lo, hi = np.where(inner & below, mid, lo), np.where(inner & ~below, mid, hi)
-
-
 def _time_segments(sol: DeltaShockSolution1D, bump: TensorBump):
-    """Segment ends (s0, s1) of the bump's time support, cut at box crossings.
-
-    A support edge is affine in t, so its crossing is one division. The front's
-    slope u_delta is monotone in t on every path of ``riemann1d`` and under
-    ``time_reversed`` and ``with_front_speed_offset``, so the front turns at
-    most once and crosses a level at most once on each side of the turn. The
-    turn and the crossings are bisected only where end values change sign.
-    """
+    """Segment ends (s0, s1) of the bump's time support, split at the front's
+    ``time_cuts`` of the bump's x-interval; slivers narrower than _MIN_WIDTH go."""
     if bump.dim != 1:
         raise InvalidParameterError("1-D weak identities need a bump with one space factor")
-    levels = np.array(bump.space_box[0])
     t_lo, t_hi = bump.t_support
     if t_lo < -1e-15:
         raise InvalidBatteryError("test function support intersects t < 0")
     if t_hi > sol.t_end + 1e-12:
         raise InvalidBatteryError("test function lives past the solution window")
-    knots = np.array([t_lo, t_hi])
-    pos, _, ud, _ = sol.at(knots)
-    if ud.min() < 0.0 < ud.max():
-        turn = _bisect(sol.u_delta, knots[:1], knots[1:], ud[:1] < 0.0)
-        knots, pos = np.insert(knots, 1, turn), np.insert(pos, 1, sol.phi(turn))
-    side = np.sign(pos[:, None] - levels)
-    j, k = np.nonzero(side[:-1] * side[1:] < 0.0)  # piece j crosses level k
-    front = _bisect(lambda t: sol.phi(t) - levels[k], knots[j], knots[j + 1], side[j, k] < 0.0)
-    cuts = {t_lo, t_hi, *front}
-    if sol.support0 is not None:
-        with np.errstate(all="ignore"):  # a resting or crawling edge: inf or nan, no cut
-            edge = (levels[:, None] - sol.support0) / [sol.edge_speed_l, sol.edge_speed_r]
-        cuts.update(edge[(t_lo < edge) & (edge < t_hi)])
-    segs = np.array(sorted(cuts))
+    segs = sol.time_cuts(bump.space_box[0], t_lo, t_hi)
     keep = np.diff(segs) > _MIN_WIDTH
     return segs[:-1][keep], segs[1:][keep]
 
 
 def _pieces(sol: DeltaShockSolution1D, t: np.ndarray, pos: np.ndarray, xlo: float, xhi: float):
     """Ends (a, b), each of shape (2, nodes), of the left and right state pieces."""
-    lo = np.broadcast_to(sol.edge_l(t), t.shape)
-    hi = np.broadcast_to(sol.edge_r(t), t.shape)
+    lo, hi = sol.support(t)
     mid = np.clip(pos, lo, hi)
     a = np.clip(np.stack([lo, mid]), xlo, xhi)
     b = np.clip(np.stack([mid, hi]), xlo, xhi)

@@ -923,6 +923,18 @@ def test_run_refuses_an_rtol_outside_the_solvers_range(tmp_path, rtol):
     assert json.loads((tmp_path / "doc" / "report.json").read_text())["exit_code"] == 2
 
 
+@pytest.mark.parametrize("atol", [1.0, 1e300])
+def test_run_refuses_an_atol_that_swamps_the_initial_state(tmp_path, atol):
+    # Both failed the mass and energy checks (exit 4): the step control
+    # measured the front's radius and mass in units that dwarf them.
+    obj = json.loads((SCENARIOS / "spherical_converging_n3.json").read_text())
+    obj["atol"] = atol
+    assert _run_message(tmp_path, obj) == (
+        f"invalid configuration: atol must lie in (0, 1e-3 phi0] = (0, 0.001], got {atol}"
+    )
+    assert json.loads((tmp_path / "doc" / "report.json").read_text())["exit_code"] == 2
+
+
 @pytest.mark.parametrize("n", [350, 1000])
 def test_run_refuses_a_dimension_whose_sphere_area_overflows(tmp_path, n):
     # n = 350 exited 3 with an OverflowError from math.gamma in the audit;
@@ -1257,6 +1269,24 @@ def test_a_run_evaluates_its_front_once_on_its_output_grid(tmp_path, monkeypatch
     counted = _count_front_evaluations(monkeypatch)
     main(["run", "--config", str(SCENARIOS / f"{name}.json"), "--out", str(tmp_path)])
     assert counted == sizes
+
+
+def test_the_weak_check_evaluates_its_front_once_per_member_and_level(tmp_path, monkeypatch):
+    # After the support check, each of the 6 members evaluates its two time
+    # ends (for the cuts), then its Gauss nodes and t = 0 once per level: 16,
+    # 32, ..., 256 nodes per segment. No crossing is bisected here. Under the
+    # command's seed 7 three members have an edge cut and so two segments.
+    counted = _count_front_evaluations(monkeypatch)
+    one = [2, 17, 33, 65, 129, 257]
+    config = str(SCENARIOS / "weakcheck_asymmetric.json")
+    assert main(["run", "--config", config, "--out", str(tmp_path / "w")]) == 0
+    assert counted == [33] + one * 6
+    counted.clear()
+    solution = str(SCENARIOS / "asymmetric_riemann.json")
+    assert main(["weakcheck", "--solution", solution, "--out", str(tmp_path / "w.json")]) == 0
+    two = [2, 33, 65, 129, 257, 513]
+    assert counted == [33] + one * 2 + two * 3 + one
+    assert sum(counted) == 4539
 
 
 def test_the_weak_check_and_the_riemann_command_evaluate_no_single_time(tmp_path, monkeypatch):

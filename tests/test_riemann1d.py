@@ -404,6 +404,11 @@ _ATOM_TIMES = np.array([0.0, 1e-4, 1e-2, 0.1, 0.5, 1.0])
 @example(  # no admissible speed: u_delta leaves (u_r, u_l) for s = 1.2
     d=RiemannData1D(1.0, 1.0, 3.0, 2.0, flux=relativistic_flux(1, 1.0), e0=0.5, u_delta0=2.5)
 )
+@example(  # [rho] = -2.3e-14: the linear root c/(A+D) was off by 1.33e-14 of scale
+    d=RiemannData1D(
+        1.0, 1.000000000000023, 1.25, 1.0, flux=relativistic_flux(1, 1.0), e0=0.1, u_delta0=1.125
+    )
+)
 def test_atoms_of_other_fluxes_match_a_50_digit_closed_form(d):
     # An ODE solve (DOP853 at rtol 1e-12) of these atoms was off by up to
     # 8.1e-11 of scale against this reference.

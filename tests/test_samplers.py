@@ -148,7 +148,7 @@ def _ref_audit_1d(sol, times, box):
     a, b = box
     rows = []
     for t in times:
-        lo, pos, hi = float(sol.edge_l(t)), float(sol.phi(t)), float(sol.edge_r(t))
+        (lo, hi), pos = sol.support(t), float(sol.phi(t))
         if not (a < lo and hi < b):
             return f"support [{lo}, {hi}] touches the audit box [{a}, {b}] at t={t}"
         ll, lr = pos - lo, hi - pos
@@ -417,7 +417,8 @@ def _ref_crossings(traj, c, ts):
 
 
 def _ref_trajs(sol):
-    return [sol.phi] + ([sol.edge_l, sol.edge_r] if sol.support0 is not None else [])
+    edges = [lambda t: sol.support(t)[0], lambda t: sol.support(t)[1]]
+    return [sol.phi] + (edges if sol.support0 is not None else [])
 
 
 def _ref_time_segments(sol, bump, samples=65):

@@ -48,8 +48,7 @@ def test_support_edges_move_at_flux_speed():
     sol = _solution()
     assert sol.edge_speed_l == pytest.approx(1.0)
     assert sol.edge_speed_r == pytest.approx(-1.0)
-    assert float(sol.edge_l(0.5)) == pytest.approx(-4.5)
-    assert float(sol.edge_r(0.5)) == pytest.approx(4.5)
+    assert sol.support(0.5) == pytest.approx((-4.5, 4.5))
     # Outside the (shrinking) support the state is vacuum.
     assert sol.rho(4.8, 0.5) == 0.0
     assert sol.u(4.8, 0.5) == 0.0
@@ -95,7 +94,8 @@ def test_spatial_bounds_contain_support():
     sol = _solution()
     lo, hi = sol.spatial_bounds(0.2)
     for t in (0.0, 0.5, 1.0):
-        assert lo < float(sol.edge_l(t)) and float(sol.edge_r(t)) < hi
+        edge_lo, edge_hi = sol.support(t)
+        assert lo < edge_lo and edge_hi < hi
 
 
 def test_time_reversed_mirrors_states():
@@ -115,11 +115,9 @@ def test_time_reversed_support_follows_edges():
     sol = _solution()
     rev = time_reversed(sol)
     # Initial window of the reversal = final window of the forward run.
-    assert rev.support0[0] == pytest.approx(float(sol.edge_l(1.0)))
-    assert rev.support0[1] == pytest.approx(float(sol.edge_r(1.0)))
+    assert rev.support0 == pytest.approx(sol.support(1.0))
     # And it closes back onto the original window.
-    assert float(rev.edge_l(1.0)) == pytest.approx(sol.support0[0])
-    assert float(rev.edge_r(1.0)) == pytest.approx(sol.support0[1])
+    assert rev.support(1.0) == pytest.approx(sol.support0)
 
 
 def test_double_reversal_is_identity():
@@ -235,7 +233,7 @@ def test_planar_requires_standard_flux():
 def _ref_support_check(sol):
     """The per-time support check that the array check replaced."""
     for t in np.linspace(0.0, sol.t_end, 33):
-        lo, pos, hi = sol.edge_l(t), float(sol.phi(t)), sol.edge_r(t)
+        (lo, hi), pos = sol.support(t), float(sol.phi(t))
         if not (lo <= pos <= hi):
             raise SupportViolationError(
                 f"front leaves the support window at t={t}: {lo} .. {pos} .. {hi}"
@@ -299,7 +297,7 @@ def test_edge_speeds_are_computed_once(monkeypatch):
     f1 = type(sol.flux).f1
     monkeypatch.setattr(type(sol.flux), "f1", lambda self, u: calls.append(u) or f1(self, u))
     for t in np.linspace(0.0, 1.0, 5):
-        sol.edge_l(t), sol.edge_r(t)
+        sol.support(t)
     assert calls == []  # both were cached by the support check
     # A copy made by dataclasses.replace computes its own speeds.
     assert time_reversed(sol).edge_speed_l == -1.0

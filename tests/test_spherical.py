@@ -525,6 +525,20 @@ def test_rtol_outside_the_solvers_range_is_refused(rtol):
         integrate_front(None, steady_converging_field(3), init, n=3, t_end=0.1, rtol=rtol)
 
 
+@pytest.mark.parametrize("atol", [-1e-12, 0.0, float("nan"), 2.001e-3])
+def test_atol_outside_its_range_is_refused(atol):
+    # The bound is 1e-3 of the initial radius, here 2.
+    init = SphericalFrontState(0.0, 2.0, 0.01, -0.5)
+    with pytest.raises(InvalidParameterError, match="atol must lie in"):
+        integrate_front(None, steady_converging_field(3), init, n=3, t_end=0.1, atol=atol)
+
+
+def test_atol_at_its_bound_runs():
+    init = SphericalFrontState(0.0, 2.0, 0.01, -0.5)
+    traj = integrate_front(None, steady_converging_field(3), init, n=3, t_end=0.1, atol=2e-3)
+    assert traj.t_end == 0.1
+
+
 def test_rtol_at_the_solvers_floor_runs():
     # scipy raises an rtol below 100 eps to it, with a UserWarning.
     init = SphericalFrontState(0.0, 1.0, 0.01, -0.5)

@@ -1,5 +1,8 @@
 """Tests for bump test functions and the weak-identity residual engine."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -28,6 +31,21 @@ from dshock.weakcheck import _time_segments
 def _solution(rho_l=4.0, rho_r=1.0, u_l=1.0, u_r=-1.0, support=(-5.0, 5.0), t_end=1.0, **kw):
     d = RiemannData1D(rho_l, rho_r, u_l, u_r, **kw)
     return solve_constant_states(d, t_end, support)
+
+
+def test_weakcheck_reads_the_window_only_through_support_and_time_cuts():
+    # The 1-D solution's own edge names stay out of the engine, as an
+    # attribute or as a string handed to getattr, so a front needs only
+    # at/phi/u_delta, support(t) and time_cuts to be checked.
+    own = {"support0", "edge_speed_l", "edge_speed_r", "edge_l", "edge_r"}
+    path = Path(__file__).resolve().parents[1] / "src" / "dshock" / "weakcheck.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Attribute) and node.attr in own:
+            found.append(f"{node.lineno}: .{node.attr}")
+        elif isinstance(node, ast.Constant) and node.value in own:
+            found.append(f"{node.lineno}: {node.value!r}")
+    assert not found, found
 
 
 # Bump factors -------------------------------------------------------------
@@ -204,7 +222,7 @@ def test_battery_dimension_mismatch():
 
 def _ref_pieces(sol, t, xlo, xhi):
     pos = float(sol.phi(t))
-    lo_e, hi_e = float(sol.edge_l(t)), float(sol.edge_r(t))
+    lo_e, hi_e = sol.support(t)
     brk = sorted(b for b in (pos, lo_e, hi_e) if np.isfinite(b) and xlo < b < xhi)
     edges = [xlo] + brk + [xhi]
     for a, b in zip(edges[:-1], edges[1:]):
