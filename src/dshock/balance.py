@@ -116,7 +116,8 @@ class BalanceReport:
 
     def energy_monotone(self, tol: float | None = None) -> bool:
         tol = (1e-9 if self.closed_form else 1e-6) if tol is None else tol
-        scale = abs(self.sum_energy[0]) + 1.0
+        # The slack scales with the energy itself, as W and w do with density.
+        scale = float(np.max(np.abs(self.sum_energy)))
         ok_total = np.all(np.diff(self.sum_energy) <= tol * scale)
         ok_bulk = np.all(np.diff(self.W) <= tol * scale)
         return bool(ok_total and ok_bulk)

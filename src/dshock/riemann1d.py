@@ -41,7 +41,7 @@ so e du_delta/dt = P(u_delta) with P(u) = B u^2 - (A + D) u + C.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -97,36 +97,37 @@ def classical_shock_feasible(d: RiemannData1D) -> bool:
     """Whether a classical (non-singular) shock can balance the data.
 
     For the standard flux this happens exactly when
-    rho_l rho_r (u_l - u_r)^2 = 0 (to 1e-14): one side vacuous or no
-    velocity jump.
+    rho_l rho_r (u_l - u_r)^2 = 0: one side vacuous or no velocity jump.
     """
     if d.flux.name != "standard":
         raise InvalidParameterError("classical feasibility test applies to the standard flux")
-    return abs(d.rho_l * d.rho_r * (d.u_l - d.u_r) ** 2) <= 1e-14
+    return d.rho_l == 0.0 or d.rho_r == 0.0 or d.u_l == d.u_r
+
+
+def _unit_jumps(d: RiemannData1D, mass: float = 0.0) -> tuple:
+    """(k, A, B, C, D): the jumps of ``d`` with rho_l, rho_r in the density unit 2^k,
+    k the exponent of the largest of them and ``mass``. The scale is exact: roots
+    and rows keep their bits, and no jump or square overflows in any unit."""
+    k = math.frexp(max(d.rho_l, d.rho_r, mass))[1]
+    unit = replace(d, rho_l=math.ldexp(d.rho_l, -k), rho_r=math.ldexp(d.rho_r, -k))
+    return (k, *jumps_1d(unit))
 
 
 def _speed_roots(d: RiemannData1D) -> list[float]:
     """The real roots of the front-speed quadratic P(s) = B s^2 - (A+D) s + C."""
-    # Jumps in units of a power of two near rho_l + rho_r, exact, so the roots
-    # keep their bits and no square under- or overflows, whatever the units.
-    unit = math.ldexp(1.0, -max(math.frexp(abs(d.rho_l) + abs(d.rho_r))[1], -1000))
-    a_, b_, c_, d_ = (unit * jump for jump in jumps_1d(d))
-    scale = unit * (abs(d.rho_l) + abs(d.rho_r))
-    if abs(b_) <= 1e-13 * scale:
-        lin = a_ + d_
-        if abs(lin) <= 1e-13 * scale * (1.0 + abs(d.u_l) + abs(d.u_r)):
-            raise NoDeltaShockError("data carry no jump; nothing concentrates")
-        if b_ == 0.0:
-            return [c_ / lin]
-        # A tiny [rho] still bends P: its near root c/q below keeps the bits
-        # that c/(A+D) would lose.
+    k, a_, b_, c_, d_ = _unit_jumps(d)
+    scale = math.ldexp(d.rho_l, -k) + math.ldexp(d.rho_r, -k)
+    tiny = 1e-13 * scale
+    if abs(b_) <= tiny and abs(a_ + d_) <= tiny * (1.0 + abs(d.u_l) + abs(d.u_r)):
+        raise NoDeltaShockError("data carry no jump; nothing concentrates")
     bb = -(a_ + d_)
     disc = bb * bb - 4.0 * b_ * c_
     if disc < 0.0:
         raise NoDeltaShockError("front speed equation has no real root")
     sq = np.sqrt(disc)
     q = -0.5 * (bb + np.copysign(sq, bb)) if bb != 0.0 else 0.5 * sq
-    return [0.0, 0.0] if q == 0.0 else [q / b_, c_ / q]
+    # With B = 0, q is A + D exactly and c/q the linear root c/(A+D).
+    return [0.0, 0.0] if q == 0.0 else [q / b_, c_ / q] if b_ else [c_ / q]
 
 
 def admissible_front_speed(d: RiemannData1D) -> float:
@@ -147,7 +148,7 @@ def admissible_front_speed(d: RiemannData1D) -> float:
 def _path_constant_speed(d: RiemannData1D, s: float) -> tuple:
     a_, b_, _, _ = jumps_1d(d)
     alpha = a_ - b_ * s
-    if alpha < -1e-12 * (abs(a_) + abs(b_ * s) + 1.0):
+    if alpha < -1e-12 * (abs(a_) + abs(b_ * s)):
         raise NoDeltaShockError("admissible speed would produce negative front mass")
     alpha = max(alpha, 0.0)
 
@@ -165,11 +166,9 @@ def _exprel(c, x):
 
 
 def _path_atom(d: RiemannData1D) -> tuple:
-    # Masses and jumps in units of a power of two near rho_l + rho_r + e0
-    # (exact), so no product overflows, whatever the unit of density.
-    scale = math.ldexp(1.0, max(math.frexp(abs(d.rho_l) + abs(d.rho_r) + d.e0)[1], -1000))
-    a_, b_, _, d_ = (jump / scale for jump in jumps_1d(d))
-    e0, u0 = d.e0 / scale, float(d.u_delta0)
+    # Masses and jumps in one density unit 2^k: e0 shares it with the jumps.
+    k, a_, b_, _, d_ = _unit_jumps(d, d.e0)
+    e0, u0 = math.ldexp(d.e0, -k), float(d.u_delta0)
     # s attracts u0 where P'(s) < 0 and u0 lies on the near side of the other
     # root: m = P(u0) / (u0 - s) < 0.
     ahead = [r for r in _speed_roots(d) if max(2.0 * b_ * r, b_ * (u0 + r)) < a_ + d_]
@@ -233,7 +232,7 @@ def _path_atom(d: RiemannData1D) -> tuple:
         y = closed(ell)[2]
         return (
             d.x0 + (y + s * t),
-            (e0 + (grow * t - b_ * y)) * scale,
+            np.ldexp(e0 + (grow * t - b_ * y), k),
             np.where(ell == 0.0, u0, s + np.exp(ell) * (u0 - s)),
         )
 

@@ -182,7 +182,8 @@ def _piece_integrals(factor: BumpFactor, a: np.ndarray, b: np.ndarray, ref_x, re
 
 
 def _level_values(sol: DeltaShockSolution1D, bump: TensorBump, segments, level, identities):
-    """Values of ``identities``, (d, q, power) triples, and the (t, x) node count."""
+    """Values of ``identities``, (d, q, power) triples, their term magnitudes
+    |d| . |bulk| + |q| . |flux| + |front| . |e u_delta^power|, and the (t, x) node count."""
     ref_x, ref_w = gauss_panels(0.0, 1.0, 2 ** (level + 1), _GAUSS_NODES)
     s0, s1 = segments
     h = (s1 - s0)[:, None]
@@ -200,22 +201,27 @@ def _level_values(sol: DeltaShockSolution1D, bump: TensorBump, segments, level, 
     front = np.where(inside, td * factor.value(pos) + ud * (tv * factor.deriv(pos)), 0.0)
     front[-1] = tv[-1] * factor.value(pos[-1])
     front *= np.append(wk, 1.0)
-    values = []
+    values, sizes = [], []
     for d, q, power in identities:
         total = d @ bulk + q @ flux
+        size = np.abs(d) @ np.abs(bulk) + np.abs(q) @ np.abs(flux)
         if power is not None:
-            total += front @ (e * ud**power)
+            weight = e * ud**power
+            total += front @ weight
+            size += np.abs(front) @ np.abs(weight)
         values.append(float(total))
-    return values, a.size * ref_x.size
+        sizes.append(float(size))
+    return values, sizes, a.size * ref_x.size
 
 
 def _ladder(sol: DeltaShockSolution1D, bump: TensorBump, levels, identities):
-    """Identity values (levels x identities) and quadrature node counts of one member."""
+    """Identity values and term magnitudes (each levels x identities) and
+    quadrature node counts of one member."""
     segments = _time_segments(sol, bump)
-    values, counts = zip(
+    values, sizes, counts = zip(
         *(_level_values(sol, bump, segments, level, identities) for level in levels)
     )
-    return np.array(values), list(counts)
+    return np.array(values), np.array(sizes), list(counts)
 
 
 def _pairs_1d(sol: DeltaShockSolution1D, kind: str):
@@ -243,7 +249,7 @@ def _pairs_1d(sol: DeltaShockSolution1D, kind: str):
 
 def identity_value(sol: DeltaShockSolution1D, bump: TensorBump, kind: str, level: int = 3) -> float:
     """Value of one weak functional for a 1-D candidate (0 for solutions)."""
-    values, _ = _ladder(sol, bump, (level,), [_pairs_1d(sol, kind)])
+    values, _, _ = _ladder(sol, bump, (level,), [_pairs_1d(sol, kind)])
     return float(values[0, 0])
 
 
@@ -253,6 +259,9 @@ class WeakResidual:
 
     ``quadrature_nodes`` counts, per level, the (t, x) nodes of the piece
     integrals over all battery members; it depends only on the inputs.
+    ``scale`` is, per identity, the largest finest-level sum of the term
+    magnitudes over the members: the size a residual is measured against,
+    linear in the densities as the residuals are.
     """
 
     identity_names: tuple
@@ -260,6 +269,7 @@ class WeakResidual:
     table: np.ndarray
     per_member: np.ndarray
     quadrature_nodes: tuple
+    scale: np.ndarray
 
     @property
     def residuals(self) -> np.ndarray:
@@ -298,7 +308,8 @@ def _reduced_bump(member: TensorBump) -> TensorBump:
 
 
 def _planar_values(cand: PlanarSolution, member: TensorBump, levels):
-    """(mass, momentum_1..n) values per level; member axes live in the front frame."""
+    """(mass, momentum_1..n) values and term magnitudes per level, and node
+    counts; member axes live in the front frame."""
     n = cand.dim
     if len(member.space_factors) != n:
         raise InvalidBatteryError(
@@ -312,10 +323,17 @@ def _planar_values(cand: PlanarSolution, member: TensorBump, levels):
     for j in range(n - 1):
         d = np.array([base.rho_l * cand.u_tan_l[j], base.rho_r * cand.u_tan_r[j]])
         identities.append((d, d * (base.u_l, base.u_r), None))
-    values, counts = _ladder(base, _reduced_bump(member), levels, identities)
-    values *= tan_scale
-    momentum = values[:, 1:2] * cand.frame[0] + values[:, 2:] @ cand.frame[1:]
-    return np.hstack([values[:, :1], momentum]), counts
+    values, sizes, counts = _ladder(base, _reduced_bump(member), levels, identities)
+
+    def cartesian(rows, frame):
+        """(mass, frame-rotated momentum) of (mass, normal, tangential) rows."""
+        return np.hstack([rows[:, :1], rows[:, 1:2] * frame[0] + rows[:, 2:] @ frame[1:]])
+
+    return (
+        cartesian(values * tan_scale, cand.frame),
+        cartesian(sizes * abs(tan_scale), np.abs(cand.frame)),
+        counts,
+    )
 
 
 def evaluate_identities(candidate, battery: TestFunctionBattery, levels=(0, 1, 2, 3)) -> WeakResidual:
@@ -323,7 +341,8 @@ def evaluate_identities(candidate, battery: TestFunctionBattery, levels=(0, 1, 2
 
     Returns max |value| over the battery per identity and level; for a true
     solution the finest row is quadrature noise and the ladder exhibits the
-    scheme's convergence order. 1-D candidates yield (mass, momentum);
+    scheme's convergence order. ``scale`` holds the size of the terms each
+    finest residual is measured against. 1-D candidates yield (mass, momentum);
     planar candidates yield (mass, momentum_1..n) in Cartesian components.
     """
     levels = tuple(int(l) for l in levels)
@@ -348,7 +367,7 @@ def evaluate_identities(candidate, battery: TestFunctionBattery, levels=(0, 1, 2
         raise UnsupportedFrontError(
             "weak-identity evaluation supports 1-D and planar candidates only"
         )
-    values, counts = zip(*(member_values(m) for m in battery.functions))
+    values, sizes, counts = zip(*(member_values(m) for m in battery.functions))
     values = np.abs(np.array(values))  # (members, levels, identities)
     return WeakResidual(
         identity_names=names,
@@ -356,4 +375,5 @@ def evaluate_identities(candidate, battery: TestFunctionBattery, levels=(0, 1, 2
         table=values.max(axis=0),
         per_member=values[:, -1],
         quadrature_nodes=tuple(int(c) for c in np.sum(counts, axis=0)),
+        scale=np.array(sizes)[:, -1].max(axis=0),
     )

@@ -76,8 +76,8 @@ MUTANTS = [
     Mutant(
         "atom mass e times (1 + 1e-6 t)",
         "riemann1d.py",
-        "(e0 + (grow * t - b_ * y)) * scale,",
-        "(e0 + (grow * t - b_ * y)) * scale * (1.0 + 1e-6 * t),",
+        "np.ldexp(e0 + (grow * t - b_ * y), k),",
+        "np.ldexp(e0 + (grow * t - b_ * y), k) * (1.0 + 1e-6 * t),",
         _scenario("seeded_atom_riemann"),
         "mass_conservation",
     ),

@@ -120,6 +120,11 @@ def test_classical_feasibility_matches_product_condition():
             u_r = u_l
         d = RiemannData1D(rho_l, rho_r, u_l, u_r)
         assert classical_shock_feasible(d) == (rho_l * rho_r * (u_l - u_r) ** 2 == 0.0)
+    # The condition is exact in any unit of density: light states still
+    # collide, and the front between these grows at 2e-8.
+    d = RiemannData1D(1e-8, 1e-8, 1.0, -1.0)
+    assert not classical_shock_feasible(d)
+    assert solve_constant_states(d, t_end=1.0).e(1.0) == pytest.approx(2e-8, rel=1e-15)
 
 
 def test_classical_feasibility_requires_standard_flux():

@@ -140,6 +140,8 @@ def test_residual_ladder_converges():
     res = evaluate_identities(sol, battery, levels=(0, 1, 2, 3))
     assert res.identity_names == ("mass", "momentum_1")
     assert res.max_residual < 1e-6
+    # Each residual is a sum of terms of the size ``scale``, here O(1).
+    assert np.all(res.scale > 0.1) and np.all(res.residuals < 1e-6 * res.scale)
     assert np.all(res.orders >= 4.0)
     # The table is (levels, identities) and the last row is the residual.
     assert res.table.shape == (4, 2)
@@ -203,6 +205,7 @@ def test_planar_tangential_slip_breaks_momentum():
     res = evaluate_identities(sol, battery, levels=(2, 3))
     assert res.table[-1][0] < 1e-6  # mass still fine
     assert res.table[-1][2] > 1e-3  # tangential momentum is not
+    assert res.table[-1][2] > 1e-3 * res.scale[2]
 
 
 def test_battery_dimension_mismatch():
@@ -337,4 +340,5 @@ def test_density_scaling_scales_the_residual_table(kind, rho, u_r, jump, c0, e0,
     res = evaluate_identities(sol, battery, levels=(0, 1, 2))
     res_c = evaluate_identities(solve_constant_states(RiemannData1D(**scaled), 1.0), battery, levels=(0, 1, 2))
     np.testing.assert_array_equal(res_c.table, c * res.table)
+    np.testing.assert_array_equal(res_c.scale, c * res.scale)
     assert res_c.quadrature_nodes == res.quadrature_nodes
