@@ -35,7 +35,7 @@ from .geometry.quadrature import gauss_panels
 from .rh import FrontState, SideStates
 from .solutions import DeltaShockSolution1D
 from .spherical import SphericalTrajectory, _side, radial_moment_integral, unit_sphere_area
-from .weakcheck import identity_value, make_battery
+from .weakcheck import _ladder, _pairs_1d, make_battery
 
 __all__ = [
     "BalanceReport",
@@ -314,14 +314,20 @@ def energy_dissipation_rate(s: SideStates, f: FrontState) -> float:
 
 @dataclass(frozen=True)
 class EnergyInequalityReport:
-    """Values of the energy functional over the nonnegative battery members."""
+    """Values of the energy functional over the nonnegative battery members.
+
+    ``scale`` is the largest sum of the functional's term magnitudes over the
+    members, linear in the densities as the values are; ``passed`` measures
+    the most negative value against it.
+    """
 
     values: np.ndarray
     min_value: float
     members: int
+    scale: float
 
     def passed(self, tol: float = 1e-6) -> bool:
-        return self.min_value >= -tol
+        return self.min_value >= -tol * self.scale
 
 
 def check_energy_inequality_1d(
@@ -339,7 +345,12 @@ def check_energy_inequality_1d(
         [(lo, hi), (0.0, solution.t_end * (1.0 - 1e-9))], count=8, seed=11, nonneg_count=4
     )
     members = battery.nonneg_members
-    values = np.array([identity_value(solution, b, "energy", level) for b in members])
+    energy = [_pairs_1d(solution, "energy")]
+    ladders = [_ladder(solution, b, (level,), energy) for b in members]
+    values = np.array([v[0, 0] for v, _, _ in ladders])
     return EnergyInequalityReport(
-        values=values, min_value=float(np.min(values)), members=len(members)
+        values=values,
+        min_value=float(np.min(values)),
+        members=len(members),
+        scale=float(max(size[0, 0] for _, size, _ in ladders)),
     )

@@ -38,6 +38,7 @@ import argparse
 import gc
 import hashlib
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -580,43 +581,14 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _is_number(text: str) -> bool:
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
-
-
-# The flags that take a real number. argparse reads only "-123" and "-1.5"
-# as negative numbers; "-1e-3" or "-inf" after such a flag would read as an
-# option, so main passes them on as "--flag=value".
-_NUMBER_FLAGS = frozenset(
-    ["--rho-l", "--rho-r", "--u-l", "--u-r", "--c0", "--e0", "--u-delta0", "--x0", "--t-end", "--T"]
+# A negative number as float() reads it: "-1e-3", "-2E+1", "-.5", "-inf",
+# "-nan". argparse's own pattern knows only "-123" and "-1.5" and takes any
+# other such value for an option, so every parser gets this one instead.
+_DIGITS = r"\d(?:_?\d)*"
+_NEGATIVE_NUMBER = re.compile(
+    rf"-(?:(?:(?:{_DIGITS})?\.{_DIGITS}|{_DIGITS}\.?)(?:e[-+]?{_DIGITS})?|inf(?:inity)?|nan)\s*\Z",
+    re.IGNORECASE,
 )
-
-
-def _join_negative_numbers(argv: list, parser: argparse.ArgumentParser) -> list:
-    """argv with each number flag followed by a negative number joined to it.
-
-    A flag may be abbreviated as argparse allows: to a prefix that names one
-    option of the subcommand, the first argument that is not an option.
-    """
-    command = next((arg for arg in argv if not arg.startswith("-")), None)
-    subcommands = next(a.choices for a in parser._actions if a.dest == "command")
-    options = subcommands[command]._option_string_actions if command in subcommands else {}
-
-    def names_a_number_flag(arg: str) -> bool:
-        named = [o for o in options if o.startswith(arg)] if arg.startswith("--") else []
-        return arg in _NUMBER_FLAGS or len(named) == 1 and named[0] in _NUMBER_FLAGS
-
-    out = []
-    for arg in argv:
-        if out and names_a_number_flag(out[-1]) and arg.startswith("-") and _is_number(arg):
-            out[-1] = f"{out[-1]}={arg}"
-        else:
-            out.append(arg)
-    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -667,6 +639,8 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--seed", type=_seed, default=7)
     w.add_argument("--out", required=True, help="output report.json path")
     w.set_defaults(func=cmd_weakcheck)
+    for parser in (p, runp, r, o, w):
+        parser._negative_number_matcher = _NEGATIVE_NUMBER
     return p
 
 
@@ -689,7 +663,7 @@ def _failure(exc: Exception) -> tuple[int, str]:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_join_negative_numbers(sys.argv[1:] if argv is None else argv, parser))
+    args = parser.parse_args(argv)
     try:
         return int(args.func(args))
     except Exception as exc:

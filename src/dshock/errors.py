@@ -18,7 +18,7 @@ class OffSurfaceError(DShockError):
 
 
 class DegenerateGradientError(DShockError):
-    """Level-set gradient vanishes at the query point."""
+    """Level-set gradient vanishes or is not finite at the query point."""
 
 
 class StencilError(DShockError):

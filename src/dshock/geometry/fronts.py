@@ -319,13 +319,23 @@ class MovingSphereFront(LevelSetFront):
         super().__init__(s=None, dim=dim, char_length=max(self.radius(0.0), 1e-6))
         self.grad_mode = "analytic"
 
-    def _value_rows(self, x: np.ndarray, t) -> np.ndarray:
+    def _offsets(self, x: np.ndarray):
+        """x - center and its length, row by row; a length out of range is refused."""
         d = x - self.center
-        return self._sign * (np.sqrt(np.vecdot(d, d)) - self._radius(t))
+        with np.errstate(over="ignore"):  # refused just below
+            r = np.sqrt(np.vecdot(d, d))
+        if not np.all(np.isfinite(r)):
+            k = np.argmin(np.isfinite(r))
+            raise DegenerateGradientError(
+                f"sphere level-set gradient is not finite near {x[k]}: |x - center| overflows"
+            )
+        return d, r
+
+    def _value_rows(self, x: np.ndarray, t) -> np.ndarray:
+        return self._sign * (self._offsets(x)[1] - self._radius(t))
 
     def _grad_rows(self, x: np.ndarray, t) -> np.ndarray:
-        d = x - self.center
-        r = np.sqrt(np.vecdot(d, d))
+        d, r = self._offsets(x)
         if np.any(r == 0.0):
             raise DegenerateGradientError("sphere level set is singular at the center")
         return self._sign * d / r[:, None]

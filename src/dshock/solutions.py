@@ -141,7 +141,9 @@ class DeltaShockSolution1D(_Front):
         object.__setattr__(self, "_ends", ends)
         lo, hi = self.support(ts)
         outside = ~((lo <= pos) & (pos <= hi))
-        bad = np.flatnonzero(outside | (e < -1e-12))
+        # A mass below zero by more than rounding, in units of the largest one.
+        scale = np.max(np.abs(e), initial=0.0, where=np.isfinite(e))
+        bad = np.flatnonzero(outside | (e < -1e-12 * scale))
         if bad.size:
             k = bad[0]
             if outside[k]:
@@ -202,7 +204,9 @@ class DeltaShockSolution1D(_Front):
         u_delta of ``at(t)``, these are the rates de/dt and d(e u_delta)/dt.
         """
         a_, b_, c_, d_ = jumps_1d(self)
-        return a_ - b_ * u_delta, c_ - d_ * u_delta
+        # Out-of-range data give inf or nan, which the CLI writers refuse.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return a_ - b_ * u_delta, c_ - d_ * u_delta
 
     def breakpoints(self, t: float) -> list[float]:
         """Interior discontinuity locations at time t, sorted."""

@@ -455,20 +455,23 @@ def integrate_front(
             )
         y0 = [init.phi, init.e, init.e * init.u_delta]
 
-    sol = solve_ivp(
-        rhs,
-        (max(t0, t_eps), float(t_end)),
-        y0,
-        method="RK45",
-        rtol=rtol,
-        atol=atol,
-        dense_output=True,
-        events=[
-            _stop_on_fall(lambda t, y: y[0] - r_min),
-            _stop_on_fall(lambda t, y: entropy_margin(y[0], t, y[2] / y[1])),
-            _stop_on_fall(lambda t, y: y[1]),
-        ],
-    )
+    # A step that overflows yields a right-hand side that rhs refuses, or
+    # one the step control rejects; numpy need not warn about it first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = solve_ivp(
+            rhs,
+            (max(t0, t_eps), float(t_end)),
+            y0,
+            method="RK45",
+            rtol=rtol,
+            atol=atol,
+            dense_output=True,
+            events=[
+                _stop_on_fall(lambda t, y: y[0] - r_min),
+                _stop_on_fall(lambda t, y: entropy_margin(y[0], t, y[2] / y[1])),
+                _stop_on_fall(lambda t, y: y[1]),
+            ],
+        )
     if not sol.success:
         if "step size" in sol.message.lower():
             raise StiffnessError(f"front integration stalled: {sol.message}")

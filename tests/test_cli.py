@@ -524,7 +524,6 @@ def _exit_and_output(argv, out):
 
 
 def test_negative_exponent_after_a_flag_is_its_value(tmp_path):
-    # argparse takes "-1e-3" for an option unless it is joined to its flag.
     argv = ["riemann", "--rho-l", "1", "--rho-r", "1", "--u-l", "1", "--t-end", "1"]
     out = tmp_path / "r.csv"
     spaced = _exit_and_output(argv + ["--u-r", "-1e-3"], out)
@@ -559,10 +558,31 @@ def test_every_number_flag_takes_a_negative_exponent(tmp_path, command, flag, va
     assert spaced == _exit_and_output(argv + [f"{flag}={value}"], out)
 
 
-def test_number_flags_are_the_real_valued_options():
-    from dshock.cli import _NUMBER_FLAGS
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (_RIEMANN_FLAT + ["--samples"], "--samples"),
+        (["oracle", "--preset", "riemann", "--N"], "--N"),
+    ],
+    ids=["samples", "N"],
+)
+def test_an_integer_flag_refuses_a_negative_exponent_as_not_an_integer(tmp_path, argv, flag):
+    # "-1e3" reaches the integer flag as its value, and int() refuses it.
+    rc, err, data = _exit_and_output(argv + ["-1e3"], tmp_path / "o.csv")
+    assert rc == 2 and data is None
+    assert f"argument {flag}: invalid int value: '-1e3'" in err
 
-    assert _NUMBER_FLAGS == set(_number_flags("riemann") + _number_flags("oracle"))
+
+@given(st.text("0123456789._eEinfatyINF+- ", max_size=10))
+def test_a_negative_number_is_a_flag_value_exactly_when_float_reads_it(text):
+    from dshock.cli import _NEGATIVE_NUMBER
+
+    try:
+        float("-" + text)
+    except ValueError:
+        assert not _NEGATIVE_NUMBER.match("-" + text)
+    else:
+        assert _NEGATIVE_NUMBER.match("-" + text)
 
 
 @pytest.mark.parametrize(
@@ -570,8 +590,8 @@ def test_number_flags_are_the_real_valued_options():
     [("--x", "--x0"), ("--t-e", "--t-end"), ("--u-d", "--u-delta0"), ("--c", "--c0")],
 )
 def test_an_abbreviated_number_flag_takes_a_negative_exponent(tmp_path, prefix, flag):
-    # argparse takes a prefix that names one option for that option; so
-    # does the joining of a negative number to its flag.
+    # argparse takes a prefix that names one option for that option, and a
+    # negative number after it for its value.
     argv = list(_RIEMANN_FLAT)
     if flag in argv:
         i = argv.index(flag)
@@ -703,6 +723,34 @@ def test_extreme_finite_data_fail_quietly_with_a_report(tmp_path, capsys, scenar
     assert report["error"] == error
     assert capsys.readouterr().err == f"numerical failure: {error}\n"
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "report.json"]
+
+
+@pytest.mark.parametrize(
+    "scenario, changes, message",
+    [
+        (
+            "spherical_converging_n3",
+            {"e0": 1e308},
+            "front ODE right-hand side out of range at t = 0.00484148: de/dt = nan",
+        ),
+        ("geom_suite", {"radii": [1e300]}, "sphere level-set gradient is not finite near"),
+        (None, None, "r.csv: column 'e' holds nan in data row 1"),
+    ],
+    ids=["spherical", "geom-suite", "riemann"],
+)
+def test_out_of_range_data_print_only_their_failure(tmp_path, capsys, scenario, changes, message):
+    # numpy's overflow warnings came first, two lines each; the geom-suite
+    # failure then said the gradient vanished, where |x - center| overflowed.
+    if scenario is None:
+        argv = ["riemann", "--rho-l", "9e307", "--rho-r", "9e307", "--u-l", "1", "--u-r", "-1",
+                "--t-end", "1", "--out", str(tmp_path / "r.csv")]
+    else:
+        cfg = tmp_path / "extreme.json"
+        cfg.write_text(json.dumps(dict(json.loads((SCENARIOS / f"{scenario}.json").read_text()), **changes)))
+        argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    assert _no_runtime_warnings(lambda: main(argv)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"numerical failure: {message}") and err.count("\n") == 1
 
 
 def test_riemann_subcommand_atom_at_the_top_of_the_float_range(tmp_path, capsys):

@@ -6,17 +6,27 @@ bundled scenario (and ``dshock weakcheck`` of two solutions) runs with its
 densities and its initial atom mass times 2^k. The exit code and the failed
 checks must equal the unscaled run's; at moderate k, where nothing under- or
 overflows, every density-linear CSV column must be exactly 2^k times the
-unscaled one and every other column identical, bit for bit.
+unscaled one and every other column identical, bit for bit. In the library,
+the energy-inequality verdict and the 1-D front's negative-mass refusal must
+not depend on k either.
 """
 
+import dataclasses
 import json
 import math
-import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dshock import (
+    DeltaShockSolution1D,
+    RiemannData1D,
+    SupportViolationError,
+    check_energy_inequality_1d,
+    solve_constant_states,
+    time_reversed,
+)
 from dshock.cli import main
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -100,10 +110,7 @@ def test_the_riemann_core_takes_any_unit_of_density(tmp_path, capsys):
     out = tmp_path / "huge.csv"
     argv = ["riemann", "--rho-l", "9e307", "--rho-r", "9e307", "--u-l", "1", "--u-r", "-1",
             "--t-end", "1", "--out", str(out)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        code = main(argv)
-    assert code == 3
+    assert main(argv) == 3
     assert "column 'e' holds" in capsys.readouterr().err
     # An atom mass near the largest float: every row is in range.
     argv = ["riemann", "--rho-l", "1", "--rho-r", "1", "--u-l", "1", "--u-r", "-1",
@@ -112,3 +119,36 @@ def test_the_riemann_core_takes_any_unit_of_density(tmp_path, capsys):
     names, data = _read_csv(out)
     e = data[:, names.index("e")]
     assert e[0] == 1.7e308 and np.all(np.isfinite(data))
+
+
+def _atom_free(k: int):
+    """The 4:1 collision with its densities times 2^k, on the window (-5, 5)."""
+    d = RiemannData1D(math.ldexp(4.0, k), math.ldexp(1.0, k), 1.0, -1.0)
+    return solve_constant_states(d, 1.0, (-5.0, 5.0))
+
+
+@pytest.mark.parametrize("k", (0, *KS))
+def test_the_energy_inequality_verdict_does_not_depend_on_the_unit_of_density(k):
+    sol = _atom_free(k)
+    assert check_energy_inequality_1d(sol).passed()
+    assert not check_energy_inequality_1d(time_reversed(sol)).passed()
+
+
+def test_the_negative_mass_refusal_does_not_depend_on_the_unit_of_density():
+    # e dips below 0 at t = 0 by a fraction of the largest |e| in the scan:
+    # rounding at 1e-14, a real deficit at 1e-10.
+    for k in range(-1000, 1001, 50):
+        sol = _atom_free(k)
+        scale = sol.e(1.0)
+        for dip, refused in ((1e-14, False), (1e-10, True)):
+
+            def rows(t, dip=dip):
+                phi, e, u_delta = sol.rows(t)
+                return phi, e - dip * scale, u_delta
+
+            fields = {f.name: getattr(sol, f.name) for f in dataclasses.fields(sol) if f.init}
+            if refused:
+                with pytest.raises(SupportViolationError, match="front mass negative at t=0.0"):
+                    DeltaShockSolution1D(**dict(fields, rows=rows))
+            else:
+                DeltaShockSolution1D(**dict(fields, rows=rows))
