@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dshock import (
@@ -221,15 +221,33 @@ def _atoms(draw):
     )
 
 
+@pytest.mark.parametrize("x0", [0.3, -1.7])
+@pytest.mark.parametrize(
+    "data",
+    [
+        dict(rho_l=2.0, rho_r=0.5, u_l=0.7, u_r=-1.3),
+        dict(rho_l=4.0, rho_r=1.0, u_l=1.0, u_r=-1.0, e0=0.5, u_delta0=0.2),
+    ],
+)
+def test_the_oracle_front_follows_the_solver_from_x0(data, x0):
+    # The solver starts the jump and the front at x0, and so must the sampler.
+    # Measured at N = 4000 (both x0): |dphi| <= 2.2e-7, |de| <= 0.42 particle
+    # masses, N |du_delta| <= 2.0. Split at 0, the fronts were 0.3 and more apart.
+    d = RiemannData1D(**data, x0=x0)
+    N, L = 4000, 3.0
+    phi, e, u_delta, _ = solve_constant_states(d, 1.0).at(1.0)
+    rep = delta_cluster_estimate(sample_riemann(d, L=L, N=N), T=1.0)
+    assert abs(rep.position_hat - phi) <= 1e-5
+    assert abs(rep.mass_hat - e) <= max(d.rho_l, d.rho_r) * L / (N // 2)
+    assert abs(rep.u_delta_hat - u_delta) <= 4.0 / N
+
+
 @settings(max_examples=100, deadline=None)
 @given(d=_atoms())
-@example(d=RiemannData1D(4.0, 1.0, 1.0, -1.0, e0=0.5, u_delta0=0.2))
-@example(d=RiemannData1D(2.0, 0.5, 0.7, -1.3, x0=-1.7))
-def test_the_oracle_front_follows_the_solver_from_x0(d):
+def test_the_oracle_front_follows_the_solver_on_random_atoms(d):
     # The solver's atom path against the sticky particles, with the atom
     # seeded as one particle at x0 and both sides split there. Worst of 40
     # atoms at N = 4000: |dphi| 4.0e-7, |de| 0.71 particle masses, N |du_delta| 2.9.
-    # The second example starts a front from no atom away from 0.
     N, L = 4000, 4.0
     phi, e, u_delta, _ = solve_constant_states(d, 1.0).at(1.0)
     rep = delta_cluster_estimate(sample_riemann(d, L=L, N=N), T=1.0)
