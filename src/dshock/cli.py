@@ -433,16 +433,12 @@ def _run_geom_suite(obj: dict, seed: int):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return np.exp(-0.5 * np.sum(pts**2, axis=1)) * (1.0 + 0.3 * np.sin(2.0 * t))
 
-    sphere = MovingSphereFront(
-        np.zeros(2),
-        lambda t: 1.0 + 0.25 * np.sin(t),
-        radius_rate=lambda t: 0.25 * np.cos(t),
-    )
     ball = MovingBall(
         np.zeros(2),
         lambda t: 1.0 + 0.25 * np.sin(t),
         radius_rate=lambda t: 0.25 * np.cos(t),
     )
+    sphere = ball.boundary
     dts = [0.02, 0.01, 0.005]
     surf = [check_surface_transport(scalar_field, sphere, 0.4, dt, level).residual for dt in dts]
     vol = [check_volume_transport(scalar_field, ball, 0.4, dt, level).residual for dt in dts]

@@ -126,6 +126,10 @@ _SAMPLES = {"type": "integer", "minimum": 2, "maximum": MAX_SAMPLES}
 # built before any is checked, so a billion would fill memory first; at 1,000
 # a battery at six levels runs in about 13 s, the radii add about 0.5 s (2 cores).
 MAX_BATTERY = MAX_RADII = 1_000
+# Most dimensions of a planar front, the spherical bound: its tangential frame
+# is a Gram-Schmidt loop cubic in dim, run twice with ``check_rotation``. A
+# run takes 1.1-1.8 s at 343 and about 21 s at 1,600 (2 cores).
+MAX_DIM = 343
 
 _COMMON = {
     "name": {"type": "string"},
@@ -159,7 +163,7 @@ _PLANAR_SCHEMA = {
     "type": "object",
     "properties": {
         "kind": {"const": "planar"},
-        "dim": {"type": "integer", "minimum": 2},
+        "dim": {"type": "integer", "minimum": 2, "maximum": MAX_DIM},
         "rho_minus": _NONNEG,
         "rho_plus": _NONNEG,
         "U_minus": {"type": "array", "items": _NUM, "minItems": 2},
@@ -256,7 +260,7 @@ _KIND_SCHEMAS = {
         "properties": {
             "kind": {"const": "geom-suite"},
             "radii": {"type": "array", "items": _POS, "minItems": 1, "maxItems": MAX_RADII},
-            "dims": {"type": "array", "items": {"enum": [2, 3]}, "minItems": 1},
+            "dims": {"type": "array", "items": {"enum": [2, 3]}, "minItems": 1, "maxItems": 2},
             "level": {"type": "integer", "minimum": 0, "maximum": 5},
             "tolerances": _tolerances("curvature", "transport_order", "ibp_residual"),
             **_COMMON,

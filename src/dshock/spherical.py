@@ -14,6 +14,9 @@ close into ODEs along the trajectory:
 The (n-1)/phi terms are exactly -2 K G with K the mean curvature of the
 sphere under the orientation above. Overcompression at the front reads
 u_outer < u_delta < u_inner (radial velocities; vacuum counts as 0).
+``integrate_front`` runs these ODEs for a concentrating front, massive from
+the start or bootstrapped from e = 0 where the front gains mass, and
+transports a massless front that gains none: one integration path for all.
 
 Side fields solve the radial zero-pressure system
 
@@ -376,9 +379,16 @@ def integrate_front(
 ) -> SphericalTrajectory:
     """Integrate the front ODE system from ``init`` up to ``t_end``.
 
-    Stops early (with a flag, not an exception) when the front reaches
-    r_min or the overcompression condition fails. A massless front over
-    locally equal velocities is advected passively with e = 0. ``rtol`` must
+    One path serves three starts. A massive front (e > 0) concentrates by the
+    ODE in (phi, e, e u_delta) from ``init``. A massless one with growth rate
+    alpha > 0 concentrates from the local 1-D speed s with e = alpha (t - t0),
+    a closed form up to t_eps = t0 + 1e-8 (t_end - t0), the ODE after. One
+    with alpha <= 0 is transported (``passive``): phi rides the flow, e = 0.
+    Each start picks its right-hand side, initial state, events and rows of
+    an ODE state; one solve, dense evaluator and ``steps`` build serve all.
+
+    Stops early (with a flag, not an exception) when the front reaches r_min
+    or a concentrating front loses overcompression or its mass. ``rtol`` must
     lie in [100 eps, 1): RK45 raises a smaller one to 100 eps. ``atol`` must
     lie in (0, 1e-3 phi0], with phi0 the initial radius: a larger one lets the
     step control ignore the front's own state.
@@ -437,16 +447,30 @@ def integrate_front(
                 )
         return f
 
-    t0, t_eps = float(init.t), -np.inf
-    if init.e == 0.0:
-        # A massless front starts at the local 1-D speed s and gains mass at
-        # the rate alpha: that closed form holds up to t_eps, the ODE after.
-        s, alpha = _local_front_speed(inner, outer, init.phi, t0)
-        if alpha <= 0.0:
-            return _integrate_passive(inner, outer, init, n, t_end, r_min, rtol, atol)
-        t_eps = t0 + 1e-8 * (t_end - t0)
-        y0 = [init.phi + s * (t_eps - t0), alpha * (t_eps - t0), alpha * (t_eps - t0) * s]
-    else:
+    def mass_rows(t, y):
+        """Rows of states (phi, e, e u_delta); u_delta reads 0 where e <= 0."""
+        phi, e, q = y
+        mass = e > 0.0
+        return phi, e, np.where(mass, q / np.where(mass, e, 1.0), 0.0)
+
+    def flow_speed(phi, t):
+        """The flow speed at the front: the inner side's unless it is vacuum."""
+        (rho_i, u_i), (_, u_o) = sides(phi, t)
+        return np.where(rho_i > 0.0, u_i, u_o)
+
+    def flow_rows(t, y):
+        """Rows of states (phi,): a massless front at the flow speed."""
+        return y[0], np.zeros_like(y[0]), flow_speed(y[0], t)
+
+    # The choice of start: right-hand side, initial state, events and rows.
+    events = [
+        _stop_on_fall(lambda t, y: y[0] - r_min),
+        _stop_on_fall(lambda t, y: entropy_margin(y[0], t, y[2] / y[1])),
+        _stop_on_fall(lambda t, y: y[1]),
+    ]
+    fun, to_rows, passive = rhs, mass_rows, False
+    t0, t_eps, lead = float(init.t), -np.inf, None
+    if init.e > 0.0:
         margin = entropy_margin(init.phi, t0, init.u_delta)
         if margin <= 0.0:
             raise NoDeltaShockError(
@@ -454,23 +478,31 @@ def integrate_front(
                 f"(margin {margin})"
             )
         y0 = [init.phi, init.e, init.e * init.u_delta]
+    else:
+        s, alpha = _local_front_speed(inner, outer, init.phi, t0)
+        if alpha > 0.0:
+            t_eps = t0 + 1e-8 * (t_end - t0)
+            y0 = [init.phi + s * (t_eps - t0), alpha * (t_eps - t0), alpha * (t_eps - t0) * s]
+
+            def lead(t):
+                """The closed-form rows at times t <= t_eps."""
+                return init.phi + s * (t - t0), alpha * (t - t0), np.full(t.shape, s)
+        else:
+            fun, to_rows, passive = (lambda t, y: [flow_speed(y[0], t)]), flow_rows, True
+            y0, events = [init.phi], events[:1]
 
     # A step that overflows yields a right-hand side that rhs refuses, or
     # one the step control rejects; numpy need not warn about it first.
     with np.errstate(over="ignore", invalid="ignore"):
         sol = solve_ivp(
-            rhs,
+            fun,
             (max(t0, t_eps), float(t_end)),
             y0,
             method="RK45",
             rtol=rtol,
             atol=atol,
             dense_output=True,
-            events=[
-                _stop_on_fall(lambda t, y: y[0] - r_min),
-                _stop_on_fall(lambda t, y: entropy_margin(y[0], t, y[2] / y[1])),
-                _stop_on_fall(lambda t, y: y[1]),
-            ],
+            events=events,
         )
     if not sol.success:
         if "step size" in sol.message.lower():
@@ -482,22 +514,22 @@ def integrate_front(
         rows = np.empty((3, t.size))
         early = t <= t_eps
         if early.any():
-            rows[0, early] = init.phi + s * (t[early] - t0)
-            rows[1, early] = alpha * (t[early] - t0)
-            rows[2, early] = s
+            rows[:, early] = lead(t[early])
         if not early.all():
-            phi, e, q = sol.sol(t[~early])
-            rows[:, ~early] = phi, e, np.divide(q, e, out=q.copy(), where=e > 0.0)
+            rows[:, ~early] = to_rows(t[~early], sol.sol(t[~early]))
+        np.maximum(rows[1], 0.0, out=rows[1])
         return rows
 
-    phis, es, qs = sol.y
+    phis, es, u_ds = to_rows(sol.t, sol.y)
     if np.any(es < -atol):
         raise StiffnessError("negative front mass along the trajectory")
+    # The steps start from the initial state: where the ODE starts later, the
+    # closed form gives it.
+    head = np.array([t0] if sol.t[0] > t0 else [])
     steps = FrontSteps(
-        sol.t, phis, np.maximum(es, 0.0), np.where(es > 0.0, qs / np.where(es > 0.0, es, 1.0), 0.0)
+        np.concatenate([head, sol.t]),
+        *np.hstack([dense(head), [phis, np.maximum(es, 0.0), u_ds]]),
     )
-    if t_eps > t0:  # the steps start from the initial state, not from t_eps
-        steps = FrontSteps(*(np.insert(v, 0, v0) for v, v0 in zip(steps, (t0, init.phi, 0.0, s))))
     return SphericalTrajectory(
         n=n,
         r_min=r_min,
@@ -506,44 +538,8 @@ def integrate_front(
         steps=steps,
         t_end=float(sol.t[-1]),
         focused=len(sol.t_events[0]) > 0,
-        entropy_violated=len(sol.t_events[1]) > 0 or len(sol.t_events[2]) > 0,
-        rows=dense,
-    )
-
-
-def _integrate_passive(inner, outer, init, n, t_end, r_min, rtol, atol):
-    def speed(phi, t):
-        """The flow speed at the front: the inner side's unless it is vacuum."""
-        (rho_i, u_i), (_, u_o) = _side(inner, phi, t), _side(outer, phi, t)
-        return np.where(rho_i > 0.0, u_i, u_o)
-
-    sol = solve_ivp(
-        lambda t, y: [speed(y[0], t)],
-        (float(init.t), float(t_end)),
-        [init.phi],
-        method="RK45",
-        rtol=rtol,
-        atol=atol,
-        dense_output=True,
-        events=[_stop_on_fall(lambda t, y: y[0] - r_min)],
-    )
-    if not sol.success:
-        raise StiffnessError(f"passive front integration failed: {sol.message}")
-
-    def dense(t):
-        phi = sol.sol(t)[0]
-        return np.stack([phi, np.zeros_like(phi), speed(phi, t)])
-
-    ts, phis = sol.t, sol.y[0]
-    return SphericalTrajectory(
-        n=n,
-        r_min=r_min,
-        inner=inner,
-        outer=outer,
-        steps=FrontSteps(ts, phis, np.zeros_like(ts), speed(phis, ts)),
-        t_end=float(ts[-1]),
-        focused=len(sol.t_events[0]) > 0,
-        passive=True,
+        entropy_violated=any(len(t) > 0 for t in sol.t_events[1:]),
+        passive=passive,
         rows=dense,
     )
 

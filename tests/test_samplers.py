@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from dshock import (
@@ -44,6 +45,7 @@ from dshock import (
     unit_sphere_area,
     with_front_speed_offset,
 )
+from dshock import spherical
 from dshock.bumps import BumpFactor, TensorBump
 from dshock.cli import _battery_box
 from dshock.geometry.quadrature import gauss_panels
@@ -84,8 +86,8 @@ def _ref_front_rows(traj, times):
 
 
 @st.composite
-def _trajectories(draw):
-    kind = draw(st.sampled_from(["massive", "bootstrap", "passive"]))
+def _front_problems(draw, kind):
+    """Keyword arguments of ``integrate_front`` for a front of one start ``kind``."""
     n = draw(st.integers(1, 4))
     phi0 = draw(st.floats(1.0, 2.0))
     if kind == "massive":
@@ -103,10 +105,42 @@ def _trajectories(draw):
         inner = constant_field(draw(st.floats(0.2, 5.0)), u)
         outer = constant_field(draw(st.floats(0.2, 5.0)), u)
         init = SphericalFrontState(0.0, phi0, 0.0, u)
-    traj = integrate_front(inner, outer, init, n=n, t_end=draw(st.floats(0.1, 0.6)))
+    return dict(inner=inner, outer=outer, init=init, n=n, t_end=draw(st.floats(0.1, 0.6)))
+
+
+_START_KINDS = ("massive", "bootstrap", "passive")
+
+
+@st.composite
+def _trajectories(draw):
+    kind = draw(st.sampled_from(_START_KINDS))
+    traj = integrate_front(**draw(_front_problems(kind)))
     assert (_closed_form_end(traj) is not None) == (kind == "bootstrap")
     assert traj.passive == (kind == "passive")
     return traj
+
+
+@pytest.mark.parametrize("kind", _START_KINDS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_every_start_integrates_once_and_its_rows_give_its_steps(kind, data):
+    problem = data.draw(_front_problems(kind))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_ivp(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spherical, "solve_ivp", counted)
+        traj = integrate_front(**problem)
+    assert len(calls) == 1
+    steps = traj.steps
+    got = np.array(traj.at(steps.t)[:3])
+    want = np.array([steps.phi, steps.e, steps.u_delta])
+    np.testing.assert_allclose(got, want, rtol=DENSE_RTOL, atol=0.0)
+    if kind == "bootstrap":
+        np.testing.assert_array_equal(got[:, 0], want[:, 0])
 
 
 # At t_eps itself the dense output gives u_delta = (e s) / e, which for these

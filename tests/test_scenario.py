@@ -12,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dshock import ScenarioError
+from dshock.cli import main
 from dshock.scenario import (
     _KIND_SCHEMAS,
+    MAX_DIM,
     SCENARIO_KINDS,
     _violations,
     field_from_spec,
@@ -143,7 +145,7 @@ def test_weakcheck_solution_kind_picks_its_schema(solution, message):
     assert _outcome(validate_scenario, obj) == _outcome(_jsonschema_validate, obj)
 
 
-def test_the_battery_and_the_radii_are_bounded():
+def test_the_battery_and_the_radii_are_bounded(tmp_path):
     # Validation alone refuses them, before any member or radius is built:
     # "count": 1e9 used to build a billion-member battery.
     weak = load_scenario(SCENARIOS / "weakcheck_asymmetric.json")
@@ -156,6 +158,27 @@ def test_the_battery_and_the_radii_are_bounded():
     with pytest.raises(ScenarioError, match=message):
         validate_scenario(geom)
     weak["battery"]["count"], geom["radii"] = 1000, [1.0] * 1000
+    validate_scenario(weak)
+    validate_scenario(geom)
+    # A planar frame is a Gram-Schmidt loop cubic in dim, and each geom-suite
+    # dim costs one curvature check per radius.
+    planar = load_scenario(SCENARIOS / "planar_2d.json")
+    planar["dim"] = MAX_DIM + 1
+    weak["solution"] = planar
+    for doc, at in ((planar, "dim"), (weak, "solution/dim")):
+        message = f"at {at}: {MAX_DIM + 1} is greater than the maximum of {MAX_DIM}$"
+        with pytest.raises(ScenarioError, match=message):
+            validate_scenario(doc)
+    geom["dims"] = [3, 3, 3]
+    message = "at dims: an array of 3 items is longer than the maximum of 2$"
+    with pytest.raises(ScenarioError, match=message):
+        validate_scenario(geom)
+    cfg, out = tmp_path / "planar.json", tmp_path / "out"
+    cfg.write_text(json.dumps(planar))
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert json.loads((out / "report.json").read_text())["exit_code"] == 2
+    planar["dim"], geom["dims"] = MAX_DIM, [3, 2]
+    validate_scenario(planar)
     validate_scenario(weak)
     validate_scenario(geom)
 
